@@ -34,6 +34,8 @@ pub mod codegen;
 pub mod config;
 pub mod dispatch;
 pub mod driver;
+#[cfg(test)]
+mod journal_fixtures;
 pub mod pool;
 pub mod queue;
 pub mod report;

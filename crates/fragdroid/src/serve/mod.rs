@@ -44,7 +44,7 @@
 
 mod chaos;
 mod client;
-mod journal;
+pub(crate) mod journal;
 
 pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::{ClientError, JobOutcome, SubmitClient};
