@@ -61,11 +61,14 @@ const INDEX_ENTRY_LEN: usize = 16;
 
 /// FNV-1a offset basis — the corpus digest seed. Folding every entry
 /// with [`fold_entry_digest`] starting from this value reproduces the
-/// suite runner's in-memory corpus digest.
+/// suite runner's in-memory corpus digest. Every other digest in the
+/// workspace (configs, submissions, journal lines, fuzz campaigns)
+/// starts from it too.
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into a running FNV-1a hash (start from [`DIGEST_SEED`]).
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -9,6 +9,7 @@
 
 use crate::mutate;
 use bytes::Bytes;
+use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -41,9 +42,9 @@ pub enum Target {
     /// differential invariant.
     Serve,
     /// Byte-level mutants of dispatch coordinator journals →
-    /// [`fragdroid::parse_dispatch_journal`] (the lease/completion log
-    /// `fragdroid dispatch --resume` trusts), with the whole-buffer ≡
-    /// byte-at-a-time line-scan differential invariant.
+    /// [`fragdroid::parse_dispatch_journal`] (the shared journal replay
+    /// `fragdroid dispatch --resume` trusts), differentially checked
+    /// against a byte-at-a-time line scan.
     Dispatch,
 }
 
@@ -177,17 +178,6 @@ enum CaseOutcome {
     Rejected(String),
     /// The pipeline panicked — an invariant violation.
     Panicked(String),
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The seed inputs every mutant derives from: packed containers, their
@@ -429,32 +419,19 @@ fn decode_serve_incrementally(input: &[u8]) -> Result<usize, String> {
     Ok(decoded)
 }
 
-/// Whole-buffer scan of a dispatch coordinator journal: every
-/// newline-terminated line must decode as a checksummed record; an
-/// unterminated tail is a torn write, tolerated by counting its bytes.
-/// Returns `(decoded lines, torn bytes)` or the first typed error.
-fn scan_dispatch_lines(input: &[u8]) -> Result<(usize, usize), String> {
-    let mut decoded = 0usize;
-    let mut offset = 0usize;
-    while offset < input.len() {
-        let Some(newline) = input[offset..].iter().position(|&b| b == b'\n') else {
-            return Ok((decoded, input.len() - offset));
-        };
-        fragdroid::decode_dispatch_line(&input[offset..offset + newline])?;
-        decoded += 1;
-        offset += newline + 1;
-    }
-    Ok((decoded, 0))
-}
-
 /// Feeds the journal one byte at a time, decoding each line as its
-/// newline arrives — the differential twin of [`scan_dispatch_lines`].
-fn scan_dispatch_lines_incrementally(input: &[u8]) -> Result<(usize, usize), String> {
+/// newline arrives — the reference the shared replay behind
+/// [`fragdroid::parse_dispatch_journal`] is checked against. Returns
+/// `(decoded lines, torn bytes)`, or the 1-based number of the first
+/// line that does not decode.
+fn scan_dispatch_lines_incrementally(input: &[u8]) -> Result<(usize, usize), usize> {
     let mut decoded = 0usize;
     let mut line: Vec<u8> = Vec::new();
     for &byte in input {
         if byte == b'\n' {
-            fragdroid::decode_dispatch_line(&line)?;
+            if fragdroid::decode_dispatch_line(&line).is_err() {
+                return Err(decoded + 1);
+            }
             decoded += 1;
             line.clear();
         } else {
@@ -462,6 +439,29 @@ fn scan_dispatch_lines_incrementally(input: &[u8]) -> Result<(usize, usize), Str
         }
     }
     Ok((decoded, line.len()))
+}
+
+/// Whether the replay's verdict agrees with the byte-at-a-time
+/// reference on the line layer: the same whole records and torn bytes,
+/// or the same first bad line. Header, version and shard-fold errors sit
+/// above that layer, so there the reference must see every line decode.
+fn replay_agrees(
+    replayed: &Result<fragdroid::DispatchJournal, fragdroid::JournalError>,
+    reference: &Result<(usize, usize), usize>,
+) -> bool {
+    use fragdroid::JournalError as E;
+    match (replayed, *reference) {
+        (Ok(journal), Ok((lines, torn))) => {
+            let records = journal.grants + journal.revocations + journal.quarantines;
+            records + journal.done.len() as u64 + 1 == lines as u64
+                && journal.torn_tail_bytes == torn as u64
+        }
+        (Err(E::ChecksumMismatch { line } | E::BadRecord { line, .. }), Err(bad)) => *line == bad,
+        (Err(E::TornTail { bytes }), Ok((0, torn))) => *bytes == torn as u64,
+        (Err(E::ChecksumMismatch { .. } | E::TornTail { .. }), _) | (_, Err(_)) => false,
+        // Header, version and shard-fold errors: every line decoded.
+        (Err(_), Ok(_)) => true,
+    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -522,20 +522,17 @@ fn execute(target: Target, input: &[u8]) -> CaseOutcome {
             whole.map(|_| ())
         }
         Target::Dispatch => {
-            let whole = scan_dispatch_lines(input);
-            // Differential invariant: the line scanner fed one byte at
-            // a time must agree with the whole-buffer scan.
-            let incremental = scan_dispatch_lines_incrementally(input);
-            assert_eq!(
-                whole, incremental,
-                "incremental dispatch-journal scanning diverged from whole-buffer scanning"
+            // The shared journal replay must accept or reject with a
+            // typed JournalError. Differential invariant: it must agree
+            // with the line scanner fed one byte at a time.
+            let replayed = fragdroid::parse_dispatch_journal(input);
+            let reference = scan_dispatch_lines_incrementally(input);
+            assert!(
+                replay_agrees(&replayed, &reference),
+                "dispatch-journal replay diverged from byte-at-a-time scanning: \
+                 {replayed:?} vs {reference:?}"
             );
-            // The semantic layer on top of the line codec: the full
-            // parse must accept or reject with a typed JournalError.
-            match fragdroid::parse_dispatch_journal(input) {
-                Ok(_) => Ok(()),
-                Err(e) => Err(e.to_string()),
-            }
+            replayed.map(|_| ()).map_err(|e| e.to_string())
         }
         Target::Corpus => match fd_apk::corpus::parse_shard(input) {
             Ok(view) => {
@@ -677,7 +674,7 @@ pub fn run_campaign_traced(config: &FuzzConfig, tracer: &fd_trace::Tracer) -> Ca
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut report =
         CampaignReport { seed: config.seed, mutants: config.mutants, ..CampaignReport::default() };
-    let mut digest = FNV_OFFSET;
+    let mut digest = DIGEST_SEED;
     let targets =
         if config.targets.is_empty() { Target::ALL.to_vec() } else { config.targets.clone() };
     let _quiet = QuietPanics::engage();
@@ -691,25 +688,25 @@ pub fn run_campaign_traced(config: &FuzzConfig, tracer: &fd_trace::Tracer) -> Ca
         let input = generate(&corpus, target, &mut rng);
         let outcome = execute(target, &input);
 
-        digest = fnv(digest, target.name().as_bytes());
+        digest = fnv1a(digest, target.name().as_bytes());
         let stats = report.per_target.entry(target.name().to_string()).or_default();
         stats.executed += 1;
         report.executed += 1;
         match outcome {
             CaseOutcome::Ok => {
-                digest = fnv(digest, b"ok");
+                digest = fnv1a(digest, b"ok");
                 stats.ok += 1;
                 report.ok += 1;
             }
             CaseOutcome::Rejected(message) => {
-                digest = fnv(digest, b"rejected");
-                digest = fnv(digest, message.as_bytes());
+                digest = fnv1a(digest, b"rejected");
+                digest = fnv1a(digest, message.as_bytes());
                 stats.rejected += 1;
                 report.rejected += 1;
             }
             CaseOutcome::Panicked(message) => {
-                digest = fnv(digest, b"panicked");
-                digest = fnv(digest, message.as_bytes());
+                digest = fnv1a(digest, b"panicked");
+                digest = fnv1a(digest, message.as_bytes());
                 stats.violations += 1;
                 tracer.event(|| fd_trace::TraceEvent::FuzzViolation {
                     target: target.name().to_string(),
@@ -885,7 +882,7 @@ mod tests {
         let journal = corpus.dispatch.last().expect("dispatch seed present");
         // Truncation at every offset either recovers (the cut lands in
         // the torn tail) or rejects typed — never panics, and the
-        // whole-buffer scan always agrees with the byte-at-a-time scan.
+        // shared replay always agrees with the byte-at-a-time scan.
         for len in 0..journal.len() {
             match execute(Target::Dispatch, &journal[..len]) {
                 CaseOutcome::Ok | CaseOutcome::Rejected(_) => {}

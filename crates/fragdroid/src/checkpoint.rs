@@ -7,21 +7,17 @@
 //! corpus to one dead process. This module gives the work-stealing suite
 //! runner ([`crate::suite`]) durable progress:
 //!
-//! * **Journal** — an append-only JSON-Lines file. The first line is a
-//!   header carrying a [`Fingerprint`] of the invocation (corpus digest,
-//!   configuration digest, app count, flake-retry budget), written
-//!   atomically via tmp-file + rename + fsync so the journal either does
-//!   not exist or starts with a complete, durable header. Every
-//!   completed app appends one [`AppOutcome`] record. Each line is
-//!   prefixed with its FNV-1a checksum, and appends are fsync'd in
-//!   batches ([`CheckpointOptions::fsync_every`]).
-//! * **Resume** — [`load_journal`] replays the file, verifies every
-//!   checksum, detects a *torn tail* (a partial last line from a
-//!   mid-write kill) and drops it, and refuses journals whose
-//!   fingerprint does not match the current invocation. The runner then
-//!   skips every journaled app; restored slots reproduce their recorded
-//!   reports byte-for-byte, so a resumed run's final report is identical
-//!   to an uninterrupted one (property-tested in
+//! * **Journal** — a durable log (`durable_log`: checksummed lines,
+//!   atomic creation, torn-tail replay, group commit every
+//!   [`CheckpointOptions::fsync_every`] records). Its header carries a
+//!   [`Fingerprint`] of the invocation (corpus digest, configuration
+//!   digest, app count, flake-retry budget); every completed app appends
+//!   one [`AppOutcome`] record.
+//! * **Resume** — [`load_journal`] replays the file and refuses journals
+//!   whose fingerprint does not match the current invocation. The runner
+//!   then skips every journaled app; restored slots reproduce their
+//!   recorded reports byte-for-byte, so a resumed run's final report is
+//!   identical to an uninterrupted one (property-tested in
 //!   `tests/checkpoint_prop.rs`).
 //! * **Flake triage** — after a complete run, apps that finished
 //!   [`AppOutcome::Panicked`], [`AppOutcome::DeadlineExceeded`] or
@@ -36,14 +32,14 @@
 //! panic.
 
 use crate::config::FragDroidConfig;
+use crate::durable_log::{self, replay, DurableLog, LogRecord, Replay};
 use crate::suite::{
     assemble_metrics, engine, slot_metrics, slot_outcome, AppMetrics, AppOutcome, SuiteApp,
     SuiteContainer, SuiteRun, SuiteSource,
 };
+use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -55,18 +51,6 @@ pub const JOURNAL_VERSION: u64 = 1;
 
 /// Default number of appended records between fsyncs.
 pub const DEFAULT_FSYNC_BATCH: usize = 8;
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a hash.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -186,7 +170,7 @@ impl std::fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 impl JournalError {
-    fn io(path: &Path, op: &'static str, error: std::io::Error) -> Self {
+    pub(crate) fn io(path: &Path, op: &'static str, error: std::io::Error) -> Self {
         JournalError::Io { path: path.display().to_string(), op, error: error.to_string() }
     }
 }
@@ -225,7 +209,7 @@ impl Fingerprint {
             corpus_digest: source.digest()?,
             // The derived Debug rendering covers every config field, so
             // any behavioral knob changing changes the digest.
-            config_digest: fnv1a(FNV_OFFSET, format!("{config:?}").as_bytes()),
+            config_digest: fnv1a(DIGEST_SEED, format!("{config:?}").as_bytes()),
             flake_retries: flake_retries as u64,
         })
     }
@@ -375,11 +359,11 @@ fn retry_passes(
 }
 
 // ---------------------------------------------------------------------------
-// Journal records and line codec
+// Journal records
 
 /// One journal line's payload.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// The first line: what this journal is for.
     Header(JournalHeader),
     /// One completed app. Boxed: this variant dwarfs the other two.
@@ -388,9 +372,26 @@ enum JournalRecord {
     Flakes(FlakeSummary),
 }
 
+impl JournalRecord {
+    fn header(fingerprint: Fingerprint) -> Self {
+        JournalRecord::Header(JournalHeader { version: JOURNAL_VERSION, fingerprint })
+    }
+}
+
+impl LogRecord for JournalRecord {
+    const VERSION: u64 = JOURNAL_VERSION;
+
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            JournalRecord::Header(header) => Some(header.version),
+            _ => None,
+        }
+    }
+}
+
 /// The journal's first record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct JournalHeader {
+pub(crate) struct JournalHeader {
     /// Format version ([`JOURNAL_VERSION`]).
     version: u64,
     /// The invocation fingerprint.
@@ -400,7 +401,7 @@ struct JournalHeader {
 /// One completed app's durable state: enough to restore its suite slot
 /// byte-identically.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct OutcomeRecord {
+pub(crate) struct OutcomeRecord {
     /// The app's input-order index.
     index: usize,
     /// The slot's observability record (wall time preserved from the
@@ -448,67 +449,6 @@ impl serde::Serialize for OutcomeRef<'_> {
     }
 }
 
-/// Encodes one record as `"<fnv16hex> <json>\n"`, appended to `out`.
-/// The checksum covers the JSON payload bytes, so any torn or corrupted
-/// byte is detectable. `json` is a caller-owned scratch buffer: the
-/// record streams into it (no `Value` tree, no per-record `String`), the
-/// checksum is taken over it, and both buffers keep their capacity for
-/// the next record. Shared with the serve job journal
-/// ([`crate::serve`]), which speaks the same line format over its own
-/// record type.
-pub(crate) fn encode_line_into<T: serde::Serialize>(
-    record: &T,
-    json: &mut String,
-    out: &mut String,
-) {
-    use std::fmt::Write as _;
-    json.clear();
-    serde::Serialize::write_json(record, json);
-    let _ = write!(out, "{:016x} ", fnv1a(FNV_OFFSET, json.as_bytes()));
-    out.push_str(json);
-    out.push('\n');
-}
-
-/// One-shot form of [`encode_line_into`] for cold paths (header line,
-/// tests).
-fn encode_line(record: &JournalRecord) -> String {
-    let mut json = String::new();
-    let mut out = String::new();
-    encode_line_into(record, &mut json, &mut out);
-    out
-}
-
-pub(crate) enum LineError {
-    /// The checksum prefix does not match the payload.
-    Checksum,
-    /// The line shape or JSON payload is invalid.
-    Malformed(String),
-}
-
-/// Decodes one newline-stripped journal line into any record type that
-/// shares the `"<fnv16hex> <json>\n"` framing.
-pub(crate) fn decode_line<T: serde::Deserialize>(line: &[u8]) -> Result<T, LineError> {
-    if line.len() < 18 || line[16] != b' ' {
-        return Err(LineError::Malformed("line shorter than checksum prefix".into()));
-    }
-    let hex = std::str::from_utf8(&line[..16])
-        .map_err(|_| LineError::Malformed("non-UTF-8 checksum".into()))?;
-    // The writer emits exactly lowercase hex; accepting any other form
-    // would let a flipped bit in the checksum field itself go unnoticed.
-    if hex.bytes().any(|b| !matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return Err(LineError::Malformed(format!("non-canonical checksum field '{hex}'")));
-    }
-    let expected = u64::from_str_radix(hex, 16)
-        .map_err(|_| LineError::Malformed(format!("bad checksum field '{hex}'")))?;
-    let payload = &line[17..];
-    if fnv1a(FNV_OFFSET, payload) != expected {
-        return Err(LineError::Checksum);
-    }
-    let json = std::str::from_utf8(payload)
-        .map_err(|_| LineError::Malformed("non-UTF-8 payload".into()))?;
-    serde_json::from_str(json).map_err(|e| LineError::Malformed(e.to_string()))
-}
-
 // ---------------------------------------------------------------------------
 // Loading
 
@@ -527,70 +467,23 @@ pub struct LoadedJournal {
     pub torn_tail_bytes: u64,
 }
 
-/// Replays a journal: verifies every line's checksum, parses every
-/// record, and isolates a torn tail (a final line without its newline —
-/// the footprint of a mid-write kill), which is *dropped*, preserving
-/// all progress before it. Corruption anywhere else is a typed error,
-/// never a panic and never a silent wrong resume.
+/// Replays a journal: a torn final line (the footprint of a mid-write
+/// kill) is measured and dropped, preserving all progress before it;
+/// corruption anywhere else is a typed error, never a panic and never a
+/// silent wrong resume.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
-    let data = std::fs::read(path).map_err(|e| JournalError::io(path, "read", e))?;
-
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut torn_tail_bytes = 0u64;
-    let mut records: Vec<(usize, JournalRecord)> = Vec::new();
-    while offset < data.len() {
-        line_no += 1;
-        let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-            // No terminator: the writer died mid-append. Drop the tail.
-            torn_tail_bytes = (data.len() - offset) as u64;
-            break;
-        };
-        let line = &data[offset..offset + newline];
-        let line_end = offset + newline + 1;
-        match decode_line(line) {
-            Ok(record) => {
-                records.push((line_no, record));
-                offset = line_end;
-            }
-            Err(LineError::Checksum) => {
-                return Err(JournalError::ChecksumMismatch { line: line_no })
-            }
-            Err(LineError::Malformed(error)) => {
-                return Err(JournalError::BadRecord { line: line_no, error })
-            }
-        }
-    }
-    let valid_len = offset as u64;
-
-    let mut iter = records.into_iter();
-    let fingerprint = match iter.next() {
-        Some((_, JournalRecord::Header(header))) => {
-            if header.version != JOURNAL_VERSION {
-                return Err(JournalError::VersionMismatch { found: header.version });
-            }
-            header.fingerprint
-        }
-        Some((_, _)) => return Err(JournalError::MissingHeader),
-        None if torn_tail_bytes > 0 => {
-            // Bytes exist but not one complete record: the header itself
-            // is torn, so nothing about the file can be trusted.
-            return Err(JournalError::TornTail { bytes: torn_tail_bytes });
-        }
-        None => return Err(JournalError::MissingHeader),
+    let Replay { header, records, valid_len, torn_tail_bytes } =
+        replay::<JournalRecord>(&durable_log::read(path)?)?;
+    let JournalRecord::Header(JournalHeader { fingerprint, .. }) = header else {
+        return Err(JournalError::MissingHeader);
     };
-
     let total = fingerprint.apps as usize;
     let mut slots = BTreeMap::new();
     let mut flakes = None;
-    for (line, record) in iter {
+    for (_, record) in records {
         match record {
-            JournalRecord::Header(_) => {
-                return Err(JournalError::BadRecord {
-                    line,
-                    error: "second header record".to_string(),
-                })
-            }
+            // Replay already refused a second header.
+            JournalRecord::Header(_) => {}
             JournalRecord::Outcome(record) => {
                 if record.index >= total {
                     return Err(JournalError::IndexOutOfRange { index: record.index, total });
@@ -602,135 +495,7 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             JournalRecord::Flakes(summary) => flakes = Some(summary),
         }
     }
-
     Ok(LoadedJournal { fingerprint, slots, flakes, valid_len, torn_tail_bytes })
-}
-
-// ---------------------------------------------------------------------------
-// Writing
-
-/// The append side of the journal, with group commit: appended records
-/// are encoded into a reusable buffer and hit the file as one
-/// `write_all` + one `sync_data` when the batch fills (or at `sync`).
-/// Durability is unchanged from the write-per-append scheme — a record
-/// was never guaranteed before its batch's fsync either — but the
-/// per-record cost drops to an in-memory encode.
-pub(crate) struct JournalWriter {
-    file: File,
-    path: PathBuf,
-    /// Encoded-but-unwritten lines; flushed as one write.
-    buf: String,
-    /// Reusable per-record JSON scratch (see [`encode_line_into`]).
-    json: String,
-    /// Records in `buf`.
-    pending: usize,
-    fsync_every: usize,
-}
-
-impl JournalWriter {
-    /// Creates a fresh journal: the header line is written to
-    /// `<path>.tmp`, fsync'd, and renamed into place, so a crash at any
-    /// point leaves either no journal or one with a complete header.
-    fn create(
-        path: &Path,
-        fingerprint: Fingerprint,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let header = encode_line(&JournalRecord::Header(JournalHeader {
-            version: JOURNAL_VERSION,
-            fingerprint,
-        }));
-        JournalWriter::create_raw(path, &header, fsync_every)
-    }
-
-    /// [`Self::create`] over an already-encoded header line, so other
-    /// journals sharing the line codec (the dispatch coordinator's, with
-    /// its own header record) get the same atomic-create semantics.
-    pub(crate) fn create_raw(
-        path: &Path,
-        header: &str,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        {
-            let mut file = File::create(&tmp).map_err(|e| JournalError::io(&tmp, "create", e))?;
-            file.write_all(header.as_bytes())
-                .map_err(|e| JournalError::io(&tmp, "write header", e))?;
-            file.sync_all().map_err(|e| JournalError::io(&tmp, "fsync header", e))?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| JournalError::io(path, "rename into place", e))?;
-        // Make the rename itself durable where the platform allows
-        // directory fsync. A failure is surfaced, not swallowed: until
-        // the directory entry is on stable storage a crash can lose the
-        // just-renamed header, and a journal whose durability the caller
-        // cannot trust is worse than an error.
-        if let Some(parent) = path.parent() {
-            let dir_path = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-            let dir = File::open(dir_path)
-                .map_err(|e| JournalError::io(dir_path, "open directory", e))?;
-            dir.sync_all().map_err(|e| JournalError::io(dir_path, "fsync directory", e))?;
-        }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| JournalError::io(path, "open for append", e))?;
-        Ok(JournalWriter::over(file, path, fsync_every))
-    }
-
-    /// Reopens an existing journal for appending, first truncating away
-    /// the torn tail past `valid_len`.
-    pub(crate) fn resume(
-        path: &Path,
-        valid_len: u64,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| JournalError::io(path, "open for append", e))?;
-        file.set_len(valid_len).map_err(|e| JournalError::io(path, "truncate torn tail", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| JournalError::io(path, "seek to end", e))?;
-        Ok(JournalWriter::over(file, path, fsync_every))
-    }
-
-    /// A writer over an already-positioned file.
-    fn over(file: File, path: &Path, fsync_every: usize) -> Self {
-        JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            buf: String::new(),
-            json: String::new(),
-            pending: 0,
-            fsync_every,
-        }
-    }
-
-    /// Appends one record to the in-memory batch; group-commits when the
-    /// batch fills.
-    pub(crate) fn append<T: serde::Serialize>(&mut self, record: &T) -> Result<(), JournalError> {
-        encode_line_into(record, &mut self.json, &mut self.buf);
-        self.pending += 1;
-        if self.pending >= self.fsync_every.max(1) {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Group commit: writes the whole batch with one `write_all` and
-    /// makes it durable with one `sync_data` (the file is append-only,
-    /// so data-plus-size is all that needs to reach stable storage).
-    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
-        if self.pending == 0 {
-            return Ok(());
-        }
-        self.file
-            .write_all(self.buf.as_bytes())
-            .map_err(|e| JournalError::io(&self.path, "append", e))?;
-        self.buf.clear();
-        self.file.sync_data().map_err(|e| JournalError::io(&self.path, "fsync", e))?;
-        self.pending = 0;
-        Ok(())
-    }
 }
 
 /// Writes a *complete* journal in one shot: header, every slot in index
@@ -739,9 +504,9 @@ impl JournalWriter {
 /// collected over the wire — the resulting file is byte-for-byte what a
 /// local [`run_shard`](crate::shard::run_shard) would have left behind,
 /// so [`merge_shards`](crate::shard::merge_shards) accepts it without
-/// knowing who wrote it. `create`'s tmp-then-rename makes re-dispatch
-/// idempotent: rewriting an already-complete shard journal replaces it
-/// atomically with identical bytes.
+/// knowing who wrote it. [`DurableLog::create`]'s tmp-then-rename makes
+/// re-dispatch idempotent: rewriting an already-complete shard journal
+/// replaces it atomically with identical bytes.
 pub(crate) fn write_complete_journal<'a, I>(
     path: &Path,
     fingerprint: Fingerprint,
@@ -750,36 +515,11 @@ pub(crate) fn write_complete_journal<'a, I>(
 where
     I: IntoIterator<Item = (usize, &'a AppOutcome, &'a AppMetrics)>,
 {
-    let mut writer = JournalWriter::create(path, fingerprint, usize::MAX)?;
+    let mut log = DurableLog::create(path, &JournalRecord::header(fingerprint), usize::MAX)?;
     for (index, outcome, metrics) in slots {
-        writer.append(&OutcomeRef { index, metrics, outcome })?;
+        log.append(&OutcomeRef { index, metrics, outcome })?;
     }
-    writer.sync()
-}
-
-/// The writer plus its first failure: once an append fails (full disk,
-/// revoked permissions) journaling stops, the suite keeps running, and
-/// the error is reported when the run returns.
-struct WriterState {
-    writer: JournalWriter,
-    failed: Option<JournalError>,
-}
-
-impl WriterState {
-    /// Appends unless a previous append already failed; records the
-    /// first failure. Returns whether the record was durably queued.
-    fn append<T: serde::Serialize>(&mut self, record: &T) -> bool {
-        if self.failed.is_some() {
-            return false;
-        }
-        match self.writer.append(record) {
-            Ok(()) => true,
-            Err(error) => {
-                self.failed = Some(error);
-                false
-            }
-        }
-    }
+    log.sync()
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,11 +746,11 @@ fn run_checkpointed(
     let mut restored: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
     let mut journaled_flakes: Option<FlakeSummary> = None;
     let mut torn_tail_bytes = 0u64;
-    let writer: Option<Mutex<WriterState>> = match checkpoint {
+    let log: Option<Mutex<DurableLog>> = match checkpoint {
         None => None,
         Some(opts) => {
             let journal_exists = opts.path.exists();
-            let writer = if opts.resume && journal_exists {
+            let log = if opts.resume && journal_exists {
                 let loaded = load_journal(&opts.path)?;
                 if loaded.fingerprint != fingerprint {
                     return Err(JournalError::FingerprintMismatch {
@@ -1021,16 +761,20 @@ fn run_checkpointed(
                 torn_tail_bytes = loaded.torn_tail_bytes;
                 restored = loaded.slots;
                 journaled_flakes = loaded.flakes;
-                JournalWriter::resume(&opts.path, loaded.valid_len, opts.fsync_every)?
+                DurableLog::resume(&opts.path, loaded.valid_len, opts.fsync_every)?
             } else {
                 if journal_exists {
                     return Err(JournalError::AlreadyExists {
                         path: opts.path.display().to_string(),
                     });
                 }
-                JournalWriter::create(&opts.path, fingerprint, opts.fsync_every)?
+                DurableLog::create(
+                    &opts.path,
+                    &JournalRecord::header(fingerprint),
+                    opts.fsync_every,
+                )?
             };
-            Some(Mutex::new(WriterState { writer, failed: None }))
+            Some(Mutex::new(log))
         }
     };
 
@@ -1069,7 +813,7 @@ fn run_checkpointed(
     };
 
     let remaining_ref = &remaining;
-    let writer_ref = &writer;
+    let log_ref = &log;
     let engine_run = engine::run_indexed_tagged(fresh, workers, |worker, k| {
         let index = remaining_ref[k];
         let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
@@ -1083,12 +827,14 @@ fn run_checkpointed(
         let elapsed = started.elapsed();
         let (outcome, package) = slot_outcome(job, source, index);
         let metrics = slot_metrics(&outcome, package, elapsed);
-        if let Some(writer) = writer_ref {
-            let appended = writer
+        if let Some(log) = log_ref {
+            // A failed append latches in the log and surfaces when the
+            // run closes it; the suite itself keeps running.
+            let appended = log
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
-            if appended {
+            if appended.is_ok() {
                 tracer.event(|| fd_trace::TraceEvent::CheckpointWrite { index: index as u64 });
             }
         }
@@ -1133,8 +879,9 @@ fn run_checkpointed(
                 let summary = triage_with(&candidates, flake_retries, &coordinator, |index, _| {
                     retry_passes(source, index, config, pool)
                 });
-                if let Some(writer) = &writer {
-                    writer
+                if let Some(log) = &log {
+                    // Latched on failure, like the outcome appends.
+                    let _ = log
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner())
                         .append(&JournalRecord::Flakes(summary.clone()));
@@ -1155,12 +902,8 @@ fn run_checkpointed(
 
     // Close out the journal: flush the last batch and surface the first
     // append failure (if any) as the run's error.
-    if let Some(writer) = writer {
-        let mut state = writer.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(error) = state.failed.take() {
-            return Err(error);
-        }
-        state.writer.sync()?;
+    if let Some(log) = log {
+        log.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()).sync()?;
     }
 
     let mut outcomes = Vec::with_capacity(slots.len());
@@ -1193,6 +936,7 @@ fn run_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable_log::{decode_line, encode_line, LineError};
 
     #[test]
     fn classify_splits_deterministic_from_flaky() {

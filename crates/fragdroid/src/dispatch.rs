@@ -29,12 +29,13 @@
 //!   content derived only from deterministic outcomes, so re-writing
 //!   one replaces it with identical bytes.
 //! * **A crash-safe coordinator journal.** Every grant, revocation,
-//!   quarantine, and shard completion is a checksummed line in the same
-//!   codec as the checkpoint journal; `ShardDone` is appended only
-//!   *after* the shard's own journal is durable. `dispatch --resume`
-//!   replays the journal, re-validates every completed shard's file,
-//!   and re-runs only what does not check out — so SIGKILL of the
-//!   coordinator itself loses at most in-flight work.
+//!   quarantine, and shard completion is one record in a durable log
+//!   (`durable_log`, shared with the checkpoint and serve journals),
+//!   fsynced as it is appended; `ShardDone` is appended only *after* the
+//!   shard's own journal is durable. `dispatch --resume` replays the
+//!   journal, re-validates every completed shard's file, and re-runs
+//!   only what does not check out — so SIGKILL of the coordinator itself
+//!   loses at most in-flight work.
 //!
 //! Completed shards merge through
 //! [`merge_shards`](crate::shard::merge_shards), so the merged
@@ -56,11 +57,11 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    decode_line, encode_line_into, load_journal, write_complete_journal, Fingerprint, JournalError,
-    JournalWriter, LineError,
-};
+use crate::checkpoint::{load_journal, write_complete_journal, Fingerprint, JournalError};
 use crate::config::FragDroidConfig;
+use crate::durable_log::{
+    self, decode_line, encode_line, replay, DurableLog, LineError, LogRecord, Replay,
+};
 use crate::report::RunReport;
 use crate::serve::{
     AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
@@ -216,7 +217,7 @@ impl From<ShardError> for DispatchError {
 
 /// Header record of the coordinator journal.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct DispatchHeader {
+pub(crate) struct DispatchHeader {
     /// Format version ([`DISPATCH_JOURNAL_VERSION`]).
     version: u64,
     /// Fingerprint of the whole (unsharded) invocation.
@@ -229,7 +230,7 @@ struct DispatchHeader {
 /// `Revoked`, and `Quarantined` are an advisory audit trail; only
 /// `Header` and `ShardDone` decide what a resume re-runs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-enum DispatchRecord {
+pub(crate) enum DispatchRecord {
     /// The journal's identity; always the first record.
     Header(DispatchHeader),
     /// A lease was granted.
@@ -269,17 +270,21 @@ enum DispatchRecord {
     },
 }
 
-fn encode_dispatch_line(record: &DispatchRecord) -> String {
-    let mut json = String::new();
-    let mut out = String::new();
-    encode_line_into(record, &mut json, &mut out);
-    out
+impl LogRecord for DispatchRecord {
+    const VERSION: u64 = DISPATCH_JOURNAL_VERSION;
+
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            DispatchRecord::Header(header) => Some(header.version),
+            _ => None,
+        }
+    }
 }
 
 /// Decodes one coordinator-journal line (without trailing newline).
-/// The byte-at-a-time half of the fd-fuzz differential: a prefix-torn,
-/// bit-flipped, or hand-edited line must come back as a rendered error,
-/// never a panic.
+/// The byte-at-a-time reference of the fd-fuzz differential against
+/// [`parse_dispatch_journal`]: a prefix-torn, bit-flipped, or
+/// hand-edited line must come back as a rendered error, never a panic.
 pub fn decode_dispatch_line(line: &[u8]) -> Result<(), String> {
     match decode_line::<DispatchRecord>(line) {
         Ok(_) => Ok(()),
@@ -314,57 +319,16 @@ pub struct DispatchJournal {
 /// — corrupt checksums, a missing or foreign header, duplicate
 /// completions — is a typed [`JournalError`].
 pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalError> {
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut torn_tail_bytes = 0u64;
-    let mut records: Vec<(usize, DispatchRecord)> = Vec::new();
-    while offset < data.len() {
-        line_no += 1;
-        let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-            torn_tail_bytes = (data.len() - offset) as u64;
-            break;
-        };
-        let line = &data[offset..offset + newline];
-        match decode_line::<DispatchRecord>(line) {
-            Ok(record) => {
-                records.push((line_no, record));
-                offset += newline + 1;
-            }
-            Err(LineError::Checksum) => {
-                return Err(JournalError::ChecksumMismatch { line: line_no })
-            }
-            Err(LineError::Malformed(error)) => {
-                return Err(JournalError::BadRecord { line: line_no, error })
-            }
-        }
-    }
-    let valid_len = offset as u64;
-
-    let mut iter = records.into_iter();
-    let (fingerprint, shards) = match iter.next() {
-        Some((_, DispatchRecord::Header(header))) => {
-            if header.version != DISPATCH_JOURNAL_VERSION {
-                return Err(JournalError::VersionMismatch { found: header.version });
-            }
-            (header.fingerprint, header.shards)
-        }
-        Some((_, _)) => return Err(JournalError::MissingHeader),
-        None if torn_tail_bytes > 0 => {
-            return Err(JournalError::TornTail { bytes: torn_tail_bytes })
-        }
-        None => return Err(JournalError::MissingHeader),
+    let Replay { header, records, valid_len, torn_tail_bytes } = replay::<DispatchRecord>(data)?;
+    let DispatchRecord::Header(DispatchHeader { fingerprint, shards, .. }) = header else {
+        return Err(JournalError::MissingHeader);
     };
-
     let mut done = BTreeMap::new();
     let (mut grants, mut revocations, mut quarantines) = (0u64, 0u64, 0u64);
-    for (line, record) in iter {
+    for (_, record) in records {
         match record {
-            DispatchRecord::Header(_) => {
-                return Err(JournalError::BadRecord {
-                    line,
-                    error: "second header record".to_string(),
-                })
-            }
+            // Replay already refused a second header.
+            DispatchRecord::Header(_) => {}
             DispatchRecord::Granted { .. } => grants += 1,
             DispatchRecord::Revoked { .. } => revocations += 1,
             DispatchRecord::Quarantined { .. } => quarantines += 1,
@@ -378,7 +342,6 @@ pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalErr
             }
         }
     }
-
     Ok(DispatchJournal {
         fingerprint,
         shards,
@@ -402,34 +365,23 @@ pub fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
         flake_retries: 0,
     };
     let mut out = String::new();
-    out.push_str(&encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
+    let mut push = |record: DispatchRecord| out.push_str(&encode_line(&record));
+    push(DispatchRecord::Header(DispatchHeader {
         version: DISPATCH_JOURNAL_VERSION,
         fingerprint,
         shards,
-    })));
+    }));
     for shard in 0..shards {
         let worker = shard % 2;
         let generation = shard as u64;
-        out.push_str(&encode_dispatch_line(&DispatchRecord::Granted { shard, worker, generation }));
+        push(DispatchRecord::Granted { shard, worker, generation });
         if shard % 3 == 1 {
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Revoked {
-                shard,
-                worker,
-                generation,
-            }));
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Quarantined { worker }));
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Granted {
-                shard,
-                worker: (worker + 1) % 2,
-                generation: generation + shards as u64,
-            }));
+            push(DispatchRecord::Revoked { shard, worker, generation });
+            push(DispatchRecord::Quarantined { worker });
+            let regrant = generation + shards as u64;
+            push(DispatchRecord::Granted { shard, worker: (worker + 1) % 2, generation: regrant });
         }
-        out.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
-            shard,
-            worker,
-            generation,
-            apps: 2,
-        }));
+        push(DispatchRecord::ShardDone { shard, worker, generation, apps: 2 });
     }
     out.into_bytes()
 }
@@ -560,23 +512,26 @@ struct DispatchCtx<'a> {
     journaled_done: &'a BTreeSet<usize>,
     farm: &'a Mutex<Farm>,
     cv: &'a Condvar,
-    writer: &'a Option<Mutex<JournalWriter>>,
+    log: &'a Option<Mutex<DurableLog>>,
 }
 
 impl DispatchCtx<'_> {
     /// Appends one record to the coordinator journal (fsync'd per
-    /// record). An append failure is fatal: a journal whose durability
-    /// cannot be trusted is worse than stopping.
+    /// record).
     fn append(&self, record: &DispatchRecord) {
-        let Some(writer) = self.writer else { return };
-        if let Err(error) = lock(writer).append(record) {
-            let mut g = lock(self.farm);
-            if g.fatal.is_none() {
-                g.fatal = Some(DispatchError::Journal(error));
-            }
-            g.shutdown = true;
-            self.cv.notify_all();
+        let Some(log) = self.log else { return };
+        if let Err(error) = lock(log).append(record) {
+            self.fail(error);
         }
+    }
+
+    /// A journal failure is fatal: a journal whose durability cannot be
+    /// trusted is worse than stopping.
+    fn fail(&self, error: JournalError) {
+        let mut g = lock(self.farm);
+        g.fatal.get_or_insert(DispatchError::Journal(error));
+        g.shutdown = true;
+        self.cv.notify_all();
     }
 }
 
@@ -861,12 +816,7 @@ fn worker_loop(
                             outcomes.iter().map(|(i, o, m)| (*i, o, m)),
                         );
                         if let Err(error) = written {
-                            let mut g = lock(ctx.farm);
-                            if g.fatal.is_none() {
-                                g.fatal = Some(DispatchError::Journal(error));
-                            }
-                            g.shutdown = true;
-                            ctx.cv.notify_all();
+                            ctx.fail(error);
                             continue;
                         }
                         let won = {
@@ -1137,15 +1087,10 @@ pub fn dispatch(
     let mut done = BTreeSet::new();
     let mut journaled_done = BTreeSet::new();
     let mut resumed_shards = 0usize;
-    let writer: Option<Mutex<JournalWriter>> = match &options.journal {
+    let log: Option<Mutex<DurableLog>> = match &options.journal {
         None => None,
         Some(path) if options.resume && path.exists() => {
-            let data = std::fs::read(path).map_err(|e| JournalError::Io {
-                path: path.display().to_string(),
-                op: "read",
-                error: e.to_string(),
-            })?;
-            let loaded = parse_dispatch_journal(&data)?;
+            let loaded = parse_dispatch_journal(&durable_log::read(path)?)?;
             if loaded.fingerprint != fingerprint {
                 return Err(DispatchError::Journal(JournalError::FingerprintMismatch {
                     expected: fingerprint,
@@ -1174,7 +1119,7 @@ pub fn dispatch(
                     _ => {}
                 }
             }
-            Some(Mutex::new(JournalWriter::resume(path, loaded.valid_len, 1)?))
+            Some(Mutex::new(DurableLog::resume(path, loaded.valid_len, 1)?))
         }
         Some(path) => {
             if path.exists() {
@@ -1182,12 +1127,12 @@ pub fn dispatch(
                     path: path.display().to_string(),
                 }));
             }
-            let header = encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
+            let header = DispatchRecord::Header(DispatchHeader {
                 version: DISPATCH_JOURNAL_VERSION,
                 fingerprint,
                 shards,
-            }));
-            Some(Mutex::new(JournalWriter::create_raw(path, &header, 1)?))
+            });
+            Some(Mutex::new(DurableLog::create(path, &header, 1)?))
         }
     };
 
@@ -1217,7 +1162,7 @@ pub fn dispatch(
         journaled_done: &journaled_done,
         farm: &farm,
         cv: &cv,
-        writer: &writer,
+        log: &log,
     };
 
     let clock = fd_trace::TraceClock::start();
@@ -1371,35 +1316,16 @@ mod tests {
         }
     }
 
+    /// The coordinator journal's own folds: completions must be unique
+    /// and inside the split. (Line, header and torn-tail failures are
+    /// the durable log's, covered once for every record type in
+    /// `durable_log::tests`.)
     #[test]
     fn parse_failures_are_typed() {
         let bytes = demo_dispatch_journal(3, 4);
-        // Torn tail after the header: tolerated and measured.
-        let torn = &bytes[..bytes.len() - 3];
-        let parsed = parse_dispatch_journal(torn).expect("torn tail is tolerated");
-        assert!(parsed.torn_tail_bytes > 0);
-        // Torn mid-header: nothing can be trusted.
-        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        assert!(matches!(
-            parse_dispatch_journal(&bytes[..header_end / 2]),
-            Err(JournalError::TornTail { .. })
-        ));
-        // Empty: missing header.
-        assert_eq!(parse_dispatch_journal(b""), Err(JournalError::MissingHeader));
-        // A flipped payload byte: checksum mismatch at that line.
-        let mut corrupt = bytes.clone();
-        let target = header_end + 20;
-        corrupt[target] ^= 0x01;
-        assert!(matches!(
-            parse_dispatch_journal(&corrupt),
-            Err(JournalError::ChecksumMismatch { .. } | JournalError::BadRecord { .. })
-        ));
-        // A non-header first record: missing header.
-        let second_line = bytes[header_end + 1..].to_vec();
-        assert_eq!(parse_dispatch_journal(&second_line), Err(JournalError::MissingHeader));
         // Duplicate ShardDone: DuplicateIndex.
         let mut dup = String::from_utf8(bytes.clone()).unwrap();
-        dup.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
+        dup.push_str(&encode_line(&DispatchRecord::ShardDone {
             shard: 0,
             worker: 0,
             generation: 99,
@@ -1410,8 +1336,8 @@ mod tests {
             Err(JournalError::DuplicateIndex { index: 0 })
         );
         // ShardDone outside the split: IndexOutOfRange.
-        let mut oob = String::from_utf8(bytes.clone()).unwrap();
-        oob.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
+        let mut oob = String::from_utf8(bytes).unwrap();
+        oob.push_str(&encode_line(&DispatchRecord::ShardDone {
             shard: 9,
             worker: 0,
             generation: 99,
@@ -1420,21 +1346,6 @@ mod tests {
         assert_eq!(
             parse_dispatch_journal(oob.as_bytes()),
             Err(JournalError::IndexOutOfRange { index: 9, total: 4 })
-        );
-        // A future format version is refused.
-        let future = encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
-            version: DISPATCH_JOURNAL_VERSION + 1,
-            fingerprint: Fingerprint {
-                apps: 1,
-                corpus_digest: 2,
-                config_digest: 3,
-                flake_retries: 0,
-            },
-            shards: 1,
-        }));
-        assert_eq!(
-            parse_dispatch_journal(future.as_bytes()),
-            Err(JournalError::VersionMismatch { found: DISPATCH_JOURNAL_VERSION + 1 })
         );
     }
 

@@ -34,6 +34,7 @@ pub mod codegen;
 pub mod config;
 pub mod dispatch;
 pub mod driver;
+mod durable_log;
 #[cfg(test)]
 mod journal_fixtures;
 pub mod pool;

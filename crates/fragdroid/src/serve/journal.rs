@@ -2,9 +2,9 @@
 //! accepted submission and every finished result, so a killed server
 //! can be restarted and pick up exactly where it died.
 //!
-//! The on-disk format reuses the checkpoint journal's line codec —
-//! `"<fnv16hex> <json>\n"` per record ([`crate::checkpoint`]) — over
-//! its own record type:
+//! It is a [`DurableLog`] (line format, atomic creation, replay policy,
+//! torn-tail truncation and fsync schedule all live in
+//! [`crate::durable_log`]) over its own record type:
 //!
 //! - a `Header` stamping the format version and the config digest
 //!   (refusing to mix results from different configurations, like the
@@ -14,20 +14,19 @@
 //! - one `Completed` per finished job, fsynced before the in-memory
 //!   table flips to done.
 //!
-//! Recovery replays the valid prefix: a `Completed` job is served from
-//! the journal byte-identically, a `Submitted`-only job is re-queued
-//! (the engine is deterministic, so the re-run reproduces the same
-//! report), and a torn tail — the half-written line a `kill -9` leaves
-//! behind — is truncated away. Creation is atomic (tmp + fsync +
-//! rename + directory fsync), so a journal file at the path always has
-//! a complete header.
+//! Recovery folds the replayed records: a `Completed` job is served
+//! from the journal byte-identically, and a `Submitted`-only job is
+//! re-queued (the engine is deterministic, so the re-run reproduces the
+//! same report). Only a torn final line is dropped; a corrupt record
+//! anywhere else refuses the journal with a typed [`JournalError`]
+//! rather than silently forgetting jobs whose `Accepted` was already
+//! sent.
 
-use crate::checkpoint::{decode_line, encode_line_into, JournalError, LineError};
+use crate::checkpoint::JournalError;
+use crate::durable_log::{self, replay, DurableLog, LogRecord, Replay};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Job-journal format version; bumped whenever a record shape changes
 /// incompatibly.
@@ -35,13 +34,24 @@ pub(crate) const JOB_JOURNAL_VERSION: u64 = 1;
 
 /// One journal line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-enum JobRecord {
+pub(crate) enum JobRecord {
     /// First line of every journal.
     Header { config_digest: u64, version: u64 },
     /// An accepted submission, written before the `Accepted` reply.
     Submitted { container_hex: String, digest: u64, inputs: BTreeMap<String, String>, job: u64 },
     /// A finished job: `ok` selects report (`true`) vs refusal.
     Completed { job: u64, ok: bool, payload: String },
+}
+
+impl LogRecord for JobRecord {
+    const VERSION: u64 = JOB_JOURNAL_VERSION;
+
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            JobRecord::Header { version, .. } => Some(*version),
+            _ => None,
+        }
+    }
 }
 
 /// One job restored from the journal.
@@ -64,12 +74,10 @@ pub(crate) struct Recovery {
     pub torn_tail_bytes: u64,
 }
 
-/// An open job journal, positioned for appending.
+/// An open job journal, positioned for appending. Every record is
+/// fsynced as it is appended.
 pub(crate) struct JobJournal {
-    path: PathBuf,
-    file: File,
-    json_scratch: String,
-    line_scratch: String,
+    log: DurableLog,
 }
 
 impl JobJournal {
@@ -79,93 +87,27 @@ impl JobJournal {
         path: &Path,
         config_digest: u64,
     ) -> Result<(JobJournal, Recovery), JournalError> {
-        if path.exists() {
-            Self::recover(path, config_digest)
-        } else {
-            Self::create(path, config_digest).map(|journal| (journal, Recovery::default()))
+        if !path.exists() {
+            let header = JobRecord::Header { config_digest, version: JOB_JOURNAL_VERSION };
+            let log = DurableLog::create(path, &header, 1)?;
+            return Ok((JobJournal { log }, Recovery::default()));
         }
-    }
-
-    /// Creates a fresh journal: header into a tmp file, fsync, rename
-    /// over the final path, fsync the directory — after this sequence
-    /// the journal either exists with a complete header or not at all.
-    fn create(path: &Path, config_digest: u64) -> Result<JobJournal, JournalError> {
-        let tmp = path.with_extension("jobs.tmp");
-        let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-        let mut json = String::new();
-        let mut line = String::new();
-        encode_line_into(
-            &JobRecord::Header { config_digest, version: JOB_JOURNAL_VERSION },
-            &mut json,
-            &mut line,
-        );
-        file.write_all(line.as_bytes()).map_err(|e| io_err(&tmp, "write header", e))?;
-        file.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(dir_handle) = File::open(dir) {
-                let _ = dir_handle.sync_all();
+        let Replay { header, records, valid_len, torn_tail_bytes } =
+            replay::<JobRecord>(&durable_log::read(path)?)?;
+        if let JobRecord::Header { config_digest: found, .. } = header {
+            if found != config_digest {
+                return Err(JournalError::FingerprintMismatch {
+                    expected: digest_fingerprint(config_digest),
+                    found: digest_fingerprint(found),
+                });
             }
-        }
-        let file =
-            OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, "open", e))?;
-        Ok(JobJournal { path: path.to_path_buf(), file, json_scratch: json, line_scratch: line })
-    }
-
-    /// Replays an existing journal: validates the header, restores the
-    /// job table from the valid record prefix, truncates everything
-    /// past the first undecodable line (the torn tail a crash leaves),
-    /// and reopens for appending.
-    fn recover(path: &Path, config_digest: u64) -> Result<(JobJournal, Recovery), JournalError> {
-        let data = std::fs::read(path).map_err(|e| io_err(path, "read", e))?;
-        let mut records: Vec<JobRecord> = Vec::new();
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-                break; // incomplete final line: torn tail
-            };
-            // A line that fails its checksum or does not parse marks
-            // the start of the torn tail; resubmission re-runs anything
-            // the truncation drops, so stopping here is safe.
-            match decode_line::<JobRecord>(&data[offset..offset + newline]) {
-                Ok(record) => {
-                    records.push(record);
-                    offset += newline + 1;
-                }
-                Err(LineError::Checksum) | Err(LineError::Malformed(_)) => break,
-            }
-        }
-        let valid_len = offset as u64;
-        let torn_tail_bytes = data.len() as u64 - valid_len;
-
-        let mut iter = records.into_iter();
-        match iter.next() {
-            Some(JobRecord::Header { config_digest: found, version }) => {
-                if version != JOB_JOURNAL_VERSION {
-                    return Err(JournalError::VersionMismatch { found: version });
-                }
-                if found != config_digest {
-                    return Err(JournalError::FingerprintMismatch {
-                        expected: digest_fingerprint(config_digest),
-                        found: digest_fingerprint(found),
-                    });
-                }
-            }
-            Some(_) | None => return Err(JournalError::MissingHeader),
         }
 
         let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-        for (line, record) in iter.enumerate() {
-            // 1-based, counting the header as line 1.
-            let line = line + 2;
+        for (line, record) in records {
             match record {
-                JobRecord::Header { .. } => {
-                    return Err(JournalError::BadRecord {
-                        line,
-                        error: "second header record".to_string(),
-                    })
-                }
+                // Replay already refused a second header.
+                JobRecord::Header { .. } => {}
                 JobRecord::Submitted { container_hex, digest, inputs, job } => {
                     if jobs.contains_key(&job) {
                         return Err(JournalError::DuplicateIndex { index: job as usize });
@@ -187,23 +129,8 @@ impl JobJournal {
             }
         }
 
-        if torn_tail_bytes > 0 {
-            let file =
-                OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, "open", e))?;
-            file.set_len(valid_len).map_err(|e| io_err(path, "truncate", e))?;
-            file.sync_all().map_err(|e| io_err(path, "fsync", e))?;
-        }
-        let file =
-            OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, "open", e))?;
-        Ok((
-            JobJournal {
-                path: path.to_path_buf(),
-                file,
-                json_scratch: String::new(),
-                line_scratch: String::new(),
-            },
-            Recovery { jobs: jobs.into_values().collect(), torn_tail_bytes },
-        ))
+        let log = DurableLog::resume(path, valid_len, 1)?;
+        Ok((JobJournal { log }, Recovery { jobs: jobs.into_values().collect(), torn_tail_bytes }))
     }
 
     /// Appends (and fsyncs) one `Submitted` record. Called before the
@@ -215,7 +142,7 @@ impl JobJournal {
         container_hex: &str,
         inputs: &BTreeMap<String, String>,
     ) -> Result<(), JournalError> {
-        self.append(&JobRecord::Submitted {
+        self.log.append(&JobRecord::Submitted {
             container_hex: container_hex.to_string(),
             digest,
             inputs: inputs.clone(),
@@ -230,26 +157,8 @@ impl JobJournal {
         ok: bool,
         payload: &str,
     ) -> Result<(), JournalError> {
-        self.append(&JobRecord::Completed { job, ok, payload: payload.to_string() })
+        self.log.append(&JobRecord::Completed { job, ok, payload: payload.to_string() })
     }
-
-    fn append(&mut self, record: &JobRecord) -> Result<(), JournalError> {
-        self.line_scratch.clear();
-        encode_line_into(record, &mut self.json_scratch, &mut self.line_scratch);
-        self.file
-            .write_all(self.line_scratch.as_bytes())
-            .map_err(|e| io_err(&self.path, "append", e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, "fsync", e))
-    }
-
-    /// Flushes pending writes to disk.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.file.sync_data().map_err(|e| io_err(&self.path, "fsync", e))
-    }
-}
-
-fn io_err(path: &Path, op: &'static str, error: std::io::Error) -> JournalError {
-    JournalError::Io { path: path.display().to_string(), op, error: error.to_string() }
 }
 
 /// Wraps a bare config digest in the checkpoint [`Fingerprint`] shape
@@ -262,6 +171,7 @@ fn digest_fingerprint(config_digest: u64) -> crate::checkpoint::Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fd-serve-journal-{}", std::process::id()));
@@ -300,27 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_survivors_kept() {
-        let path = tmp("torn.jobs");
-        let _ = std::fs::remove_file(&path);
-        let (mut journal, _) = JobJournal::open_or_create(&path, 1).expect("create");
-        journal.append_submitted(0, 5, "aa", &BTreeMap::new()).expect("submit");
-        journal.append_completed(0, false, "refused").expect("complete");
-        drop(journal);
-
-        let clean_len = std::fs::metadata(&path).expect("meta").len();
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes.extend_from_slice(b"0123456789abcdef torn-half-written-line");
-        std::fs::write(&path, &bytes).expect("tear");
-
-        let (_journal, recovery) = JobJournal::open_or_create(&path, 1).expect("recover");
-        assert_eq!(recovery.torn_tail_bytes, 39);
-        assert_eq!(recovery.jobs.len(), 1);
-        assert_eq!(recovery.jobs[0].result, Some(Err("refused".to_string())));
-        assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len, "tail truncated");
-    }
-
-    #[test]
     fn config_mismatch_and_version_are_refused() {
         let path = tmp("mismatch.jobs");
         let _ = std::fs::remove_file(&path);
@@ -346,5 +235,85 @@ mod tests {
             JobJournal::open_or_create(&path, 9),
             Err(JournalError::BadRecord { line: 2, .. })
         ));
+    }
+
+    /// A corrupt newline-terminated record in the middle of the journal
+    /// is corruption, not a torn tail: recovery refuses the journal and
+    /// truncates nothing, so no acknowledged job is silently dropped.
+    #[test]
+    fn mid_file_corruption_is_refused_without_truncation() {
+        let path = tmp("corrupt.jobs");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _) = JobJournal::open_or_create(&path, 5).expect("create");
+        journal.append_submitted(1, 11, "aa", &BTreeMap::new()).expect("submit 1");
+        journal.append_submitted(2, 12, "bb", &BTreeMap::new()).expect("submit 2");
+        journal.append_completed(1, true, "{}").expect("complete 1");
+        drop(journal);
+
+        let mut bytes = std::fs::read(&path).expect("read");
+        let second_line = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+        bytes[second_line + 20] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("corrupt");
+
+        assert!(matches!(
+            JobJournal::open_or_create(&path, 5),
+            Err(JournalError::ChecksumMismatch { line: 2 })
+        ));
+        assert_eq!(std::fs::read(&path).expect("reread"), bytes, "nothing truncated");
+    }
+
+    /// A file holding only part of its header line is a torn header.
+    #[test]
+    fn torn_header_is_reported_as_torn() {
+        let path = tmp("torn-header.jobs");
+        let _ = std::fs::remove_file(&path);
+        drop(JobJournal::open_or_create(&path, 5).expect("create"));
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear");
+        assert_eq!(
+            JobJournal::open_or_create(&path, 5).err(),
+            Some(JournalError::TornTail { bytes: (bytes.len() / 2) as u64 })
+        );
+    }
+
+    /// The creation tmp file is `<path>.tmp`, so journals whose names
+    /// differ only after the last dot never share (and clobber) one.
+    #[test]
+    fn tmp_file_is_private_to_its_journal() {
+        let dir = tmp("tmp-names");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("dir");
+        // What another journal's in-flight creation would be holding.
+        let shared = dir.join("serve.jobs.tmp");
+        std::fs::write(&shared, b"someone else's header").expect("sibling tmp");
+        drop(JobJournal::open_or_create(&dir.join("serve.a"), 1).expect("create serve.a"));
+        drop(JobJournal::open_or_create(&dir.join("serve.b"), 1).expect("create serve.b"));
+        assert_eq!(std::fs::read(&shared).expect("sibling tmp kept"), b"someone else's header");
+        assert!(!dir.join("serve.a.tmp").exists() && !dir.join("serve.b.tmp").exists());
+    }
+
+    /// A journal directory that cannot be opened for its fsync is a
+    /// typed I/O error, not a silently non-durable journal. Staged with
+    /// a write-only directory, which only an unprivileged process
+    /// honours; a privileged one (root) opens it regardless, so the test
+    /// has nothing to check there and returns early.
+    #[cfg(unix)]
+    #[test]
+    fn directory_fsync_failure_is_typed() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmp("write-only-dir");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("dir");
+        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o300)).expect("chmod");
+        let privileged = std::fs::File::open(&dir).is_ok();
+        let result = JobJournal::open_or_create(&dir.join("serve.jobs"), 1);
+        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o700)).expect("chmod");
+        if privileged {
+            return;
+        }
+        match result {
+            Err(JournalError::Io { op, .. }) => assert_eq!(op, "fsync directory"),
+            other => panic!("expected a typed Io error, got {:?}", other.err()),
+        }
     }
 }

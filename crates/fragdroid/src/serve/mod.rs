@@ -26,16 +26,17 @@
 //!
 //! **Crash safety.** With [`ServeOptions::journal`] set, every accepted
 //! submission is fsynced to an append-only checksummed journal *before*
-//! the `Accepted` reply, and every finished report is journaled after
-//! the run (same `"<fnv16hex> <json>\n"` line format as the checkpoint
-//! journal). A killed-and-restarted server replays the journal: finished
-//! jobs are served byte-identically from the journal, unfinished ones
-//! are re-queued, and clients resubmit idempotently by job id.
+//! the `Accepted` reply, and every finished report is fsynced after the
+//! run (a durable log shared with the checkpoint, see `durable_log`). A
+//! killed-and-restarted server replays the journal: finished jobs are
+//! served byte-identically from the journal, unfinished ones are
+//! re-queued, and clients resubmit idempotently by job id. A journal
+//! corrupted mid-file refuses to start ([`ServeError::Journal`]).
 //!
 //! **Drain.** [`ServeRequest::Shutdown`] flips the server to draining:
 //! the listener stops accepting, new submissions are refused typed,
-//! workers finish every queued job, the journal is flushed, and only
-//! then are the remaining sessions closed.
+//! workers finish (and journal) every queued job, and only then are the
+//! remaining sessions closed.
 //!
 //! Failure behavior mirrors the device agent: a malformed frame ends
 //! that session without a reply (resyncing a corrupt length-prefixed
@@ -49,10 +50,11 @@ pub(crate) mod journal;
 pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::{ClientError, JobOutcome, SubmitClient};
 
-use crate::checkpoint::{fnv1a, JournalError, FNV_OFFSET};
+use crate::checkpoint::JournalError;
 use crate::config::FragDroidConfig;
 use crate::pool::DevicePool;
 use crate::suite::run_container_slot;
+use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use fd_droidsim::proto::{decode_payload, encode_frame, from_hex, Envelope, FrameBuffer};
 use journal::JobJournal;
 use serde::{Deserialize, Serialize};
@@ -111,8 +113,8 @@ pub enum ServeRequest {
     /// Ask for a queue snapshot.
     Status,
     /// Orderly shutdown: the server stops accepting, finishes every
-    /// queued job, flushes the journal, replies [`ServeResponse::Bye`]
-    /// and exits.
+    /// queued job (journaling each result), replies
+    /// [`ServeResponse::Bye`] and exits.
     Shutdown,
 }
 
@@ -631,15 +633,6 @@ impl<'a> Core<'a> {
         f(&mut lock(&self.incidents));
     }
 
-    /// Flushes the journal, latching any failure as an incident.
-    fn sync_journal(&self) {
-        if let Some(j) = lock(&self.journal).as_mut() {
-            if j.sync().is_err() {
-                self.bump(|i| i.journal_errors += 1);
-            }
-        }
-    }
-
     /// Marks the server draining + shut down and wakes everyone.
     fn begin_drain(&self) {
         let mut st = lock(&self.state);
@@ -664,13 +657,13 @@ impl<'a> Core<'a> {
 /// FNV digest of the full config; journal headers refuse to mix
 /// configurations, mirroring the checkpoint fingerprint.
 fn config_digest(config: &FragDroidConfig) -> u64 {
-    fnv1a(FNV_OFFSET, format!("{config:?}").as_bytes())
+    fnv1a(DIGEST_SEED, format!("{config:?}").as_bytes())
 }
 
 /// FNV digest of one submission's content — the idempotency key's
 /// value side.
 fn submission_digest(container_hex: &str, inputs: &BTreeMap<String, String>) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, container_hex.as_bytes());
+    let mut hash = fnv1a(DIGEST_SEED, container_hex.as_bytes());
     for (key, value) in inputs {
         hash = fnv1a(hash, key.as_bytes());
         hash = fnv1a(hash, &[0]);
@@ -1008,7 +1001,6 @@ pub fn serve<R: Read, W: Write>(
         core.begin_drain();
         io_result
     });
-    core.sync_journal();
 
     let mut trace = fd_trace::Trace::new("fragdroid serve");
     trace.absorb(tracer.finish());
@@ -1031,8 +1023,8 @@ pub fn serve_listen(
 /// Serves a bound socket listener until a [`ServeRequest::Shutdown`]
 /// arrives on any session: accepts up to the connection cap, runs one
 /// session thread per connection with read/write deadlines and the
-/// idle-timeout guard, then drains — finishes every queued job, flushes
-/// the journal, closes the remaining sessions — and returns the merged
+/// idle-timeout guard, then drains — finishes and journals every queued
+/// job, closes the remaining sessions — and returns the merged
 /// trace and incident counters.
 pub fn serve_listener(
     listener: ServeListener,
@@ -1101,10 +1093,9 @@ pub fn serve_listener(
             }
         }
         // Drain: workers already saw shutdown; wait until the queue is
-        // empty and nothing is mid-run, make the results durable, then
-        // close what sessions remain.
+        // empty and nothing is mid-run (every result is journaled as it
+        // finishes), then close what sessions remain.
         core.wait_drained();
-        core.sync_journal();
         stop_sessions.store(true, Ordering::Relaxed);
         for handle in lock(&session_handles).drain(..) {
             let _ = handle.shutdown_both();

@@ -531,3 +531,33 @@ fn journal_refuses_a_different_config() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// A journal corrupted mid-file refuses to start the server (exit code 5
+/// in the CLI) instead of silently truncating the corrupt record and the
+/// acknowledged jobs after it.
+#[test]
+fn journal_corrupted_mid_file_refuses_to_serve() {
+    let path = temp_path("corrupt.journal");
+    let _ = std::fs::remove_file(&path);
+    let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
+    let (hex, inputs) = quickstart();
+    {
+        let (mut j, _recovery) = JobJournal::open_or_create(&path, config_digest(&options.config))
+            .expect("create journal");
+        for job in 1..=2 {
+            j.append_submitted(job, submission_digest(&hex, &inputs), &hex, &inputs)
+                .expect("append accepted job");
+        }
+    }
+    let mut bytes = std::fs::read(&path).expect("read journal");
+    let second_line = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    bytes[second_line + 20] ^= 0x01;
+    std::fs::write(&path, &bytes).expect("corrupt journal");
+
+    let err = serve(&b""[..], Vec::new(), &options, &fd_trace::TraceConfig::off())
+        .expect_err("a corrupt journal is refused");
+    assert_eq!(err, ServeError::Journal(JournalError::ChecksumMismatch { line: 2 }));
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("reread"), bytes, "nothing truncated");
+    let _ = std::fs::remove_file(&path);
+}

@@ -19,6 +19,7 @@
 use crate::config::FragDroidConfig;
 use crate::driver::FragDroid;
 use crate::report::RunReport;
+use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use fd_apk::AndroidApp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -215,14 +216,14 @@ impl SuiteRun {
     /// of worker count, tracing, or checkpoint/resume interruptions; CI
     /// diffs it to prove kill-and-resume determinism.
     pub fn outcome_digest(&self) -> u64 {
-        let mut digest = crate::checkpoint::FNV_OFFSET;
+        let mut digest = DIGEST_SEED;
         for outcome in &self.outcomes {
             match serde_json::to_string(outcome) {
-                Ok(json) => digest = crate::checkpoint::fnv1a(digest, json.as_bytes()),
+                Ok(json) => digest = fnv1a(digest, json.as_bytes()),
                 // Outcomes are plain data and always serialize; fold the
                 // slot marker anyway so a hypothetical failure still
                 // perturbs the digest instead of vanishing.
-                Err(_) => digest = crate::checkpoint::fnv1a(digest, b"<unserializable>"),
+                Err(_) => digest = fnv1a(digest, b"<unserializable>"),
             }
         }
         digest
@@ -518,13 +519,13 @@ pub trait CorpusSource: Sync {
     /// cheaper path (a recorded manifest digest, borrowed slices)
     /// should override it.
     fn digest(&self) -> Result<u64, String> {
-        let mut digest = crate::checkpoint::FNV_OFFSET;
+        let mut digest = DIGEST_SEED;
         for index in 0..self.len() {
             let (bytes, inputs) = self.fetch(index)?;
-            digest = crate::checkpoint::fnv1a(digest, &bytes);
+            digest = fnv1a(digest, &bytes);
             for (key, value) in &inputs {
-                digest = crate::checkpoint::fnv1a(digest, key.as_bytes());
-                digest = crate::checkpoint::fnv1a(digest, value.as_bytes());
+                digest = fnv1a(digest, key.as_bytes());
+                digest = fnv1a(digest, value.as_bytes());
             }
         }
         Ok(digest)
@@ -662,11 +663,11 @@ impl SuiteSource<'_> {
     /// lazy source that cannot be streamed surfaces its reason instead
     /// of a digest.
     pub(crate) fn digest(&self) -> Result<u64, String> {
-        let mut digest = crate::checkpoint::FNV_OFFSET;
+        let mut digest = DIGEST_SEED;
         let fold_inputs = |digest: &mut u64, inputs: &BTreeMap<String, String>| {
             for (key, value) in inputs {
-                *digest = crate::checkpoint::fnv1a(*digest, key.as_bytes());
-                *digest = crate::checkpoint::fnv1a(*digest, value.as_bytes());
+                *digest = fnv1a(*digest, key.as_bytes());
+                *digest = fnv1a(*digest, value.as_bytes());
             }
         };
         match self {
@@ -674,13 +675,13 @@ impl SuiteSource<'_> {
                 let mut packed = bytes::BytesMut::new();
                 for (app, inputs) in *apps {
                     fd_apk::pack_into(app, &mut packed);
-                    digest = crate::checkpoint::fnv1a(digest, &packed);
+                    digest = fnv1a(digest, &packed);
                     fold_inputs(&mut digest, inputs);
                 }
             }
             SuiteSource::Containers(containers) => {
                 for (bytes, inputs) in *containers {
-                    digest = crate::checkpoint::fnv1a(digest, bytes);
+                    digest = fnv1a(digest, bytes);
                     fold_inputs(&mut digest, inputs);
                 }
             }
