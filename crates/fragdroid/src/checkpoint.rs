@@ -215,6 +215,18 @@ impl Fingerprint {
     }
 }
 
+impl Fingerprint {
+    /// Refuses a journal written for `found`, a different invocation —
+    /// the check every journal makes before resuming (and so before
+    /// anything is truncated).
+    pub(crate) fn check(self, found: Fingerprint) -> Result<(), JournalError> {
+        if found == self {
+            return Ok(());
+        }
+        Err(JournalError::FingerprintMismatch { expected: self, found })
+    }
+}
+
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -477,6 +489,7 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let JournalRecord::Header(JournalHeader { fingerprint, .. }) = header else {
         return Err(JournalError::MissingHeader);
     };
+
     let total = fingerprint.apps as usize;
     let mut slots = BTreeMap::new();
     let mut flakes = None;
@@ -495,6 +508,7 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             JournalRecord::Flakes(summary) => flakes = Some(summary),
         }
     }
+
     Ok(LoadedJournal { fingerprint, slots, flakes, valid_len, torn_tail_bytes })
 }
 
@@ -752,12 +766,7 @@ fn run_checkpointed(
             let journal_exists = opts.path.exists();
             let log = if opts.resume && journal_exists {
                 let loaded = load_journal(&opts.path)?;
-                if loaded.fingerprint != fingerprint {
-                    return Err(JournalError::FingerprintMismatch {
-                        expected: fingerprint,
-                        found: loaded.fingerprint,
-                    });
-                }
+                fingerprint.check(loaded.fingerprint)?;
                 torn_tail_bytes = loaded.torn_tail_bytes;
                 restored = loaded.slots;
                 journaled_flakes = loaded.flakes;

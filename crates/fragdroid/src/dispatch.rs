@@ -323,6 +323,7 @@ pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalErr
     let DispatchRecord::Header(DispatchHeader { fingerprint, shards, .. }) = header else {
         return Err(JournalError::MissingHeader);
     };
+
     let mut done = BTreeMap::new();
     let (mut grants, mut revocations, mut quarantines) = (0u64, 0u64, 0u64);
     for (_, record) in records {
@@ -342,6 +343,7 @@ pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalErr
             }
         }
     }
+
     Ok(DispatchJournal {
         fingerprint,
         shards,
@@ -1091,12 +1093,7 @@ pub fn dispatch(
         None => None,
         Some(path) if options.resume && path.exists() => {
             let loaded = parse_dispatch_journal(&durable_log::read(path)?)?;
-            if loaded.fingerprint != fingerprint {
-                return Err(DispatchError::Journal(JournalError::FingerprintMismatch {
-                    expected: fingerprint,
-                    found: loaded.fingerprint,
-                }));
-            }
+            fingerprint.check(loaded.fingerprint)?;
             if loaded.shards != shards {
                 return Err(DispatchError::ShardCountMismatch {
                     journal: loaded.shards,

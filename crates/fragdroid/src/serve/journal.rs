@@ -95,12 +95,7 @@ impl JobJournal {
         let Replay { header, records, valid_len, torn_tail_bytes } =
             replay::<JobRecord>(&durable_log::read(path)?)?;
         if let JobRecord::Header { config_digest: found, .. } = header {
-            if found != config_digest {
-                return Err(JournalError::FingerprintMismatch {
-                    expected: digest_fingerprint(config_digest),
-                    found: digest_fingerprint(found),
-                });
-            }
+            digest_fingerprint(config_digest).check(digest_fingerprint(found))?;
         }
 
         let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();

@@ -273,12 +273,7 @@ pub fn merge_shards(
         let journal = shard_journal_path(base, shard, shards);
         let loaded =
             load_journal(&journal).map_err(|error| ShardError::Journal { shard, error })?;
-        if loaded.fingerprint != expected {
-            return Err(ShardError::Journal {
-                shard,
-                error: JournalError::FingerprintMismatch { expected, found: loaded.fingerprint },
-            });
-        }
+        expected.check(loaded.fingerprint).map_err(|error| ShardError::Journal { shard, error })?;
         if loaded.slots.len() != range.len() {
             return Err(ShardError::Incomplete {
                 shard,
