@@ -916,6 +916,24 @@ mod tests {
     }
 
     #[test]
+    fn replay_differential_flags_every_disagreement() {
+        use fragdroid::JournalError as E;
+        let journal = fragdroid::demo_dispatch_journal(1, 3);
+        let replayed = fragdroid::parse_dispatch_journal(&journal);
+        let reference = scan_dispatch_lines_incrementally(&journal);
+        assert!(replay_agrees(&replayed, &reference));
+        let (lines, torn) = reference.expect("demo journal scans cleanly");
+        assert!(!replay_agrees(&replayed, &Ok((lines + 1, torn))));
+        assert!(!replay_agrees(&replayed, &Ok((lines, torn + 1))));
+        assert!(!replay_agrees(&replayed, &Err(2)));
+        assert!(!replay_agrees(&Err(E::ChecksumMismatch { line: 2 }), &Err(3)));
+        assert!(!replay_agrees(&Err(E::ChecksumMismatch { line: 2 }), &Ok((lines, torn))));
+        assert!(!replay_agrees(&Err(E::TornTail { bytes: 5 }), &Ok((1, 5))));
+        assert!(replay_agrees(&Err(E::TornTail { bytes: 5 }), &Ok((0, 5))));
+        assert!(replay_agrees(&Err(E::DuplicateIndex { index: 0 }), &Ok((lines, torn))));
+    }
+
+    #[test]
     fn truncated_and_corrupted_protocol_streams_are_rejected_not_panics() {
         let corpus = SeedCorpus::build();
         let stream = &corpus.protocol[0];
