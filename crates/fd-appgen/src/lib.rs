@@ -4,7 +4,7 @@
 //! to a pure-Rust reproduction, so this crate manufactures apps with the
 //! same *structural* properties:
 //!
-//! * [`builder`] — a declarative [`AppBuilder`](builder::AppBuilder):
+//! * [`builder`] — a declarative [`AppBuilder`]:
 //!   activities with navigation drawers, tab strips, login/search gates,
 //!   dialogs, action-bar popups, intent links, fragments with their own
 //!   buttons and sensitive-API calls. The builder emits complete

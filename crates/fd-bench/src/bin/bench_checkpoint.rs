@@ -12,9 +12,7 @@
 //! cargo run --release -p fd-bench --bin bench_checkpoint
 //! ```
 
-use fragdroid::{
-    run_suite_checkpointed, run_suite_with_workers, CheckpointOptions, FragDroidConfig, SuiteRun,
-};
+use fragdroid::{CheckpointOptions, FragDroidConfig, Suite, SuiteRun};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -105,15 +103,9 @@ fn journaled_pass(
 ) -> SuiteRun {
     let _ = std::fs::remove_file(path);
     let opts = CheckpointOptions::new(path.clone()).with_fsync_every(fsync_every);
-    let (suite, _) = run_suite_checkpointed(
-        apps,
-        config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        Some(&opts),
-        0,
-    )
-    .expect("bench journal path is writable");
+    let (suite, _) = Suite::new(config, workers)
+        .run_checkpointed(&apps, &opts)
+        .expect("bench journal path is writable");
     suite.run
 }
 
@@ -126,11 +118,12 @@ fn main() {
     let journal = dir.join("bench.ckpt");
 
     // Warm-up pass so no measured mode pays first-touch costs.
-    let _ = run_suite_with_workers(&apps, &config, workers);
+    let plain = Suite::new(&config, workers);
+    let _ = plain.run(&apps);
 
     let (mut best_plain, mut best_journaled, mut best_each) = (None, None, None);
     for _ in 0..PASSES {
-        keep_best(&mut best_plain, run_suite_with_workers(&apps, &config, workers));
+        keep_best(&mut best_plain, plain.run(&apps).0);
         keep_best(
             &mut best_journaled,
             journaled_pass(
@@ -152,15 +145,7 @@ fn main() {
     let journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
     let resume_started = std::time::Instant::now();
     let opts = CheckpointOptions::new(journal.clone()).with_resume(true);
-    let (resumed, _) = run_suite_checkpointed(
-        &apps,
-        &config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        Some(&opts),
-        0,
-    )
-    .expect("complete journal resumes");
+    let (resumed, _) = plain.run_checkpointed(&apps, &opts).expect("complete journal resumes");
     let resume_wall_ms = resume_started.elapsed().as_millis() as u64;
     assert_eq!(resumed.fresh, 0, "a complete journal leaves no fresh work");
 

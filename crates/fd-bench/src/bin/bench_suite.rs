@@ -14,10 +14,7 @@
 //! cargo run --release -p fd-bench --bin bench_suite
 //! ```
 
-use fragdroid::{
-    run_container_suite_pooled, run_suite_traced, run_suite_with_workers, DevicePool,
-    FragDroidConfig, SuiteRun,
-};
+use fragdroid::{DevicePool, FragDroidConfig, Suite, SuiteRun};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -109,16 +106,16 @@ struct BenchSuite {
     workers: usize,
     /// Best-of-N passes kept per mode.
     passes: usize,
-    /// The plain `run_suite_with_workers` entry point.
+    /// `Suite::run` with tracing off: the baseline pass.
     untraced: ModeStats,
-    /// `run_suite_traced` with `TraceConfig::off()` — the mode every
-    /// ordinary run uses, and the one the <2% acceptance budget governs.
+    /// `Suite::run` with `TraceConfig::off()` again, as a separate pass —
+    /// the mode every ordinary run uses, and the one the <2% acceptance
+    /// budget governs.
     disabled: ModeStats,
-    /// `run_suite_traced` with tracing on, recording everything.
+    /// `Suite::run` with tracing on, recording everything.
     traced: ModeStats,
-    /// `disabled.wall / untraced.wall - 1`, percent. The two share the
-    /// same code path (the untraced entry delegates with a disabled
-    /// tracer), so this measures pure noise plus the budgeted cost.
+    /// `disabled.wall / untraced.wall - 1`, percent. The two are the
+    /// same code path, so this measures pass-to-pass noise.
     disabled_overhead_pct: f64,
     /// `traced.wall / untraced.wall - 1`, percent: the price of actually
     /// recording ~100k records/s. Informational, not budgeted.
@@ -211,25 +208,19 @@ fn bench_backends() -> BackendOverhead {
         .map(|g| (fd_apk::pack(&g.app), g.known_inputs))
         .collect();
     let config = FragDroidConfig::default();
-    let off = fd_trace::TraceConfig::off();
     // Single lane: the comparison measures protocol cost, not scheduling.
     let workers = 1;
 
-    let warmup = DevicePool::from_config(&config, workers);
-    let _ = run_container_suite_pooled(&slice, &config, workers, &off, &warmup);
+    let on_pool = |pool: &DevicePool| {
+        let (run, _) = Suite { pool: Some(pool), ..Suite::new(&config, workers) }.run(&slice);
+        (run, ())
+    };
+    let _ = on_pool(&DevicePool::from_config(&config, workers));
 
     let (mut best_in, mut best_sub) = (None, None);
     for _ in 0..BACKEND_PASSES {
-        let in_pool = DevicePool::from_config(&config, workers);
-        keep_best(
-            &mut best_in,
-            (run_container_suite_pooled(&slice, &config, workers, &off, &in_pool).0, ()),
-        );
-        let sub_pool = in_memory_subprocess_pool(workers);
-        keep_best(
-            &mut best_sub,
-            (run_container_suite_pooled(&slice, &config, workers, &off, &sub_pool).0, ()),
-        );
+        keep_best(&mut best_in, on_pool(&DevicePool::from_config(&config, workers)));
+        keep_best(&mut best_sub, on_pool(&in_memory_subprocess_pool(workers)));
     }
 
     // Request round-trip quantiles: one app over a dedicated device, so
@@ -267,23 +258,20 @@ fn main() {
     let config = FragDroidConfig::default();
     let workers = fragdroid::suite::engine::default_workers(apps.len());
 
+    let untraced = Suite::new(&config, workers);
+    let traced = Suite { trace: fd_trace::TraceConfig::on(), ..untraced };
+
     // Warm-up pass so no measured mode pays first-touch costs.
-    let _ = run_suite_with_workers(&apps, &config, workers);
+    let _ = untraced.run(&apps);
 
     // Interleave the modes round-robin rather than running each mode's
     // passes back to back: machine-load drift then hits every mode
     // equally instead of biasing whichever block ran during a busy spell.
     let (mut best_untraced, mut best_disabled, mut best_traced) = (None, None, None);
     for _ in 0..PASSES {
-        keep_best(&mut best_untraced, (run_suite_with_workers(&apps, &config, workers), ()));
-        keep_best(
-            &mut best_disabled,
-            run_suite_traced(&apps, &config, workers, &fd_trace::TraceConfig::off()),
-        );
-        keep_best(
-            &mut best_traced,
-            run_suite_traced(&apps, &config, workers, &fd_trace::TraceConfig::on()),
-        );
+        keep_best(&mut best_untraced, (untraced.run(&apps).0, ()));
+        keep_best(&mut best_disabled, untraced.run(&apps));
+        keep_best(&mut best_traced, traced.run(&apps));
     }
     // Scaling matrix: the untraced runner at fixed worker counts,
     // interleaved round-robin for the same noise-spreading reason.
@@ -291,7 +279,7 @@ fn main() {
     let mut best_at: Vec<Option<(SuiteRun, ())>> = matrix_workers.iter().map(|_| None).collect();
     for _ in 0..PASSES {
         for (slot, &n) in best_at.iter_mut().zip(&matrix_workers) {
-            keep_best(slot, (run_suite_with_workers(&apps, &config, n), ()));
+            keep_best(slot, (Suite::new(&config, n).run(&apps).0, ()));
         }
     }
     let base_wall_ms = best_at[0].as_ref().expect("PASSES > 0").0.metrics.wall_ms;

@@ -15,8 +15,8 @@
 //! substrate: static-phase throughput vs app size, full exploration
 //! wall-time per tool, and APK container pack/decompile throughput.
 
-use fragdroid::suite::SuiteApp;
-use fragdroid::{run_suite_outcomes, FragDroidConfig, SuiteMetrics};
+use fragdroid::suite::{engine, SuiteApp};
+use fragdroid::{FragDroidConfig, Suite, SuiteMetrics};
 
 /// Standard set of template apps used by comparison-style experiments.
 pub fn comparison_apps() -> Vec<fd_appgen::GeneratedApp> {
@@ -56,7 +56,7 @@ pub struct CorpusSummary {
 /// runner and aggregates corpus-wide coverage. An empty corpus returns a
 /// zeroed summary (this used to panic in the chunked harness).
 pub fn run_corpus(apps: &[SuiteApp], config: &FragDroidConfig) -> CorpusSummary {
-    let run = run_suite_outcomes(apps, config);
+    let (run, _) = Suite::new(config, engine::default_workers(apps.len())).run(&apps);
     let mut summary = CorpusSummary { apps: apps.len(), ..CorpusSummary::default() };
     for outcome in &run.outcomes {
         match outcome.report() {

@@ -177,15 +177,19 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         let opts =
             checkpoint_path.map(|path| fragdroid::CheckpointOptions::new(path).with_resume(resume));
         let slot = vec![(app.clone(), inputs.clone())];
-        let (suite, suite_trace) = fragdroid::run_suite_checkpointed(
-            &slot,
-            &config,
-            1,
-            &trace_config,
-            opts.as_ref(),
+        let suite = fragdroid::Suite {
+            trace: trace_config,
             flake_retries,
-        )?;
-        if let Some(flakes) = &suite.run.metrics.flake_summary {
+            ..fragdroid::Suite::new(&config, 1)
+        };
+        let (run, suite_trace) = match &opts {
+            Some(opts) => {
+                let (done, trace) = suite.run_checkpointed(&slot, opts)?;
+                (done.run, trace)
+            }
+            None => suite.run(&slot),
+        };
+        if let Some(flakes) = &run.metrics.flake_summary {
             if !flakes.apps.is_empty() {
                 eprintln!(
                     "flake triage: {} deterministic, {} flaky ({} retries each)",
@@ -193,7 +197,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
                 );
             }
         }
-        let report = match suite.run.outcomes.into_iter().next() {
+        let report = match run.outcomes.into_iter().next() {
             Some(outcome) => match outcome {
                 fragdroid::AppOutcome::Panicked { message } => {
                     return Err(CliError::Failure(format!("run panicked: {message}")))
@@ -494,64 +498,35 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let (run, trace, progress) = if let Some(index) = shard_index {
-        let mut opts = fragdroid::CheckpointOptions::new(
-            checkpoint_path.expect("checked with --shards above"),
-        )
-        .with_resume(resume);
+    let suite = fragdroid::Suite {
+        trace: trace_config,
+        pool: pool.as_ref(),
+        flake_retries,
+        ..fragdroid::Suite::new(&config, workers)
+    };
+    let opts = checkpoint_path.map(|path| {
+        let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
         if app_budget > 0 {
             opts = opts.with_app_budget(app_budget);
         }
-        let (suite, trace) = fragdroid::run_shard(
-            source,
-            &config,
-            workers,
-            &trace_config,
-            &opts,
-            flake_retries,
-            shards,
-            index,
-            pool.as_ref(),
-        )?;
-        let progress = Some((suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
-        (suite.run, trace, progress)
-    } else if checkpoint_path.is_some() || flake_retries > 0 {
-        let opts = checkpoint_path.map(|path| {
-            let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
-            if app_budget > 0 {
-                opts = opts.with_app_budget(app_budget);
-            }
-            opts
-        });
-        let (suite, trace) = match &pool {
-            Some(pool) => fragdroid::run_corpus_suite_checkpointed_pooled(
-                source,
-                &config,
-                workers,
-                &trace_config,
-                opts.as_ref(),
-                flake_retries,
-                pool,
-            )?,
-            None => fragdroid::run_corpus_suite_checkpointed(
-                source,
-                &config,
-                workers,
-                &trace_config,
-                opts.as_ref(),
-                flake_retries,
-            )?,
-        };
-        let progress = Some((suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
-        (suite.run, trace, progress)
-    } else {
-        let (run, trace) = match &pool {
-            Some(pool) => {
-                fragdroid::run_corpus_suite_pooled(source, &config, workers, &trace_config, pool)
-            }
-            None => fragdroid::run_corpus_suite_traced(source, &config, workers, &trace_config),
-        };
-        (run, trace, None)
+        opts
+    });
+    let journaled = |(done, trace): (fragdroid::CheckpointedSuite, fd_trace::Trace)| {
+        let progress = Some((done.resumed, done.fresh, done.remaining(), done.torn_tail_bytes));
+        (done.run, trace, progress)
+    };
+    let (run, trace, progress) = match (&opts, shard_index) {
+        (Some(opts), Some(index)) => {
+            journaled(fragdroid::run_shard(&suite, source, opts, shards, index)?)
+        }
+        (Some(opts), None) => journaled(suite.run_checkpointed(source, opts)?),
+        (None, _) => {
+            let (run, trace) = suite.run(source);
+            // A flake-triaged run prints the progress line a journaled
+            // one does: nothing resumed, nothing remaining.
+            let progress = (flake_retries > 0).then_some((0, run.outcomes.len(), 0, 0));
+            (run, trace, progress)
+        }
     };
     if let Some(out) = trace_out {
         write_trace(out, &trace)?;

@@ -121,7 +121,7 @@ impl DeviceError {
 pub enum ReflectError {
     /// The host activity never obtains a `FragmentManager`, so there is
     /// nothing to reflect on — the *dubsmash* case: "several Fragments
-    /// [are] instantiated or loaded directly without using
+    /// \[are\] instantiated or loaded directly without using
     /// FragmentManager. In this scenario, FragDroid cannot determine
     /// whether the Fragment is a real loading."
     NoFragmentManager,

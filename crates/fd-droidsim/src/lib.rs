@@ -17,7 +17,7 @@
 //!   code made the call (the raw data behind the paper's Table II);
 //! * [`Adb`] + [`script`] — the `adb am start` / `am instrument` facade
 //!   and the Robotium-style operation scripts test cases compile to;
-//! * [`reflect`]-style forced fragment switching ([`Device::reflect_switch_fragment`]),
+//! * `reflect`-style forced fragment switching ([`Device::reflect_switch_fragment`]),
 //!   with the paper's two failure modes: fragments attached without a
 //!   `FragmentManager` (undetectable loading) and fragment constructors
 //!   that need parameters (reflection cannot supply them).

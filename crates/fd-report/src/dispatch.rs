@@ -150,12 +150,8 @@ mod tests {
     fn merged_run_becomes_table1_rows_and_rejections() {
         let gen = fd_appgen::templates::quickstart();
         let suite = vec![(fd_apk::pack(&gen.app), gen.known_inputs.clone())];
-        let (run, _) = fragdroid::run_container_suite_traced(
-            &suite,
-            &fragdroid::FragDroidConfig::default(),
-            1,
-            &fd_trace::TraceConfig::off(),
-        );
+        let config = fragdroid::FragDroidConfig::default();
+        let (run, _) = fragdroid::Suite::new(&config, 1).run(&suite);
         let (rows, rejected) = table1_rows_from_run(&run);
         assert_eq!(rows.len(), 1);
         assert!(rejected.is_empty());

@@ -5,8 +5,7 @@ use crate::table;
 use fd_appgen::paper_apps;
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
-    run_container_suite_checkpointed, AppOutcome, Coverage, FlakeClass, FlakeSummary,
-    FragDroidConfig, RunReport,
+    AppOutcome, Coverage, FlakeClass, FlakeSummary, FragDroidConfig, RunReport, Suite,
 };
 use serde::{Deserialize, Serialize};
 
@@ -91,22 +90,7 @@ pub fn run_table1_with_retries(flake_retries: usize) -> Table1Run {
         apps.iter().map(|(_, gen)| (fd_apk::pack(&gen.app), gen.known_inputs.clone())).collect();
     let config = FragDroidConfig::default();
     let workers = fragdroid::suite::engine::default_workers(suite.len());
-    let run = match run_container_suite_checkpointed(
-        &suite,
-        &config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        None,
-        flake_retries,
-    ) {
-        Ok((suite, _)) => suite.run,
-        // Without a journal there is no I/O to fail; this arm guards a
-        // future where Table 1 runs journaled.
-        Err(error) => {
-            eprintln!("table1: checkpointed run failed ({error}); table left empty");
-            return Table1Run::default();
-        }
-    };
+    let (run, _) = Suite { flake_retries, ..Suite::new(&config, workers) }.run(&suite);
 
     let mut out = Table1Run {
         flake_summary: run.metrics.flake_summary.clone(),

@@ -244,6 +244,14 @@ pub struct Span {
 impl Span {
     /// Ends the span now (equivalent to dropping it).
     pub fn end(self) {}
+
+    /// Renames the open span — for spans opened before their subject's
+    /// name is known (an app span opened before its container decodes).
+    pub fn rename(&mut self, name: &str) {
+        if let Some(state) = &mut self.state {
+            state.name = name.to_string();
+        }
+    }
 }
 
 impl Drop for Span {
@@ -286,8 +294,9 @@ mod tests {
         let tracer = Tracer::new(&TraceConfig::on(), TraceClock::start(), 3);
         tracer.set_sim_clock(10);
         {
-            let _span = tracer.span(Phase::Static, "extract");
+            let mut span = tracer.span(Phase::Static, "pending");
             tracer.set_sim_clock(25);
+            span.rename("extract");
         }
         let track = tracer.finish();
         assert_eq!(track.track, 3);

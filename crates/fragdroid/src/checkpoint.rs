@@ -4,15 +4,16 @@
 //!
 //! The paper's evaluation pushes thousands of apps through hours-long
 //! device campaigns; a production runner cannot afford to lose a whole
-//! corpus to one dead process. This module gives the work-stealing suite
-//! runner ([`crate::suite`]) durable progress:
+//! corpus to one dead process. This module holds the suite's one runner
+//! body — [`Suite::run`] is this body without a journal — and gives it
+//! durable progress through [`Suite::run_checkpointed`]:
 //!
 //! * **Journal** — a durable log (`durable_log`: checksummed lines,
 //!   atomic creation, torn-tail replay, group commit every
 //!   [`CheckpointOptions::fsync_every`] records). Its header carries a
 //!   [`Fingerprint`] of the invocation (corpus digest, configuration
 //!   digest, app count, flake-retry budget); every completed app appends
-//!   one [`AppOutcome`] record.
+//!   one [`AppOutcome`] record. Only a journaled run digests the corpus.
 //! * **Resume** — [`load_journal`] replays the file and refuses journals
 //!   whose fingerprint does not match the current invocation. The runner
 //!   then skips every journaled app; restored slots reproduce their
@@ -21,11 +22,13 @@
 //!   `tests/checkpoint_prop.rs`).
 //! * **Flake triage** — after a complete run, apps that finished
 //!   [`AppOutcome::Panicked`], [`AppOutcome::DeadlineExceeded`] or
-//!   crashed are re-run up to `flake_retries` times with the same seed
-//!   and classified [`FlakeClass::Deterministic`] (never passed) or
-//!   [`FlakeClass::Flaky`] (passed sometimes, with its pass rate). The
-//!   verdicts land in [`SuiteMetrics::flake_summary`] and the journal,
-//!   and every attempt is traced as [`fd_trace::TraceEvent::FlakeRetry`].
+//!   crashed are re-run up to [`Suite::flake_retries`] times with the
+//!   same seed and classified [`FlakeClass::Deterministic`] (never
+//!   passed) or [`FlakeClass::Flaky`] (passed sometimes, with its pass
+//!   rate). The verdicts land in
+//!   [`SuiteMetrics::flake_summary`](crate::suite::SuiteMetrics::flake_summary)
+//!   and the journal, and every attempt is traced as
+//!   [`fd_trace::TraceEvent::FlakeRetry`].
 //!
 //! Every failure is a typed [`JournalError`] — a full disk, an
 //! unreadable checkpoint, or a corrupt record is a diagnostic, never a
@@ -34,8 +37,8 @@
 use crate::config::FragDroidConfig;
 use crate::durable_log::{self, replay, DurableLog, LogRecord, Replay};
 use crate::suite::{
-    assemble_metrics, engine, slot_metrics, slot_outcome, AppMetrics, AppOutcome, SuiteApp,
-    SuiteContainer, SuiteRun, SuiteSource,
+    assemble_metrics, engine, run_slot, slot_metrics, slot_outcome, AppMetrics, AppOutcome,
+    CorpusSource, Suite, SuiteRun,
 };
 use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use serde::{Deserialize, Serialize};
@@ -197,10 +200,10 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Fingerprints an invocation. A lazy source whose corpus cannot be
+    /// Fingerprints an invocation. A source whose corpus cannot be
     /// streamed (I/O failure, corrupt shard) surfaces its reason.
     pub(crate) fn of(
-        source: &SuiteSource<'_>,
+        source: &dyn CorpusSource,
         config: &FragDroidConfig,
         flake_retries: usize,
     ) -> Result<Self, String> {
@@ -356,13 +359,13 @@ pub(crate) fn triage_with(
 /// Re-runs lease from `pool` lane 0 — triage is sequential and happens
 /// after the engine drained, so the lane is free.
 fn retry_passes(
-    source: &SuiteSource<'_>,
+    source: &dyn CorpusSource,
     index: usize,
     config: &FragDroidConfig,
     pool: &crate::pool::DevicePool,
 ) -> bool {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        source.run_one(index, config, &fd_trace::Tracer::disabled(), pool, 0)
+        run_slot(source, index, config, &fd_trace::Tracer::disabled(), pool, 0)
     }));
     match result {
         Ok(Ok((report, _))) => !report.deadline_exceeded && report.crashes == 0,
@@ -618,328 +621,255 @@ impl CheckpointedSuite {
     }
 }
 
-/// [`run_container_suite_checkpointed`] over already-decoded apps.
-pub fn run_suite_checkpointed(
-    apps: &[SuiteApp],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Apps(apps),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
+/// What resuming a journal hands the runner before any app runs; the
+/// default is a fresh, unjournaled run.
+#[derive(Default)]
+pub(crate) struct JournalState {
+    /// Completed slots restored from the journal, by input-order index.
+    slots: BTreeMap<usize, (AppOutcome, AppMetrics)>,
+    /// The journaled flake-triage verdicts, if the run completed one.
+    flakes: Option<FlakeSummary>,
+    /// Bytes of torn tail dropped while loading the journal.
+    torn_tail_bytes: u64,
+    /// [`CheckpointOptions::app_budget`].
+    app_budget: Option<usize>,
 }
 
-/// Runs a container suite with durable progress and flake triage.
-///
-/// With `checkpoint` set, every completed app's outcome is appended to
-/// the journal as it finishes; with `resume`, journaled apps are skipped
-/// and their slots restored byte-identically. With `flake_retries > 0`,
-/// a complete run ends with the triage pass (resumed-complete runs reuse
-/// the journaled verdicts instead of re-running). Passing `None` and `0`
-/// reproduces the plain suite exactly.
-pub fn run_container_suite_checkpointed(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
-}
-
-/// [`run_container_suite_checkpointed`] against a caller-built
-/// [`crate::pool::DevicePool`] — the hook for custom device factories
-/// (kill-injection in CI). The pool should have at least `workers`
-/// lanes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_container_suite_checkpointed_pooled(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: &crate::pool::DevicePool,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        Some(pool),
-    )
-}
-
-/// [`run_container_suite_checkpointed`] over a lazily fetched
-/// [`CorpusSource`] — the shard coordinator's runner: an on-disk corpus
-/// (or a sub-range of one) streams through the checkpointed engine
-/// without ever materializing, and the journal fingerprint is computed
-/// from the streamed digest, so it is identical to an eager run over
-/// the same entries.
-pub fn run_corpus_suite_checkpointed(
-    source: &dyn crate::suite::CorpusSource,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Lazy(source),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
-}
-
-/// [`run_corpus_suite_checkpointed`] against a caller-built
-/// [`crate::pool::DevicePool`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_corpus_suite_checkpointed_pooled(
-    source: &dyn crate::suite::CorpusSource,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: &crate::pool::DevicePool,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Lazy(source),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
-    source: &SuiteSource<'_>,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: Option<&crate::pool::DevicePool>,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    let n = source.len();
+/// Opens the journal `options` names — resuming it (fingerprint-checked)
+/// or creating it — for a run of `suite` over `source`. The corpus is
+/// digested here and only here: unjournaled runs never pay for it.
+fn open_journal(
+    suite: &Suite<'_>,
+    source: &dyn CorpusSource,
+    options: &CheckpointOptions,
+) -> Result<(DurableLog, JournalState), JournalError> {
     let fingerprint =
-        Fingerprint::of(source, config, flake_retries).map_err(|detail| JournalError::Io {
-            path: checkpoint.map(|o| o.path.display().to_string()).unwrap_or_default(),
-            op: "digest corpus source",
-            error: detail,
+        Fingerprint::of(source, suite.config, suite.flake_retries).map_err(|detail| {
+            JournalError::Io {
+                path: options.path.display().to_string(),
+                op: "digest corpus source",
+                error: detail,
+            }
         })?;
-
-    // Load or create the journal.
-    let mut restored: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
-    let mut journaled_flakes: Option<FlakeSummary> = None;
-    let mut torn_tail_bytes = 0u64;
-    let log: Option<Mutex<DurableLog>> = match checkpoint {
-        None => None,
-        Some(opts) => {
-            let journal_exists = opts.path.exists();
-            let log = if opts.resume && journal_exists {
-                let loaded = load_journal(&opts.path)?;
-                fingerprint.check(loaded.fingerprint)?;
-                torn_tail_bytes = loaded.torn_tail_bytes;
-                restored = loaded.slots;
-                journaled_flakes = loaded.flakes;
-                DurableLog::resume(&opts.path, loaded.valid_len, opts.fsync_every)?
-            } else {
-                if journal_exists {
-                    return Err(JournalError::AlreadyExists {
-                        path: opts.path.display().to_string(),
-                    });
-                }
-                DurableLog::create(
-                    &opts.path,
-                    &JournalRecord::header(fingerprint),
-                    opts.fsync_every,
-                )?
-            };
-            Some(Mutex::new(log))
-        }
-    };
-
-    let resumed = restored.len();
-    let mut remaining: Vec<usize> = (0..n).filter(|i| !restored.contains_key(i)).collect();
-    if let Some(budget) = checkpoint.and_then(|o| o.app_budget) {
-        remaining.truncate(budget);
-    }
-    let fresh = remaining.len();
-
-    // Tracing scaffolding mirrors the plain runner: per-lane tracers for
-    // the workers, a coordinator lane for the suite span and the
-    // checkpoint/triage events.
-    let trace_config = *trace_config;
-    let clock = fd_trace::TraceClock::start();
-    let coordinator_lane = workers.min(fresh.max(1)).max(1) as u64;
-    let coordinator = fd_trace::Tracer::new(&trace_config, clock, coordinator_lane);
-    let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
-    if resumed > 0 || torn_tail_bytes > 0 {
-        coordinator.event(|| fd_trace::TraceEvent::CheckpointResume {
-            skipped: resumed as u64,
-            torn_tail_bytes,
-        });
-    }
-
-    // One device lane per worker lane (plus one for sequential triage
-    // re-runs, which use lane 0 after the engine drained).
-    let default_pool;
-    let pool = match pool {
-        Some(pool) => pool,
-        None => {
-            default_pool =
-                crate::pool::DevicePool::from_config(config, workers.min(fresh.max(1)).max(1));
-            &default_pool
-        }
-    };
-
-    let remaining_ref = &remaining;
-    let log_ref = &log;
-    let engine_run = engine::run_indexed_tagged(fresh, workers, |worker, k| {
-        let index = remaining_ref[k];
-        let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
-        // Catch panics *here* (inside the engine's own isolation) so a
-        // panicked app still gets its journal record: the engine's
-        // catch_unwind only fires if this closure itself dies.
-        let started = Instant::now();
-        let job =
-            catch_unwind(AssertUnwindSafe(|| source.run_one(index, config, &tracer, pool, worker)))
-                .map_err(|payload| engine::panic_message(payload.as_ref()));
-        let elapsed = started.elapsed();
-        let (outcome, package) = slot_outcome(job, source, index);
-        let metrics = slot_metrics(&outcome, package, elapsed);
-        if let Some(log) = log_ref {
-            // A failed append latches in the log and surfaces when the
-            // run closes it; the suite itself keeps running.
-            let appended = log
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
-            if appended.is_ok() {
-                tracer.event(|| fd_trace::TraceEvent::CheckpointWrite { index: index as u64 });
-            }
-        }
-        (outcome, metrics, tracer.finish())
-    });
-
-    // Merge restored and fresh slots, in input order.
-    let mut slots = restored;
-    let mut tracks = Vec::new();
-    for (k, (result, _elapsed)) in engine_run.results.into_iter().enumerate() {
-        let index = remaining[k];
-        match result {
-            Ok((outcome, metrics, track)) => {
-                tracks.push(track);
-                slots.insert(index, (outcome, metrics));
-            }
-            Err(message) => {
-                // Only reachable if a worker died outside job isolation;
-                // the slot degrades to a panic outcome.
-                let outcome = AppOutcome::Panicked { message };
-                let metrics = slot_metrics(&outcome, source.name_of(index), Duration::ZERO);
-                slots.insert(index, (outcome, metrics));
-            }
-        }
-    }
-
-    // Flake triage: only once the whole corpus has outcomes. A fully
-    // resumed run reuses the journaled verdicts — zero remaining work
-    // means zero re-runs, and the report is byte-identical to the
-    // uninterrupted one.
-    let complete = slots.len() == n;
-    let flake_summary = if flake_retries > 0 && complete {
-        match journaled_flakes {
-            Some(summary) if fresh == 0 => Some(summary),
-            _ => {
-                let candidates: Vec<(usize, String, &'static str)> = slots
-                    .iter()
-                    .filter_map(|(index, (outcome, metrics))| {
-                        failure_kind(outcome).map(|kind| (*index, metrics.package.clone(), kind))
-                    })
-                    .collect();
-                let summary = triage_with(&candidates, flake_retries, &coordinator, |index, _| {
-                    retry_passes(source, index, config, pool)
-                });
-                if let Some(log) = &log {
-                    // Latched on failure, like the outcome appends.
-                    let _ = log
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .append(&JournalRecord::Flakes(summary.clone()));
-                }
-                Some(summary)
-            }
-        }
+    let mut state = JournalState { app_budget: options.app_budget, ..JournalState::default() };
+    let journal_exists = options.path.exists();
+    let log = if options.resume && journal_exists {
+        let loaded = load_journal(&options.path)?;
+        fingerprint.check(loaded.fingerprint)?;
+        state.slots = loaded.slots;
+        state.flakes = loaded.flakes;
+        state.torn_tail_bytes = loaded.torn_tail_bytes;
+        DurableLog::resume(&options.path, loaded.valid_len, options.fsync_every)?
     } else {
-        None
+        if journal_exists {
+            return Err(JournalError::AlreadyExists { path: options.path.display().to_string() });
+        }
+        DurableLog::create(&options.path, &JournalRecord::header(fingerprint), options.fsync_every)?
     };
+    Ok((log, state))
+}
 
-    suite_span.end();
-    let mut trace = fd_trace::Trace::new("fragdroid-suite");
-    trace.absorb(coordinator.finish());
-    for track in tracks {
-        trace.absorb(track);
-    }
-
-    // Close out the journal: flush the last batch and surface the first
-    // append failure (if any) as the run's error.
-    if let Some(log) = log {
+impl Suite<'_> {
+    /// [`Suite::run`] with durable progress. Every completed app's
+    /// outcome is appended to the journal at `options.path` as it
+    /// finishes; with `options.resume`, journaled apps are skipped and
+    /// their slots restored byte-identically. With
+    /// [`Suite::flake_retries`] set, a complete run ends with the triage
+    /// pass (resumed-complete runs reuse the journaled verdicts instead
+    /// of re-running).
+    pub fn run_checkpointed(
+        &self,
+        source: &dyn CorpusSource,
+        options: &CheckpointOptions,
+    ) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
+        let (log, state) = open_journal(self, source, options)?;
+        let log = Mutex::new(log);
+        let result = self.execute(source, Some(&log), state);
+        // Flush the last batch and surface the first append failure (if
+        // any) as the run's error.
         log.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()).sync()?;
+        Ok(result)
     }
 
-    let mut outcomes = Vec::with_capacity(slots.len());
-    let mut per_app = Vec::with_capacity(slots.len());
-    for (_, (outcome, metrics)) in slots {
-        outcomes.push(outcome);
-        per_app.push(metrics);
-    }
-    let mut metrics = assemble_metrics(
-        per_app,
-        engine_run.workers,
-        engine_run.wall,
-        engine_run.busy,
-        pool.incidents(),
-    );
-    metrics.flake_summary = flake_summary;
+    /// The one suite body behind [`Suite::run`] and
+    /// [`Suite::run_checkpointed`]: the work-stealing engine over the
+    /// slots `state` left to run, per-lane tracers, journal appends when
+    /// `log` is set, flake triage, and the outcome/metrics/trace
+    /// assembly. A panic inside a slot is caught here (inside the
+    /// engine's own isolation) so a panicked app still gets its journal
+    /// record and keeps its trace track.
+    pub(crate) fn execute(
+        &self,
+        source: &dyn CorpusSource,
+        log: Option<&Mutex<DurableLog>>,
+        state: JournalState,
+    ) -> (CheckpointedSuite, fd_trace::Trace) {
+        let n = source.len();
+        let JournalState { slots: restored, flakes: journaled_flakes, torn_tail_bytes, app_budget } =
+            state;
+        let resumed = restored.len();
+        let mut remaining: Vec<usize> = (0..n).filter(|i| !restored.contains_key(i)).collect();
+        if let Some(budget) = app_budget {
+            remaining.truncate(budget);
+        }
+        let fresh = remaining.len();
 
-    Ok((
-        CheckpointedSuite {
+        // Per-lane tracers for the workers, a coordinator lane (one past
+        // the last worker's) for the suite span and the checkpoint/triage
+        // events.
+        let trace_config = self.trace;
+        let clock = fd_trace::TraceClock::start();
+        let worker_lanes = self.workers.min(fresh.max(1)).max(1);
+        let coordinator = fd_trace::Tracer::new(&trace_config, clock, worker_lanes as u64);
+        let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
+        if resumed > 0 || torn_tail_bytes > 0 {
+            coordinator.event(|| fd_trace::TraceEvent::CheckpointResume {
+                skipped: resumed as u64,
+                torn_tail_bytes,
+            });
+        }
+
+        // One device lane per worker lane, so a worker only ever touches
+        // its own devices and leases never contend; sequential triage
+        // re-runs use lane 0 after the engine drained.
+        let default_pool;
+        let pool = match self.pool {
+            Some(pool) => pool,
+            None => {
+                default_pool = crate::pool::DevicePool::from_config(self.config, worker_lanes);
+                &default_pool
+            }
+        };
+
+        let config = self.config;
+        let remaining_ref = &remaining;
+        let engine_run = engine::run_indexed_tagged(fresh, self.workers, |worker, k| {
+            let index = remaining_ref[k];
+            let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
+            let started = Instant::now();
+            let job = catch_unwind(AssertUnwindSafe(|| {
+                run_slot(source, index, config, &tracer, pool, worker)
+            }))
+            .map_err(|payload| engine::panic_message(payload.as_ref()));
+            let elapsed = started.elapsed();
+            let (outcome, package) = slot_outcome(job, source, index);
+            let metrics = slot_metrics(&outcome, package, elapsed);
+            if let Some(log) = log {
+                // A failed append latches in the log and surfaces when the
+                // run closes it; the suite itself keeps running.
+                let appended = log
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
+                if appended.is_ok() {
+                    tracer.event(|| fd_trace::TraceEvent::CheckpointWrite { index: index as u64 });
+                }
+            }
+            (outcome, metrics, tracer.finish())
+        });
+
+        // Merge restored and fresh slots, in input order.
+        let mut slots = restored;
+        let mut tracks = Vec::new();
+        for (k, (result, _elapsed)) in engine_run.results.into_iter().enumerate() {
+            let index = remaining[k];
+            match result {
+                Ok((outcome, metrics, track)) => {
+                    tracks.push(track);
+                    slots.insert(index, (outcome, metrics));
+                }
+                Err(message) => {
+                    // Only reachable if a worker died outside job
+                    // isolation; the slot degrades to a panic outcome.
+                    let outcome = AppOutcome::Panicked { message };
+                    let metrics = slot_metrics(&outcome, source.label(index), Duration::ZERO);
+                    slots.insert(index, (outcome, metrics));
+                }
+            }
+        }
+
+        // Flake triage: only once the whole corpus has outcomes. A fully
+        // resumed run reuses the journaled verdicts — zero remaining work
+        // means zero re-runs, and the report is byte-identical to the
+        // uninterrupted one.
+        let flake_summary = if self.flake_retries > 0 && slots.len() == n {
+            match journaled_flakes {
+                Some(summary) if fresh == 0 => Some(summary),
+                _ => {
+                    let candidates: Vec<(usize, String, &'static str)> = slots
+                        .iter()
+                        .filter_map(|(index, (outcome, metrics))| {
+                            failure_kind(outcome)
+                                .map(|kind| (*index, metrics.package.clone(), kind))
+                        })
+                        .collect();
+                    let summary =
+                        triage_with(&candidates, self.flake_retries, &coordinator, |index, _| {
+                            retry_passes(source, index, config, pool)
+                        });
+                    if let Some(log) = log {
+                        // Latched on failure, like the outcome appends.
+                        let _ = log
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .append(&JournalRecord::Flakes(summary.clone()));
+                    }
+                    Some(summary)
+                }
+            }
+        } else {
+            None
+        };
+
+        suite_span.end();
+        let mut trace = fd_trace::Trace::new("fragdroid-suite");
+        trace.absorb(coordinator.finish());
+        for track in tracks {
+            trace.absorb(track);
+        }
+
+        let mut outcomes = Vec::with_capacity(slots.len());
+        let mut per_app = Vec::with_capacity(slots.len());
+        for (_, (outcome, metrics)) in slots {
+            outcomes.push(outcome);
+            per_app.push(metrics);
+        }
+        let mut metrics = assemble_metrics(
+            per_app,
+            engine_run.workers,
+            engine_run.wall,
+            engine_run.busy,
+            pool.incidents(),
+        );
+        metrics.flake_summary = flake_summary;
+
+        let suite = CheckpointedSuite {
             run: SuiteRun { outcomes, metrics },
             total: n,
             resumed,
             fresh,
             torn_tail_bytes,
-        },
-        trace,
-    ))
+        };
+        (suite, trace)
+    }
+}
+
+/// [`Suite::run_checkpointed`] (or, with `checkpoint: None`, an
+/// unjournaled [`Suite::run`]) with the pre-`Suite` signature, kept
+/// because external benchmark harnesses call it.
+pub fn run_corpus_suite_checkpointed(
+    source: &dyn CorpusSource,
+    config: &FragDroidConfig,
+    workers: usize,
+    trace_config: &fd_trace::TraceConfig,
+    checkpoint: Option<&CheckpointOptions>,
+    flake_retries: usize,
+) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
+    let suite = Suite { trace: *trace_config, flake_retries, ..Suite::new(config, workers) };
+    match checkpoint {
+        Some(options) => suite.run_checkpointed(source, options),
+        None => Ok(suite.execute(source, None, JournalState::default())),
+    }
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@
 //!   loses at most in-flight work.
 //!
 //! Completed shards merge through
-//! [`merge_shards`](crate::shard::merge_shards), so the merged
+//! [`merge_shards`], so the merged
 //! [`SuiteRun::outcome_digest`](crate::suite::SuiteRun) is
 //! byte-identical to an unsharded run of the same corpus and config.
 //!
@@ -67,7 +67,7 @@ use crate::serve::{
     AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
 };
 use crate::shard::{merge_shards, shard_journal_path, MergedRun, ShardError, ShardSlice};
-use crate::suite::{slot_metrics, AppMetrics, AppOutcome, CorpusSource, SuiteSource};
+use crate::suite::{slot_metrics, AppMetrics, AppOutcome, CorpusSource};
 use fd_droidsim::proto::{decode_payload, encode_frame, to_hex, Envelope, FrameBuffer};
 
 /// Format version of the coordinator journal.
@@ -1063,14 +1063,14 @@ pub fn dispatch(
         return Err(DispatchError::ResumeWithoutJournal);
     }
     let shards = if options.shards == 0 { options.endpoints.len() } else { options.shards };
-    let fingerprint = Fingerprint::of(&SuiteSource::Lazy(source), config, 0)
-        .map_err(|detail| DispatchError::Source { detail })?;
+    let fingerprint =
+        Fingerprint::of(source, config, 0).map_err(|detail| DispatchError::Source { detail })?;
 
     let mut ranges = Vec::with_capacity(shards);
     let mut shard_fingerprints = Vec::with_capacity(shards);
     for index in 0..shards {
         let slice = ShardSlice::new(source, shards, index)?;
-        let fp = Fingerprint::of(&SuiteSource::Lazy(&slice), config, 0)
+        let fp = Fingerprint::of(&slice, config, 0)
             .map_err(|detail| DispatchError::Source { detail })?;
         ranges.push(slice.range());
         shard_fingerprints.push(fp);

@@ -45,10 +45,8 @@ pub mod shard;
 pub mod suite;
 
 pub use checkpoint::{
-    load_journal, run_container_suite_checkpointed, run_container_suite_checkpointed_pooled,
-    run_corpus_suite_checkpointed, run_corpus_suite_checkpointed_pooled, run_suite_checkpointed,
-    CheckpointOptions, CheckpointedSuite, Fingerprint, FlakeClass, FlakeRecord, FlakeSummary,
-    JournalError, LoadedJournal,
+    load_journal, run_corpus_suite_checkpointed, CheckpointOptions, CheckpointedSuite, Fingerprint,
+    FlakeClass, FlakeRecord, FlakeSummary, JournalError, LoadedJournal,
 };
 pub use config::FragDroidConfig;
 pub use dispatch::{
@@ -70,8 +68,6 @@ pub use shard::{
     ShardStat,
 };
 pub use suite::{
-    run_container_suite_outcomes, run_container_suite_pooled, run_container_suite_traced,
-    run_corpus_suite_pooled, run_corpus_suite_traced, run_suite, run_suite_outcomes,
-    run_suite_traced, run_suite_with_workers, AppMetrics, AppOutcome, CorpusSource, SuiteMetrics,
-    SuiteRun,
+    run_corpus_suite_pooled, run_corpus_suite_traced, AppMetrics, AppOutcome, CorpusSource, Suite,
+    SuiteMetrics, SuiteRun,
 };

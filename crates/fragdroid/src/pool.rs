@@ -3,7 +3,7 @@
 //! The suite runner historically built one simulator per app inside the
 //! run closure — fine in-process, wasteful and fragile for subprocess
 //! backends, where "the device" is a child process that can die. The
-//! pool owns one [`DeviceLane`] per worker and hands out *leases*:
+//! pool owns one `DeviceLane` per worker and hands out *leases*:
 //!
 //! * a lease reuses the lane's live device when its health check
 //!   ([`DeviceApi::ping`]) passes, and builds a fresh one (bumping the

@@ -26,7 +26,7 @@ pub struct ChaosConfig {
     pub stall_ms: u64,
     /// Per-connection probability (in thousandths) that the connection
     /// tears: when armed, a seeded byte offset inside the first
-    /// [`TEAR_WINDOW`] written bytes is chosen, a partial chunk goes
+    /// `TEAR_WINDOW` (4096) written bytes is chosen, a partial chunk goes
     /// out at that offset, and the stream errors until reconnect. The
     /// roll is per connection — not per write — so a retrying client
     /// always converges no matter how large its frames are.

@@ -28,10 +28,12 @@
 //! * device incidents are a live-pool observation, not a journaled
 //!   fact, so the merged metrics report 0.
 
-use crate::checkpoint::{load_journal, Fingerprint, FlakeSummary, JournalError};
+use crate::checkpoint::{
+    load_journal, CheckpointOptions, CheckpointedSuite, Fingerprint, FlakeSummary, JournalError,
+};
 use crate::config::FragDroidConfig;
 use crate::suite::{
-    assemble_metrics, AppMetrics, AppOutcome, CorpusSource, SuiteContainer, SuiteRun, SuiteSource,
+    assemble_metrics, AppMetrics, AppOutcome, CorpusSource, Suite, SuiteContainer, SuiteRun,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -193,53 +195,29 @@ pub struct MergedRun {
     pub shards: Vec<ShardStat>,
 }
 
-/// Runs shard `index` of `shards`: the checkpointed suite over the
-/// shard's slice, journaling to [`shard_journal_path`] derived from
-/// `base.path`. Resume (`base.resume`) and `base.app_budget` apply to
-/// the shard's own journal, so a killed shard picks up exactly where it
-/// stopped.
+/// Runs shard `index` of `shards` with `suite`: the checkpointed suite
+/// over the shard's slice, journaling to [`shard_journal_path`] derived
+/// from `base.path`. Resume (`base.resume`) and `base.app_budget` apply
+/// to the shard's own journal, so a killed shard picks up exactly where
+/// it stopped.
 ///
 /// # Errors
 /// [`ShardError::Split`] if `shards == 0` or `index >= shards`;
 /// [`ShardError::Journal`] when the shard's own journal cannot be
 /// written, resumed, or fingerprint-matched.
-#[allow(clippy::too_many_arguments)]
 pub fn run_shard(
+    suite: &Suite<'_>,
     source: &dyn CorpusSource,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    base: &crate::checkpoint::CheckpointOptions,
-    flake_retries: usize,
+    base: &CheckpointOptions,
     shards: usize,
     index: usize,
-    pool: Option<&crate::pool::DevicePool>,
-) -> Result<(crate::checkpoint::CheckpointedSuite, fd_trace::Trace), ShardError> {
+) -> Result<(CheckpointedSuite, fd_trace::Trace), ShardError> {
     let slice = ShardSlice::new(source, shards, index)?;
-    let options = crate::checkpoint::CheckpointOptions {
-        path: shard_journal_path(&base.path, index, shards),
-        ..base.clone()
-    };
-    match pool {
-        Some(pool) => crate::checkpoint::run_corpus_suite_checkpointed_pooled(
-            &slice,
-            config,
-            workers,
-            trace_config,
-            Some(&options),
-            flake_retries,
-            pool,
-        ),
-        None => crate::checkpoint::run_corpus_suite_checkpointed(
-            &slice,
-            config,
-            workers,
-            trace_config,
-            Some(&options),
-            flake_retries,
-        ),
-    }
-    .map_err(|error| ShardError::Journal { shard: index, error })
+    let options =
+        CheckpointOptions { path: shard_journal_path(&base.path, index, shards), ..base.clone() };
+    suite
+        .run_checkpointed(&slice, &options)
+        .map_err(|error| ShardError::Journal { shard: index, error })
 }
 
 /// Merges the per-shard journals of an N-way split back into one
@@ -268,7 +246,7 @@ pub fn merge_shards(
     for shard in 0..shards {
         let slice = ShardSlice::new(source, shards, shard)?;
         let range = slice.range();
-        let expected = Fingerprint::of(&SuiteSource::Lazy(&slice), config, flake_retries)
+        let expected = Fingerprint::of(&slice, config, flake_retries)
             .map_err(|detail| ShardError::Source { detail })?;
         let journal = shard_journal_path(base, shard, shards);
         let loaded =

@@ -1,11 +1,13 @@
 //! The shared corpus runner every multi-app experiment goes through.
 //!
-//! One work-stealing scheduler replaces the three parallel harnesses the
-//! evaluation crates used to carry around (static chunking here, an
-//! unbounded thread-per-app loop in Table I, and a hand-rolled chunked
-//! scope in the corpus benchmark). Workers pull the next un-started app
-//! off a shared atomic index, so one slow app no longer stalls a whole
-//! chunk's worth of siblings.
+//! [`Suite`] holds the run's options (config, workers, tracing, device
+//! pool, flake budget) and runs any [`CorpusSource`] — decoded apps,
+//! packed containers, an on-disk corpus or a shard of one — through one
+//! work-stealing scheduler: workers pull the next un-started entry off a
+//! shared atomic index, so one slow app never stalls its siblings.
+//! [`Suite::run`] and the journaled [`Suite::run_checkpointed`] share one
+//! body ([`crate::checkpoint`]); without a journal it never touches the
+//! disk and never digests the corpus.
 //!
 //! Fault isolation: each app runs under [`std::panic::catch_unwind`]. A
 //! panicking app yields [`AppOutcome::Panicked`] while every other app
@@ -234,7 +236,7 @@ impl SuiteRun {
 /// payload) and its wall time.
 pub type EngineSlot<T> = (Result<T, String>, Duration);
 
-/// The generic work-stealing engine underneath [`run_suite_outcomes`] —
+/// The generic work-stealing engine underneath [`Suite`] —
 /// public so callers with non-`RunReport` jobs (and the runner tests) can
 /// drive arbitrary closures through the same scheduling and isolation.
 pub mod engine {
@@ -374,113 +376,71 @@ pub mod engine {
     }
 }
 
-/// Runs FragDroid over many apps on the work-stealing engine, returning
-/// per-app [`AppOutcome`]s in input order plus [`SuiteMetrics`]. A
-/// panicking app is isolated to its own slot; a deadline-limited app
-/// keeps its partial report.
-pub fn run_suite_outcomes(apps: &[SuiteApp], config: &FragDroidConfig) -> SuiteRun {
-    run_suite_with_workers(apps, config, engine::default_workers(apps.len()))
-}
-
-/// [`run_suite_outcomes`] with an explicit worker count (1 reproduces a
-/// sequential run exactly).
-pub fn run_suite_with_workers(
-    apps: &[SuiteApp],
-    config: &FragDroidConfig,
-    workers: usize,
-) -> SuiteRun {
-    run_suite_traced(apps, config, workers, &fd_trace::TraceConfig::off()).0
-}
-
-/// [`run_suite_with_workers`] under a trace configuration.
+/// One suite invocation: everything a corpus run needs besides the
+/// corpus itself. Every multi-app run in the workspace goes through
+/// [`Suite::run`] (or [`Suite::run_checkpointed`] for a journaled run);
+/// the corpus arrives as a [`CorpusSource`], so decoded apps
+/// (`[SuiteApp]`), packed containers (`[SuiteContainer]`) and on-disk
+/// corpora share one runner.
 ///
-/// Every worker lane owns a private tracer (one ring buffer per app run,
-/// no locks on the hot path; the lane index becomes the Chrome `tid`).
-/// Each app's run is wrapped in a [`fd_trace::Phase::App`] span named
-/// after its package, and a coordinator track brackets the whole suite in
-/// a [`fd_trace::Phase::Suite`] span. Per-app tracks merge into the
-/// returned [`fd_trace::Trace`] in input order; a panicked app's track is
-/// lost with the run (its slot still reports [`AppOutcome::Panicked`]).
-///
-/// With [`fd_trace::TraceConfig::off`] this *is* `run_suite_with_workers`
-/// — the same code path, an empty trace, and byte-identical reports
-/// (property-tested in `tests/trace_prop.rs`).
-pub fn run_suite_traced(
-    apps: &[SuiteApp],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Apps(apps), config, workers, trace_config, None)
+/// Each worker lane owns a private tracer (no locks on the hot path; the
+/// lane index becomes the Chrome `tid`). Each slot runs inside one
+/// [`fd_trace::Phase::App`] span — fetch, decode and explore — named
+/// after the app's package once it decodes, and a coordinator track
+/// brackets the whole run in a [`fd_trace::Phase::Suite`] span. With
+/// [`fd_trace::TraceConfig::off`] the trace is empty and the reports are
+/// byte-identical (property-tested in `tests/trace_prop.rs`).
+#[derive(Clone, Copy)]
+pub struct Suite<'a> {
+    /// The engine configuration every app runs with.
+    pub config: &'a FragDroidConfig,
+    /// Worker threads (capped at the amount of work; 1 reproduces a
+    /// sequential run exactly).
+    pub workers: usize,
+    /// Tracing for the run.
+    pub trace: fd_trace::TraceConfig,
+    /// A caller-built device pool — the hook for custom device factories
+    /// (kill-injection in CI, test doubles). It should have at least
+    /// `workers` lanes, and [`SuiteMetrics::device_incidents`] reflects
+    /// its incident count after the run. `None` builds one in-process
+    /// lane per worker from `config`.
+    pub pool: Option<&'a crate::pool::DevicePool>,
+    /// Re-runs per failed app for flake triage (0 skips triage); see
+    /// [`crate::checkpoint`].
+    pub flake_retries: usize,
 }
 
-/// Runs FragDroid over *packed containers*: each worker decodes its
-/// container on the spot and only then explores it. A container the
-/// checked decoder refuses (truncated, bad length field, packed, corrupt
-/// JSON, unparsable smali) is quarantined as [`AppOutcome::Rejected`]
-/// with the typed diagnostic — it never reaches the driver, never
-/// panics, and is counted in [`SuiteMetrics::rejected`]. This is the
-/// ingestion frontier the suite-level experiments go through.
-pub fn run_container_suite_outcomes(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-) -> SuiteRun {
-    run_container_suite_traced(
-        containers,
-        config,
-        engine::default_workers(containers.len()),
-        &fd_trace::TraceConfig::off(),
-    )
-    .0
+impl<'a> Suite<'a> {
+    /// `workers` workers, tracing off, the default pool, no flake triage.
+    pub fn new(config: &'a FragDroidConfig, workers: usize) -> Self {
+        Suite { config, workers, trace: fd_trace::TraceConfig::off(), pool: None, flake_retries: 0 }
+    }
+
+    /// Runs every entry of `source` on the work-stealing engine,
+    /// returning per-app [`AppOutcome`]s in input order plus
+    /// [`SuiteMetrics`] and the run's trace. A panicking app is isolated
+    /// to its own slot; a deadline-limited app keeps its partial report;
+    /// an entry the ingestion frontier refuses is quarantined as
+    /// [`AppOutcome::Rejected`]. Never computes the corpus digest.
+    pub fn run(&self, source: &dyn CorpusSource) -> (SuiteRun, fd_trace::Trace) {
+        let (suite, trace) = self.execute(source, None, Default::default());
+        (suite.run, trace)
+    }
 }
 
-/// [`run_container_suite_outcomes`] with an explicit worker count and
-/// trace configuration. Each rejection emits a
-/// [`fd_trace::TraceEvent::InputRejected`] on the worker's track.
-pub fn run_container_suite_traced(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Containers(containers), config, workers, trace_config, None)
-}
-
-/// [`run_container_suite_traced`] against a caller-built
-/// [`crate::pool::DevicePool`] — the hook for custom device factories
-/// (kill-injection in CI, test doubles). The pool should have at least
-/// `workers` lanes; [`SuiteMetrics::device_incidents`] reflects the
-/// pool's incident count after the run.
-pub fn run_container_suite_pooled(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    pool: &crate::pool::DevicePool,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        Some(pool),
-    )
-}
-
-/// [`run_container_suite_traced`] over a lazily fetched
-/// [`CorpusSource`] — on-disk corpora, shard sub-ranges, pack-on-demand
-/// generators. Only the entries currently running are resident.
+/// [`Suite::run`] with the pre-`Suite` signature, kept because external
+/// benchmark harnesses call it.
 pub fn run_corpus_suite_traced(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
     workers: usize,
     trace_config: &fd_trace::TraceConfig,
 ) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Lazy(source), config, workers, trace_config, None)
+    Suite { trace: *trace_config, ..Suite::new(config, workers) }.run(source)
 }
 
-/// [`run_corpus_suite_traced`] against a caller-built
-/// [`crate::pool::DevicePool`].
+/// [`Suite::run`] against a caller-built pool, with the pre-`Suite`
+/// signature, kept because external benchmark harnesses call it.
 pub fn run_corpus_suite_pooled(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
@@ -488,14 +448,14 @@ pub fn run_corpus_suite_pooled(
     trace_config: &fd_trace::TraceConfig,
     pool: &crate::pool::DevicePool,
 ) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Lazy(source), config, workers, trace_config, Some(pool))
+    Suite { trace: *trace_config, pool: Some(pool), ..Suite::new(config, workers) }.run(source)
 }
 
 /// A corpus the suite streams one entry at a time instead of requiring
-/// the whole thing as a slice — the entry point for on-disk corpora
-/// ([`fd_apk::corpus::CorpusReader`]), shard sub-ranges, and generators
-/// that pack on demand. Only the entry being run is resident; memory
-/// stays O(1 app) regardless of corpus size.
+/// the whole thing resident — in-memory apps and containers, on-disk
+/// corpora ([`fd_apk::corpus::CorpusReader`]), shard sub-ranges, and
+/// generators that pack on demand. Only the entries currently running
+/// are resident; memory stays O(workers) apps regardless of corpus size.
 ///
 /// `fetch` errors are treated exactly like refused containers: the slot
 /// is quarantined as [`AppOutcome::Rejected`] and counted in
@@ -513,23 +473,36 @@ pub trait CorpusSource: Sync {
     /// inputs.
     fn fetch(&self, index: usize) -> Result<SuiteContainer, String>;
 
-    /// The streaming corpus digest — byte-identical to the eager
-    /// [`SuiteSource`] digest of the same entries. The default streams
+    /// The streaming corpus digest: FNV-1a over every entry's container
+    /// bytes and then its inputs, in order — one half of a checkpoint
+    /// journal's [`crate::checkpoint::Fingerprint`]. The default streams
     /// every entry through [`CorpusSource::fetch`] once; sources with a
-    /// cheaper path (a recorded manifest digest, borrowed slices)
-    /// should override it.
+    /// cheaper path (a recorded manifest digest, borrowed slices) should
+    /// override it. Only journaled runs call it.
     fn digest(&self) -> Result<u64, String> {
         let mut digest = DIGEST_SEED;
         for index in 0..self.len() {
             let (bytes, inputs) = self.fetch(index)?;
-            digest = fnv1a(digest, &bytes);
-            for (key, value) in &inputs {
-                digest = fnv1a(digest, key.as_bytes());
-                digest = fnv1a(digest, value.as_bytes());
-            }
+            digest = fold_entry(digest, &bytes, &inputs);
         }
         Ok(digest)
     }
+
+    /// The label a slot carries when it never produced an app (rejected
+    /// or panicked): `container[index]` unless the source knows better.
+    fn label(&self, index: usize) -> String {
+        format!("container[{index}]")
+    }
+}
+
+/// One entry's contribution to [`CorpusSource::digest`].
+fn fold_entry(mut digest: u64, bytes: &[u8], inputs: &BTreeMap<String, String>) -> u64 {
+    digest = fnv1a(digest, bytes);
+    for (key, value) in inputs {
+        digest = fnv1a(digest, key.as_bytes());
+        digest = fnv1a(digest, value.as_bytes());
+    }
+    digest
 }
 
 /// An in-memory corpus is trivially a [`CorpusSource`]: fetching clones
@@ -546,13 +519,41 @@ impl CorpusSource for [SuiteContainer] {
     }
 
     fn digest(&self) -> Result<u64, String> {
-        SuiteSource::Containers(self).digest()
+        Ok(self
+            .iter()
+            .fold(DIGEST_SEED, |digest, (bytes, inputs)| fold_entry(digest, bytes, inputs)))
     }
 }
 
-/// A `Vec` corpus delegates to the slice impl — the sized form callers
-/// need when handing an in-memory corpus over as `&dyn CorpusSource`.
-impl CorpusSource for Vec<SuiteContainer> {
+/// Already-decoded apps pack on fetch, so they cross the same ingestion
+/// frontier as every other corpus (decoding is lossless, so the reports
+/// match a direct run). A slot that never produced an app keeps the
+/// app's package as its label.
+impl CorpusSource for [SuiteApp] {
+    fn len(&self) -> usize {
+        <[SuiteApp]>::len(self)
+    }
+
+    fn fetch(&self, index: usize) -> Result<SuiteContainer, String> {
+        self.get(index)
+            .map(|(app, inputs)| (fd_apk::pack(app), inputs.clone()))
+            .ok_or_else(|| format!("corpus entry {index} out of range ({} entries)", self.len()))
+    }
+
+    fn label(&self, index: usize) -> String {
+        match self.get(index) {
+            Some((app, _)) => app.manifest.package.clone(),
+            None => format!("container[{index}]"),
+        }
+    }
+}
+
+/// A `Vec` corpus delegates to its slice — the sized form callers need
+/// when handing an in-memory corpus over as `&dyn CorpusSource`.
+impl<T: Sync> CorpusSource for Vec<T>
+where
+    [T]: CorpusSource,
+{
     fn len(&self) -> usize {
         Vec::len(self)
     }
@@ -562,7 +563,31 @@ impl CorpusSource for Vec<SuiteContainer> {
     }
 
     fn digest(&self) -> Result<u64, String> {
-        CorpusSource::digest(self.as_slice())
+        self.as_slice().digest()
+    }
+
+    fn label(&self, index: usize) -> String {
+        self.as_slice().label(index)
+    }
+}
+
+/// A borrowed corpus is a corpus — so a `&[SuiteApp]` parameter hands
+/// over as `&dyn CorpusSource` with one more `&`.
+impl<S: CorpusSource + ?Sized> CorpusSource for &S {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn fetch(&self, index: usize) -> Result<SuiteContainer, String> {
+        (**self).fetch(index)
+    }
+
+    fn digest(&self) -> Result<u64, String> {
+        (**self).digest()
+    }
+
+    fn label(&self, index: usize) -> String {
+        (**self).label(index)
     }
 }
 
@@ -584,115 +609,34 @@ impl CorpusSource for fd_apk::corpus::CorpusReader {
     }
 }
 
-/// The input shapes a suite can run over, unified so the plain and
-/// checkpointed runners share one job body (decode, explore, quarantine)
-/// and one corpus fingerprint.
-pub(crate) enum SuiteSource<'a> {
-    /// Already-decoded apps: rejection is impossible.
-    Apps(&'a [SuiteApp]),
-    /// Packed containers: each worker decodes on the spot and rejected
-    /// inputs are quarantined.
-    Containers(&'a [SuiteContainer]),
-    /// A lazily fetched corpus: each slot is materialized on the worker
-    /// that runs it and dropped when the run ends.
-    Lazy(&'a dyn CorpusSource),
+/// Runs slot `index` of `source` on a device leased from `pool` lane
+/// `lane`, inside one [`fd_trace::Phase::App`] span: fetch, decode
+/// through the ingestion frontier, explore. `Ok((report, package))` for
+/// a run, `Err(reason)` for an entry the source or the decoder refused
+/// (traced as [`fd_trace::TraceEvent::InputRejected`]). Panics propagate
+/// to the caller's isolation layer; infrastructure failures are absorbed
+/// by the pool's retry/quarantine scheduling.
+pub(crate) fn run_slot(
+    source: &dyn CorpusSource,
+    index: usize,
+    config: &FragDroidConfig,
+    tracer: &fd_trace::Tracer,
+    pool: &crate::pool::DevicePool,
+    lane: usize,
+) -> Result<(RunReport, String), String> {
+    let mut app_span = tracer.span(fd_trace::Phase::App, &source.label(index));
+    let decoded = source.fetch(index).and_then(|(bytes, inputs)| {
+        let app = fd_apk::decompile_traced(&bytes, tracer).map_err(|e| e.to_string())?;
+        Ok((app, inputs))
+    });
+    let (app, inputs) = decoded.map_err(|reason| reject(tracer, reason))?;
+    app_span.rename(&app.manifest.package);
+    let report = explore(&app, &inputs, config, tracer, pool, lane);
+    Ok((report, app.manifest.package))
 }
 
-impl SuiteSource<'_> {
-    /// Number of input slots.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            SuiteSource::Apps(apps) => apps.len(),
-            SuiteSource::Containers(containers) => containers.len(),
-            SuiteSource::Lazy(source) => source.len(),
-        }
-    }
-
-    /// Label for a slot that never produced an app (panicked/rejected).
-    pub(crate) fn name_of(&self, index: usize) -> String {
-        match self {
-            SuiteSource::Apps(apps) => apps[index].0.manifest.package.clone(),
-            SuiteSource::Containers(_) | SuiteSource::Lazy(_) => format!("container[{index}]"),
-        }
-    }
-
-    /// Runs one slot on a device leased from `pool` lane `lane`:
-    /// `Ok((report, package))` for a run, `Err(reason)` for an input the
-    /// ingestion frontier refused. Panics propagate to the caller's
-    /// isolation layer; infrastructure failures are absorbed by the
-    /// pool's retry/quarantine scheduling.
-    pub(crate) fn run_one(
-        &self,
-        index: usize,
-        config: &FragDroidConfig,
-        tracer: &fd_trace::Tracer,
-        pool: &crate::pool::DevicePool,
-        lane: usize,
-    ) -> Result<(RunReport, String), String> {
-        match self {
-            SuiteSource::Apps(apps) => {
-                let (app, inputs) = &apps[index];
-                let report = {
-                    let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
-                    let tool = FragDroid::new(config.clone());
-                    pool.run_app(lane, tracer, |device| {
-                        tool.run_traced_on(app, inputs, tracer, device)
-                    })
-                };
-                Ok((report, app.manifest.package.clone()))
-            }
-            SuiteSource::Containers(containers) => {
-                let (bytes, inputs) = &containers[index];
-                run_container_slot(bytes, inputs, config, tracer, pool, lane)
-            }
-            SuiteSource::Lazy(source) => match source.fetch(index) {
-                Ok((bytes, inputs)) => {
-                    run_container_slot(&bytes, &inputs, config, tracer, pool, lane)
-                }
-                Err(reason) => {
-                    tracer.event(|| fd_trace::TraceEvent::InputRejected { reason: reason.clone() });
-                    Err(reason)
-                }
-            },
-        }
-    }
-
-    /// FNV-1a digest of the corpus content (container bytes or packed
-    /// apps, plus the analyst inputs) — one half of the journal
-    /// fingerprint that stops a resume against a different corpus. A
-    /// lazy source that cannot be streamed surfaces its reason instead
-    /// of a digest.
-    pub(crate) fn digest(&self) -> Result<u64, String> {
-        let mut digest = DIGEST_SEED;
-        let fold_inputs = |digest: &mut u64, inputs: &BTreeMap<String, String>| {
-            for (key, value) in inputs {
-                *digest = fnv1a(*digest, key.as_bytes());
-                *digest = fnv1a(*digest, value.as_bytes());
-            }
-        };
-        match self {
-            SuiteSource::Apps(apps) => {
-                let mut packed = bytes::BytesMut::new();
-                for (app, inputs) in *apps {
-                    fd_apk::pack_into(app, &mut packed);
-                    digest = fnv1a(digest, &packed);
-                    fold_inputs(&mut digest, inputs);
-                }
-            }
-            SuiteSource::Containers(containers) => {
-                for (bytes, inputs) in *containers {
-                    digest = fnv1a(digest, bytes);
-                    fold_inputs(&mut digest, inputs);
-                }
-            }
-            SuiteSource::Lazy(source) => digest = source.digest()?,
-        }
-        Ok(digest)
-    }
-}
-
-/// The shared container slot body: decode through the ingestion
-/// frontier, then explore on a pooled device. Refused containers emit
+/// Decodes one submitted container, then explores it on a pooled device
+/// — the serve worker's slot body. Refused containers emit
 /// [`fd_trace::TraceEvent::InputRejected`] and return the typed reason.
 pub(crate) fn run_container_slot(
     bytes: &bytes::Bytes,
@@ -702,23 +646,31 @@ pub(crate) fn run_container_slot(
     pool: &crate::pool::DevicePool,
     lane: usize,
 ) -> Result<(RunReport, String), String> {
-    match fd_apk::decompile_traced(bytes, tracer) {
-        Ok(app) => {
-            let report = {
-                let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
-                let tool = FragDroid::new(config.clone());
-                pool.run_app(lane, tracer, |device| {
-                    tool.run_traced_on(&app, inputs, tracer, device)
-                })
-            };
-            Ok((report, app.manifest.package))
-        }
-        Err(error) => {
-            let reason = error.to_string();
-            tracer.event(|| fd_trace::TraceEvent::InputRejected { reason: reason.clone() });
-            Err(reason)
-        }
-    }
+    let app = fd_apk::decompile_traced(bytes, tracer).map_err(|e| reject(tracer, e.to_string()))?;
+    let report = {
+        let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
+        explore(&app, inputs, config, tracer, pool, lane)
+    };
+    Ok((report, app.manifest.package))
+}
+
+/// One app's exploration on a device leased from `pool` lane `lane`.
+fn explore(
+    app: &AndroidApp,
+    inputs: &BTreeMap<String, String>,
+    config: &FragDroidConfig,
+    tracer: &fd_trace::Tracer,
+    pool: &crate::pool::DevicePool,
+    lane: usize,
+) -> RunReport {
+    let tool = FragDroid::new(config.clone());
+    pool.run_app(lane, tracer, |device| tool.run_traced_on(app, inputs, tracer, device))
+}
+
+/// Traces a refused input and hands its reason back.
+fn reject(tracer: &fd_trace::Tracer, reason: String) -> String {
+    tracer.event(|| fd_trace::TraceEvent::InputRejected { reason: reason.clone() });
+    reason
 }
 
 /// Classifies one engine slot into its outcome. `from_engine` is the
@@ -726,7 +678,7 @@ pub(crate) fn run_container_slot(
 /// rejection), `Err` a caught panic message.
 pub(crate) fn slot_outcome(
     from_engine: Result<Result<(RunReport, String), String>, String>,
-    source: &SuiteSource<'_>,
+    source: &dyn CorpusSource,
     index: usize,
 ) -> (AppOutcome, String) {
     match from_engine {
@@ -738,8 +690,8 @@ pub(crate) fn slot_outcome(
             };
             (outcome, package)
         }
-        Ok(Err(reason)) => (AppOutcome::Rejected { reason }, source.name_of(index)),
-        Err(message) => (AppOutcome::Panicked { message }, source.name_of(index)),
+        Ok(Err(reason)) => (AppOutcome::Rejected { reason }, source.label(index)),
+        Err(message) => (AppOutcome::Panicked { message }, source.label(index)),
     }
 }
 
@@ -812,93 +764,6 @@ pub(crate) fn assemble_metrics(
     }
 }
 
-/// The shared body of the app- and container-level suites: the work-
-/// stealing engine, per-lane tracers, and the outcome/metrics assembly.
-/// A panic inside a slot surfaces as [`AppOutcome::Panicked`] via the
-/// engine's isolation.
-fn run_traced_inner(
-    source: &SuiteSource<'_>,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    pool: Option<&crate::pool::DevicePool>,
-) -> (SuiteRun, fd_trace::Trace) {
-    let n = source.len();
-    let trace_config = *trace_config;
-    let clock = fd_trace::TraceClock::start();
-    // Coordinator track: one lane past the last worker's.
-    let worker_lanes = workers.min(n.max(1)).max(1);
-    let coordinator_lane = worker_lanes as u64;
-    let coordinator = fd_trace::Tracer::new(&trace_config, clock, coordinator_lane);
-    let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
-
-    // One device lane per worker lane, so a worker only ever touches its
-    // own devices and leases never contend.
-    let default_pool;
-    let pool = match pool {
-        Some(pool) => pool,
-        None => {
-            default_pool = crate::pool::DevicePool::from_config(config, worker_lanes);
-            &default_pool
-        }
-    };
-
-    let engine_run = engine::run_indexed_tagged(n, workers, |worker, index| {
-        let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
-        let result = source.run_one(index, config, &tracer, pool, worker);
-        (result, tracer.finish())
-    });
-
-    suite_span.end();
-    let mut trace = fd_trace::Trace::new("fragdroid-suite");
-    trace.absorb(coordinator.finish());
-
-    let wall = engine_run.wall;
-    let busy = engine_run.busy;
-    let workers_used = engine_run.workers;
-
-    let mut outcomes = Vec::with_capacity(n);
-    let mut per_app = Vec::with_capacity(n);
-    for (index, (result, elapsed)) in engine_run.results.into_iter().enumerate() {
-        let from_engine = result.map(|(job_result, track)| {
-            trace.absorb(track);
-            job_result
-        });
-        let (outcome, package) = slot_outcome(from_engine, source, index);
-        per_app.push(slot_metrics(&outcome, package, elapsed));
-        outcomes.push(outcome);
-    }
-
-    let run = SuiteRun {
-        outcomes,
-        metrics: assemble_metrics(per_app, workers_used, wall, busy, pool.incidents()),
-    };
-    (run, trace)
-}
-
-/// Runs FragDroid over many apps in parallel, returning reports in input
-/// order. Determinism is unaffected: each app's run is self-contained.
-///
-/// This is the legacy strict entry point: a panic in any app is
-/// propagated (after every other app finished). Callers that want
-/// fault isolation or metrics use [`run_suite_outcomes`].
-pub fn run_suite(apps: &[SuiteApp], config: &FragDroidConfig) -> Vec<RunReport> {
-    run_suite_outcomes(apps, config)
-        .outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            AppOutcome::Completed(r) | AppOutcome::DeadlineExceeded(r) => r,
-            AppOutcome::Panicked { message } => {
-                panic!("suite app panicked: {message}")
-            }
-            // App-level suites never reject: the inputs are already apps.
-            AppOutcome::Rejected { reason } => {
-                panic!("suite input rejected: {reason}")
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,13 +779,19 @@ mod tests {
         .collect()
     }
 
+    /// The suite over `apps` on the default worker count, tracing off.
+    fn run(apps: &[SuiteApp], config: &FragDroidConfig) -> SuiteRun {
+        Suite::new(config, engine::default_workers(apps.len())).run(&apps).0
+    }
+
     #[test]
     fn suite_results_are_in_order_and_match_single_runs() {
         let apps = template_apps();
         let config = FragDroidConfig::default();
-        let parallel = run_suite(&apps, &config);
-        assert_eq!(parallel.len(), 3);
-        for ((app, inputs), report) in apps.iter().zip(&parallel) {
+        let parallel = run(&apps, &config);
+        assert_eq!(parallel.outcomes.len(), 3);
+        for ((app, inputs), outcome) in apps.iter().zip(&parallel.outcomes) {
+            let report = outcome.report().expect("template apps complete");
             let single = FragDroid::new(config.clone()).run(app, inputs);
             assert_eq!(single.visited_activities, report.visited_activities);
             assert_eq!(single.visited_fragments, report.visited_fragments);
@@ -930,27 +801,10 @@ mod tests {
 
     #[test]
     fn empty_suite_is_fine() {
-        assert!(run_suite(&[], &FragDroidConfig::default()).is_empty());
-        let run = run_suite_outcomes(&[], &FragDroidConfig::default());
+        let run = run(&[], &FragDroidConfig::default());
         assert!(run.outcomes.is_empty());
         assert_eq!(run.metrics.workers, 0);
         assert!(run.metrics.apps.is_empty());
-    }
-
-    #[test]
-    fn single_worker_matches_default_run() {
-        let apps = template_apps();
-        let config = FragDroidConfig::default();
-        let sequential = run_suite_with_workers(&apps, &config, 1);
-        let parallel = run_suite_outcomes(&apps, &config);
-        for (a, b) in sequential.outcomes.iter().zip(&parallel.outcomes) {
-            let (a, b) = (a.report().unwrap(), b.report().unwrap());
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(b).unwrap(),
-                "worker count must not affect results"
-            );
-        }
     }
 
     #[test]
@@ -991,7 +845,7 @@ mod tests {
     fn deadline_exceeded_keeps_partial_report() {
         let apps = template_apps();
         let config = FragDroidConfig::default().with_deadline(Duration::ZERO);
-        let run = run_suite_outcomes(&apps, &config);
+        let run = run(&apps, &config);
         for outcome in &run.outcomes {
             match outcome {
                 AppOutcome::DeadlineExceeded(report) => {
@@ -1009,7 +863,7 @@ mod tests {
     #[test]
     fn suite_metrics_roundtrip_through_json() {
         let apps = template_apps();
-        let run = run_suite_outcomes(&apps, &FragDroidConfig::default());
+        let run = run(&apps, &FragDroidConfig::default());
         let metrics = &run.metrics;
         assert_eq!(metrics.apps.len(), 3);
         assert!(metrics.workers >= 1);
@@ -1056,7 +910,8 @@ mod tests {
     fn traced_suite_produces_spans_and_disabled_trace_is_empty() {
         let apps = template_apps();
         let config = FragDroidConfig::default();
-        let (run, trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+        let traced = Suite { trace: fd_trace::TraceConfig::on(), ..Suite::new(&config, 2) };
+        let (run, trace) = traced.run(&apps);
         assert_eq!(run.outcomes.len(), 3);
         // One Suite span, one App span per app, and Static/Explore below.
         let spans: Vec<&fd_trace::SpanRecord> = trace
@@ -1078,7 +933,7 @@ mod tests {
             "events recorded"
         );
 
-        let (_, off_trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::off());
+        let (_, off_trace) = Suite::new(&config, 2).run(&apps);
         assert!(off_trace.records.is_empty(), "disabled tracing records nothing");
     }
 
@@ -1092,7 +947,7 @@ mod tests {
         let truncated = fd_apk::pack(&apps[0].0).slice(0..10);
         containers.push((truncated, BTreeMap::new()));
 
-        let run = run_container_suite_outcomes(&containers, &config);
+        let (run, _) = Suite::new(&config, 2).run(&containers);
         assert_eq!(run.outcomes.len(), 5);
         assert_eq!(run.metrics.rejected, 2, "both malformed inputs quarantined");
         for bad in [1usize, 4] {
@@ -1107,28 +962,25 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+    }
 
-        // The well-formed siblings still produce byte-identical reports
-        // to the app-level suite: decode is lossless and rejection is
-        // isolation, not interference.
-        let app_run = run_suite_outcomes(&apps, &config);
-        for (container_index, app_index) in [(0usize, 0usize), (2, 1), (3, 2)] {
-            let a = run.outcomes[container_index].report().expect("well-formed input ran");
-            let b = app_run.outcomes[app_index].report().unwrap();
-            assert_eq!(serde_json::to_string(a).unwrap(), serde_json::to_string(b).unwrap());
-        }
+    #[test]
+    fn app_slots_keep_their_package_label() {
+        let mut apps = template_apps();
+        apps[1].0.meta.packed = true;
+        let (run, _) = Suite::new(&FragDroidConfig::default(), 1).run(&apps);
+        assert!(run.outcomes[1].is_rejected(), "a packer-protected app never decodes");
+        assert_eq!(run.metrics.apps[1].package, apps[1].0.manifest.package);
+        assert_eq!(CorpusSource::label(apps.as_slice(), 7), "container[7]");
     }
 
     #[test]
     fn container_suite_traces_rejections() {
         let containers: Vec<SuiteContainer> =
             vec![(bytes::Bytes::from_static(b"garbage"), BTreeMap::new())];
-        let (run, trace) = run_container_suite_traced(
-            &containers,
-            &FragDroidConfig::default(),
-            1,
-            &fd_trace::TraceConfig::on(),
-        );
+        let config = FragDroidConfig::default();
+        let (run, trace) =
+            Suite { trace: fd_trace::TraceConfig::on(), ..Suite::new(&config, 1) }.run(&containers);
         assert_eq!(run.metrics.rejected, 1);
         let rejected_events = trace
             .records
@@ -1142,14 +994,5 @@ mod tests {
             })
             .count();
         assert_eq!(rejected_events, 1, "each rejection is traced once");
-    }
-
-    #[test]
-    fn legacy_run_suite_propagates_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let run = engine::run_indexed(1, 1, |_| -> usize { panic!("boom") });
-            run.results[0].0.clone().unwrap()
-        });
-        assert!(result.is_err());
     }
 }

@@ -10,8 +10,7 @@
 
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
-    run_container_suite_checkpointed, run_container_suite_traced, CheckpointOptions,
-    FragDroidConfig, JournalError, SuiteRun,
+    CheckpointOptions, CheckpointedSuite, FragDroidConfig, JournalError, Suite, SuiteRun,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -59,7 +58,19 @@ fn outcome_bytes(run: &SuiteRun) -> Vec<String> {
 
 /// Runs the corpus uninterrupted (no journal) as the reference.
 fn reference_run(containers: &[SuiteContainer], config: &FragDroidConfig) -> SuiteRun {
-    run_container_suite_traced(containers, config, 2, &fd_trace::TraceConfig::off()).0
+    Suite::new(config, 2).run(&containers).0
+}
+
+/// A journaled run of `containers` on `workers` workers.
+fn checkpointed(
+    containers: &[SuiteContainer],
+    config: &FragDroidConfig,
+    workers: usize,
+    options: &CheckpointOptions,
+    flake_retries: usize,
+) -> Result<CheckpointedSuite, JournalError> {
+    let suite = Suite { flake_retries, ..Suite::new(config, workers) };
+    suite.run_checkpointed(&containers, options).map(|(run, _)| run)
 }
 
 mod kill_and_resume {
@@ -81,15 +92,11 @@ mod kill_and_resume {
 
             let path = scratch("resume");
             let first = CheckpointOptions::new(&path).with_app_budget(cutoff);
-            let (partial, _) = run_container_suite_checkpointed(
-                &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&first), 0,
-            ).expect("budgeted run journals cleanly");
+            let partial = checkpointed(&containers, &config, 2, &first, 0).expect("budgeted run journals cleanly");
             prop_assert_eq!(partial.fresh, cutoff.min(containers.len()));
 
             let second = CheckpointOptions::new(&path).with_resume(true);
-            let (full, _) = run_container_suite_checkpointed(
-                &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&second), 0,
-            ).expect("resume completes the corpus");
+            let full = checkpointed(&containers, &config, 2, &second, 0).expect("resume completes the corpus");
             prop_assert!(full.is_complete());
             prop_assert_eq!(full.resumed, cutoff.min(containers.len()));
 
@@ -109,15 +116,11 @@ mod kill_and_resume {
             let path = scratch("zero");
 
             let first = CheckpointOptions::new(&path);
-            let (complete, _) = run_container_suite_checkpointed(
-                &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&first), 2,
-            ).expect("full run journals cleanly");
+            let complete = checkpointed(&containers, &config, 2, &first, 2).expect("full run journals cleanly");
             prop_assert!(complete.is_complete());
 
             let again = CheckpointOptions::new(&path).with_resume(true);
-            let (replayed, _) = run_container_suite_checkpointed(
-                &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&again), 2,
-            ).expect("complete journal replays");
+            let replayed = checkpointed(&containers, &config, 2, &again, 2).expect("complete journal replays");
             prop_assert_eq!(replayed.fresh, 0, "no fresh work on a complete journal");
             prop_assert_eq!(outcome_bytes(&replayed.run), outcome_bytes(&complete.run));
             prop_assert_eq!(
@@ -139,15 +142,8 @@ mod torn_tail {
         let containers = mixed_corpus(3);
         let config = faulty_config(3);
         let opts = CheckpointOptions::new(path);
-        let (complete, _) = run_container_suite_checkpointed(
-            &containers,
-            &config,
-            2,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        )
-        .expect("full run journals cleanly");
+        let complete =
+            checkpointed(&containers, &config, 2, &opts, 0).expect("full run journals cleanly");
         let bytes = std::fs::read(path).expect("journal readable");
         (bytes, complete.run)
     }
@@ -175,15 +171,8 @@ mod torn_tail {
             let victim = scratch("trunc-resume-victim");
             std::fs::write(&victim, &bytes[..offset]).expect("write truncated copy");
             let opts = CheckpointOptions::new(&victim).with_resume(true);
-            let (resumed, _) = run_container_suite_checkpointed(
-                &containers,
-                &config,
-                2,
-                &fd_trace::TraceConfig::off(),
-                Some(&opts),
-                0,
-            )
-            .unwrap_or_else(|e| panic!("resume from offset {offset} failed: {e}"));
+            let resumed = checkpointed(&containers, &config, 2, &opts, 0)
+                .unwrap_or_else(|e| panic!("resume from offset {offset} failed: {e}"));
             assert!(resumed.is_complete());
             assert_eq!(
                 outcome_bytes(&resumed.run),
@@ -206,23 +195,14 @@ mod refusals {
         let containers = mixed_corpus(3);
         let path = scratch("fpr");
         let opts = CheckpointOptions::new(&path);
-        run_container_suite_checkpointed(
-            &containers,
-            &faulty_config(3),
-            2,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        )
-        .expect("first run journals");
+        checkpointed(&containers, &faulty_config(3), 2, &opts, 0).expect("first run journals");
 
         let resume = CheckpointOptions::new(&path).with_resume(true);
-        let result = run_container_suite_checkpointed(
+        let result = checkpointed(
             &containers,
             &faulty_config(4), // different fault seed
             2,
-            &fd_trace::TraceConfig::off(),
-            Some(&resume),
+            &resume,
             0,
         );
         match result {
@@ -234,14 +214,7 @@ mod refusals {
         }
 
         // A different flake budget is part of the fingerprint too.
-        let result = run_container_suite_checkpointed(
-            &containers,
-            &faulty_config(3),
-            2,
-            &fd_trace::TraceConfig::off(),
-            Some(&resume),
-            5,
-        );
+        let result = checkpointed(&containers, &faulty_config(3), 2, &resume, 5);
         assert!(matches!(result, Err(JournalError::FingerprintMismatch { .. })));
         std::fs::remove_file(&path).ok();
     }
@@ -253,25 +226,10 @@ mod refusals {
         let config = faulty_config(1);
         let path = scratch("exists");
         let opts = CheckpointOptions::new(&path);
-        run_container_suite_checkpointed(
-            &containers,
-            &config,
-            1,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        )
-        .expect("first run journals");
+        checkpointed(&containers, &config, 1, &opts, 0).expect("first run journals");
         let before = std::fs::read(&path).expect("journal readable");
 
-        let result = run_container_suite_checkpointed(
-            &containers,
-            &config,
-            1,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        );
+        let result = checkpointed(&containers, &config, 1, &opts, 0);
         assert!(matches!(result, Err(JournalError::AlreadyExists { .. })));
         let after = std::fs::read(&path).expect("journal still readable");
         assert_eq!(before, after, "refused overwrite left the journal untouched");
@@ -284,14 +242,7 @@ mod refusals {
     fn unwritable_path_is_a_typed_io_error() {
         let containers = mixed_corpus(1);
         let opts = CheckpointOptions::new("/nonexistent-dir/definitely/not/here/j.ckpt");
-        let result = run_container_suite_checkpointed(
-            &containers,
-            &faulty_config(1),
-            1,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        );
+        let result = checkpointed(&containers, &faulty_config(1), 1, &opts, 0);
         match result {
             Err(JournalError::Io { op, .. }) => assert_eq!(op, "create"),
             other => panic!("expected Io error, got {other:?}"),

@@ -7,8 +7,8 @@
 
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
-    merge_shards, run_corpus_suite_checkpointed, run_shard, shard_journal_path, CheckpointOptions,
-    CorpusSource, FragDroidConfig, ShardError, SuiteRun,
+    merge_shards, run_shard, shard_journal_path, CheckpointOptions, CorpusSource, FragDroidConfig,
+    ShardError, Suite, SuiteRun,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -52,10 +52,7 @@ fn outcome_bytes(run: &SuiteRun) -> Vec<String> {
 
 /// The single-process reference over the same lazy source.
 fn reference_run(source: &dyn CorpusSource, config: &FragDroidConfig) -> SuiteRun {
-    let (suite, _) =
-        run_corpus_suite_checkpointed(source, config, 2, &fd_trace::TraceConfig::off(), None, 0)
-            .expect("uncheckpointed run cannot fail on journal errors");
-    suite.run
+    Suite::new(config, 2).run(source).0
 }
 
 fn run_all_shards(
@@ -66,7 +63,7 @@ fn run_all_shards(
 ) {
     for index in 0..shards {
         let opts = CheckpointOptions::new(base);
-        run_shard(source, config, 2, &fd_trace::TraceConfig::off(), &opts, 0, shards, index, None)
+        run_shard(&Suite::new(config, 2), source, &opts, shards, index)
             .unwrap_or_else(|e| panic!("shard {index}/{shards} failed: {e}"));
     }
 }
@@ -144,18 +141,8 @@ mod kill_and_resume {
             } else {
                 CheckpointOptions::new(&base)
             };
-            run_shard(
-                &containers,
-                &config,
-                2,
-                &fd_trace::TraceConfig::off(),
-                &opts,
-                0,
-                shards,
-                index,
-                None,
-            )
-            .expect("budgeted shard still journals cleanly");
+            run_shard(&Suite::new(&config, 2), &containers, &opts, shards, index)
+                .expect("budgeted shard still journals cleanly");
         }
 
         match merge_shards(&containers, &config, 0, &base, shards, &fd_trace::TraceConfig::off()) {
@@ -168,18 +155,8 @@ mod kill_and_resume {
 
         // Resume only the killed shard, from its own journal.
         let resume = CheckpointOptions::new(&base).with_resume(true);
-        let (resumed, _) = run_shard(
-            &containers,
-            &config,
-            2,
-            &fd_trace::TraceConfig::off(),
-            &resume,
-            0,
-            shards,
-            2,
-            None,
-        )
-        .expect("killed shard resumes from its checkpoint");
+        let (resumed, _) = run_shard(&Suite::new(&config, 2), &containers, &resume, shards, 2)
+            .expect("killed shard resumes from its checkpoint");
         assert!(resumed.is_complete());
         assert!(resumed.resumed > 0, "the resume replayed the journaled app");
 

@@ -2,7 +2,7 @@
 //! to produce byte-identical reports, and an enabled tracer's spans must
 //! agree with the suite's own wall-clock metrics.
 
-use fragdroid::{run_suite_traced, FragDroid, FragDroidConfig, SuiteMetrics};
+use fragdroid::{FragDroid, FragDroidConfig, Suite, SuiteMetrics};
 
 fn corpus_slice(seed: u64, n: usize) -> Vec<fragdroid::suite::SuiteApp> {
     fd_appgen::corpus::corpus_217(seed)
@@ -55,24 +55,24 @@ mod disabled_is_byte_identical {
             prop_assert!(!track.records.is_empty(), "enabled run did record");
         }
 
-        /// The suite entry points agree the same way: `run_suite_traced`
-        /// with tracing off is byte-identical to the untraced suite, and
-        /// turning tracing on changes the trace, not the outcomes.
+        /// The suite agrees the same way: with tracing off it is
+        /// byte-identical to a direct run of each app, and turning
+        /// tracing on changes the trace, not the outcomes.
         #[test]
         fn suite_reports_unaffected_by_tracing(seed in 0u64..16) {
             let apps = corpus_slice(seed + 1, 3);
             let config = FragDroidConfig::default().with_faults(seed, 0.2);
-            let baseline = fragdroid::run_suite_with_workers(&apps, &config, 2);
-            let (off_run, off_trace) =
-                run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::off());
+            let suite = Suite::new(&config, 2);
+            let (off_run, off_trace) = suite.run(&apps);
             let (on_run, on_trace) =
-                run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+                Suite { trace: fd_trace::TraceConfig::on(), ..suite }.run(&apps);
             prop_assert!(off_trace.records.is_empty());
             prop_assert!(!on_trace.records.is_empty());
-            for ((b, off), on) in
-                baseline.outcomes.iter().zip(&off_run.outcomes).zip(&on_run.outcomes)
+            for (((app, inputs), off), on) in
+                apps.iter().zip(&off_run.outcomes).zip(&on_run.outcomes)
             {
-                let b = serde_json::to_string(b.report().unwrap()).unwrap();
+                let direct = FragDroid::new(config.clone()).run(app, inputs);
+                let b = serde_json::to_string(&direct).unwrap();
                 let off = serde_json::to_string(off.report().unwrap()).unwrap();
                 let on = serde_json::to_string(on.report().unwrap()).unwrap();
                 prop_assert_eq!(&b, &off);
@@ -92,7 +92,8 @@ mod disabled_is_byte_identical {
 fn phase_totals_agree_with_suite_metrics() {
     let apps = corpus_slice(3, 6);
     let config = FragDroidConfig::default().with_faults(9, 0.25);
-    let (run, trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+    let (run, trace) =
+        Suite { trace: fd_trace::TraceConfig::on(), ..Suite::new(&config, 2) }.run(&apps);
     let summary = fd_trace::TraceSummary::compute(&trace);
 
     let phase_total = summary.top_level_phase_total_us();
@@ -176,7 +177,7 @@ fn phase_totals_agree_with_suite_metrics() {
 #[test]
 fn suite_metrics_quantiles_roundtrip_and_default() {
     let apps = corpus_slice(5, 5);
-    let run = fragdroid::run_suite_with_workers(&apps, &FragDroidConfig::default(), 2);
+    let (run, _) = Suite::new(&FragDroidConfig::default(), 2).run(&apps);
     let metrics = &run.metrics;
     assert_eq!(metrics.app_wall_ms_max, metrics.apps.iter().map(|m| m.wall_ms).max().unwrap());
     assert!(metrics.app_wall_ms_p50 <= metrics.app_wall_ms_p95);

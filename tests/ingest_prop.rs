@@ -44,8 +44,9 @@ proptest! {
 
         let containers =
             vec![(fragdroid_repro::apk::pack(&gen.app), gen.known_inputs.clone())];
-        let first = fragdroid_repro::tool::run_container_suite_outcomes(&containers, &config);
-        let second = fragdroid_repro::tool::run_container_suite_outcomes(&containers, &config);
+        let suite = fragdroid_repro::tool::Suite::new(&config, 1);
+        let (first, _) = suite.run(&containers);
+        let (second, _) = suite.run(&containers);
         let first_report = first.outcomes[0].report().expect("well-formed input completes");
         let second_report = second.outcomes[0].report().expect("well-formed input completes");
         let first_json = serde_json::to_string(first_report).expect("report serializes");
