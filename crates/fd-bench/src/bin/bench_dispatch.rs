@@ -13,14 +13,10 @@
 //! cargo run --release -p fd-bench --bin bench_dispatch [apps]
 //! ```
 
-use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
-use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
-use fragdroid::{
-    serve_listener, AnyStream, ChaosConfig, DispatchOptions, FragDroidConfig, ListenAddr,
-    ServeListener, ServeOptions, ServeRequest, ServeResponse,
-};
+use fd_bench::{shutdown_loopback_server, spawn_loopback_server};
+use fragdroid::{ChaosConfig, DispatchOptions, FragDroidConfig, ListenAddr};
 use serde::Serialize;
 
 /// Farm sizes measured (serve endpoints per run).
@@ -75,46 +71,13 @@ fn corpus(apps: usize) -> Vec<fragdroid::suite::SuiteContainer> {
         .collect()
 }
 
-fn spawn_server(workers: usize) -> (ListenAddr, std::thread::JoinHandle<()>) {
-    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string()))
-        .expect("bind a loopback bench server");
-    let addr = listener.local_addr().clone();
-    let options = ServeOptions { workers, ..ServeOptions::default() };
-    let handle = std::thread::spawn(move || {
-        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
-            .expect("bench server runs to clean shutdown");
-    });
-    (addr, handle)
-}
-
-fn shutdown(addr: &ListenAddr, handle: std::thread::JoinHandle<()>) {
-    let mut stream = AnyStream::connect(addr).expect("connect for shutdown");
-    stream
-        .write_all(&encode_frame(&Envelope { id: u64::MAX, body: ServeRequest::Shutdown }))
-        .expect("send shutdown");
-    stream.flush().expect("flush shutdown");
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(payload) = frames.next_frame().expect("well-formed reply") {
-            let reply: Envelope<ServeResponse> = decode_payload(&payload).expect("decodable reply");
-            assert!(matches!(reply.body, ServeResponse::Bye));
-            break;
-        }
-        let n = stream.read(&mut chunk).expect("read shutdown reply");
-        assert!(n > 0, "server hung up before Bye");
-        frames.push(&chunk[..n]);
-    }
-    handle.join().expect("bench server thread exits");
-}
-
 /// Runs one farm pass and returns the wall clock plus the summary.
 fn run_pass(
     suite: &dyn fragdroid::CorpusSource,
     workers: usize,
     chaos_seed: Option<u64>,
 ) -> (Duration, fragdroid::DispatchSummary) {
-    let farm: Vec<_> = (0..workers).map(|_| spawn_server(2)).collect();
+    let farm: Vec<_> = (0..workers).map(|_| spawn_loopback_server(2)).collect();
     let mut options = DispatchOptions::new(farm.iter().map(|(addr, _)| addr.clone()).collect());
     options.shards = workers * 2;
     options.chaos = chaos_seed.map(ChaosConfig::from_seed);
@@ -130,7 +93,7 @@ fn run_pass(
     .expect("bench dispatch completes");
     let wall = started.elapsed();
     for (addr, handle) in farm {
-        shutdown(&addr, handle);
+        shutdown_loopback_server(&addr, handle);
     }
     (wall, run.summary)
 }
@@ -164,7 +127,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// endpoint is a dead port, so its shards fail fast, quarantine it, and
 /// reassign to the live endpoint.
 fn bench_reassignment(suite: &dyn fragdroid::CorpusSource) -> (u64, u64, usize) {
-    let (live, handle) = spawn_server(2);
+    let (live, handle) = spawn_loopback_server(2);
     let mut options =
         DispatchOptions::new(vec![ListenAddr::Tcp("127.0.0.1:1".to_string()), live.clone()]);
     options.shards = 4;
@@ -179,7 +142,7 @@ fn bench_reassignment(suite: &dyn fragdroid::CorpusSource) -> (u64, u64, usize) 
         &fd_trace::TraceConfig::off(),
     )
     .expect("half-dead farm still completes");
-    shutdown(&live, handle);
+    shutdown_loopback_server(&live, handle);
     let mut lats = run.summary.reassignment_latencies_ms.clone();
     lats.sort_unstable();
     (quantile(&lats, 0.50), quantile(&lats, 0.95), run.summary.reassignments)

@@ -12,14 +12,11 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
-use fd_droidsim::proto::{decode_payload, encode_frame, to_hex, Envelope, FrameBuffer};
-use fragdroid::{
-    serve_listener, AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeListener, ServeOptions,
-    ServeRequest, ServeResponse, SubmitClient,
-};
+use fd_bench::{shutdown_loopback_server, spawn_loopback_server};
+use fd_droidsim::proto::to_hex;
+use fragdroid::{ChaosConfig, JobOutcome, SubmitClient};
 use serde::Serialize;
 
 /// Concurrent submit clients (and server workers).
@@ -58,44 +55,11 @@ fn quickstart() -> (String, BTreeMap<String, String>) {
     (to_hex(&fd_apk::pack(&gen.app)), gen.known_inputs)
 }
 
-fn spawn_server() -> (ListenAddr, std::thread::JoinHandle<()>) {
-    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string()))
-        .expect("bind a loopback bench server");
-    let addr = listener.local_addr().clone();
-    let options = ServeOptions { workers: CLIENTS, ..ServeOptions::default() };
-    let handle = std::thread::spawn(move || {
-        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
-            .expect("bench server runs to clean shutdown");
-    });
-    (addr, handle)
-}
-
-fn shutdown(addr: &ListenAddr, handle: std::thread::JoinHandle<()>) {
-    let mut stream = AnyStream::connect(addr).expect("connect for shutdown");
-    stream
-        .write_all(&encode_frame(&Envelope { id: u64::MAX, body: ServeRequest::Shutdown }))
-        .expect("send shutdown");
-    stream.flush().expect("flush shutdown");
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(payload) = frames.next_frame().expect("well-formed reply") {
-            let reply: Envelope<ServeResponse> = decode_payload(&payload).expect("decodable reply");
-            assert!(matches!(reply.body, ServeResponse::Bye));
-            break;
-        }
-        let n = stream.read(&mut chunk).expect("read shutdown reply");
-        assert!(n > 0, "server hung up before Bye");
-        frames.push(&chunk[..n]);
-    }
-    handle.join().expect("bench server thread exits");
-}
-
 /// Runs one pass: `CLIENTS` threads submit `jobs_per_client` jobs each
 /// against a fresh server, returning (wall, per-job latencies).
 fn run_pass(jobs_per_client: usize, chaos_seed: Option<u64>) -> (Duration, Vec<Duration>) {
     let (hex, inputs) = quickstart();
-    let (addr, handle) = spawn_server();
+    let (addr, handle) = spawn_loopback_server(CLIENTS);
     let started = Instant::now();
     let latencies: Vec<Duration> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -130,7 +94,7 @@ fn run_pass(jobs_per_client: usize, chaos_seed: Option<u64>) -> (Duration, Vec<D
         handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
     });
     let wall = started.elapsed();
-    shutdown(&addr, handle);
+    shutdown_loopback_server(&addr, handle);
     (wall, latencies)
 }
 

@@ -17,9 +17,12 @@
 //!   abandon their work; if a stale holder finishes anyway, first-wins
 //!   completion makes the duplicate harmless.
 //! * **Quarantine with revival.** An endpoint that fails
-//!   `quarantine_after` shard attempts in a row is benched for
-//!   `quarantine_backoff` and must pass a clean-transport `Status`
-//!   probe before it is leased work again.
+//!   `quarantine_after` shard attempts in a row is benched, then must
+//!   pass a clean-transport `Status` probe before it is leased work
+//!   again. The first bench lasts `quarantine_backoff`; every failed
+//!   revival probe doubles the next one (jittered, capped at 16×), and a
+//!   clean probe resets the doubling — the shared retry and health
+//!   policy of DESIGN.md §12.
 //! * **Stragglers.** Once the queue drains, the last in-flight shards
 //!   are re-dispatched to idle endpoints; whoever finishes first
 //!   commits, the other attempt is counted as wasted.
@@ -48,7 +51,6 @@
 //! is only caught by the report digest at merge time.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,19 +64,23 @@ use crate::config::FragDroidConfig;
 use crate::durable_log::{
     self, decode_line, encode_line, replay, DurableLog, LineError, LogRecord, Replay,
 };
+use crate::health::{Backoff, Streak};
 use crate::report::RunReport;
 use crate::serve::{
-    AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
+    request_once, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
 };
 use crate::shard::{merge_shards, shard_journal_path, MergedRun, ShardError, ShardSlice};
 use crate::suite::{slot_metrics, AppMetrics, AppOutcome, CorpusSource};
-use fd_droidsim::proto::{decode_payload, encode_frame, to_hex, Envelope, FrameBuffer};
+use fd_droidsim::proto::to_hex;
 
 /// Format version of the coordinator journal.
 pub const DISPATCH_JOURNAL_VERSION: u64 = 1;
 
 /// Clean-transport budget for one heartbeat/revival probe.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The longest bench, as a multiple of `quarantine_backoff`.
+const BENCH_CAP: u32 = 16;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -97,7 +103,9 @@ pub struct DispatchOptions {
     pub heartbeat_interval: Duration,
     /// Consecutive shard failures before an endpoint is quarantined.
     pub quarantine_after: u32,
-    /// How long a quarantined endpoint sits out before a revival probe.
+    /// How long a quarantined endpoint first sits out before a revival
+    /// probe; each failed probe doubles the next bench (jittered, capped
+    /// at 16×).
     pub quarantine_backoff: Duration,
     /// Per-job submit deadline (passed to [`SubmitClient`]).
     pub job_deadline: Duration,
@@ -109,7 +117,8 @@ pub struct DispatchOptions {
     /// Wrap every job's connection in the seeded chaos proxy; each job
     /// and generation derives its own schedule.
     pub chaos: Option<ChaosConfig>,
-    /// Seed for the clients' retry-backoff jitter.
+    /// Seed for the clients' retry-backoff jitter and, mixed with the
+    /// endpoint index, for the quarantine benches' jitter.
     pub jitter_seed: u64,
 }
 
@@ -448,14 +457,31 @@ struct Lease {
     granted_at: Instant,
 }
 
+impl Lease {
+    fn is(&self, shard: usize, worker: usize, generation: u64) -> bool {
+        self.shard == shard && self.worker == worker && self.generation == generation
+    }
+}
+
+/// Where an endpoint stands with the farm. `round` counts the failed
+/// revival probes since the quarantine began; each one doubles the next
+/// bench.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Standing {
+    /// Takes leases.
+    Active,
+    /// Quarantined: sits out until `until`, then probes.
+    Benched { until: Instant, round: u32 },
+    /// The bench is over: a clean `Status` probe must pass before any
+    /// lease.
+    Probation { round: u32 },
+}
+
 /// One endpoint's health and accounting.
-#[derive(Clone)]
 struct WorkerSlot {
-    consecutive_failures: u32,
-    quarantined_until: Option<Instant>,
-    /// Set when leaving quarantine: a clean `Status` probe must pass
-    /// before this endpoint is leased work again.
-    needs_probe: bool,
+    streak: Streak,
+    standing: Standing,
+    bench: Backoff,
     assignments: usize,
     completed: usize,
     failures: usize,
@@ -463,15 +489,65 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn new() -> WorkerSlot {
+    fn new(options: &DispatchOptions, worker: usize) -> WorkerSlot {
+        let base = options.quarantine_backoff;
         WorkerSlot {
-            consecutive_failures: 0,
-            quarantined_until: None,
-            needs_probe: false,
+            streak: Streak::new(options.quarantine_after),
+            standing: Standing::Active,
+            bench: Backoff::new(base, base.saturating_mul(BENCH_CAP))
+                .jittered(options.jitter_seed ^ worker as u64),
             assignments: 0,
             completed: 0,
             failures: 0,
             quarantines: 0,
+        }
+    }
+
+    /// Counts one failed shard attempt; `true` means it tripped the
+    /// streak and benched the endpoint (callers journal + trace that).
+    fn fail(&mut self, now: Instant) -> bool {
+        self.failures += 1;
+        let tripped = self.streak.fail();
+        if tripped {
+            self.quarantines += 1;
+            self.bench(now, 0);
+        }
+        tripped
+    }
+
+    fn bench(&mut self, now: Instant, round: u32) {
+        self.standing = Standing::Benched { until: now + self.bench.nap(round), round };
+    }
+
+    /// What a benched or probationary endpoint does at `now`; `None`
+    /// when it is active and may take a lease.
+    fn sit_out(&mut self, now: Instant, heartbeat: Duration) -> Option<Action> {
+        match self.standing {
+            Standing::Active => None,
+            Standing::Benched { until, .. } if now < until => {
+                Some(Action::Wait(until.duration_since(now).min(heartbeat)))
+            }
+            // The bench is over: the endpoint earns its way back with a
+            // clean probe before any lease.
+            Standing::Benched { round, .. } => {
+                self.standing = Standing::Probation { round };
+                Some(Action::Probe)
+            }
+            Standing::Probation { .. } => Some(Action::Probe),
+        }
+    }
+
+    /// Settles a revival probe: a clean one reinstates the endpoint with
+    /// a fresh streak; a failed one benches it again for twice as long.
+    /// The original quarantine was already journaled; re-benching is
+    /// not a new event.
+    fn revived(&mut self, healthy: bool, now: Instant) {
+        let Standing::Probation { round } = self.standing else { return };
+        if healthy {
+            self.standing = Standing::Active;
+            self.streak.clear();
+        } else {
+            self.bench(now, round + 1);
         }
     }
 }
@@ -545,44 +621,58 @@ enum Action {
     Run { shard: usize, generation: u64, reassigned: bool },
 }
 
-/// Removes `worker`'s lease on `(shard, generation)` if it still holds
-/// it; `false` means the coordinator already revoked it.
-fn remove_lease(g: &mut Farm, shard: usize, worker: usize, generation: u64) -> bool {
-    let before = g.leases.len();
-    g.leases.retain(|l| !(l.shard == shard && l.worker == worker && l.generation == generation));
-    g.leases.len() != before
+/// Revocations decided under the farm lock; [`Revocations::publish`]
+/// journals and traces them once the lock is released.
+struct Revocations {
+    leases: Vec<Lease>,
+    quarantined: Vec<usize>,
 }
 
-/// Puts a shard back at the front of the queue unless it is done, still
-/// leased elsewhere, or already queued. `revoked` stamps the clock the
-/// reassignment latency is measured from.
-fn requeue(g: &mut Farm, shard: usize, revoked: Option<Instant>) {
-    if g.done.contains(&shard)
-        || g.leases.iter().any(|l| l.shard == shard)
-        || g.pending.contains(&shard)
-    {
-        return;
+/// Revokes every lease matching `pred`. Its shard goes back to the
+/// front of the queue unless it is done, still leased elsewhere, or
+/// already queued, and `now` starts its reassignment-latency clock. Its
+/// holder is charged one failed attempt, which may bench the holder.
+fn revoke_leases(g: &mut Farm, now: Instant, pred: impl Fn(&Lease) -> bool) -> Revocations {
+    let (leases, kept): (Vec<Lease>, Vec<Lease>) =
+        std::mem::take(&mut g.leases).into_iter().partition(|l| pred(l));
+    g.leases = kept;
+    let mut quarantined = Vec::new();
+    for lease in &leases {
+        let shard = lease.shard;
+        if !(g.done.contains(&shard)
+            || g.leases.iter().any(|l| l.shard == shard)
+            || g.pending.contains(&shard))
+        {
+            g.revoked_at[shard] = Some(now);
+            g.pending.push_front(shard);
+        }
+        if g.workers[lease.worker].fail(now) {
+            quarantined.push(lease.worker);
+        }
     }
-    if let Some(at) = revoked {
-        g.revoked_at[shard] = Some(at);
-    }
-    g.pending.push_front(shard);
+    Revocations { leases, quarantined }
 }
 
-/// Counts one failed shard attempt against `worker`; `true` means the
-/// failure tipped it into quarantine (callers journal + trace that).
-fn bump_failure(g: &mut Farm, worker: usize, options: &DispatchOptions, now: Instant) -> bool {
-    let slot = &mut g.workers[worker];
-    slot.failures += 1;
-    slot.consecutive_failures += 1;
-    if slot.consecutive_failures >= options.quarantine_after {
-        slot.consecutive_failures = 0;
-        slot.quarantines += 1;
-        slot.quarantined_until = Some(now + options.quarantine_backoff);
-        slot.needs_probe = true;
-        true
-    } else {
-        false
+impl Revocations {
+    /// Wakes idle workers, then journals and traces every `Revoked`
+    /// record followed by every `Quarantined` one.
+    fn publish(self, ctx: &DispatchCtx<'_>, tracer: &fd_trace::Tracer) {
+        if self.leases.is_empty() {
+            return;
+        }
+        ctx.cv.notify_all();
+        for Lease { shard, worker, generation, .. } in self.leases {
+            ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
+            tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
+                shard: shard as u64,
+                worker: worker as u64,
+                generation,
+            });
+        }
+        for worker in self.quarantined {
+            ctx.append(&DispatchRecord::Quarantined { worker });
+            tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined { worker: worker as u64 });
+        }
     }
 }
 
@@ -590,17 +680,8 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
     if g.shutdown || g.fatal.is_some() || g.done.len() == ctx.shards {
         return Action::Exit;
     }
-    if let Some(until) = g.workers[worker].quarantined_until {
-        if now < until {
-            return Action::Wait(until.duration_since(now).min(ctx.options.heartbeat_interval));
-        }
-        // Quarantine elapsed: the endpoint earns its way back with a
-        // clean probe before any lease.
-        g.workers[worker].quarantined_until = None;
-        g.workers[worker].needs_probe = true;
-    }
-    if g.workers[worker].needs_probe {
-        return Action::Probe;
+    if let Some(action) = g.workers[worker].sit_out(now, ctx.options.heartbeat_interval) {
+        return action;
     }
     let mut i = 0;
     while i < g.pending.len() {
@@ -635,38 +716,15 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
 // ---------------------------------------------------------------------------
 // Health probes
 
-/// Clean-transport liveness probe: connect, send `Status`, expect any
-/// coherent reply from a server that will still take work. `Busy` means
-/// alive-but-saturated (fine); `Draining` means it is dying (not fine).
-fn probe_endpoint(addr: &ListenAddr, timeout: Duration) -> Result<(), String> {
-    let mut stream = AnyStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| format!("set read timeout: {e}"))?;
-    stream.set_write_timeout(Some(timeout)).map_err(|e| format!("set write timeout: {e}"))?;
-    stream
-        .write_all(&encode_frame(&Envelope { id: 1, body: ServeRequest::Status }))
-        .map_err(|e| format!("send status: {e}"))?;
-    stream.flush().map_err(|e| format!("flush status: {e}"))?;
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    let started = Instant::now();
-    loop {
-        if let Some(payload) = frames.next_frame().map_err(|e| format!("bad frame: {e}"))? {
-            let reply: Envelope<ServeResponse> =
-                decode_payload(&payload).map_err(|e| format!("bad reply: {e}"))?;
-            return match reply.body {
-                ServeResponse::Status { .. } | ServeResponse::Busy { .. } => Ok(()),
-                other => Err(format!("unhealthy reply: {other:?}")),
-            };
-        }
-        if started.elapsed() >= timeout {
-            return Err("probe timed out".to_string());
-        }
-        let n = stream.read(&mut chunk).map_err(|e| format!("read status reply: {e}"))?;
-        if n == 0 {
-            return Err("server hung up during probe".to_string());
-        }
-        frames.push(&chunk[..n]);
-    }
+/// Clean-transport liveness probe: a `Status` round trip to a server
+/// that will still take work. `Busy` means alive-but-saturated
+/// (healthy); `Draining` means it is dying, and a hang-up, a timeout or
+/// any other reply is unhealthy too.
+fn healthy(addr: &ListenAddr, timeout: Duration) -> bool {
+    matches!(
+        request_once(addr, ServeRequest::Status, timeout),
+        Ok(ServeResponse::Status { .. } | ServeResponse::Busy { .. })
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -690,11 +748,7 @@ fn run_shard_over_wire(
             if g.shutdown || g.fatal.is_some() {
                 return Err("coordinator shut down mid-shard".to_string());
             }
-            if !g
-                .leases
-                .iter()
-                .any(|l| l.shard == shard && l.worker == worker && l.generation == generation)
-            {
+            if !g.leases.iter().any(|l| l.is(shard, worker, generation)) {
                 return Err("lease revoked mid-shard".to_string());
             }
         }
@@ -778,21 +832,8 @@ fn worker_loop(
                 drop(ctx.cv.wait_timeout(g, duration));
             }
             Action::Probe => {
-                let healthy = probe_endpoint(&ctx.options.endpoints[worker], PROBE_TIMEOUT);
-                let mut g = lock(ctx.farm);
-                match healthy {
-                    Ok(()) => {
-                        g.workers[worker].needs_probe = false;
-                        g.workers[worker].consecutive_failures = 0;
-                    }
-                    // Still dead: back to the bench, probe again after
-                    // the backoff. The original quarantine was already
-                    // journaled; re-probing is not a new event.
-                    Err(_) => {
-                        g.workers[worker].quarantined_until =
-                            Some(Instant::now() + ctx.options.quarantine_backoff);
-                    }
-                }
+                let clean = healthy(&ctx.options.endpoints[worker], PROBE_TIMEOUT);
+                lock(ctx.farm).workers[worker].revived(clean, Instant::now());
             }
             Action::Run { shard, generation, reassigned } => {
                 ctx.append(&DispatchRecord::Granted { shard, worker, generation });
@@ -823,11 +864,11 @@ fn worker_loop(
                         }
                         let won = {
                             let mut g = lock(ctx.farm);
-                            remove_lease(&mut g, shard, worker, generation);
+                            g.leases.retain(|l| !l.is(shard, worker, generation));
                             let won = g.done.insert(shard);
                             if won {
                                 g.workers[worker].completed += 1;
-                                g.workers[worker].consecutive_failures = 0;
+                                g.workers[worker].streak.clear();
                                 g.last_progress = Instant::now();
                             } else {
                                 // A straggler race we lost; the shard
@@ -847,36 +888,14 @@ fn worker_loop(
                             });
                         }
                     }
+                    // If the coordinator revoked the lease first it also
+                    // journaled the revocation; only a failure we
+                    // discovered ourselves is ours to record.
                     Err(_reason) => {
-                        let (had_lease, quarantined) = {
-                            let mut g = lock(ctx.farm);
-                            let had = remove_lease(&mut g, shard, worker, generation);
-                            let mut quarantined = false;
-                            if had {
-                                let now = Instant::now();
-                                requeue(&mut g, shard, Some(now));
-                                quarantined = bump_failure(&mut g, worker, ctx.options, now);
-                                ctx.cv.notify_all();
-                            }
-                            (had, quarantined)
-                        };
-                        // If the coordinator revoked the lease first it
-                        // also journaled the revocation; only a failure
-                        // we discovered ourselves is ours to record.
-                        if had_lease {
-                            ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-                            tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                                shard: shard as u64,
-                                worker: worker as u64,
-                                generation,
-                            });
-                            if quarantined {
-                                ctx.append(&DispatchRecord::Quarantined { worker });
-                                tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined {
-                                    worker: worker as u64,
-                                });
-                            }
-                        }
+                        let revoked = revoke_leases(&mut lock(ctx.farm), Instant::now(), |l| {
+                            l.is(shard, worker, generation)
+                        });
+                        revoked.publish(ctx, &tracer);
                     }
                 }
             }
@@ -898,133 +917,69 @@ fn coordinator_loop(
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, 0);
     loop {
-        let mut revoked: Vec<(usize, usize, u64)> = Vec::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut probes: Vec<usize> = Vec::new();
-        let exit = {
+        let (expired, probes, stalled) = {
             let mut g = lock(ctx.farm);
             if g.done.len() == ctx.shards || g.fatal.is_some() || g.shutdown {
                 g.shutdown = true;
                 ctx.cv.notify_all();
-                true
-            } else {
-                let now = Instant::now();
-                // Expired leases: the holder is presumed dead or wedged.
-                let mut idx = 0;
-                while idx < g.leases.len() {
-                    if now.duration_since(g.leases[idx].granted_at) >= ctx.options.lease_timeout {
-                        let lease = g.leases.remove(idx);
-                        requeue(&mut g, lease.shard, Some(now));
-                        if bump_failure(&mut g, lease.worker, ctx.options, now) {
-                            quarantined.push(lease.worker);
-                        }
-                        revoked.push((lease.shard, lease.worker, lease.generation));
-                        ctx.cv.notify_all();
-                    } else {
-                        idx += 1;
-                    }
-                }
-                // Stragglers: the queue is dry, so idle endpoints may
-                // as well race the slowest in-flight shards.
-                if g.pending.is_empty() {
-                    let candidates: Vec<usize> = g
-                        .leases
-                        .iter()
-                        .filter(|l| {
-                            now.duration_since(l.granted_at) >= ctx.options.lease_timeout / 2
-                        })
-                        .map(|l| l.shard)
-                        .collect();
-                    for shard in candidates {
-                        if g.done.contains(&shard)
-                            || g.pending.contains(&shard)
-                            || g.leases.iter().filter(|l| l.shard == shard).count() != 1
-                        {
-                            continue;
-                        }
-                        g.pending.push_back(shard);
-                        g.stragglers += 1;
-                        ctx.cv.notify_all();
-                    }
-                }
-                // Total stall: nothing has moved for stall_timeout.
-                if now.duration_since(g.last_progress) >= ctx.options.stall_timeout {
-                    let leased = g.leases.len();
-                    let queued = g.pending.len();
-                    g.fatal = Some(DispatchError::Stalled {
-                        completed: g.done.len(),
-                        shards: ctx.shards,
-                        detail: format!(
-                            "no progress for {:?} ({leased} leases in flight, {queued} shards \
-                             queued, every endpoint dead or quarantined)",
-                            ctx.options.stall_timeout
-                        ),
-                    });
-                    g.shutdown = true;
-                    ctx.cv.notify_all();
-                }
-                probes = g
+                break;
+            }
+            let now = Instant::now();
+            // Expired leases: the holder is presumed dead or wedged.
+            let expired = revoke_leases(&mut g, now, |l| {
+                now.duration_since(l.granted_at) >= ctx.options.lease_timeout
+            });
+            // Stragglers: the queue is dry, so idle endpoints may
+            // as well race the slowest in-flight shards.
+            if g.pending.is_empty() {
+                let candidates: Vec<usize> = g
                     .leases
                     .iter()
-                    .map(|l| l.worker)
-                    .collect::<BTreeSet<usize>>()
-                    .into_iter()
+                    .filter(|l| now.duration_since(l.granted_at) >= ctx.options.lease_timeout / 2)
+                    .map(|l| l.shard)
                     .collect();
-                g.shutdown
+                for shard in candidates {
+                    if g.done.contains(&shard)
+                        || g.pending.contains(&shard)
+                        || g.leases.iter().filter(|l| l.shard == shard).count() != 1
+                    {
+                        continue;
+                    }
+                    g.pending.push_back(shard);
+                    g.stragglers += 1;
+                    ctx.cv.notify_all();
+                }
             }
+            // Total stall: nothing has moved for stall_timeout.
+            if now.duration_since(g.last_progress) >= ctx.options.stall_timeout {
+                let leased = g.leases.len();
+                let queued = g.pending.len();
+                g.fatal = Some(DispatchError::Stalled {
+                    completed: g.done.len(),
+                    shards: ctx.shards,
+                    detail: format!(
+                        "no progress for {:?} ({leased} leases in flight, {queued} shards \
+                         queued, every endpoint dead or quarantined)",
+                        ctx.options.stall_timeout
+                    ),
+                });
+                g.shutdown = true;
+                ctx.cv.notify_all();
+            }
+            let probes: BTreeSet<usize> = g.leases.iter().map(|l| l.worker).collect();
+            (expired, probes, g.shutdown)
         };
-        for &(shard, worker, generation) in &revoked {
-            ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-            tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                shard: shard as u64,
-                worker: worker as u64,
-                generation,
-            });
-        }
-        for &worker in &quarantined {
-            ctx.append(&DispatchRecord::Quarantined { worker });
-            tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined { worker: worker as u64 });
-        }
-        if exit {
-            break;
+        expired.publish(ctx, &tracer);
+        if stalled {
+            continue;
         }
         // Heartbeats, off the lock: a failed probe revokes everything
         // the endpoint holds rather than waiting out the lease.
         for worker in probes {
-            if probe_endpoint(&ctx.options.endpoints[worker], PROBE_TIMEOUT).is_ok() {
-                continue;
-            }
-            let mut dead: Vec<(usize, u64)> = Vec::new();
-            let mut benched = false;
-            {
-                let mut g = lock(ctx.farm);
-                let now = Instant::now();
-                let mut idx = 0;
-                while idx < g.leases.len() {
-                    if g.leases[idx].worker == worker {
-                        let lease = g.leases.remove(idx);
-                        requeue(&mut g, lease.shard, Some(now));
-                        dead.push((lease.shard, lease.generation));
-                    } else {
-                        idx += 1;
-                    }
-                }
-                if !dead.is_empty() {
-                    benched = bump_failure(&mut g, worker, ctx.options, now);
-                    ctx.cv.notify_all();
-                }
-            }
-            for &(shard, generation) in &dead {
-                ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-                tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                    shard: shard as u64,
-                    worker: worker as u64,
-                    generation,
-                });
-            }
-            if benched {
-                ctx.append(&DispatchRecord::Quarantined { worker });
-                tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined { worker: worker as u64 });
+            if !healthy(&ctx.options.endpoints[worker], PROBE_TIMEOUT) {
+                let dead =
+                    revoke_leases(&mut lock(ctx.farm), Instant::now(), |l| l.worker == worker);
+                dead.publish(ctx, &tracer);
             }
         }
         let g = lock(ctx.farm);
@@ -1138,7 +1093,7 @@ pub fn dispatch(
         leases: Vec::new(),
         done,
         revoked_at: vec![None; shards],
-        workers: vec![WorkerSlot::new(); options.endpoints.len()],
+        workers: (0..options.endpoints.len()).map(|w| WorkerSlot::new(options, w)).collect(),
         next_generation: 0,
         shutdown: false,
         fatal: None,
@@ -1227,6 +1182,8 @@ mod tests {
     use super::*;
     use crate::serve::{serve_listener, ServeListener, ServeOptions};
     use crate::suite::{run_corpus_suite_traced, SuiteContainer};
+    use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
+    use std::io::{Read, Write};
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1259,25 +1216,113 @@ mod tests {
     }
 
     fn shutdown(addr: &ListenAddr, handle: std::thread::JoinHandle<()>) {
-        let mut stream = AnyStream::connect(addr).expect("connect for shutdown");
-        stream
-            .write_all(&encode_frame(&Envelope { id: u64::MAX, body: ServeRequest::Shutdown }))
-            .expect("send shutdown");
-        stream.flush().expect("flush shutdown");
-        let mut frames = FrameBuffer::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(payload) = frames.next_frame().expect("well-formed reply") {
-                let reply: Envelope<ServeResponse> =
-                    decode_payload(&payload).expect("decodable reply");
-                assert!(matches!(reply.body, ServeResponse::Bye));
-                break;
-            }
-            let n = stream.read(&mut chunk).expect("read shutdown reply");
-            assert!(n > 0, "server hung up before Bye");
-            frames.push(&chunk[..n]);
-        }
+        let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
+        assert_eq!(reply, Ok(ServeResponse::Bye));
         handle.join().expect("test server thread exits");
+    }
+
+    /// How a one-connection fake endpoint treats the probe it receives.
+    enum Fake {
+        Reply(ServeResponse),
+        HangUp,
+        Silent,
+    }
+
+    /// Probes a fake endpoint that reads one `Status` request and then
+    /// behaves as `fake` says.
+    fn probe_against(fake: Fake) -> bool {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a fake endpoint");
+        let addr = ListenAddr::Tcp(listener.local_addr().expect("bound").to_string());
+        let endpoint = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("the probe connects");
+            let mut frames = FrameBuffer::new();
+            let mut chunk = [0u8; 4096];
+            let request = loop {
+                if let Some(payload) = frames.next_frame().expect("well-formed probe") {
+                    break decode_payload::<ServeRequest>(&payload).expect("decodable probe");
+                }
+                let n = stream.read(&mut chunk).expect("read the probe");
+                frames.push(&chunk[..n]);
+            };
+            assert!(matches!(request.body, ServeRequest::Status));
+            match fake {
+                Fake::Reply(body) => {
+                    stream.write_all(&encode_frame(&Envelope { id: request.id, body })).unwrap()
+                }
+                Fake::HangUp => {}
+                // Holds the connection until the prober gives up.
+                Fake::Silent => drop(stream.read(&mut chunk)),
+            }
+        });
+        let verdict = healthy(&addr, Duration::from_millis(200));
+        endpoint.join().expect("fake endpoint exits");
+        verdict
+    }
+
+    #[test]
+    fn probe_counts_status_and_busy_as_healthy_and_nothing_else() {
+        let status =
+            ServeResponse::Status { queued: 0, running: 1, completed: 2, rejected: 0, workers: 1 };
+        assert!(probe_against(Fake::Reply(status)));
+        assert!(probe_against(Fake::Reply(ServeResponse::Busy { job: 0, retry_after_ms: 5 })));
+        let draining = ServeResponse::Draining { job: 0, retry_after_ms: 5 };
+        assert!(!probe_against(Fake::Reply(draining)), "a draining server is dying");
+        assert!(!probe_against(Fake::HangUp), "a hang-up is unhealthy");
+        assert!(!probe_against(Fake::Silent), "a timeout is unhealthy");
+    }
+
+    /// The bench span of a benched slot, measured from `now`.
+    fn bench_span(slot: &WorkerSlot, now: Instant) -> Duration {
+        match slot.standing {
+            Standing::Benched { until, .. } => until - now,
+            other => panic!("expected a benched endpoint, found {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_revivals_double_the_jittered_bench_and_a_clean_probe_resets_it() {
+        let base = Duration::from_millis(100);
+        let mut options = DispatchOptions::new(Vec::new());
+        options.quarantine_after = 2;
+        options.quarantine_backoff = base;
+        let heartbeat = Duration::from_secs(3600);
+        let mut slot = WorkerSlot::new(&options, 3);
+        let mut now = Instant::now();
+        assert!(!slot.fail(now), "one failure is below the threshold");
+        assert!(slot.fail(now), "the second straight failure benches the endpoint");
+
+        let mut spans = Vec::new();
+        for _ in 0..8 {
+            let span = bench_span(&slot, now);
+            spans.push(span);
+            assert!(matches!(slot.sit_out(now, heartbeat), Some(Action::Wait(w)) if w == span));
+            now += span;
+            assert!(matches!(slot.sit_out(now, heartbeat), Some(Action::Probe)));
+            assert!(matches!(slot.sit_out(now, heartbeat), Some(Action::Probe)), "no lease yet");
+            slot.revived(false, now);
+        }
+        let full: Vec<Duration> =
+            (0..8).map(|round| (base * (1 << round)).min(base * BENCH_CAP)).collect();
+        for (round, (span, full)) in spans.iter().zip(&full).enumerate() {
+            assert!(*span >= *full / 2 && span <= full, "round {round}: {span:?} vs {full:?}");
+        }
+        assert!(spans.windows(3).take(3).all(|w| w[2] > w[0]), "doubling: {spans:?}");
+        assert_ne!(spans, full, "the benches are jittered");
+        let mut twin = WorkerSlot::new(&options, 3);
+        let replay: Vec<Duration> = (0..8).map(|round| twin.bench.nap(round)).collect();
+        assert_eq!(replay, spans, "the jitter is seeded by jitter_seed and the endpoint");
+
+        // A clean probe reinstates the endpoint with a fresh streak and
+        // resets the doubling.
+        now += bench_span(&slot, now);
+        assert!(matches!(slot.sit_out(now, heartbeat), Some(Action::Probe)));
+        slot.revived(true, now);
+        assert_eq!(slot.standing, Standing::Active);
+        assert!(slot.sit_out(now, heartbeat).is_none());
+        assert!(!slot.fail(now), "the clean probe cleared the streak");
+        assert!(slot.fail(now));
+        assert!(bench_span(&slot, now) <= base, "the next bench starts from the base again");
+        assert_eq!((slot.failures, slot.quarantines), (4, 2));
     }
 
     #[test]

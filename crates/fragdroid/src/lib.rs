@@ -35,6 +35,7 @@ pub mod config;
 pub mod dispatch;
 pub mod driver;
 mod durable_log;
+mod health;
 #[cfg(test)]
 mod journal_fixtures;
 pub mod pool;
@@ -59,9 +60,9 @@ pub use pool::{build_backend, DeviceFactory, DevicePool};
 pub use queue::{QueueItem, UiQueue};
 pub use report::{Coverage, CrashReport, CrashSignature, DeviceErrorStats, RunReport};
 pub use serve::{
-    serve, serve_listen, serve_listener, AnyStream, ChaosConfig, ChaosStream, ClientError,
-    JobOutcome, ListenAddr, ServeError, ServeIncidents, ServeListener, ServeOptions, ServeRequest,
-    ServeResponse, ServeSummary, SubmitClient,
+    request_once, serve, serve_listen, serve_listener, AnyStream, ChaosConfig, ChaosStream,
+    ClientError, JobOutcome, ListenAddr, ServeError, ServeIncidents, ServeListener, ServeOptions,
+    ServeRequest, ServeResponse, ServeSummary, SubmitClient,
 };
 pub use shard::{
     merge_shards, run_shard, shard_journal_path, shard_range, MergedRun, ShardError, ShardSlice,

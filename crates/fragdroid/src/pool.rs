@@ -9,19 +9,20 @@
 //!   ([`DeviceApi::ping`]) passes, and builds a fresh one (bumping the
 //!   lane's generation counter) when it does not;
 //! * a run that ends in [`RunReport::infra_failure`] counts as a
-//!   *device incident* — the app is re-run on a fresh lease, up to
-//!   [`DevicePool::with_max_attempts`] attempts;
-//! * [`DevicePool::with_quarantine_threshold`] consecutive incidents on
-//!   one lane retire the lane's device entirely (it is dropped, which
-//!   kills a subprocess agent), so a sick device cannot eat the whole
-//!   suite.
+//!   *device incident* — the app is re-run on a fresh lease, up to 3
+//!   attempts in all;
+//! * 3 consecutive incidents on one lane trip its failure streak and
+//!   retire the lane's device (it is dropped, which kills a subprocess
+//!   agent), so a sick device cannot eat the whole suite.
 //!
+//! The streak is the shared retry and health policy (DESIGN.md §12).
 //! Incidents are never misattributed to the app under test: an
 //! infra-failed attempt keeps `crashes == 0` and is reported through
 //! [`RunReport::infra_failure`] and the suite-level
 //! `SuiteMetrics::device_incidents` counter instead.
 
 use crate::config::FragDroidConfig;
+use crate::health::Streak;
 use crate::report::RunReport;
 use fd_droidsim::{DeviceApi, DeviceBackend, InProcessDevice, MockAdbDevice, SubprocessDevice};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,20 +48,20 @@ pub fn build_backend(backend: DeviceBackend) -> Box<dyn DeviceApi> {
 pub type DeviceFactory = Box<dyn Fn(usize, u64) -> Box<dyn DeviceApi> + Send + Sync>;
 
 /// Consecutive infra failures on one lane before its device is retired.
-pub const DEFAULT_QUARANTINE_THRESHOLD: usize = 3;
+const QUARANTINE_THRESHOLD: u32 = 3;
 
 /// Total attempts one app gets across leases before its infra failure
 /// becomes the final outcome.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 3;
+const MAX_ATTEMPTS: usize = 3;
 
 /// One worker's device slot: the (possibly absent) live device, the
-/// lane's device generation, and its consecutive-incident count.
+/// lane's device generation, and its consecutive-incident streak.
 struct DeviceLane {
     device: Option<Box<dyn DeviceApi>>,
     /// Devices ever built for this lane; the live device's generation is
     /// `generation - 1`.
     generation: u64,
-    consecutive_infra: usize,
+    incidents: Streak,
 }
 
 /// A fixed set of device lanes with lease/retry/quarantine scheduling.
@@ -69,8 +70,6 @@ struct DeviceLane {
 pub struct DevicePool {
     lanes: Vec<Mutex<DeviceLane>>,
     factory: DeviceFactory,
-    quarantine_threshold: usize,
-    max_attempts: usize,
     incidents: AtomicUsize,
     retired: AtomicUsize,
 }
@@ -79,8 +78,6 @@ impl std::fmt::Debug for DevicePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DevicePool")
             .field("lanes", &self.lanes.len())
-            .field("quarantine_threshold", &self.quarantine_threshold)
-            .field("max_attempts", &self.max_attempts)
             .field("incidents", &self.incidents())
             .field("retired", &self.retired())
             .finish()
@@ -90,16 +87,13 @@ impl std::fmt::Debug for DevicePool {
 impl DevicePool {
     /// A pool of `lanes` lanes over an injected device factory.
     pub fn with_factory(lanes: usize, factory: DeviceFactory) -> Self {
-        let lanes = lanes.max(1);
+        let lane = || {
+            let incidents = Streak::new(QUARANTINE_THRESHOLD);
+            Mutex::new(DeviceLane { device: None, generation: 0, incidents })
+        };
         DevicePool {
-            lanes: (0..lanes)
-                .map(|_| {
-                    Mutex::new(DeviceLane { device: None, generation: 0, consecutive_infra: 0 })
-                })
-                .collect(),
+            lanes: (0..lanes.max(1)).map(|_| lane()).collect(),
             factory,
-            quarantine_threshold: DEFAULT_QUARANTINE_THRESHOLD,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
             incidents: AtomicUsize::new(0),
             retired: AtomicUsize::new(0),
         }
@@ -112,28 +106,14 @@ impl DevicePool {
         DevicePool::with_factory(lanes, Box::new(move |_, _| build_backend(backend)))
     }
 
-    /// Overrides the consecutive-incident count that retires a device
-    /// (builder style). Clamped to at least 1.
-    pub fn with_quarantine_threshold(mut self, threshold: usize) -> Self {
-        self.quarantine_threshold = threshold.max(1);
-        self
-    }
-
-    /// Overrides the per-app attempt cap (builder style). Clamped to at
-    /// least 1.
-    pub fn with_max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
     }
 
     /// Device incidents so far: app attempts that ended in an
-    /// infrastructure failure (plus devices retired by a failed health
-    /// check).
+    /// infrastructure failure. A device retired by a failed health
+    /// check before a run is not an incident.
     pub fn incidents(&self) -> usize {
         self.incidents.load(Ordering::Relaxed)
     }
@@ -160,43 +140,36 @@ impl DevicePool {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let mut last: Option<RunReport> = None;
-        for _ in 0..self.max_attempts {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
             // Lease: health-check a reused device, build a fresh one when
             // the lane is empty or the check fails.
-            if let Some(device) = slot.device.as_mut() {
-                if device.ping().is_err() {
-                    self.retire(&mut slot, lane_index, tracer);
-                }
+            if slot.device.as_mut().is_some_and(|device| device.ping().is_err()) {
+                self.retire(&mut slot, lane_index, tracer);
             }
-            if slot.device.is_none() {
-                let generation = slot.generation;
-                slot.generation += 1;
-                slot.device = Some((self.factory)(lane_index, generation));
-            }
-            let generation = slot.generation - 1;
-            let lane_id = lane_index as u64;
+            let DeviceLane { device, generation, .. } = &mut *slot;
+            let device = device.get_or_insert_with(|| {
+                *generation += 1;
+                (self.factory)(lane_index, *generation - 1)
+            });
+            let (lane_id, generation) = (lane_index as u64, *generation - 1);
             tracer.event(|| fd_trace::TraceEvent::DeviceLeased { lane: lane_id, generation });
 
-            let report = run(slot.device.as_mut().expect("lease built a device").as_mut());
-            match &report.infra_failure {
-                None => {
-                    slot.consecutive_infra = 0;
-                    return report;
-                }
-                Some(detail) => {
-                    self.incidents.fetch_add(1, Ordering::Relaxed);
-                    slot.consecutive_infra += 1;
-                    let detail = detail.clone();
-                    tracer.event(|| fd_trace::TraceEvent::DeviceIncident { detail });
-                    if slot.consecutive_infra >= self.quarantine_threshold {
-                        self.retire(&mut slot, lane_index, tracer);
-                    }
-                    last = Some(report);
-                }
+            let report = run(device.as_mut());
+            let Some(detail) = report.infra_failure.clone() else {
+                slot.incidents.clear();
+                return report;
+            };
+            self.incidents.fetch_add(1, Ordering::Relaxed);
+            tracer.event(|| fd_trace::TraceEvent::DeviceIncident { detail });
+            if slot.incidents.fail() {
+                self.retire(&mut slot, lane_index, tracer);
+            }
+            if attempts == MAX_ATTEMPTS {
+                return report;
             }
         }
-        last.expect("max_attempts >= 1 ran at least one attempt")
     }
 
     /// Drops the lane's device (killing a subprocess agent) and resets
@@ -205,7 +178,7 @@ impl DevicePool {
         if slot.device.take().is_none() {
             return;
         }
-        slot.consecutive_infra = 0;
+        slot.incidents.clear();
         self.retired.fetch_add(1, Ordering::Relaxed);
         let lane_id = lane_index as u64;
         tracer.event(|| fd_trace::TraceEvent::DeviceRetired { lane: lane_id });
@@ -377,8 +350,7 @@ mod tests {
 
     #[test]
     fn infra_failures_are_retried_and_counted_never_as_crashes() {
-        let pool = DevicePool::with_factory(1, Box::new(|_, _| Box::new(InProcessDevice::new())))
-            .with_max_attempts(3);
+        let pool = DevicePool::with_factory(1, Box::new(|_, _| Box::new(InProcessDevice::new())));
         let tracer = fd_trace::Tracer::disabled();
         let attempts = Counter::new(0);
         let report = pool.run_app(0, &tracer, |_| {
@@ -392,6 +364,7 @@ mod tests {
         assert!(report.infra_failure.is_none(), "final outcome is the successful retry");
         assert_eq!(report.crashes, 0);
         assert_eq!(pool.incidents(), 1);
+        assert_eq!(pool.retired(), 0, "one incident is below the threshold");
     }
 
     #[test]
@@ -402,19 +375,29 @@ mod tests {
             1,
             Box::new(move |_, generation| {
                 built_in_factory.fetch_add(1, Ordering::Relaxed);
-                assert!(generation < 3);
+                assert!(generation < 2);
                 Box::new(InProcessDevice::new())
             }),
-        )
-        .with_quarantine_threshold(2)
-        .with_max_attempts(4);
+        );
         let tracer = fd_trace::Tracer::disabled();
-        let report = pool.run_app(0, &tracer, |_| infra_report("agent died"));
-        assert_eq!(report.infra_failure.as_deref(), Some("agent died"));
-        assert_eq!(report.crashes, 0, "an infra failure is never an app crash");
-        assert_eq!(pool.incidents(), 4, "every attempt was an incident");
-        assert_eq!(pool.retired(), 2, "threshold 2 retired the device twice in 4 attempts");
-        assert_eq!(built.load(Ordering::Relaxed), 2, "each generation served 2 attempts");
+        for app in 0..2 {
+            // What each attempt saw: devices built and retired so far.
+            let mut seen = Vec::new();
+            let report = pool.run_app(0, &tracer, |_| {
+                seen.push((built.load(Ordering::Relaxed), pool.retired()));
+                infra_report("agent died")
+            });
+            assert_eq!(report.infra_failure.as_deref(), Some("agent died"));
+            assert_eq!(report.crashes, 0, "an infra failure is never an app crash");
+            assert_eq!(
+                seen,
+                vec![(app + 1, app); MAX_ATTEMPTS],
+                "generation {app} served all {MAX_ATTEMPTS} attempts before retiring"
+            );
+            assert_eq!(pool.incidents(), MAX_ATTEMPTS * (app + 1), "every attempt was an incident");
+            assert_eq!(pool.retired(), app + 1, "the 3rd straight incident retired the device");
+        }
+        assert_eq!(built.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -441,6 +424,7 @@ mod tests {
         });
         assert!(report.infra_failure.is_none());
         assert_eq!(pool.retired(), 1, "the failed health check retired the sick device");
+        assert_eq!(pool.incidents(), 0, "a failed health check is not an incident");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use super::chaos::{ChaosConfig, ChaosStream};
 use super::{AnyStream, ListenAddr, ServeRequest, ServeResponse};
+use crate::health::Backoff;
 use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -82,33 +83,32 @@ impl std::error::Error for ClientError {}
 pub struct SubmitClient {
     addr: ListenAddr,
     max_attempts: u32,
-    base_backoff: Duration,
+    /// Reconnect naps; unjittered unless [`Self::with_backoff_jitter`]
+    /// armed a seed (tests that pin exact sleep totals leave it off).
+    backoff: Backoff,
     poll_interval: Duration,
     deadline: Duration,
     io_timeout: Duration,
     chaos: Option<ChaosConfig>,
     connections: u64,
-    /// Seeded jitter source for retry backoff. `None` keeps the legacy
-    /// deterministic schedule (tests that pin exact sleep totals).
-    jitter: Option<StdRng>,
 }
 
 impl SubmitClient {
     /// A client for `addr` with the default budgets: 8 reconnect
-    /// attempts, 10 ms base backoff (doubling, capped at 500 ms), 5 ms
-    /// poll interval, 60 s overall deadline, 2 s per-operation I/O
-    /// timeout, no chaos.
+    /// attempts, 10 ms base backoff (the first nap is twice the base,
+    /// doubling, capped at 500 ms, never past the deadline), 5 ms poll
+    /// interval, 60 s overall deadline, 2 s per-operation I/O timeout,
+    /// no chaos.
     pub fn new(addr: ListenAddr) -> SubmitClient {
         SubmitClient {
             addr,
             max_attempts: 8,
-            base_backoff: Duration::from_millis(10),
+            backoff: Backoff::new(Duration::from_millis(10), Duration::from_millis(500)),
             poll_interval: Duration::from_millis(5),
             deadline: Duration::from_secs(60),
             io_timeout: Duration::from_secs(2),
             chaos: None,
             connections: 0,
-            jitter: None,
         }
     }
 
@@ -136,7 +136,7 @@ impl SubmitClient {
     /// storms when many clients lose the same server at once; the seed
     /// keeps tests reproducible.
     pub fn with_backoff_jitter(mut self, seed: u64) -> SubmitClient {
-        self.jitter = Some(StdRng::seed_from_u64(seed));
+        self.backoff = self.backoff.jittered(seed);
         self
     }
 
@@ -184,53 +184,38 @@ impl SubmitClient {
             if started.elapsed() >= self.deadline {
                 return Err(ClientError::DeadlineExceeded { job, last });
             }
-            if conversation.is_none() {
-                match self.open() {
-                    Ok(c) => conversation = Some(c),
-                    Err(error) => {
-                        last = error;
-                        attempts += 1;
-                        if attempts >= self.max_attempts {
-                            return Err(ClientError::Exhausted { job, attempts, last });
-                        }
-                        self.backoff(attempts, started);
-                        continue;
-                    }
-                }
-            }
-            // The open above either filled the slot or `continue`d; a
-            // still-empty slot is a logic regression we recover from by
-            // reconnecting rather than panicking mid-retry-loop.
-            let Some(c) = conversation.as_mut() else {
-                last = "no open conversation after connect".to_string();
-                continue;
+            let opened = match conversation.as_mut() {
+                Some(c) => Ok(c),
+                None => self.open().map(|c| conversation.insert(c)),
             };
             let request = ServeRequest::Submit {
                 job,
                 container_hex: container_hex.to_string(),
                 inputs: inputs.clone(),
             };
-            let step = match c.call(request) {
-                Ok(ServeResponse::Accepted { .. }) => {
-                    if accept_only {
-                        return Ok(None);
-                    }
-                    poll_until_settled(c, job, started, self.deadline, self.poll_interval)
-                }
-                Ok(ServeResponse::Busy { retry_after_ms, .. }) => {
-                    Step::SleepResubmit(retry_after_ms)
-                }
-                Ok(ServeResponse::Draining { retry_after_ms, .. }) => {
-                    Step::Broken(format!("server draining; retry after {retry_after_ms}ms"))
-                }
-                Ok(ServeResponse::Conflict { reason, .. }) => {
-                    return Err(ClientError::Conflict { job, reason })
-                }
-                Ok(ServeResponse::Rejected { reason, .. }) => {
-                    return Ok(Some(JobOutcome::Rejected { reason }))
-                }
-                Ok(other) => Step::Broken(format!("unexpected submit reply: {other:?}")),
+            let step = match opened {
+                // A failed connect is one more broken step.
                 Err(error) => Step::Broken(error),
+                Ok(c) => match c.call(request) {
+                    Ok(ServeResponse::Accepted { .. }) if accept_only => return Ok(None),
+                    Ok(ServeResponse::Accepted { .. }) => {
+                        poll_until_settled(c, job, started, self.deadline, self.poll_interval)
+                    }
+                    Ok(ServeResponse::Busy { retry_after_ms, .. }) => {
+                        Step::SleepResubmit(retry_after_ms)
+                    }
+                    Ok(ServeResponse::Draining { retry_after_ms, .. }) => {
+                        Step::Broken(format!("server draining; retry after {retry_after_ms}ms"))
+                    }
+                    Ok(ServeResponse::Conflict { reason, .. }) => {
+                        return Err(ClientError::Conflict { job, reason })
+                    }
+                    Ok(ServeResponse::Rejected { reason, .. }) => {
+                        return Ok(Some(JobOutcome::Rejected { reason }))
+                    }
+                    Ok(other) => Step::Broken(format!("unexpected submit reply: {other:?}")),
+                    Err(error) => Step::Broken(error),
+                },
             };
             match step {
                 Step::Settled(outcome) => return Ok(Some(outcome)),
@@ -250,7 +235,7 @@ impl SubmitClient {
                     if attempts >= self.max_attempts {
                         return Err(ClientError::Exhausted { job, attempts, last });
                     }
-                    self.backoff(attempts, started);
+                    bounded_sleep(self.backoff.nap(attempts), started, self.deadline);
                 }
             }
         }
@@ -258,52 +243,39 @@ impl SubmitClient {
 
     /// Opens (and chaos-wraps) a fresh connection.
     fn open(&mut self) -> Result<Conversation, String> {
-        let stream =
-            AnyStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
-        stream
-            .set_read_timeout(Some(self.io_timeout))
-            .map_err(|e| format!("set read timeout: {e}"))?;
-        stream
-            .set_write_timeout(Some(self.io_timeout))
-            .map_err(|e| format!("set write timeout: {e}"))?;
+        let stream = connect(&self.addr, self.io_timeout)?;
         self.connections += 1;
-        let (wire, dup_rng, dup_per_mille) = match &self.chaos {
+        Ok(match &self.chaos {
             Some(config) => {
                 let per_conn = config.for_connection(self.connections);
-                let dup_seed = per_conn.seed.wrapping_add(0x5eed);
-                (
-                    Wire::Chaos(ChaosStream::new(stream, per_conn)),
-                    Some(StdRng::seed_from_u64(dup_seed)),
-                    config.dup_per_mille,
-                )
+                let dup_rng = StdRng::seed_from_u64(per_conn.seed.wrapping_add(0x5eed));
+                let dup = Some((dup_rng, config.dup_per_mille));
+                Conversation::new(Wire::Chaos(ChaosStream::new(stream, per_conn)), dup)
             }
-            None => (Wire::Plain(stream), None, 0),
-        };
-        Ok(Conversation {
-            wire,
-            frames: FrameBuffer::new(),
-            next_id: 1,
-            last_frame: None,
-            dup_rng,
-            dup_per_mille,
+            None => Conversation::new(Wire::Plain(stream), None),
         })
     }
+}
 
-    /// Exponential backoff, doubling from the base and capped at
-    /// 500 ms, never sleeping past the deadline. With jitter armed
-    /// ([`Self::with_backoff_jitter`]) the nap is equal-jittered: half
-    /// fixed, half drawn from the seeded stream, so a fleet of clients
-    /// that lost the same server desynchronizes instead of hammering it
-    /// in lockstep.
-    fn backoff(&mut self, attempt: u32, started: Instant) {
-        let factor = 1u32 << attempt.min(6);
-        let mut nap = (self.base_backoff * factor).min(Duration::from_millis(500));
-        if let Some(rng) = self.jitter.as_mut() {
-            let half = nap / 2;
-            nap = half + Duration::from_nanos(rng.gen_range(0..=half.as_nanos() as u64));
-        }
-        bounded_sleep(nap, started, self.deadline);
-    }
+/// Sends one request over a fresh clean-transport connection and
+/// returns the server's reply; `timeout` bounds every read and write.
+/// The health probe and `Shutdown` callers use this instead of speaking
+/// the frame protocol themselves. Any transport or protocol trouble is
+/// an `Err` with the failure rendered.
+pub fn request_once(
+    addr: &ListenAddr,
+    request: ServeRequest,
+    timeout: Duration,
+) -> Result<ServeResponse, String> {
+    Conversation::new(Wire::Plain(connect(addr, timeout)?), None).call(request)
+}
+
+/// Connects to `addr` with `timeout` on every read and write.
+fn connect(addr: &ListenAddr, timeout: Duration) -> Result<AnyStream, String> {
+    let stream = AnyStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream.set_read_timeout(Some(timeout)).map_err(|e| format!("set read timeout: {e}"))?;
+    stream.set_write_timeout(Some(timeout)).map_err(|e| format!("set write timeout: {e}"))?;
+    Ok(stream)
 }
 
 /// What one submit-or-poll round decided.
@@ -404,11 +376,15 @@ struct Conversation {
     frames: FrameBuffer,
     next_id: u64,
     last_frame: Option<Vec<u8>>,
-    dup_rng: Option<StdRng>,
-    dup_per_mille: u32,
+    /// Chaos duplication: the seeded stream and the per-mille rate.
+    dup: Option<(StdRng, u32)>,
 }
 
 impl Conversation {
+    fn new(wire: Wire, dup: Option<(StdRng, u32)>) -> Conversation {
+        Conversation { wire, frames: FrameBuffer::new(), next_id: 1, last_frame: None, dup }
+    }
+
     /// Sends one request and reads until its reply arrives. Any
     /// transport or protocol trouble is an `Err(String)` — the caller
     /// reconnects.
@@ -416,11 +392,11 @@ impl Conversation {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_frame(&Envelope { id, body });
-        if let (Some(rng), Some(previous)) = (self.dup_rng.as_mut(), self.last_frame.as_ref()) {
+        if let (Some((rng, per_mille)), Some(previous)) = (self.dup.as_mut(), &self.last_frame) {
             // Chaos reordering: occasionally replay the previous frame
             // first. The server must absorb the duplicate idempotently;
             // we skip its stale reply below.
-            if rng.gen_range(0u32..1000) < self.dup_per_mille {
+            if rng.gen_range(0u32..1000) < *per_mille {
                 self.wire.write_all(previous).map_err(|e| format!("write dup: {e}"))?;
             }
         }
@@ -460,6 +436,62 @@ impl Conversation {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(format!("read: {e}")),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reconnect naps the client has always slept: twice the 10 ms
+    /// base on the first retry, doubling, capped at 500 ms; equal jitter
+    /// keeps half and draws the other half from the seeded stream.
+    fn reference_naps(seed: Option<u64>) -> Vec<Duration> {
+        let mut rng = seed.map(StdRng::seed_from_u64);
+        (1..=10u32)
+            .map(|attempt| {
+                let factor = 1u32 << attempt.min(6);
+                let mut nap = (Duration::from_millis(10) * factor).min(Duration::from_millis(500));
+                if let Some(rng) = rng.as_mut() {
+                    let half = nap / 2;
+                    nap = half + Duration::from_nanos(rng.gen_range(0..=half.as_nanos() as u64));
+                }
+                nap
+            })
+            .collect()
+    }
+
+    fn naps(mut client: SubmitClient) -> Vec<Duration> {
+        (1..=10).map(|attempt| client.backoff.nap(attempt)).collect()
+    }
+
+    #[test]
+    fn reconnect_naps_keep_their_schedule() {
+        let addr = ListenAddr::Tcp("127.0.0.1:1".to_string());
+        let plain = naps(SubmitClient::new(addr.clone()));
+        let ms: Vec<u128> = plain.iter().map(Duration::as_millis).collect();
+        assert_eq!(ms, [20, 40, 80, 160, 320, 500, 500, 500, 500, 500]);
+        assert_eq!(plain, reference_naps(None));
+
+        let jittered = naps(SubmitClient::new(addr.clone()).with_backoff_jitter(42));
+        for (nap, full) in jittered.iter().zip(&plain) {
+            assert!(*nap >= *full / 2 && nap <= full, "{nap:?} outside [{full:?}/2, {full:?}]");
+        }
+        assert_eq!(jittered, reference_naps(Some(42)), "the seeded schedule is unchanged");
+        assert_eq!(jittered, naps(SubmitClient::new(addr).with_backoff_jitter(42)));
+    }
+
+    #[test]
+    fn failed_connects_spend_the_attempt_budget() {
+        // Port 1 on loopback is essentially never bound: instant refusal.
+        let addr = ListenAddr::Tcp("127.0.0.1:1".to_string());
+        let mut client = SubmitClient::new(addr).with_max_attempts(3);
+        match client.submit(7, "", &BTreeMap::new()) {
+            Err(ClientError::Exhausted { job: 7, attempts: 3, last }) => {
+                assert!(last.starts_with("connect 127.0.0.1:1"), "{last}");
+            }
+            other => panic!("expected Exhausted after 3 connects, got {other:?}"),
         }
     }
 }

@@ -48,7 +48,7 @@ mod client;
 pub(crate) mod journal;
 
 pub use chaos::{ChaosConfig, ChaosStream};
-pub use client::{ClientError, JobOutcome, SubmitClient};
+pub use client::{request_once, ClientError, JobOutcome, SubmitClient};
 
 use crate::checkpoint::JournalError;
 use crate::config::FragDroidConfig;

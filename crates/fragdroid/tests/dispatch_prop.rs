@@ -9,14 +9,12 @@
 //!   a `--resume` against a fresh farm still settles on the
 //!   byte-identical digest with no shard double-merged or dropped.
 
-use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
 use fragdroid::{
-    dispatch, serve_listener, shard_journal_path, AnyStream, ChaosConfig, DispatchError,
+    dispatch, request_once, serve_listener, shard_journal_path, ChaosConfig, DispatchError,
     DispatchOptions, FragDroidConfig, ListenAddr, ServeListener, ServeOptions, ServeRequest,
     ServeResponse,
 };
@@ -51,23 +49,8 @@ fn spawn_server(workers: usize) -> (ListenAddr, std::thread::JoinHandle<()>) {
 /// this returns, connects to `addr` are refused — from the
 /// coordinator's point of view the worker machine is gone.
 fn kill_server(addr: &ListenAddr, handle: std::thread::JoinHandle<()>) {
-    let mut stream = AnyStream::connect(addr).expect("connect for shutdown");
-    stream
-        .write_all(&encode_frame(&Envelope { id: u64::MAX, body: ServeRequest::Shutdown }))
-        .expect("send shutdown");
-    stream.flush().expect("flush shutdown");
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(payload) = frames.next_frame().expect("well-formed reply") {
-            let reply: Envelope<ServeResponse> = decode_payload(&payload).expect("decodable");
-            assert!(matches!(reply.body, ServeResponse::Bye));
-            break;
-        }
-        let n = stream.read(&mut chunk).expect("read shutdown reply");
-        assert!(n > 0, "server hung up before Bye");
-        frames.push(&chunk[..n]);
-    }
+    let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
+    assert_eq!(reply, Ok(ServeResponse::Bye));
     handle.join().expect("server thread exits");
 }
 

@@ -15,11 +15,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use std::io::{Read, Write};
-
-use fd_droidsim::proto::{decode_payload, encode_frame, to_hex, Envelope, FrameBuffer};
+use fd_droidsim::proto::to_hex;
 use fragdroid::{
-    serve_listener, AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeListener, ServeOptions,
+    request_once, serve_listener, ChaosConfig, JobOutcome, ListenAddr, ServeListener, ServeOptions,
     ServeRequest, ServeResponse, ServeSummary, SubmitClient,
 };
 
@@ -47,24 +45,8 @@ fn spawn_server(options: ServeOptions) -> (ListenAddr, std::thread::JoinHandle<S
 
 /// Asks the server to shut down (clean transport) and joins it.
 fn shutdown(addr: &ListenAddr, handle: std::thread::JoinHandle<ServeSummary>) -> ServeSummary {
-    let mut stream = AnyStream::connect(addr).expect("connect for shutdown");
-    stream
-        .write_all(&encode_frame(&Envelope { id: 9999, body: ServeRequest::Shutdown }))
-        .expect("send shutdown");
-    stream.flush().expect("flush shutdown");
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(payload) = frames.next_frame().expect("well-formed reply") {
-            let envelope: Envelope<ServeResponse> =
-                decode_payload(&payload).expect("decodable reply");
-            assert_eq!(envelope.body, ServeResponse::Bye);
-            break;
-        }
-        let n = stream.read(&mut chunk).expect("read reply");
-        assert!(n > 0, "server hung up before Bye");
-        frames.push(&chunk[..n]);
-    }
+    let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
+    assert_eq!(reply, Ok(ServeResponse::Bye));
     handle.join().expect("server thread does not panic")
 }
 
