@@ -107,6 +107,14 @@ impl ServeProc {
     }
 }
 
+impl Drop for ServeProc {
+    /// A test that fails before its shutdown leaves no server behind.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// One raw frame out, one frame back — the typed wire protocol with no
 /// client-side retry sugar in the way.
 fn raw_request(addr: &ListenAddr, id: u64, body: ServeRequest) -> Envelope<ServeResponse> {
@@ -168,48 +176,111 @@ fn four_concurrent_clients_get_identical_reports_and_the_drain_is_graceful() {
     server.shutdown();
 }
 
+/// The pids of `parent`'s direct children, read from `/proc`.
+fn children_of(parent: u32) -> Vec<u32> {
+    let mut children = Vec::new();
+    for entry in std::fs::read_dir("/proc").expect("read /proc").flatten() {
+        let Ok(pid) = entry.file_name().to_string_lossy().parse::<u32>() else { continue };
+        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else { continue };
+        // `pid (comm) state ppid ...`; comm may hold spaces and parens.
+        let ppid = stat.rsplit_once(')').and_then(|(_, rest)| rest.split_whitespace().nth(1));
+        if ppid == Some(parent.to_string().as_str()) {
+            children.push(pid);
+        }
+    }
+    children
+}
+
+fn signal(pid: u32, sig: &str) {
+    let status = Command::new("kill").args([sig, &pid.to_string()]).status().expect("run kill");
+    assert!(status.success(), "kill {sig} {pid} failed");
+}
+
+/// A `SIGSTOP`ped process, resumed with `SIGCONT` when dropped — also
+/// when an assertion fails while it is stopped.
+struct Stopped(u32);
+
+impl Stopped {
+    fn new(pid: u32) -> Stopped {
+        signal(pid, "-STOP");
+        Stopped(pid)
+    }
+}
+
+impl Drop for Stopped {
+    fn drop(&mut self) {
+        signal(self.0, "-CONT");
+    }
+}
+
 #[test]
 fn queue_overflow_is_a_typed_retryable_busy() {
     let fx = fixture("busy.fapk");
-    let server = ServeProc::spawn(&["--workers", "1", "--queue-cap", "1"]);
+    let server =
+        ServeProc::spawn(&["--workers", "1", "--queue-cap", "1", "--backend", "subprocess"]);
 
-    // Pipeline six submissions down one raw socket. With one worker and
-    // a one-slot queue the later ones must bounce with a typed Busy —
+    // Warm the only lane: its first job spawns the device agent child.
+    let warm = SubmitClient::new(server.addr.clone())
+        .with_deadline(Duration::from_secs(120))
+        .submit(1, &fx.hex, &fx.inputs)
+        .expect("warm-up job settles");
+    assert_eq!(warm, JobOutcome::Report { json: fx.reference.clone() });
+    let agents = children_of(server.child.id());
+    assert_eq!(agents.len(), 1, "one worker lane, one device agent: {agents:?}");
+
+    // Freeze the agent and hand the worker job 2: it blocks on the
+    // agent's reply (the agent timeout is 10 s), so the worker slot is
+    // provably taken until the agent is resumed.
+    let agent = Stopped::new(agents[0]);
+    SubmitClient::new(server.addr.clone())
+        .submit_async(2, &fx.hex, &fx.inputs)
+        .expect("job 2 is accepted");
+    let mut status_id = 100;
+    loop {
+        status_id += 1;
+        match raw_request(&server.addr, status_id, ServeRequest::Status).body {
+            ServeResponse::Status { queued: 0, running: 1, .. } => break,
+            ServeResponse::Status { .. } => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("expected Status, got {other:?}"),
+        }
+        assert!(status_id < 5100, "the worker never picked up job 2");
+    }
+
+    // Pipeline five submissions down one raw socket. The first fills
+    // the one-slot queue; the other four must bounce with a typed Busy —
     // the server replies strictly in request order, so the frames pair
     // up by id.
     let mut stream = AnyStream::connect(&server.addr).expect("connect");
-    for job in 1u64..=6 {
+    for job in 3u64..=7 {
         let body =
             ServeRequest::Submit { job, container_hex: fx.hex.clone(), inputs: fx.inputs.clone() };
         stream.write_all(&encode_frame(&Envelope { id: job, body })).expect("send frame");
     }
     stream.flush().expect("flush frames");
 
-    let (mut accepted, mut busy) = (0u32, 0u32);
-    let mut bounced: Option<u64> = None;
+    let (mut accepted, mut busy) = (Vec::new(), Vec::new());
     let mut frames = FrameBuffer::new();
-    for _ in 1u64..=6 {
+    for _ in 3u64..=7 {
         let reply = read_reply(&mut stream, &mut frames);
         match reply.body {
-            ServeResponse::Accepted { .. } => accepted += 1,
+            ServeResponse::Accepted { job } => accepted.push(job),
             ServeResponse::Busy { job, retry_after_ms } => {
                 assert!(retry_after_ms > 0, "Busy must carry a retry-after hint");
-                busy += 1;
-                bounced = Some(job);
+                busy.push(job);
             }
             other => panic!("expected Accepted or Busy, got {other:?}"),
         }
     }
-    assert!(accepted >= 2, "the worker slot and the queue slot admit jobs");
-    assert!(busy >= 1, "a one-slot queue under six instant submits must bounce");
+    assert_eq!(accepted, [3], "the queue slot admits exactly one job");
+    assert_eq!(busy, [4, 5, 6, 7], "a full one-slot queue bounces every other submit");
     drop(stream);
+    drop(agent);
 
-    // Retryable: the bounced job, resubmitted through the backoff
-    // client, lands the byte-identical report.
-    let job = bounced.expect("at least one Busy bounce");
+    // Retryable: a bounced job, resubmitted through the backoff client,
+    // lands the byte-identical report.
     let outcome = SubmitClient::new(server.addr.clone())
         .with_deadline(Duration::from_secs(120))
-        .submit(job, &fx.hex, &fx.inputs)
+        .submit(busy[0], &fx.hex, &fx.inputs)
         .expect("bounced job settles on retry");
     assert_eq!(outcome, JobOutcome::Report { json: fx.reference.clone() });
 

@@ -4,9 +4,10 @@
 //!
 //! This is [`crate::shard`] lifted across machines. The corpus is split
 //! with [`shard_range`](crate::shard::shard_range); each shard is
-//! *leased* to one endpoint and driven job-by-job over the
-//! [`SubmitClient`] frame protocol. Worker death is the common case,
-//! not the exception:
+//! *leased* to one endpoint and driven job-by-job, one job in flight,
+//! over one [`SubmitClient`] connection per lease (a broken step
+//! reconnects through the client's backoff). Worker death is the common
+//! case, not the exception:
 //!
 //! * **Leases, not assignments.** A grant is time-bounded and carries a
 //!   globally monotonic generation counter (the
@@ -114,8 +115,9 @@ pub struct DispatchOptions {
     /// With no progress (grant, job, or shard completion) for this
     /// long, the run fails typed instead of hanging forever.
     pub stall_timeout: Duration,
-    /// Wrap every job's connection in the seeded chaos proxy; each job
-    /// and generation derives its own schedule.
+    /// Wrap every connection in the seeded chaos proxy; a connection's
+    /// schedule derives from the job and lease generation that opened
+    /// it.
     pub chaos: Option<ChaosConfig>,
     /// Seed for the clients' retry-backoff jitter and, mixed with the
     /// endpoint index, for the quarantine benches' jitter.
@@ -730,9 +732,11 @@ fn healthy(addr: &ListenAddr, timeout: Duration) -> bool {
 // ---------------------------------------------------------------------------
 // Worker threads
 
-/// Drives one shard's jobs over the wire against `worker`'s endpoint.
-/// Every job re-checks the lease first, so a stale holder abandons the
-/// shard instead of burning a dead generation's budget.
+/// Drives one shard's jobs over the wire against `worker`'s endpoint,
+/// one job in flight, all over the lease's one [`SubmitClient`] and so
+/// one connection unless a step breaks. Every job re-checks the lease
+/// first, so a stale holder abandons the shard instead of burning a
+/// dead generation's budget.
 fn run_shard_over_wire(
     ctx: &DispatchCtx<'_>,
     worker: usize,
@@ -740,7 +744,9 @@ fn run_shard_over_wire(
     generation: u64,
 ) -> Result<Vec<(usize, AppOutcome, AppMetrics)>, String> {
     let range = ctx.ranges[shard].clone();
-    let addr = ctx.options.endpoints[worker].clone();
+    let mut client = SubmitClient::new(ctx.options.endpoints[worker].clone())
+        .with_deadline(ctx.options.job_deadline)
+        .with_max_attempts(ctx.options.job_attempts);
     let mut outcomes = Vec::with_capacity(range.len());
     for (local, global) in range.enumerate() {
         {
@@ -762,14 +768,13 @@ fn run_shard_over_wire(
                 // (id, digest) idempotency key, so a re-dispatched
                 // shard replays the same jobs and dedups server-side.
                 let job = global as u64 + 1;
-                let mut client = SubmitClient::new(addr.clone())
-                    .with_deadline(ctx.options.job_deadline)
-                    .with_max_attempts(ctx.options.job_attempts)
-                    .with_backoff_jitter(ctx.options.jitter_seed ^ job ^ (generation << 20));
+                client =
+                    client.with_backoff_jitter(ctx.options.jitter_seed ^ job ^ (generation << 20));
                 if let Some(base) = &ctx.options.chaos {
-                    // Vary the schedule by job *and* generation, so a
-                    // reassigned shard does not replay the exact chaos
-                    // that killed its first attempt.
+                    // Vary the schedule of the connections this job
+                    // opens by job *and* generation, so a reassigned
+                    // shard does not replay the exact chaos that killed
+                    // its first attempt.
                     client = client.with_chaos(ChaosConfig {
                         seed: base.seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ generation,
                         ..base.clone()
@@ -821,21 +826,19 @@ fn worker_loop(
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, worker as u64 + 1);
     loop {
-        let action = {
-            let mut g = lock(ctx.farm);
-            next_action(&mut g, worker, ctx, Instant::now())
-        };
-        match action {
+        let mut g = lock(ctx.farm);
+        match next_action(&mut g, worker, ctx, Instant::now()) {
             Action::Exit => break,
-            Action::Wait(duration) => {
-                let g = lock(ctx.farm);
-                drop(ctx.cv.wait_timeout(g, duration));
-            }
+            // Wait on the guard that chose to wait, so a wake-up sent
+            // in between is not lost.
+            Action::Wait(duration) => drop(ctx.cv.wait_timeout(g, duration)),
             Action::Probe => {
+                drop(g);
                 let clean = healthy(&ctx.options.endpoints[worker], PROBE_TIMEOUT);
                 lock(ctx.farm).workers[worker].revived(clean, Instant::now());
             }
             Action::Run { shard, generation, reassigned } => {
+                drop(g);
                 ctx.append(&DispatchRecord::Granted { shard, worker, generation });
                 tracer.event(|| fd_trace::TraceEvent::LeaseGranted {
                     shard: shard as u64,
@@ -982,8 +985,12 @@ fn coordinator_loop(
                 dead.publish(ctx, &tracer);
             }
         }
+        // Re-check under the lock: a completion notified during the
+        // probes must not leave the coordinator waiting a whole tick.
         let g = lock(ctx.farm);
-        drop(ctx.cv.wait_timeout(g, ctx.options.heartbeat_interval));
+        if g.done.len() < ctx.shards && g.fatal.is_none() && !g.shutdown {
+            drop(ctx.cv.wait_timeout(g, ctx.options.heartbeat_interval));
+        }
     }
     tracer.finish()
 }
@@ -1411,6 +1418,54 @@ mod tests {
         assert_eq!(run.summary.resumed_shards, 0);
         let completed: usize = run.summary.workers.iter().map(|w| w.shards_completed).sum();
         assert_eq!(completed, 3, "every shard committed exactly once");
+    }
+
+    /// Each lease drives its whole shard over one connection: the
+    /// endpoint sees no more connections than leases plus the
+    /// coordinator's `Status` probes (and the test's `Shutdown`).
+    #[test]
+    fn each_lease_drives_its_shard_over_one_connection() {
+        use fd_trace::{TraceEvent, TraceRecord};
+        let corpus = corpus(8);
+        let config = FragDroidConfig::default();
+        let off = fd_trace::TraceConfig::off();
+        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 1, &off);
+
+        let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string()))
+            .expect("bind a loopback test server");
+        let addr = listener.local_addr().clone();
+        let server = std::thread::spawn(move || {
+            serve_listener(listener, &ServeOptions::default(), &fd_trace::TraceConfig::on())
+        });
+        let mut options = DispatchOptions::new(vec![addr.clone()]);
+        options.shards = 2;
+        let run = dispatch(&corpus, &config, &options, &off).expect("dispatch completes");
+        let reply = request_once(&addr, ServeRequest::Shutdown, Duration::from_secs(60));
+        assert_eq!(reply, Ok(ServeResponse::Bye));
+        let served = server.join().expect("no panic").expect("no serve error");
+        assert_eq!(run.merged.run.outcome_digest(), reference.outcome_digest());
+
+        // Session track → whether a job was submitted on it; the others
+        // carried only a probe or the `Shutdown`.
+        let mut sessions: BTreeMap<u64, bool> = BTreeMap::new();
+        for record in &served.trace.records {
+            let TraceRecord::Event(e) = record else { continue };
+            match e.event {
+                TraceEvent::ConnectionOpened { .. } => {
+                    sessions.entry(e.track).or_default();
+                }
+                TraceEvent::JobSubmitted { .. } => *sessions.entry(e.track).or_default() = true,
+                _ => {}
+            }
+        }
+        assert_eq!(sessions.len() as u64, served.incidents.connections_opened);
+        let leases = run.summary.workers[0].assignments;
+        let job_connections = sessions.values().filter(|submitted| **submitted).count();
+        assert_eq!(leases, 2, "{:?}", run.summary);
+        assert!(
+            job_connections <= leases,
+            "{job_connections} connections submitted 8 jobs under {leases} leases"
+        );
     }
 
     #[test]

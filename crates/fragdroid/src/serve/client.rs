@@ -1,8 +1,9 @@
-//! The retry-with-backoff serve client `fragdroid submit` drives: it
-//! connects (TCP or Unix), submits one job under a client-assigned id,
-//! and polls until the report lands — reconnecting and resubmitting
-//! idempotently across torn connections, `Busy` queues, draining
-//! servers, and server restarts. With a [`ChaosConfig`] armed, every
+//! The retry-with-backoff serve client `fragdroid submit` and the
+//! dispatch farm drive: it connects (TCP or Unix), submits jobs under
+//! client-assigned ids over one kept connection, and polls each until
+//! its report lands — reconnecting and resubmitting idempotently across
+//! torn connections, `Busy` queues, draining servers, and server
+//! restarts. With a [`ChaosConfig`] armed, every
 //! connection is wrapped in a seeded [`ChaosStream`] and requests are
 //! occasionally duplicated out of order, turning the client into the
 //! deterministic chaos harness the serve property tests run.
@@ -80,39 +81,48 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 /// A submit-and-poll client with retry, backoff, and optional chaos.
+/// It keeps one connection across [`Self::submit`] and
+/// [`Self::submit_async`] calls, one job in flight at a time, and opens
+/// a new one only after a broken step.
 pub struct SubmitClient {
     addr: ListenAddr,
     max_attempts: u32,
     /// Reconnect naps; unjittered unless [`Self::with_backoff_jitter`]
     /// armed a seed (tests that pin exact sleep totals leave it off).
     backoff: Backoff,
-    poll_interval: Duration,
+    /// Naps between `Pending` polls: 100 µs, doubling up to 5 ms.
+    poll: Backoff,
     deadline: Duration,
     io_timeout: Duration,
     chaos: Option<ChaosConfig>,
     connections: u64,
+    /// The kept connection; `None` before the first call and after a break.
+    conversation: Option<Conversation>,
 }
 
 impl SubmitClient {
     /// A client for `addr` with the default budgets: 8 reconnect
     /// attempts, 10 ms base backoff (the first nap is twice the base,
-    /// doubling, capped at 500 ms, never past the deadline), 5 ms poll
-    /// interval, 60 s overall deadline, 2 s per-operation I/O timeout,
-    /// no chaos.
+    /// doubling, capped at 500 ms, never past the deadline), poll naps
+    /// of 100 µs doubling up to 5 ms, 60 s overall deadline per job, 2 s
+    /// per-operation I/O timeout, no chaos. No connection is opened
+    /// until the first submit.
     pub fn new(addr: ListenAddr) -> SubmitClient {
         SubmitClient {
             addr,
             max_attempts: 8,
             backoff: Backoff::new(Duration::from_millis(10), Duration::from_millis(500)),
-            poll_interval: Duration::from_millis(5),
+            poll: Backoff::new(Duration::from_micros(100), Duration::from_millis(5)),
             deadline: Duration::from_secs(60),
             io_timeout: Duration::from_secs(2),
             chaos: None,
             connections: 0,
+            conversation: None,
         }
     }
 
-    /// Arms the seeded chaos schedule on every connection.
+    /// Arms the seeded chaos schedule on every connection opened from
+    /// now on; a kept connection keeps the schedule it was opened with.
     pub fn with_chaos(mut self, config: ChaosConfig) -> SubmitClient {
         self.chaos = Some(config);
         self
@@ -179,14 +189,13 @@ impl SubmitClient {
         let started = Instant::now();
         let mut attempts: u32 = 0;
         let mut last = String::from("no attempt made");
-        let mut conversation: Option<Conversation> = None;
         loop {
             if started.elapsed() >= self.deadline {
                 return Err(ClientError::DeadlineExceeded { job, last });
             }
-            let opened = match conversation.as_mut() {
-                Some(c) => Ok(c),
-                None => self.open().map(|c| conversation.insert(c)),
+            let opened = match self.conversation.take() {
+                Some(c) => Ok(self.conversation.insert(c)),
+                None => self.open().map(|c| self.conversation.insert(c)),
             };
             let request = ServeRequest::Submit {
                 job,
@@ -199,7 +208,7 @@ impl SubmitClient {
                 Ok(c) => match c.call(request) {
                     Ok(ServeResponse::Accepted { .. }) if accept_only => return Ok(None),
                     Ok(ServeResponse::Accepted { .. }) => {
-                        poll_until_settled(c, job, started, self.deadline, self.poll_interval)
+                        poll_until_settled(c, job, started, self.deadline, &mut self.poll)
                     }
                     Ok(ServeResponse::Busy { retry_after_ms, .. }) => {
                         Step::SleepResubmit(retry_after_ms)
@@ -230,7 +239,7 @@ impl SubmitClient {
                 Step::Resubmit => {}
                 Step::Broken(error) => {
                     last = error;
-                    conversation = None;
+                    self.conversation = None;
                     attempts += 1;
                     if attempts >= self.max_attempts {
                         return Err(ClientError::Exhausted { job, attempts, last });
@@ -302,15 +311,17 @@ fn poll_until_settled(
     job: u64,
     started: Instant,
     deadline: Duration,
-    poll_interval: Duration,
+    naps: &mut Backoff,
 ) -> Step {
+    let mut round = 0;
     loop {
         if started.elapsed() >= deadline {
             return Step::Deadline("job accepted, report still pending".to_string());
         }
         match c.call(ServeRequest::Poll { job }) {
             Ok(ServeResponse::Pending { .. }) => {
-                bounded_sleep(poll_interval, started, deadline);
+                bounded_sleep(naps.nap(round), started, deadline);
+                round = round.saturating_add(1);
             }
             Ok(ServeResponse::Report { json, .. }) => {
                 return Step::Settled(JobOutcome::Report { json })
@@ -443,6 +454,9 @@ impl Conversation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{
+        serve_listener, ServeError, ServeIncidents, ServeListener, ServeOptions, ServeSummary,
+    };
 
     /// The reconnect naps the client has always slept: twice the 10 ms
     /// base on the first retry, doubling, capped at 500 ms; equal jitter
@@ -480,6 +494,75 @@ mod tests {
         }
         assert_eq!(jittered, reference_naps(Some(42)), "the seeded schedule is unchanged");
         assert_eq!(jittered, naps(SubmitClient::new(addr).with_backoff_jitter(42)));
+    }
+
+    #[test]
+    fn poll_naps_double_from_100us_up_to_the_poll_interval() {
+        let mut client = SubmitClient::new(ListenAddr::Tcp("127.0.0.1:1".to_string()));
+        let us: Vec<u128> = (0..9).map(|round| client.poll.nap(round).as_micros()).collect();
+        assert_eq!(us, [100, 200, 400, 800, 1600, 3200, 5000, 5000, 5000]);
+    }
+
+    /// The quickstart app as (hex container, known inputs).
+    fn quickstart() -> (String, BTreeMap<String, String>) {
+        let generated = fd_appgen::templates::quickstart();
+        (fd_droidsim::proto::to_hex(&fd_apk::pack(&generated.app)), generated.known_inputs)
+    }
+
+    /// Serves a loopback listener on a thread under `options`.
+    fn spawn_server(
+        options: ServeOptions,
+    ) -> (ListenAddr, std::thread::JoinHandle<Result<ServeSummary, ServeError>>) {
+        let listener =
+            ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+        let addr = listener.local_addr().clone();
+        let handle = std::thread::spawn(move || {
+            serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+        });
+        (addr, handle)
+    }
+
+    fn shutdown(
+        addr: &ListenAddr,
+        handle: std::thread::JoinHandle<Result<ServeSummary, ServeError>>,
+    ) -> ServeIncidents {
+        let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
+        assert_eq!(reply, Ok(ServeResponse::Bye));
+        handle.join().expect("no panic").expect("no serve error").incidents
+    }
+
+    #[test]
+    fn one_client_submits_every_job_over_one_connection() {
+        let (addr, handle) = spawn_server(ServeOptions::default());
+        let (hex, inputs) = quickstart();
+        let mut client = SubmitClient::new(addr.clone());
+        let reports: Vec<JobOutcome> =
+            (1..=4).map(|job| client.submit(job, &hex, &inputs).expect("job settles")).collect();
+        client.submit_async(5, &hex, &inputs).expect("job 5 is accepted");
+        assert!(reports.iter().all(|r| *r == reports[0]), "one app, one report");
+        assert_eq!(client.connections, 1, "five jobs, one connection");
+
+        let incidents = shutdown(&addr, handle);
+        // The client's one connection, plus the one `Shutdown` came on.
+        assert_eq!(incidents.connections_opened, 2, "{incidents:?}");
+        assert_eq!(incidents.jobs_completed, 5, "{incidents:?}");
+    }
+
+    #[test]
+    fn a_kept_connection_the_server_idled_out_is_reopened() {
+        let options = ServeOptions { idle_timeout_ms: 50, ..ServeOptions::default() };
+        let (addr, handle) = spawn_server(options);
+        let (hex, inputs) = quickstart();
+        let mut client = SubmitClient::new(addr.clone());
+        let first = client.submit(1, &hex, &inputs).expect("job 1 settles");
+        // Outlast the idle window: the server drops the kept session.
+        std::thread::sleep(Duration::from_millis(500));
+        let second = client.submit(2, &hex, &inputs).expect("job 2 settles after a reconnect");
+        assert_eq!(second, first, "the reconnected job serves the byte-identical report");
+        assert_eq!(client.connections, 2, "exactly one reconnect");
+
+        let incidents = shutdown(&addr, handle);
+        assert_eq!(incidents.idle_timeouts, 1, "{incidents:?}");
     }
 
     #[test]

@@ -72,8 +72,8 @@ use std::time::{Duration, Instant};
 /// timeout on the socket.
 const SESSION_TICK: Duration = Duration::from_millis(25);
 
-/// How often the accept loop polls for the drain flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(10);
+/// The accept loop's nap after a failed `accept()` (EMFILE under load).
+const ACCEPT_ERROR_NAP: Duration = Duration::from_millis(10);
 
 /// Retry-after hint on [`ServeResponse::Draining`]: long enough for a
 /// restart to come back up.
@@ -373,13 +373,6 @@ enum AnyListener {
 }
 
 impl AnyListener {
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            AnyListener::Tcp(l) => l.set_nonblocking(on),
-            AnyListener::Unix(l) => l.set_nonblocking(on),
-        }
-    }
-
     fn accept(&self) -> std::io::Result<AnyStream> {
         match self {
             AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
@@ -410,13 +403,6 @@ impl AnyStream {
         match self {
             AnyStream::Tcp(s) => s.try_clone().map(AnyStream::Tcp),
             AnyStream::Unix(s) => s.try_clone().map(AnyStream::Unix),
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_nonblocking(on),
-            AnyStream::Unix(s) => s.set_nonblocking(on),
         }
     }
 
@@ -565,6 +551,9 @@ struct Core<'a> {
     journal: Mutex<Option<JobJournal>>,
     incidents: Mutex<ServeIncidents>,
     tracks: Mutex<Vec<fd_trace::TrackTrace>>,
+    /// The socket front end's resolved listen address: the drain
+    /// self-connects to it to wake the blocked `accept()`.
+    wake: Option<ListenAddr>,
 }
 
 impl<'a> Core<'a> {
@@ -626,6 +615,7 @@ impl<'a> Core<'a> {
             journal: Mutex::new(journal),
             incidents: Mutex::new(incidents),
             tracks: Mutex::new(Vec::new()),
+            wake: None,
         })
     }
 
@@ -633,13 +623,18 @@ impl<'a> Core<'a> {
         f(&mut lock(&self.incidents));
     }
 
-    /// Marks the server draining + shut down and wakes everyone.
+    /// Marks the server draining + shut down and wakes everyone: the
+    /// workers through the condvar, a socket accept loop blocked in
+    /// `accept()` through one self-connect, which it then drops.
     fn begin_drain(&self) {
         let mut st = lock(&self.state);
         st.draining = true;
         st.shutdown = true;
         drop(st);
         self.cvar.notify_all();
+        if let Some(addr) = &self.wake {
+            drop(AnyStream::connect(addr));
+        }
     }
 
     /// Blocks until every queued and running job has finished.
@@ -1034,11 +1029,11 @@ pub fn serve_listener(
     let workers = options.workers.max(1);
     let max_connections = options.max_connections.max(1);
     let pool = DevicePool::from_config(&options.config, workers);
-    let core = Core::new(options, trace_config)?;
+    let mut core = Core::new(options, trace_config)?;
+    core.wake = Some(listener.local_addr().clone());
     let tracer = fd_trace::Tracer::new(trace_config, core.clock, 0);
     emit_recovery(&core, &tracer);
 
-    listener.inner.set_nonblocking(true).map_err(|e| ServeError::io("set_nonblocking", e))?;
     let stop_sessions = AtomicBool::new(false);
     let active = AtomicUsize::new(0);
     let next_conn = AtomicU64::new(1);
@@ -1051,17 +1046,20 @@ pub fn serve_listener(
             scope.spawn(move || worker_loop(core, pool, lane));
         }
         loop {
+            // A blocking accept: the drain wakes it with a self-connect,
+            // and any connection accepted once draining began (that
+            // wake included) is dropped, never turned into a session.
+            let accepted = listener.inner.accept();
             if lock(&core.state).draining {
                 break;
             }
-            match listener.inner.accept() {
+            match accepted {
                 Ok(stream) => {
                     if active.load(Ordering::Acquire) >= max_connections {
                         core.bump(|i| i.overloaded_rejections += 1);
                         reject_overloaded(stream, options);
                         continue;
                     }
-                    let Ok(()) = stream.set_nonblocking(false) else { continue };
                     let _ = stream.set_read_timeout(Some(SESSION_TICK));
                     if options.write_timeout_ms != 0 {
                         let _ = stream.set_write_timeout(Some(Duration::from_millis(
@@ -1080,15 +1078,12 @@ pub fn serve_listener(
                         active.fetch_sub(1, Ordering::AcqRel);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_TICK);
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // Transient accept failure (EMFILE under load): absorb
                 // and keep listening rather than killing the server.
                 Err(_) => {
                     core.bump(|i| i.accept_errors += 1);
-                    std::thread::sleep(ACCEPT_TICK);
+                    std::thread::sleep(ACCEPT_ERROR_NAP);
                 }
             }
         }
@@ -1127,7 +1122,6 @@ fn emit_recovery(core: &Core<'_>, tracer: &fd_trace::Tracer) {
 /// Sends the one `Overloaded` frame a connection past the cap gets,
 /// best-effort, then drops the stream.
 fn reject_overloaded(stream: AnyStream, options: &ServeOptions) {
-    let _ = stream.set_nonblocking(false);
     let timeout = if options.write_timeout_ms == 0 { 1_000 } else { options.write_timeout_ms };
     let _ = stream.set_write_timeout(Some(Duration::from_millis(timeout)));
     let mut stream = stream;

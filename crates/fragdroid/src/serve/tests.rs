@@ -446,6 +446,52 @@ fn unix_socket_serves_and_cleans_up() {
     assert!(!path.exists(), "socket file removed after drain");
 }
 
+/// Serves `addr` with a one-connection cap, sends `Shutdown` on the only
+/// connection that ever opens, and returns the server's incidents. A
+/// drain that fails to wake the blocked `accept()` fails the join
+/// timeout instead of hanging the test.
+fn shutdown_with_no_other_client(addr: ListenAddr) -> ServeIncidents {
+    let listener = ServeListener::bind(&addr).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions { max_connections: 1, ..ServeOptions::default() };
+    let (done, served) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = done.send(serve_listener(listener, &options, &fd_trace::TraceConfig::off()));
+    });
+
+    let mut stream = AnyStream::connect(&addr).expect("connect");
+    stream.write_all(&request(1, ServeRequest::Shutdown)).expect("shutdown");
+    stream.flush().expect("flush");
+    assert_eq!(read_reply(&mut stream).body, ServeResponse::Bye);
+    let summary = served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_listener returns once drained, with no other client to wake it")
+        .expect("no serve error");
+    handle.join().expect("no panic");
+    summary.incidents
+}
+
+/// The drain wakes a TCP accept loop blocked in `accept()`, and the
+/// wake connection is dropped: neither a session nor an overload
+/// rejection.
+#[test]
+fn drain_wakes_the_tcp_accept_and_drops_the_wake() {
+    let incidents = shutdown_with_no_other_client(ListenAddr::Tcp("127.0.0.1:0".to_string()));
+    assert_eq!(incidents.connections_opened, 1, "{incidents:?}");
+    assert_eq!(incidents.overloaded_rejections, 0, "{incidents:?}");
+}
+
+/// The same over a Unix socket.
+#[test]
+fn drain_wakes_the_unix_accept_and_drops_the_wake() {
+    let path = temp_path("wake.sock");
+    let _ = std::fs::remove_file(&path);
+    let incidents = shutdown_with_no_other_client(ListenAddr::Unix(path.clone()));
+    assert_eq!(incidents.connections_opened, 1, "{incidents:?}");
+    assert_eq!(incidents.overloaded_rejections, 0, "{incidents:?}");
+    assert!(!path.exists(), "socket file removed after drain");
+}
+
 /// Crash-safe recovery end to end: a restarted server serves finished
 /// jobs byte-identically from the journal and re-queues (then runs)
 /// jobs that were accepted but never finished.
