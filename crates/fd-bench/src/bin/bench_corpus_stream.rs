@@ -45,6 +45,8 @@ struct SizeStats {
 
 #[derive(Serialize)]
 struct BenchCorpus {
+    /// `available_parallelism` of the host the figures come from.
+    nproc: usize,
     /// Per-app size profile used.
     profile: String,
     /// Shard slices in the digest pass.
@@ -141,7 +143,8 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    let bench = BenchCorpus { profile: "tiny".to_string(), shards: SHARDS, sizes: records };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bench = BenchCorpus { nproc, profile: "tiny".to_string(), shards: SHARDS, sizes: records };
     let json = serde_json::to_string_pretty(&bench).expect("bench record serializes");
     std::fs::write("BENCH_corpus.json", &json).expect("write BENCH_corpus.json");
     println!("{json}");

@@ -3,9 +3,10 @@
 //! `BENCH_ingest.json` so a checked-cursor or error-path regression
 //! shows up as a diff.
 //!
-//! Each measurement runs `PASSES` times and keeps the fastest pass (the
-//! least-noisy estimate of the code's actual cost, same convention as
-//! `bench_suite`).
+//! Each measurement runs `PASSES` times. Its throughput comes from the
+//! fastest pass (the least-noisy estimate of the code's actual cost);
+//! the slowest pass is recorded next to it as the run-to-run spread, and
+//! `nproc` (`available_parallelism`) records the host.
 //!
 //! ```text
 //! cargo run --release -p fd-bench --bin bench_ingest
@@ -30,6 +31,8 @@ struct DecodeStats {
     total_bytes: usize,
     /// Fastest pass, ms.
     wall_ms: f64,
+    /// Slowest pass, ms.
+    slowest_wall_ms: f64,
     /// Decode throughput of that pass.
     containers_per_second: f64,
     /// Byte throughput of that pass.
@@ -54,13 +57,17 @@ struct FuzzStats {
     outcome_digest: u64,
     /// Fastest pass, ms.
     wall_ms: f64,
+    /// Slowest pass, ms.
+    slowest_wall_ms: f64,
     /// Mutant throughput of that pass.
     mutants_per_second: f64,
 }
 
 #[derive(Serialize)]
 struct BenchIngest {
-    /// Best-of-N passes kept per measurement.
+    /// `available_parallelism` of the host the figures come from.
+    nproc: usize,
+    /// Passes run per measurement.
     passes: usize,
     /// The borrowed decoder — `ContainerView::parse` + `decode` — over
     /// every packed corpus container. This is the decode hot path:
@@ -76,6 +83,20 @@ struct BenchIngest {
     fuzz: FuzzStats,
 }
 
+/// Runs `pass` `PASSES` times; returns the fastest and slowest wall
+/// time, ms.
+fn time_passes(mut pass: impl FnMut()) -> (f64, f64) {
+    let (mut best, mut slowest) = (f64::MAX, 0.0f64);
+    for _ in 0..PASSES {
+        let start = Instant::now();
+        pass();
+        let ms = start.elapsed().as_secs_f64() * 1000.0;
+        best = best.min(ms);
+        slowest = slowest.max(ms);
+    }
+    (best, slowest)
+}
+
 fn main() {
     // Pack the full corpus once — packer-protected apps included, since
     // rejecting them cheaply is part of the frontier's job.
@@ -83,47 +104,37 @@ fn main() {
         fd_appgen::corpus::corpus_217(1).iter().map(|g| fd_apk::pack(&g.app)).collect();
     let total_bytes: usize = containers.iter().map(|b| b.len()).sum();
 
-    let stats = |wall_ms: f64| {
+    let stats = |(wall_ms, slowest_wall_ms): (f64, f64)| {
         let secs = wall_ms / 1000.0;
         DecodeStats {
             containers: containers.len(),
             total_bytes,
             wall_ms,
+            slowest_wall_ms,
             containers_per_second: containers.len() as f64 / secs,
             mib_per_second: total_bytes as f64 / (1024.0 * 1024.0) / secs,
         }
     };
 
-    let mut decode_best = f64::MAX;
-    for _ in 0..PASSES {
-        let start = Instant::now();
+    let decode = stats(time_passes(|| {
         for bytes in &containers {
             // Packed apps yield `Err(ApkError::Packed)` — that rejection
             // is part of the measured path, not a benchmark failure.
             let _ = fd_apk::ContainerView::parse(bytes).and_then(|v| v.decode());
         }
-        decode_best = decode_best.min(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    let decode = stats(decode_best);
+    }));
 
-    let mut decompile_best = f64::MAX;
-    for _ in 0..PASSES {
-        let start = Instant::now();
+    let decompile = stats(time_passes(|| {
         for bytes in &containers {
             let _ = fd_apk::decompile(bytes);
         }
-        decompile_best = decompile_best.min(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    let decompile = stats(decompile_best);
+    }));
 
     let config =
         fd_fuzz::FuzzConfig { seed: 4, mutants: MUTANTS, ..fd_fuzz::FuzzConfig::default() };
-    let mut fuzz_best = f64::MAX;
     let mut report: Option<fd_fuzz::CampaignReport> = None;
-    for _ in 0..PASSES {
-        let start = Instant::now();
+    let (fuzz_best, fuzz_slowest) = time_passes(|| {
         let pass = fd_fuzz::run_campaign(&config);
-        fuzz_best = fuzz_best.min(start.elapsed().as_secs_f64() * 1000.0);
         if let Some(previous) = &report {
             assert_eq!(
                 pass.outcome_digest, previous.outcome_digest,
@@ -131,7 +142,7 @@ fn main() {
             );
         }
         report = Some(pass);
-    }
+    });
     let report = report.expect("PASSES > 0");
     assert!(report.is_clean(), "panic-free invariant violated: {:#?}", report.violations);
     let fuzz = FuzzStats {
@@ -142,10 +153,12 @@ fn main() {
         violations: report.violations.len(),
         outcome_digest: report.outcome_digest,
         wall_ms: fuzz_best,
+        slowest_wall_ms: fuzz_slowest,
         mutants_per_second: report.mutants as f64 / (fuzz_best / 1000.0),
     };
 
-    let bench = BenchIngest { passes: PASSES, decode, decompile, fuzz };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bench = BenchIngest { nproc, passes: PASSES, decode, decompile, fuzz };
     let json = serde_json::to_string_pretty(&bench).expect("bench record serializes");
     std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
     println!("{json}");

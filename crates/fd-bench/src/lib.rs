@@ -16,12 +16,7 @@
 //! wall-time per tool, and APK container pack/decompile throughput.
 
 use fragdroid::suite::{engine, SuiteApp};
-use fragdroid::{
-    request_once, serve_listener, FragDroidConfig, ListenAddr, ServeListener, ServeOptions,
-    ServeRequest, ServeResponse, Suite, SuiteMetrics,
-};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use fragdroid::{FragDroidConfig, Suite, SuiteMetrics};
 
 /// Standard set of template apps used by comparison-style experiments.
 pub fn comparison_apps() -> Vec<fd_appgen::GeneratedApp> {
@@ -92,28 +87,6 @@ pub fn analyzable_corpus(seed: u64) -> Vec<SuiteApp> {
         .filter(|g| !g.app.meta.packed)
         .map(|g| (g.app, g.known_inputs))
         .collect()
-}
-
-/// Binds a loopback serve endpoint with `workers` workers and runs it
-/// on a background thread, for the serve and dispatch benches.
-pub fn spawn_loopback_server(workers: usize) -> (ListenAddr, JoinHandle<()>) {
-    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string()))
-        .expect("bind a loopback bench server");
-    let addr = listener.local_addr().clone();
-    let options = ServeOptions { workers, ..ServeOptions::default() };
-    let handle = std::thread::spawn(move || {
-        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
-            .expect("bench server runs to clean shutdown");
-    });
-    (addr, handle)
-}
-
-/// Shuts a [`spawn_loopback_server`] endpoint down (`Shutdown`, then
-/// `Bye`) and joins its thread.
-pub fn shutdown_loopback_server(addr: &ListenAddr, handle: JoinHandle<()>) {
-    let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
-    assert_eq!(reply, Ok(ServeResponse::Bye));
-    handle.join().expect("bench server thread exits");
 }
 
 #[cfg(test)]

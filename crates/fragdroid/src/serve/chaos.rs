@@ -2,10 +2,9 @@
 //! wrapper that shreds writes into tiny chunks (torn frames on the
 //! wire), injects short stalls, and tears the connection down
 //! mid-write on a seeded schedule. Used by the chaos-mode
-//! [`super::SubmitClient`], `bench_serve`, and the serve property
-//! tests to prove the server survives hostile transport behavior:
-//! under *any* seed the submitted job still ends as a byte-identical
-//! report or a typed error.
+//! [`super::SubmitClient`] and the serve property tests to prove the
+//! server survives hostile transport behavior: under *any* seed the
+//! submitted job still ends as a byte-identical report or a typed error.
 //!
 //! Same seed → same schedule: every decision comes from one `StdRng`,
 //! so a failing chaos run replays exactly.

@@ -191,9 +191,8 @@ impl SuiteMetrics {
 /// interpolation: the result is always an element of the input. The
 /// clamp makes the edges total: `p = 0` (rank 0) reads the minimum and
 /// `p ≥ 100` reads the maximum. Pinned by `percentile_is_nearest_rank`;
-/// the published `app_wall_ms_p50`/`p95` quantiles and `BENCH_*.json`
-/// baselines depend on this exact convention, so changing it is a
-/// metrics-format break.
+/// the published `app_wall_ms_p50`/`p95` quantiles depend on this exact
+/// convention, so changing it is a metrics-format break.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
