@@ -46,20 +46,7 @@ impl<'a> Run<'a> {
             return None;
         }
         self.stats.events += 1;
-        let result = match op {
-            Op::Launch => self.device.launch(),
-            Op::Click(id) => self.device.click(id),
-            Op::EnterText { id, text } => {
-                self.device.enter_text(id, text).map(|()| EventOutcome::NoChange)
-            }
-            Op::DismissOverlay => self.device.dismiss_overlay(),
-            Op::Back => self.device.back(),
-            Op::SwipeOpenDrawer => self.device.swipe_open_drawer(),
-            Op::ForceStart(_) | Op::ReflectSwitch(_) => {
-                unreachable!("activity-level tool has no such operations")
-            }
-        };
-        let outcome = result.ok()?;
+        let outcome = self.device.perform(op).ok()?;
         if matches!(outcome, EventOutcome::Crashed { .. }) {
             self.stats.crashes += 1;
         }

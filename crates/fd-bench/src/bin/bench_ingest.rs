@@ -3,10 +3,12 @@
 //! `BENCH_ingest.json` so a checked-cursor or error-path regression
 //! shows up as a diff.
 //!
-//! Each measurement runs `PASSES` times. Its throughput comes from the
-//! fastest pass (the least-noisy estimate of the code's actual cost);
-//! the slowest pass is recorded next to it as the run-to-run spread, and
-//! `nproc` (`available_parallelism`) records the host.
+//! Each measurement runs `PASSES` times. A pass repeats its workload a
+//! fixed number of rounds so that it takes at least 200 ms on a 2-core
+//! host, long enough to outweigh scheduler noise. Throughput comes from
+//! the fastest pass (the least-noisy estimate of the code's actual
+//! cost); the slowest pass is recorded next to it as the run-to-run
+//! spread, and `nproc` (`available_parallelism`) records the host.
 //!
 //! ```text
 //! cargo run --release -p fd-bench --bin bench_ingest
@@ -19,16 +21,24 @@ use std::time::Instant;
 /// Best-of-N passes per measurement.
 const PASSES: usize = 5;
 
+/// Corpus loops per decode or decompile pass (one loop is 11–27 ms).
+const CORPUS_ROUNDS: usize = 24;
+
 /// Mutants in the timed fuzz campaign.
 const MUTANTS: u64 = 5_000;
+
+/// Campaigns per fuzz pass (one campaign is 160–200 ms).
+const FUZZ_ROUNDS: usize = 2;
 
 /// What `BENCH_ingest.json` records for the well-formed decode path.
 #[derive(Serialize)]
 struct DecodeStats {
-    /// Containers decoded per pass.
+    /// Containers decoded per round.
     containers: usize,
-    /// Total packed payload per pass, bytes.
+    /// Total packed payload per round, bytes.
     total_bytes: usize,
+    /// Corpus loops per pass.
+    rounds: usize,
     /// Fastest pass, ms.
     wall_ms: f64,
     /// Slowest pass, ms.
@@ -44,8 +54,10 @@ struct DecodeStats {
 struct FuzzStats {
     /// Campaign seed.
     seed: u64,
-    /// Mutants executed per pass.
+    /// Mutants executed per campaign.
     mutants: u64,
+    /// Campaigns per pass.
+    rounds: usize,
     /// Mutants the pipeline accepted (identical every pass — the
     /// campaign is deterministic).
     ok: u64,
@@ -105,10 +117,11 @@ fn main() {
     let total_bytes: usize = containers.iter().map(|b| b.len()).sum();
 
     let stats = |(wall_ms, slowest_wall_ms): (f64, f64)| {
-        let secs = wall_ms / 1000.0;
+        let secs = wall_ms / 1000.0 / CORPUS_ROUNDS as f64;
         DecodeStats {
             containers: containers.len(),
             total_bytes,
+            rounds: CORPUS_ROUNDS,
             wall_ms,
             slowest_wall_ms,
             containers_per_second: containers.len() as f64 / secs,
@@ -117,16 +130,21 @@ fn main() {
     };
 
     let decode = stats(time_passes(|| {
-        for bytes in &containers {
-            // Packed apps yield `Err(ApkError::Packed)` — that rejection
-            // is part of the measured path, not a benchmark failure.
-            let _ = fd_apk::ContainerView::parse(bytes).and_then(|v| v.decode());
+        for _ in 0..CORPUS_ROUNDS {
+            for bytes in &containers {
+                // Packed apps yield `Err(ApkError::Packed)` — that
+                // rejection is part of the measured path, not a
+                // benchmark failure.
+                let _ = fd_apk::ContainerView::parse(bytes).and_then(|v| v.decode());
+            }
         }
     }));
 
     let decompile = stats(time_passes(|| {
-        for bytes in &containers {
-            let _ = fd_apk::decompile(bytes);
+        for _ in 0..CORPUS_ROUNDS {
+            for bytes in &containers {
+                let _ = fd_apk::decompile(bytes);
+            }
         }
     }));
 
@@ -134,27 +152,30 @@ fn main() {
         fd_fuzz::FuzzConfig { seed: 4, mutants: MUTANTS, ..fd_fuzz::FuzzConfig::default() };
     let mut report: Option<fd_fuzz::CampaignReport> = None;
     let (fuzz_best, fuzz_slowest) = time_passes(|| {
-        let pass = fd_fuzz::run_campaign(&config);
-        if let Some(previous) = &report {
-            assert_eq!(
-                pass.outcome_digest, previous.outcome_digest,
-                "same-seed campaigns must agree bit-for-bit"
-            );
+        for _ in 0..FUZZ_ROUNDS {
+            let campaign = fd_fuzz::run_campaign(&config);
+            if let Some(previous) = &report {
+                assert_eq!(
+                    campaign.outcome_digest, previous.outcome_digest,
+                    "same-seed campaigns must agree bit-for-bit"
+                );
+            }
+            report = Some(campaign);
         }
-        report = Some(pass);
     });
     let report = report.expect("PASSES > 0");
     assert!(report.is_clean(), "panic-free invariant violated: {:#?}", report.violations);
     let fuzz = FuzzStats {
         seed: report.seed,
         mutants: report.mutants,
+        rounds: FUZZ_ROUNDS,
         ok: report.ok,
         rejected: report.rejected,
         violations: report.violations.len(),
         outcome_digest: report.outcome_digest,
         wall_ms: fuzz_best,
         slowest_wall_ms: fuzz_slowest,
-        mutants_per_second: report.mutants as f64 / (fuzz_best / 1000.0),
+        mutants_per_second: (report.mutants * FUZZ_ROUNDS as u64) as f64 / (fuzz_best / 1000.0),
     };
 
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -77,6 +77,42 @@ impl Parsed {
             }
         }
     }
+
+    /// The corpus a suite command runs: the on-disk `gen-corpus`
+    /// directory `--corpus DIR`, streamed entry by entry (memory stays
+    /// O(1 app)), or the in-memory synthetic 217 of `--seed` (default 1)
+    /// cut to its first `--limit` apps (0 keeps them all).
+    pub fn corpus_source(&self) -> Result<Box<dyn fragdroid::CorpusSource>, String> {
+        let seed = self.num("seed", 1)?;
+        let limit = self.num("limit", 0)? as usize;
+        if let Some(dir) = self.opt("corpus") {
+            if limit > 0 {
+                return Err("--limit applies to the in-memory corpus; \
+                            slice an on-disk corpus with --shards"
+                    .into());
+            }
+            let reader = fd_apk::CorpusReader::open(std::path::Path::new(dir))
+                .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
+            return Ok(Box::new(reader));
+        }
+        let mut apps: Vec<fragdroid::suite::SuiteContainer> = fd_appgen::corpus::corpus_217(seed)
+            .into_iter()
+            .map(|g| (fd_apk::pack(&g.app), g.known_inputs))
+            .collect();
+        if limit > 0 {
+            apps.truncate(limit);
+        }
+        Ok(Box::new(apps))
+    }
+
+    /// `--trace-out T.jsonl`: the path to write the trace to, and tracing
+    /// on — or no path and tracing off.
+    pub fn trace_out(&self) -> (Option<&str>, fd_trace::TraceConfig) {
+        match self.opt("trace-out") {
+            Some(out) => (Some(out), fd_trace::TraceConfig::on()),
+            None => (None, fd_trace::TraceConfig::off()),
+        }
+    }
 }
 
 #[cfg(test)]

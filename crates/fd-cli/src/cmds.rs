@@ -140,12 +140,7 @@ pub fn dot(argv: &[String]) -> Result<(), CliError> {
 /// [--fault-seed N] [--trace-out T.jsonl] [--json]`
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv)?;
-    let trace_out = p.opt("trace-out");
-    let trace_config = if trace_out.is_some() {
-        fd_trace::TraceConfig::on()
-    } else {
-        fd_trace::TraceConfig::off()
-    };
+    let (trace_out, trace_config) = p.trace_out();
     let tracer = fd_trace::Tracer::new(&trace_config, fd_trace::TraceClock::start(), 0);
     let app = load_app_traced(p.one_path("container path")?, &tracer)?;
     let inputs = load_inputs(p.opt("inputs"))?;
@@ -354,38 +349,8 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     if !p.positional.is_empty() {
         return Err("corpus takes no positional arguments".into());
     }
-    let seed = p.num("seed", 1)?;
-    let limit = p.num("limit", 0)? as usize;
-
-    // The corpus source: an on-disk `gen-corpus` directory streamed
-    // entry-by-entry (memory stays O(1 app)), or the in-memory synthetic
-    // 217. Both feed the same lazy suite entry points.
-    let disk_corpus;
-    let mem_corpus;
-    let source: &dyn fragdroid::CorpusSource = match p.opt("corpus") {
-        Some(dir) => {
-            if limit > 0 {
-                return Err("--limit applies to the in-memory corpus; \
-                            slice an on-disk corpus with --shards"
-                    .into());
-            }
-            disk_corpus = fd_apk::CorpusReader::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-            &disk_corpus
-        }
-        None => {
-            let mut apps: Vec<fragdroid::suite::SuiteContainer> =
-                fd_appgen::corpus::corpus_217(seed)
-                    .into_iter()
-                    .map(|g| (fd_apk::pack(&g.app), g.known_inputs))
-                    .collect();
-            if limit > 0 {
-                apps.truncate(limit);
-            }
-            mem_corpus = apps;
-            &mem_corpus
-        }
-    };
+    let corpus = p.corpus_source()?;
+    let source = &*corpus;
     let total = fragdroid::CorpusSource::len(source);
 
     let backend = parse_backend(&p)?;
@@ -456,12 +421,7 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     } else {
         None
     };
-    let trace_out = p.opt("trace-out");
-    let trace_config = if trace_out.is_some() {
-        fd_trace::TraceConfig::on()
-    } else {
-        fd_trace::TraceConfig::off()
-    };
+    let (trace_out, trace_config) = p.trace_out();
 
     let resume = p.flag("resume");
     let flake_retries = p.num("flake-retries", 0)? as usize;
@@ -695,12 +655,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         write_timeout_ms: p.num("write-timeout-ms", defaults.write_timeout_ms)?,
         journal: p.opt("journal").map(std::path::PathBuf::from),
     };
-    let trace_out = p.opt("trace-out");
-    let trace_config = if trace_out.is_some() {
-        fd_trace::TraceConfig::on()
-    } else {
-        fd_trace::TraceConfig::off()
-    };
+    let (trace_out, trace_config) = p.trace_out();
     let trace = match p.opt("listen") {
         None => {
             let stdin = std::io::stdin();
@@ -791,34 +746,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
             endpoints.push(fragdroid::ListenAddr::parse(part)?);
         }
     }
-    let seed = p.num("seed", 1)?;
-    let limit = p.num("limit", 0)? as usize;
-    let disk_corpus;
-    let mem_corpus;
-    let source: &dyn fragdroid::CorpusSource = match p.opt("corpus") {
-        Some(dir) => {
-            if limit > 0 {
-                return Err("--limit applies to the in-memory corpus; \
-                            split an on-disk corpus with --shards"
-                    .into());
-            }
-            disk_corpus = fd_apk::CorpusReader::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-            &disk_corpus
-        }
-        None => {
-            let mut apps: Vec<fragdroid::suite::SuiteContainer> =
-                fd_appgen::corpus::corpus_217(seed)
-                    .into_iter()
-                    .map(|g| (fd_apk::pack(&g.app), g.known_inputs))
-                    .collect();
-            if limit > 0 {
-                apps.truncate(limit);
-            }
-            mem_corpus = apps;
-            &mem_corpus
-        }
-    };
+    let corpus = p.corpus_source()?;
 
     // The digest-parity config. Only knobs that change what the suite
     // *finds* matter here; execution happens on the serve endpoints.
@@ -854,14 +782,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
         options.chaos = Some(fragdroid::ChaosConfig::from_seed(chaos_seed));
     }
 
-    let trace_out = p.opt("trace-out");
-    let trace_config = if trace_out.is_some() {
-        fd_trace::TraceConfig::on()
-    } else {
-        fd_trace::TraceConfig::off()
-    };
+    let (trace_out, trace_config) = p.trace_out();
 
-    let run = fragdroid::dispatch(source, &config, &options, &trace_config)?;
+    let run = fragdroid::dispatch(&*corpus, &config, &options, &trace_config)?;
     if let Some(out) = trace_out {
         write_trace(out, &run.trace)?;
     }
@@ -920,12 +843,7 @@ pub fn fuzz(argv: &[String]) -> Result<(), CliError> {
         targets,
         out_dir: p.opt("out").map(std::path::PathBuf::from),
     };
-    let trace_out = p.opt("trace-out");
-    let trace_config = if trace_out.is_some() {
-        fd_trace::TraceConfig::on()
-    } else {
-        fd_trace::TraceConfig::off()
-    };
+    let (trace_out, trace_config) = p.trace_out();
     let tracer = fd_trace::Tracer::new(&trace_config, fd_trace::TraceClock::start(), 0);
     let report = fd_fuzz::run_campaign_traced(&config, &tracer);
     if let Some(out) = trace_out {

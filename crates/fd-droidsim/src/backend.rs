@@ -26,6 +26,7 @@ use crate::faults::{FaultLog, FaultRecord};
 use crate::monitor::ApiInvocation;
 use crate::outcome::{EventOutcome, UiSignature};
 use crate::screen::VisibleWidget;
+use crate::script::Op;
 use fd_apk::AndroidApp;
 use fd_smali::ClassName;
 use serde::{Deserialize, Serialize};
@@ -124,6 +125,23 @@ pub trait DeviceApi: Send {
     fn swipe_open_drawer(&mut self) -> Result<EventOutcome, DeviceError>;
     /// Reflectively switches the current activity to `fragment`.
     fn reflect_switch_fragment(&mut self, fragment: &str) -> Result<EventOutcome, DeviceError>;
+
+    /// Performs one scripted operation through the methods above — the
+    /// trait-object twin of [`Device::perform`].
+    fn perform(&mut self, op: &Op) -> Result<EventOutcome, DeviceError> {
+        match op {
+            Op::Launch => self.launch(),
+            Op::ForceStart(component) => self.am_start(component.as_str()),
+            Op::Click(id) => self.click(id),
+            Op::EnterText { id, text } => {
+                self.enter_text(id, text).map(|()| EventOutcome::NoChange)
+            }
+            Op::DismissOverlay => self.dismiss_overlay(),
+            Op::Back => self.back(),
+            Op::SwipeOpenDrawer => self.swipe_open_drawer(),
+            Op::ReflectSwitch(fragment) => self.reflect_switch_fragment(fragment.as_str()),
+        }
+    }
 
     /// The foreground screen's observation, or `None` if nothing is up.
     fn observe(&mut self) -> Result<Option<ScreenObservation>, DeviceError>;

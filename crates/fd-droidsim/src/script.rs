@@ -100,24 +100,31 @@ impl ScriptReport {
     }
 }
 
+impl Device {
+    /// Performs one scripted operation. `EnterText` reports
+    /// [`EventOutcome::NoChange`] on success (typing does not itself
+    /// change the UI state).
+    pub fn perform(&mut self, op: &Op) -> Result<EventOutcome, DeviceError> {
+        match op {
+            Op::Launch => self.launch(),
+            Op::ForceStart(component) => self.am_start(component.as_str()),
+            Op::Click(id) => self.click(id),
+            Op::EnterText { id, text } => {
+                self.enter_text(id, text).map(|()| EventOutcome::NoChange)
+            }
+            Op::DismissOverlay => self.dismiss_overlay(),
+            Op::Back => self.back(),
+            Op::SwipeOpenDrawer => self.swipe_open_drawer(),
+            Op::ReflectSwitch(fragment) => self.reflect_switch_fragment(fragment.as_str()),
+        }
+    }
+}
+
 /// Executes `script` on `device`, stopping early if the app force-closes.
-/// `EnterText` steps report [`EventOutcome::NoChange`] on success (typing
-/// does not itself change the UI state).
 pub fn run_script(device: &mut Device, script: &TestScript) -> ScriptReport {
     let mut steps = Vec::with_capacity(script.ops.len());
     for op in &script.ops {
-        let result = match op {
-            Op::Launch => device.launch(),
-            Op::ForceStart(component) => device.am_start(component.as_str()),
-            Op::Click(id) => device.click(id),
-            Op::EnterText { id, text } => {
-                device.enter_text(id, text).map(|()| EventOutcome::NoChange)
-            }
-            Op::DismissOverlay => device.dismiss_overlay(),
-            Op::Back => device.back(),
-            Op::SwipeOpenDrawer => device.swipe_open_drawer(),
-            Op::ReflectSwitch(fragment) => device.reflect_switch_fragment(fragment.as_str()),
-        };
+        let result = device.perform(op);
         let crashed = matches!(result, Ok(EventOutcome::Crashed { .. }));
         steps.push(StepResult { op: op.clone(), result });
         if crashed {

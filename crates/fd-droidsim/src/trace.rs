@@ -71,18 +71,7 @@ impl Recorder {
 
     /// Injects one operation, recording it with the resulting state.
     pub fn step(&mut self, op: Op) -> Result<EventOutcome, DeviceError> {
-        let result = match &op {
-            Op::Launch => self.device.launch(),
-            Op::ForceStart(c) => self.device.am_start(c.as_str()),
-            Op::Click(id) => self.device.click(id),
-            Op::EnterText { id, text } => {
-                self.device.enter_text(id, text).map(|()| EventOutcome::NoChange)
-            }
-            Op::DismissOverlay => self.device.dismiss_overlay(),
-            Op::Back => self.device.back(),
-            Op::SwipeOpenDrawer => self.device.swipe_open_drawer(),
-            Op::ReflectSwitch(f) => self.device.reflect_switch_fragment(f.as_str()),
-        };
+        let result = self.device.perform(&op);
         if result.is_ok() {
             self.trace.steps.push(TraceStep { op, after: self.device.signature() });
         }
@@ -121,19 +110,7 @@ pub enum ReplayOutcome {
 /// Replays a trace on a fresh device, checking each step's state.
 pub fn replay(device: &mut Device, trace: &Trace) -> ReplayOutcome {
     for (index, step) in trace.steps.iter().enumerate() {
-        let result = match &step.op {
-            Op::Launch => device.launch(),
-            Op::ForceStart(c) => device.am_start(c.as_str()),
-            Op::Click(id) => device.click(id),
-            Op::EnterText { id, text } => {
-                device.enter_text(id, text).map(|()| EventOutcome::NoChange)
-            }
-            Op::DismissOverlay => device.dismiss_overlay(),
-            Op::Back => device.back(),
-            Op::SwipeOpenDrawer => device.swipe_open_drawer(),
-            Op::ReflectSwitch(f) => device.reflect_switch_fragment(f.as_str()),
-        };
-        if let Err(error) = result {
+        if let Err(error) = device.perform(&step.op) {
             return ReplayOutcome::Rejected { index, error };
         }
         if device.signature() != step.after {

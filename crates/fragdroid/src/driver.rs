@@ -467,18 +467,7 @@ impl<'a> Explorer<'a> {
             }
             self.tracer.event(|| fd_trace::TraceEvent::EventDispatched { op: op_name(&op).into() });
             self.tracer.count("events_dispatched", 1);
-            let result = match &op {
-                Op::Launch => self.device.launch(),
-                Op::ForceStart(c) => self.device.am_start(c.as_str()),
-                Op::Click(id) => self.device.click(id),
-                Op::EnterText { id, text } => {
-                    self.device.enter_text(id, text).map(|()| EventOutcome::NoChange)
-                }
-                Op::DismissOverlay => self.device.dismiss_overlay(),
-                Op::Back => self.device.back(),
-                Op::SwipeOpenDrawer => self.device.swipe_open_drawer(),
-                Op::ReflectSwitch(f) => self.device.reflect_switch_fragment(f.as_str()),
-            };
+            let result = self.device.perform(&op);
             self.trace_new_faults();
             match result {
                 Ok(outcome) => break outcome,

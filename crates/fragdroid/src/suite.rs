@@ -67,6 +67,16 @@ pub enum AppOutcome {
 }
 
 impl AppOutcome {
+    /// The outcome of a run that produced `report`: partial when it hit
+    /// its deadline, completed otherwise.
+    pub(crate) fn ran(report: RunReport) -> AppOutcome {
+        if report.deadline_exceeded {
+            AppOutcome::DeadlineExceeded(report)
+        } else {
+            AppOutcome::Completed(report)
+        }
+    }
+
     /// The report, if the run produced one (completed or partial).
     pub fn report(&self) -> Option<&RunReport> {
         match self {
@@ -681,14 +691,7 @@ pub(crate) fn slot_outcome(
     index: usize,
 ) -> (AppOutcome, String) {
     match from_engine {
-        Ok(Ok((report, package))) => {
-            let outcome = if report.deadline_exceeded {
-                AppOutcome::DeadlineExceeded(report)
-            } else {
-                AppOutcome::Completed(report)
-            };
-            (outcome, package)
-        }
+        Ok(Ok((report, package))) => (AppOutcome::ran(report), package),
         Ok(Err(reason)) => (AppOutcome::Rejected { reason }, source.label(index)),
         Err(message) => (AppOutcome::Panicked { message }, source.label(index)),
     }

@@ -1,9 +1,8 @@
-//! The shard coordinator's load-bearing promise, property-tested: a
-//! corpus split across N shard processes, each journaling to its own
-//! checkpoint, merges back to the *exact* outcome digest (and
-//! timing-free metrics) of a single-process run — for every shard count
-//! including ragged splits, under fault injection, and across a
-//! kill-and-resume of one shard.
+//! The shard coordinator's kill-and-resume and refusal paths: a shard
+//! killed mid-run makes the merge refuse typed until that shard alone
+//! resumes, and a foreign shard journal is refused. That every shard
+//! count merges back to the unsharded findings is a cell of the
+//! `suite_differential` matrix.
 
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
@@ -71,52 +70,6 @@ fn run_all_shards(
 fn cleanup(base: &std::path::Path, shards: usize) {
     for index in 0..shards {
         std::fs::remove_file(shard_journal_path(base, index, shards)).ok();
-    }
-}
-
-mod merge_identity {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-
-        /// N ∈ {1, 2, 4, 7} (7 > app count per shard makes the split
-        /// ragged, with some single-entry and larger shards) under 25%
-        /// fault injection: merged outcomes, digest, and timing-free
-        /// metrics must equal the single-process run exactly.
-        #[test]
-        fn n_shard_merge_matches_single_run(seed in 0u64..12, pick in 0usize..4) {
-            let shards = [1usize, 2, 4, 7][pick];
-            let containers = mixed_corpus(seed);
-            let config = faulty_config(seed);
-            let reference = reference_run(&containers, &config);
-
-            let base = scratch("merge");
-            run_all_shards(&containers, &config, &base, shards);
-            let (merged, _) = merge_shards(
-                &containers, &config, 0, &base, shards, &fd_trace::TraceConfig::off(),
-            ).expect("complete shard journals merge");
-
-            prop_assert_eq!(merged.shards.len(), shards);
-            prop_assert_eq!(outcome_bytes(&merged.run), outcome_bytes(&reference));
-            prop_assert_eq!(merged.run.outcome_digest(), reference.outcome_digest());
-
-            // Timing-free metrics: identical app set, identical per-app
-            // event/coverage numbers, identical rejection count.
-            let m = &merged.run.metrics;
-            let r = &reference.metrics;
-            prop_assert_eq!(m.rejected, r.rejected);
-            prop_assert_eq!(m.apps.len(), r.apps.len());
-            for (ours, theirs) in m.apps.iter().zip(&r.apps) {
-                prop_assert_eq!(&ours.package, &theirs.package);
-                prop_assert_eq!(ours.events_injected, theirs.events_injected);
-                prop_assert_eq!(ours.test_cases_run, theirs.test_cases_run);
-                prop_assert_eq!(ours.crashes, theirs.crashes);
-                prop_assert_eq!(ours.rejected, theirs.rejected);
-            }
-            cleanup(&base, shards);
-        }
     }
 }
 
@@ -191,37 +144,5 @@ mod kill_and_resume {
             other => panic!("expected a fingerprint refusal on shard 0, got {other:?}"),
         }
         cleanup(&base, shards);
-    }
-}
-
-mod on_disk {
-    use super::*;
-
-    /// The full scale-out path end to end in-library: a generated
-    /// on-disk corpus streamed by the lazy [`fd_apk::CorpusReader`]
-    /// through a 4-shard run merges to the digest of the unsharded
-    /// streamed run — no corpus entry is ever materialized eagerly.
-    #[test]
-    fn lazy_disk_corpus_shards_to_the_streamed_digest() {
-        let dir = scratch("disk-corpus");
-        let stream_config = fd_appgen::stream::StreamConfig::tiny(10, 42);
-        fd_appgen::stream::write_corpus(&dir, &stream_config).expect("write corpus");
-        let reader = fd_apk::corpus::CorpusReader::open(&dir).expect("open corpus");
-
-        let config = faulty_config(11);
-        let reference = reference_run(&reader, &config);
-        assert_eq!(reference.outcomes.len(), 10);
-
-        let shards = 4;
-        let base = scratch("disk");
-        run_all_shards(&reader, &config, &base, shards);
-        let (merged, _) =
-            merge_shards(&reader, &config, 0, &base, shards, &fd_trace::TraceConfig::off())
-                .expect("disk-backed shards merge");
-        assert_eq!(merged.run.outcome_digest(), reference.outcome_digest());
-        assert_eq!(outcome_bytes(&merged.run), outcome_bytes(&reference));
-
-        cleanup(&base, shards);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
