@@ -7,9 +7,10 @@ use crate::interp::{self, Frame, Interrupt};
 use crate::monitor::{ApiInvocation, ApiMonitor, Caller};
 use crate::outcome::{EventOutcome, UiSignature};
 use crate::screen::{Screen, VisibleWidget};
-use fd_apk::{AndroidApp, ApkError, WidgetKind, ACTION_MAIN};
+use fd_apk::{AndroidApp, ApkError, Layout, WidgetKind, ACTION_MAIN};
 use fd_smali::{visit, ClassName, Stmt};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Maximum activity back-stack depth.
 const MAX_STACK: usize = 48;
@@ -29,9 +30,16 @@ pub struct DeviceConfig {
 }
 
 /// A simulated Android device with one installed app.
+///
+/// The app is immutable once installed and shared by `Arc`: the
+/// interpreter runs program text borrowed through a cloned handle, and
+/// screens share interned layouts, so no event copies either.
 #[derive(Clone, Debug)]
 pub struct Device {
-    app: AndroidApp,
+    app: Arc<AndroidApp>,
+    /// Layouts inflated so far, interned on first inflate (install copies
+    /// none) and shared by every screen and pane showing them.
+    layouts: HashMap<String, Arc<Layout>>,
     granted: BTreeSet<String>,
     stack: Vec<Screen>,
     monitor: ApiMonitor,
@@ -68,7 +76,8 @@ impl Device {
             .collect();
         let faults = config.faults.map(FaultPlan::new).unwrap_or_else(FaultPlan::inert);
         Device {
-            app,
+            app: Arc::new(app),
+            layouts: HashMap::new(),
             granted,
             stack: Vec::new(),
             monitor: ApiMonitor::new(),
@@ -89,6 +98,22 @@ impl Device {
     /// The installed app.
     pub fn app(&self) -> &AndroidApp {
         &self.app
+    }
+
+    /// A shared handle on the installed app, so code it runs can be
+    /// borrowed while the device is mutated.
+    pub(crate) fn app_handle(&self) -> Arc<AndroidApp> {
+        Arc::clone(&self.app)
+    }
+
+    /// The layout named `name`, interned on its first inflate.
+    pub(crate) fn inflate(&mut self, name: &str) -> Option<Arc<Layout>> {
+        if let Some(layout) = self.layouts.get(name) {
+            return Some(Arc::clone(layout));
+        }
+        let layout = Arc::new(self.app.layout(name)?.clone());
+        self.layouts.insert(name.to_string(), Arc::clone(&layout));
+        Some(layout)
     }
 
     /// The sensitive-API monitor's log.
@@ -215,13 +240,13 @@ impl Device {
     ) -> Result<(), Interrupt> {
         let Some(screen) = self.stack.get(screen_idx) else { return Ok(()) };
         let activity = screen.activity.clone();
-        let Some(method) =
-            self.app.classes.get(activity.as_str()).and_then(|c| c.method(callback)).cloned()
+        let app = self.app_handle();
+        let Some(method) = app.classes.get(activity.as_str()).and_then(|c| c.method(callback))
         else {
             return Ok(());
         };
         let mut frame = Frame::activity(activity, screen_idx, depth);
-        match interp::run_method(self, &mut frame, &method) {
+        match interp::run_method(self, &mut frame, method) {
             Ok(()) | Err(Interrupt::Finish) => Ok(()),
             Err(crash) => Err(crash),
         }
@@ -258,11 +283,10 @@ impl Device {
         if self.stack.len() >= MAX_STACK {
             return Err(Interrupt::Crash("StackOverflowError: activity stack".into()));
         }
-        let def = self
-            .app
+        let app = self.app_handle();
+        let def = app
             .classes
             .get(activity.as_str())
-            .cloned()
             .ok_or_else(|| Interrupt::Crash(format!("ClassNotFoundException: {activity}")))?;
 
         let prev_idx = self.stack.len().checked_sub(1);
@@ -272,9 +296,9 @@ impl Device {
 
         self.stack.push(Screen::new(activity.clone(), intent));
         let screen_idx = self.stack.len() - 1;
-        if let Some(on_create) = def.method("onCreate").cloned() {
+        if let Some(on_create) = def.method("onCreate") {
             let mut frame = Frame::activity(activity, screen_idx, depth);
-            match interp::run_method(self, &mut frame, &on_create) {
+            match interp::run_method(self, &mut frame, on_create) {
                 Ok(()) => {}
                 Err(Interrupt::Finish) => {
                     // Activity finished inside onCreate: remove it again
@@ -469,17 +493,14 @@ impl Device {
             }
         };
 
-        let method = self
-            .app
-            .classes
-            .get(handler.class.as_str())
-            .and_then(|c| c.method(handler.method.as_str()))
-            .cloned();
+        let app = self.app_handle();
+        let method =
+            app.classes.get(handler.class.as_str()).and_then(|c| c.method(handler.method.as_str()));
         let Some(method) = method else {
             return Ok(self.classify(before));
         };
 
-        match interp::run_method(self, &mut frame, &method) {
+        match interp::run_method(self, &mut frame, method) {
             Ok(()) => Ok(self.classify(before)),
             Err(Interrupt::Finish) => {
                 if let Err(Interrupt::Crash(reason)) = self.pop_screen(frame.screen_idx) {
@@ -595,21 +616,13 @@ impl Device {
         }
 
         let activity = self.stack.last().expect("running").activity.clone();
+        let (has_fm, container) = self.scan_fragment_wiring(&activity, fragment);
         // Reflecting getFragmentManager()/getSupportFragmentManager() only
         // works if the activity (or its inner classes) actually obtains one.
-        let has_fm = self
-            .app
-            .classes
-            .with_inner_classes(activity.as_str())
-            .iter()
-            .any(|c| visit::any_stmt(c, |s| matches!(s, Stmt::GetFragmentManager { .. })));
         if !has_fm {
             return Err(fail(ReflectError::NoFragmentManager));
         }
-
-        let container = self
-            .infer_container(&activity, fragment)
-            .ok_or_else(|| fail(ReflectError::NoContainer))?;
+        let container = container.ok_or_else(|| fail(ReflectError::NoContainer))?;
 
         let before = self.signature();
         let screen_idx = self.stack.len() - 1;
@@ -621,38 +634,35 @@ impl Device {
         }
     }
 
-    /// Infers the container resource-ID a fragment should be committed
-    /// into: first a transaction in the activity's code that mentions the
-    /// fragment, then any transaction container in the activity, then the
-    /// first `FragmentContainer` in the current layout.
-    fn infer_container(&self, activity: &ClassName, fragment: &str) -> Option<String> {
-        let classes = self.app.classes.with_inner_classes(activity.as_str());
+    /// One pass over the code of `activity` and its inner classes: whether
+    /// it obtains a `FragmentManager`, and the container resource-ID to
+    /// commit `fragment` into — first a transaction there that mentions
+    /// the fragment, then any transaction container, then the first
+    /// `FragmentContainer` in the current layout.
+    fn scan_fragment_wiring(&self, activity: &ClassName, fragment: &str) -> (bool, Option<String>) {
+        let mut has_fm = false;
         let mut any_container = None;
         let mut matching = None;
-        for class in &classes {
-            visit::walk_class(class, &mut |s| {
-                if let Stmt::TxnAdd { container, fragment: f }
+        for class in self.app.classes.with_inner_classes(activity.as_str()) {
+            visit::walk_class(class, &mut |s| match s {
+                Stmt::GetFragmentManager { .. } => has_fm = true,
+                Stmt::TxnAdd { container, fragment: f }
                 | Stmt::TxnReplace { container, fragment: f }
-                | Stmt::AttachDirect { container, fragment: f } = s
-                {
+                | Stmt::AttachDirect { container, fragment: f } => {
                     if any_container.is_none() {
-                        any_container = Some(container.name.clone());
+                        any_container = Some(&container.name);
                     }
                     if matching.is_none() && f.as_str() == fragment {
-                        matching = Some(container.name.clone());
+                        matching = Some(&container.name);
                     }
                 }
+                _ => {}
             });
         }
-        matching.or(any_container).or_else(|| {
-            self.current().and_then(|s| {
-                s.layout.as_ref().and_then(|l| {
-                    l.root
-                        .iter()
-                        .find(|w| w.kind == WidgetKind::FragmentContainer)
-                        .and_then(|w| w.id.clone())
-                })
-            })
-        })
+        let container = matching.or(any_container).cloned().or_else(|| {
+            let layout = self.current()?.layout.as_ref()?;
+            layout.root.iter().find(|w| w.kind == WidgetKind::FragmentContainer)?.id.clone()
+        });
+        (has_fm, container)
     }
 }

@@ -98,20 +98,24 @@ mod tests {
     use crate::intent::Intent;
     use crate::screen::FragmentPane;
     use fd_apk::Layout;
+    use std::sync::Arc;
 
     #[test]
     fn dump_contains_widgets_fragments_and_escapes() {
         let mut screen = Screen::new("d.Main".into(), Intent::empty());
-        screen.layout = Some(Layout::new(
+        screen.layout = Some(Arc::new(Layout::new(
             "m",
             Widget::new(WidgetKind::Group)
                 .with_child(Widget::new(WidgetKind::Button).with_id("go").with_text("a<b&\"c\"")),
-        ));
+        )));
         screen.fragments.insert(
             "content".into(),
             FragmentPane {
                 fragment: "d.F".into(),
-                layout: Some(Layout::new("f", Widget::new(WidgetKind::TextView).with_id("lbl"))),
+                layout: Some(Arc::new(Layout::new(
+                    "f",
+                    Widget::new(WidgetKind::TextView).with_id("lbl"),
+                ))),
                 via_manager: true,
             },
         );
@@ -128,7 +132,8 @@ mod tests {
     #[test]
     fn childless_widgets_self_close() {
         let mut screen = Screen::new("d.Main".into(), Intent::empty());
-        screen.layout = Some(Layout::new("m", Widget::new(WidgetKind::Button).with_id("b")));
+        screen.layout =
+            Some(Arc::new(Layout::new("m", Widget::new(WidgetKind::Button).with_id("b"))));
         let xml = dump_hierarchy(&screen);
         assert!(xml.contains("/>"));
         assert!(!xml.contains(

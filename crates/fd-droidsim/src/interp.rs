@@ -97,8 +97,7 @@ pub fn run_method(
     if frame.depth >= MAX_DEPTH {
         return Err(Interrupt::Crash("StackOverflowError".to_string()));
     }
-    let body = method.body.clone();
-    run_stmts(device, frame, &body)
+    run_stmts(device, frame, &method.body)
 }
 
 fn run_stmts(device: &mut Device, frame: &mut Frame, stmts: &[Stmt]) -> Result<(), Interrupt> {
@@ -124,7 +123,7 @@ fn eval_cond(device: &Device, frame: &Frame, cond: &Cond) -> bool {
 fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), Interrupt> {
     match stmt {
         Stmt::SetContentView(layout_ref) => {
-            let layout = device.app().layout(&layout_ref.name).cloned().ok_or_else(|| {
+            let layout = device.inflate(&layout_ref.name).ok_or_else(|| {
                 Interrupt::Crash(format!("InflateException: no layout {}", layout_ref.name))
             })?;
             if let Some(screen) = device.screen_at_mut(frame.screen_idx) {
@@ -132,7 +131,7 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
             }
         }
         Stmt::InflateLayout(layout_ref) => {
-            let layout = device.app().layout(&layout_ref.name).cloned().ok_or_else(|| {
+            let layout = device.inflate(&layout_ref.name).ok_or_else(|| {
                 Interrupt::Crash(format!("InflateException: no layout {}", layout_ref.name))
             })?;
             if let (Some(container), Some(screen)) =
@@ -252,10 +251,10 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
         Stmt::InvokeMethod { class, method } => {
             // Calls into framework classes (not in the pool) are no-ops;
             // calls into app classes execute with the same UI attribution.
-            let Some(def) = device.app().classes.get(class.as_str()) else {
-                return Ok(());
-            };
-            let Some(m) = def.method(method.as_str()).cloned() else {
+            let app = device.app_handle();
+            let Some(m) =
+                app.classes.get(class.as_str()).and_then(|def| def.method(method.as_str()))
+            else {
                 return Ok(());
             };
             let mut callee = Frame {
@@ -267,7 +266,7 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
                 txn: None,
                 depth: frame.depth + 1,
             };
-            run_method(device, &mut callee, &m)?;
+            run_method(device, &mut callee, m)?;
         }
         Stmt::Finish => return Err(Interrupt::Finish),
         Stmt::Crash { reason } => return Err(Interrupt::Crash(reason.clone())),
@@ -291,11 +290,10 @@ pub fn attach_fragment(
     fragment: &ClassName,
     via_manager: bool,
 ) -> Result<(), Interrupt> {
-    let def = device
-        .app()
+    let app = device.app_handle();
+    let def = app
         .classes
         .get(fragment.as_str())
-        .cloned()
         .ok_or_else(|| Interrupt::Crash(format!("ClassNotFoundException: {fragment}")))?;
     if def.is_abstract {
         return Err(Interrupt::Crash(format!("InstantiationError: {fragment} is abstract")));
@@ -312,7 +310,7 @@ pub fn attach_fragment(
         );
     }
 
-    if let Some(on_create_view) = def.method("onCreateView").cloned() {
+    if let Some(on_create_view) = def.method("onCreateView") {
         let mut f = Frame::fragment(
             fragment.clone(),
             host,
@@ -320,7 +318,7 @@ pub fn attach_fragment(
             Some(container.to_string()),
             frame.depth + 1,
         );
-        run_method(device, &mut f, &on_create_view)?;
+        run_method(device, &mut f, on_create_view)?;
     }
     Ok(())
 }

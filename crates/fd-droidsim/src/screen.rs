@@ -4,6 +4,7 @@ use fd_apk::{Layout, Widget, WidgetKind};
 use fd_smali::{ClassName, MethodName};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::intent::Intent;
 use crate::outcome::UiSignature;
@@ -24,12 +25,13 @@ pub enum Overlay {
 }
 
 /// A fragment currently attached to a container of the activity layout.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FragmentPane {
     /// The fragment class.
     pub fragment: ClassName,
-    /// The fragment's inflated layout, if its `onCreateView` inflated one.
-    pub layout: Option<Layout>,
+    /// The fragment's inflated layout, if its `onCreateView` inflated one
+    /// — shared with every other pane and screen showing it.
+    pub layout: Option<Arc<Layout>>,
     /// Whether the fragment was attached through a `FragmentManager`
     /// transaction (`false` for `attach-direct` loads, which reflection
     /// cannot see).
@@ -67,14 +69,15 @@ pub struct VisibleWidget {
 }
 
 /// One activity instance on the back stack with its runtime UI.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Screen {
     /// The activity class.
     pub activity: ClassName,
     /// The intent it was launched with.
     pub intent: Intent,
-    /// The activity's inflated layout (if `onCreate` set one).
-    pub layout: Option<Layout>,
+    /// The activity's inflated layout (if `onCreate` set one) — shared
+    /// with every other screen showing it.
+    pub layout: Option<Arc<Layout>>,
     /// Attached fragments, keyed by container resource-ID name.
     pub fragments: BTreeMap<String, FragmentPane>,
     /// Click handlers keyed by widget resource-ID name.
@@ -151,9 +154,6 @@ impl Screen {
     /// modal blocks everything else) → activity layout (closed drawers
     /// skipped) → fragment panes in container order.
     pub fn visible_widgets(&self) -> Vec<VisibleWidget> {
-        let mut out = Vec::new();
-        let mut row = 0u32;
-
         if let Some(overlay) = &self.overlay {
             // A modal overlay exposes only its own dismiss surface: we
             // report it as a single pseudo-widget so drivers can see that
@@ -162,28 +162,79 @@ impl Screen {
                 Overlay::Dialog { id } => format!("dialog:{id}"),
                 Overlay::PopupMenu { id } => format!("menu:{id}"),
             };
-            out.push(VisibleWidget {
+            return vec![VisibleWidget {
                 id: None,
                 kind: WidgetKind::Group,
                 text,
                 clickable: false,
                 bounds: (0, 0, 720, 1280),
-            });
-            return out;
+            }];
         }
 
-        if let Some(layout) = &self.layout {
-            self.collect_visible(&layout.root, &mut out, &mut row, true);
-        }
-        for (container, pane) in &self.fragments {
-            // A fragment pane is visible only if its container widget is.
-            if self.container_visible(container) {
-                if let Some(layout) = &pane.layout {
-                    self.collect_visible(&layout.root, &mut out, &mut row, true);
+        let mut out = Vec::new();
+        self.walk_visible(|widget, bounds| {
+            out.push(VisibleWidget::at(widget, bounds));
+            false
+        });
+        out
+    }
+
+    /// Finds a visible widget by resource-ID: the first match in
+    /// [`Screen::visible_widgets`] order, with the same bounds, cloning
+    /// only that widget.
+    pub fn visible_widget(&self, id: &str) -> Option<VisibleWidget> {
+        let mut found = None;
+        if self.overlay.is_none() {
+            self.walk_visible(|widget, bounds| {
+                let hit = widget.id.as_deref() == Some(id);
+                if hit {
+                    found = Some(VisibleWidget::at(widget, bounds));
                 }
+                hit
+            });
+        }
+        found
+    }
+
+    /// Calls `visit` on each visible widget with its synthetic bounds, in
+    /// sweep order — activity layout, then fragment panes in container
+    /// order — until it returns `true`. Overlays are the callers' business.
+    fn walk_visible(&self, mut visit: impl FnMut(&Widget, Bounds) -> bool) {
+        let mut row = 0u32;
+        let panes = self
+            .fragments
+            .iter()
+            // A fragment pane is visible only if its container widget is.
+            .filter(|(container, _)| self.container_visible(container))
+            .filter_map(|(_, pane)| pane.layout.as_ref());
+        for layout in self.layout.iter().chain(panes) {
+            if self.walk_tree(&layout.root, &mut row, &mut visit) {
+                return;
             }
         }
-        out
+    }
+
+    /// The pre-order part of [`Screen::walk_visible`] under `widget`: a
+    /// hidden widget hides its whole subtree, each visible one takes the
+    /// next row. Returns whether `visit` stopped the walk.
+    fn walk_tree(
+        &self,
+        widget: &Widget,
+        row: &mut u32,
+        visit: &mut impl FnMut(&Widget, Bounds) -> bool,
+    ) -> bool {
+        let shown = if matches!(widget.kind, WidgetKind::Drawer) {
+            widget.id.as_deref().map(|id| self.open_drawers.contains(id)).unwrap_or(false)
+        } else {
+            widget.visible
+        };
+        if !shown {
+            return false;
+        }
+        let bounds = (16, 64 + *row * 48, 688, 40);
+        *row += 1;
+        visit(widget, bounds)
+            || widget.children.iter().any(|child| self.walk_tree(child, row, visit))
     }
 
     fn container_visible(&self, container: &str) -> bool {
@@ -210,38 +261,21 @@ impl Screen {
         }
         search(&layout.root, container, false, &self.open_drawers).unwrap_or(true)
     }
+}
 
-    fn collect_visible(
-        &self,
-        widget: &Widget,
-        out: &mut Vec<VisibleWidget>,
-        row: &mut u32,
-        parent_visible: bool,
-    ) {
-        let mut visible = parent_visible && widget.visible;
-        if matches!(widget.kind, WidgetKind::Drawer) {
-            let open =
-                widget.id.as_deref().map(|id| self.open_drawers.contains(id)).unwrap_or(false);
-            visible = parent_visible && open;
-        }
-        if visible {
-            out.push(VisibleWidget {
-                id: widget.id.clone(),
-                kind: widget.kind,
-                text: widget.text.clone(),
-                clickable: widget.clickable,
-                bounds: (16, 64 + *row * 48, 688, 40),
-            });
-            *row += 1;
-        }
-        for child in &widget.children {
-            self.collect_visible(child, out, row, visible);
-        }
-    }
+/// Synthetic screen bounds `(x, y, w, h)`.
+type Bounds = (u32, u32, u32, u32);
 
-    /// Finds a visible widget by resource-ID.
-    pub fn visible_widget(&self, id: &str) -> Option<VisibleWidget> {
-        self.visible_widgets().into_iter().find(|w| w.id.as_deref() == Some(id))
+impl VisibleWidget {
+    /// The automation-framework view of a layout widget shown at `bounds`.
+    fn at(widget: &Widget, bounds: Bounds) -> Self {
+        VisibleWidget {
+            id: widget.id.clone(),
+            kind: widget.kind,
+            text: widget.text.clone(),
+            clickable: widget.clickable,
+            bounds,
+        }
     }
 }
 
@@ -261,7 +295,7 @@ mod tests {
                 .with_child(Widget::new(WidgetKind::FragmentContainer).with_id("content")),
         );
         let mut s = Screen::new("a.Main".into(), Intent::empty());
-        s.layout = Some(layout);
+        s.layout = Some(Arc::new(layout));
         s
     }
 
@@ -298,10 +332,10 @@ mod tests {
             "content".into(),
             FragmentPane {
                 fragment: "a.HomeFragment".into(),
-                layout: Some(Layout::new(
+                layout: Some(Arc::new(Layout::new(
                     "frag_home",
                     Widget::new(WidgetKind::Button).with_id("frag_btn"),
-                )),
+                ))),
                 via_manager: true,
             },
         );
@@ -322,12 +356,15 @@ mod tests {
             ),
         );
         let mut s = Screen::new("a.Main".into(), Intent::empty());
-        s.layout = Some(layout);
+        s.layout = Some(Arc::new(layout));
         s.fragments.insert(
             "drawer_content".into(),
             FragmentPane {
                 fragment: "a.F".into(),
-                layout: Some(Layout::new("f", Widget::new(WidgetKind::Button).with_id("b"))),
+                layout: Some(Arc::new(Layout::new(
+                    "f",
+                    Widget::new(WidgetKind::Button).with_id("b"),
+                ))),
                 via_manager: true,
             },
         );
@@ -357,7 +394,10 @@ mod tests {
             "content".into(),
             FragmentPane {
                 fragment: "a.F".into(),
-                layout: Some(Layout::new("f", Widget::new(WidgetKind::Button).with_id("fb"))),
+                layout: Some(Arc::new(Layout::new(
+                    "f",
+                    Widget::new(WidgetKind::Button).with_id("fb"),
+                ))),
                 via_manager: true,
             },
         );

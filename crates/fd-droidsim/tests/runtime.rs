@@ -4,10 +4,13 @@
 //! sensitive-API attribution.
 
 use fd_apk::{ActivityDecl, AndroidApp, Layout, Manifest, Widget, WidgetKind};
-use fd_droidsim::{Caller, Device, DeviceConfig, DeviceError, EventOutcome, Op, TestScript};
+use fd_droidsim::{
+    Caller, Device, DeviceConfig, DeviceError, EventOutcome, Op, Screen, TestScript,
+};
 use fd_smali::{
     well_known, ClassDef, ClassName, Cond, IntentTarget, MethodDef, MethodName, ResRef, Stmt,
 };
+use std::sync::Arc;
 
 /// Builds the demo app:
 ///
@@ -250,6 +253,18 @@ fn launch_attaches_initial_fragment_and_records_apis() {
     assert!(invs.iter().any(|i| i.group == "internet"
         && matches!(&i.caller, Caller::Fragment { fragment, host }
             if fragment.as_str() == "com.demo.NewsFragment" && host.as_str() == "com.demo.Main")));
+}
+
+#[test]
+fn relaunching_shares_layouts_instead_of_copying_them() {
+    let mut d = launched();
+    let first = d.current().expect("running").clone();
+    d.launch().expect("relaunch");
+    let second = d.current().expect("running");
+    let layout = |s: &Screen| s.layout.clone().expect("main inflated");
+    let pane = |s: &Screen| s.fragments["content"].layout.clone().expect("news inflated");
+    assert!(Arc::ptr_eq(&layout(&first), &layout(second)), "activity layout deep-cloned");
+    assert!(Arc::ptr_eq(&pane(&first), &pane(second)), "fragment layout deep-cloned");
 }
 
 #[test]

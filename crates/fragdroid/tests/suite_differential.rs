@@ -229,9 +229,26 @@ fn the_subprocess_backend_agrees_with_and_without_faults() {
     }
 }
 
-/// A corpus run shard by shard, each shard journaling on its own, merges
-/// back to the unsharded findings — for a single shard, an even split,
-/// and a ragged split of more shards than some slices have apps.
+/// Runs `source` as `shards` shards, each journaling on its own, and
+/// merges them back.
+fn merged_shards(source: &dyn CorpusSource, config: &FragDroidConfig, shards: usize) -> Findings {
+    let base = scratch("shards");
+    let (suite, options) = (Suite::new(config, 2), CheckpointOptions::new(&base));
+    for index in 0..shards {
+        run_shard(&suite, source, &options, shards, index).expect("shard runs");
+    }
+    let (merged, _) = merge_shards(source, config, 0, &base, shards, &fd_trace::TraceConfig::off())
+        .expect("complete shards merge");
+    assert_eq!(merged.shards.len(), shards);
+    for index in 0..shards {
+        std::fs::remove_file(shard_journal_path(&base, index, shards)).ok();
+    }
+    findings(&merged.run)
+}
+
+/// A corpus run shard by shard merges back to the unsharded findings —
+/// for a single shard, an even split, and a ragged split of more shards
+/// than some slices have apps.
 #[test]
 fn merged_shards_agree_at_every_shard_count() {
     let corpus = Corpus::generate();
@@ -241,19 +258,7 @@ fn merged_shards_agree_at_every_shard_count() {
         [("containers", &corpus.containers), ("reader", &corpus.reader)];
     for (name, source) in sources {
         for shards in [1, 2, 7] {
-            let base = scratch("shards");
-            let (suite, options) = (Suite::new(&config, 2), CheckpointOptions::new(&base));
-            for index in 0..shards {
-                run_shard(&suite, source, &options, shards, index).expect("shard runs");
-            }
-            let (merged, _) =
-                merge_shards(source, &config, 0, &base, shards, &fd_trace::TraceConfig::off())
-                    .expect("complete shards merge");
-            assert_eq!(merged.shards.len(), shards);
-            assert_eq!(findings(&merged.run), whole, "{name}, {shards} shards");
-            for index in 0..shards {
-                std::fs::remove_file(shard_journal_path(&base, index, shards)).ok();
-            }
+            assert_eq!(merged_shards(source, &config, shards), whole, "{name}, {shards} shards");
         }
     }
 }
@@ -271,6 +276,29 @@ fn spawn_endpoint(config: &FragDroidConfig) -> (ListenAddr, std::thread::JoinHan
     (addr, handle)
 }
 
+/// Dispatches `source` as `shards` shards over `endpoints` loopback serve
+/// endpoints that all run `config`, then shuts the farm down.
+fn dispatched(
+    source: &dyn CorpusSource,
+    config: &FragDroidConfig,
+    endpoints: usize,
+    shards: usize,
+) -> Findings {
+    let farm: Vec<_> = (0..endpoints).map(|_| spawn_endpoint(config)).collect();
+    let mut options = DispatchOptions::new(farm.iter().map(|(addr, _)| addr.clone()).collect());
+    options.shards = shards;
+    let run = dispatch(source, config, &options, &fd_trace::TraceConfig::off())
+        .expect("dispatch completes");
+    for (addr, handle) in farm {
+        let reply = request_once(&addr, ServeRequest::Shutdown, Duration::from_secs(60));
+        assert_eq!(reply, Ok(ServeResponse::Bye));
+        handle.join().expect("endpoint thread exits");
+    }
+    let committed: usize = run.summary.workers.iter().map(|w| w.shards_completed).sum();
+    assert_eq!((run.summary.shards, committed), (shards, shards), "each shard once");
+    findings(&run.merged.run)
+}
+
 /// The corpus dispatched over serve endpoints that run the matrix config
 /// finds what the in-process suite finds: through one endpoint as one
 /// shard, and through a 3-endpoint farm as 7 shards.
@@ -282,20 +310,28 @@ fn one_serve_endpoint_and_a_dispatch_farm_agree() {
     let cells: [(&str, &dyn CorpusSource, usize, usize); 2] =
         [("serve", &corpus.containers, 1, 1), ("farm", &corpus.reader, 3, 7)];
     for (name, source, endpoints, shards) in cells {
-        let farm: Vec<_> = (0..endpoints).map(|_| spawn_endpoint(&config)).collect();
-        let mut options = DispatchOptions::new(farm.iter().map(|(addr, _)| addr.clone()).collect());
-        options.shards = shards;
-        let run = dispatch(source, &config, &options, &fd_trace::TraceConfig::off())
-            .expect("dispatch completes");
-        for (addr, handle) in farm {
-            let reply = request_once(&addr, ServeRequest::Shutdown, Duration::from_secs(60));
-            assert_eq!(reply, Ok(ServeResponse::Bye));
-            handle.join().expect("endpoint thread exits");
-        }
-        let committed: usize = run.summary.workers.iter().map(|w| w.shards_completed).sum();
-        assert_eq!((run.summary.shards, committed), (shards, shards), "{name}: each shard once");
-        assert_eq!(findings(&run.merged.run), whole, "{name}");
+        assert_eq!(dispatched(source, &config, endpoints, shards), whole, "{name}");
     }
+}
+
+/// A zero per-app deadline stops every app at its first budget check, so
+/// every app that runs is deterministically `deadline_exceeded`. The
+/// suite, merged shards and a dispatch farm (whose endpoints run the same
+/// config) must agree on the digest and on every per-app flag.
+#[test]
+fn a_hit_deadline_agrees_across_suite_shards_and_farm() {
+    let corpus = Corpus::generate();
+    let config = config().with_deadline(Duration::ZERO);
+    let reference = reference(&corpus, &config);
+    for (index, app) in reference.metrics.apps.iter().enumerate() {
+        assert_eq!(app.deadline_exceeded, index != REFUSED, "{}", app.package);
+    }
+    let whole = findings(&reference);
+    assert_eq!(findings(&Suite::new(&config, 2).run(&corpus.reader).0), whole, "suite");
+    for shards in [1, 2, 7] {
+        assert_eq!(merged_shards(&corpus.reader, &config, shards), whole, "{shards} shards");
+    }
+    assert_eq!(dispatched(&corpus.reader, &config, 3, 7), whole, "farm");
 }
 
 /// A corpus whose digest always fails, counting the attempts.
