@@ -327,7 +327,8 @@ impl MockAdbDevice {
         MockAdbDevice::default()
     }
 
-    /// The recorded `adb` command stream, in request order.
+    /// The recorded `adb` command stream since the last install, in
+    /// request order.
     pub fn commands(&self) -> &[String] {
         &self.commands
     }
@@ -338,7 +339,10 @@ impl MockAdbDevice {
 }
 
 impl DeviceApi for MockAdbDevice {
+    /// Starts a fresh command log: a pooled device reused for the next
+    /// app behaves like a fresh one.
     fn install_app(&mut self, app: &AndroidApp, config: DeviceConfig) -> Result<(), DeviceError> {
+        self.commands.clear();
         self.record(format!("adb install {}.fapk", app.package()));
         self.inner.install_app(app, config)
     }
@@ -470,6 +474,19 @@ mod tests {
         assert!(cmds[0].starts_with("adb install"));
         assert!(cmds.iter().any(|c| c.contains("am start")));
         assert!(cmds.iter().any(|c| c.contains("KEYCODE_BACK")));
+    }
+
+    #[test]
+    fn mock_adb_starts_a_fresh_log_per_install() {
+        let mut first = fd_appgen::templates::quickstart().app;
+        first.manifest.add_main_action_everywhere();
+        let mut second = fd_appgen::templates::tabbed_categories().app;
+        second.manifest.add_main_action_everywhere();
+        let mut mock = MockAdbDevice::new();
+        mock.install_app(&first, DeviceConfig::default()).unwrap();
+        mock.launch().unwrap();
+        mock.install_app(&second, DeviceConfig::default()).unwrap();
+        assert_eq!(mock.commands(), [format!("adb install {}.fapk", second.package())]);
     }
 
     #[test]

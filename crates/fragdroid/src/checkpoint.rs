@@ -10,7 +10,7 @@
 //!
 //! * **Journal** — a durable log (`durable_log`: checksummed lines,
 //!   atomic creation, torn-tail replay, group commit every
-//!   [`CheckpointOptions::fsync_every`] records). Its header carries a
+//!   [`DEFAULT_FSYNC_BATCH`] records). Its header carries a
 //!   [`Fingerprint`] of the invocation (corpus digest, configuration
 //!   digest, app count, flake-retry budget); every completed app appends
 //!   one [`AppOutcome`] record. Only a journaled run digests the corpus.
@@ -41,7 +41,6 @@ use crate::suite::{
     assemble_metrics, engine, run_slot, slot_metrics, slot_outcome, AppMetrics, AppOutcome,
     CorpusSource, Suite, SuiteRun,
 };
-use fd_apk::corpus::{fnv1a, DIGEST_SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +52,7 @@ use std::time::{Duration, Instant};
 /// record shape changes incompatibly.
 pub const JOURNAL_VERSION: u64 = 1;
 
-/// Default number of appended records between fsyncs.
+/// Appended records between fsyncs of a checkpoint journal.
 pub const DEFAULT_FSYNC_BATCH: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -211,9 +210,7 @@ impl Fingerprint {
         Ok(Fingerprint {
             apps: source.len() as u64,
             corpus_digest: source.digest()?,
-            // The derived Debug rendering covers every config field, so
-            // any behavioral knob changing changes the digest.
-            config_digest: fnv1a(DIGEST_SEED, format!("{config:?}").as_bytes()),
+            config_digest: config.digest(),
             flake_retries: flake_retries as u64,
         })
     }
@@ -553,8 +550,6 @@ pub struct CheckpointOptions {
     /// ([`JournalError::AlreadyExists`]); a missing journal with
     /// `resume` simply starts fresh.
     pub resume: bool,
-    /// Appended records between fsyncs ([`DEFAULT_FSYNC_BATCH`]).
-    pub fsync_every: usize,
     /// Stop after this many *fresh* apps this invocation, leaving the
     /// journal partial — the deterministic stand-in for a kill that CI's
     /// resume-smoke job uses, and a way to slice long campaigns.
@@ -562,26 +557,14 @@ pub struct CheckpointOptions {
 }
 
 impl CheckpointOptions {
-    /// Options writing to `path`, not resuming, with the default fsync
-    /// batch.
+    /// Options writing to `path`, not resuming.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointOptions {
-            path: path.into(),
-            resume: false,
-            fsync_every: DEFAULT_FSYNC_BATCH,
-            app_budget: None,
-        }
+        CheckpointOptions { path: path.into(), resume: false, app_budget: None }
     }
 
     /// Resume an existing journal (builder style).
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Override the fsync batch size (builder style).
-    pub fn with_fsync_every(mut self, fsync_every: usize) -> Self {
-        self.fsync_every = fsync_every;
         self
     }
 
@@ -660,12 +643,12 @@ fn open_journal(
         state.slots = loaded.slots;
         state.flakes = loaded.flakes;
         state.torn_tail_bytes = loaded.torn_tail_bytes;
-        DurableLog::resume(&options.path, loaded.valid_len, options.fsync_every)?
+        DurableLog::resume(&options.path, loaded.valid_len, DEFAULT_FSYNC_BATCH)?
     } else {
         if journal_exists {
             return Err(JournalError::AlreadyExists { path: options.path.display().to_string() });
         }
-        DurableLog::create(&options.path, &JournalRecord::header(fingerprint), options.fsync_every)?
+        DurableLog::create(&options.path, &JournalRecord::header(fingerprint), DEFAULT_FSYNC_BATCH)?
     };
     Ok((log, state))
 }

@@ -128,6 +128,13 @@ impl FragDroidConfig {
     pub fn faults_armed(&self) -> bool {
         self.fault_rate > 0.0
     }
+
+    /// FNV digest of the whole configuration, the config half of every
+    /// journal fingerprint. The derived `Debug` rendering covers every
+    /// field, so any behavioral knob changing changes the digest.
+    pub(crate) fn digest(&self) -> u64 {
+        fd_apk::corpus::fnv1a(fd_apk::corpus::DIGEST_SEED, format!("{self:?}").as_bytes())
+    }
 }
 
 #[cfg(test)]

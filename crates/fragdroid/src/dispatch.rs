@@ -762,7 +762,7 @@ fn run_shard_over_wire(
         let (outcome, package) = match ctx.source.fetch(global) {
             // A source-side rejection needs no server round trip; the
             // reason string matches what the in-process runner records.
-            Err(reason) => (AppOutcome::Rejected { reason }, format!("container[{local}]")),
+            Err(reason) => (AppOutcome::Rejected { reason }, ctx.source.label(global)),
             Ok((bytes, inputs)) => {
                 // The job id is the global corpus index: the server's
                 // (id, digest) idempotency key, so a re-dispatched
@@ -783,13 +783,13 @@ fn run_shard_over_wire(
                 match client.submit(job, &to_hex(&bytes), &inputs) {
                     Err(error) => return Err(format!("job {job}: {error}")),
                     Ok(JobOutcome::Rejected { reason }) => {
-                        (AppOutcome::Rejected { reason }, format!("container[{local}]"))
+                        (AppOutcome::Rejected { reason }, ctx.source.label(global))
                     }
                     Ok(JobOutcome::Report { json }) => {
                         let report = serde_json::from_str::<RunReport>(&json)
                             .map_err(|error| format!("job {job}: undecodable report: {error}"))?;
-                        let package = manifest_package(&bytes)
-                            .unwrap_or_else(|| format!("container[{local}]"));
+                        let package =
+                            manifest_package(&bytes).unwrap_or_else(|| ctx.source.label(global));
                         (AppOutcome::ran(report), package)
                     }
                 }

@@ -60,9 +60,9 @@ pub use pool::{build_backend, DeviceFactory, DevicePool};
 pub use queue::{QueueItem, UiQueue};
 pub use report::{Coverage, CrashReport, CrashSignature, DeviceErrorStats, RunReport};
 pub use serve::{
-    request_once, serve, serve_listen, serve_listener, AnyStream, ChaosConfig, ChaosStream,
-    ClientError, JobOutcome, ListenAddr, ServeError, ServeIncidents, ServeListener, ServeOptions,
-    ServeRequest, ServeResponse, ServeSummary, SubmitClient,
+    request_once, serve, serve_listener, AnyStream, ChaosConfig, ChaosStream, ClientError,
+    JobOutcome, ListenAddr, ServeError, ServeIncidents, ServeListener, ServeOptions, ServeRequest,
+    ServeResponse, ServeSummary, SubmitClient,
 };
 pub use shard::{
     merge_shards, run_shard, shard_journal_path, shard_range, MergedRun, ShardError, ShardSlice,

@@ -9,12 +9,12 @@
 //!
 //! - **stdio** ([`serve`]) — the single-client pipe mode `fd-cli`'s
 //!   plain `serve` has always offered.
-//! - **socket** ([`serve_listen`] / [`serve_listener`]) — a TCP or Unix
-//!   listener that accepts many concurrent sessions, enforces a
-//!   connection cap (excess connections get one typed
-//!   [`ServeResponse::Overloaded`] frame and are closed), per-connection
-//!   read/write deadlines, and a slow-loris idle timeout (a connection
-//!   that completes no frame within the window is dropped).
+//! - **socket** ([`serve_listener`]) — a TCP or Unix listener that
+//!   accepts many concurrent sessions, enforces a connection cap (excess
+//!   connections get one typed [`ServeResponse::Overloaded`] frame and
+//!   are closed), a per-connection write deadline, and a slow-loris idle
+//!   timeout (a connection that completes no frame within the window is
+//!   dropped).
 //!
 //! **Admission control.** Job ids are client-assigned and the queue is
 //! bounded: a full queue answers [`ServeResponse::Busy`] with a
@@ -59,18 +59,12 @@ use fd_droidsim::proto::{decode_payload, encode_frame, from_hex, Envelope, Frame
 use journal::JobJournal;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How often a socket session wakes from a blocked read to check the
-/// idle deadline and the server's stop flag. Doubles as the read
-/// timeout on the socket.
-const SESSION_TICK: Duration = Duration::from_millis(25);
 
 /// The accept loop's nap after a failed `accept()` (EMFILE under load).
 const ACCEPT_ERROR_NAP: Duration = Duration::from_millis(10);
@@ -217,8 +211,9 @@ pub struct ServeOptions {
     /// at least 1. Ignored in stdio mode.
     pub max_connections: usize,
     /// Slow-loris guard: a socket session that completes no frame
-    /// within this window is closed. `0` disables the guard. Ignored in
-    /// stdio mode.
+    /// within this window is closed (at its next read, which the window
+    /// also bounds as the socket's read timeout). `0` disables the
+    /// guard. Ignored in stdio mode.
     pub idle_timeout_ms: u64,
     /// Per-connection write deadline, milliseconds. `0` means no
     /// deadline. Ignored in stdio mode.
@@ -567,9 +562,8 @@ impl<'a> Core<'a> {
         let mut incidents = ServeIncidents::default();
         let mut journal = None;
         if let Some(path) = &options.journal {
-            let digest = config_digest(&options.config);
-            let (j, recovery) =
-                JobJournal::open_or_create(path, digest).map_err(ServeError::Journal)?;
+            let (j, recovery) = JobJournal::open_or_create(path, options.config.digest())
+                .map_err(ServeError::Journal)?;
             incidents.torn_tail_bytes = recovery.torn_tail_bytes;
             for rec in recovery.jobs {
                 incidents.jobs_recovered += 1;
@@ -623,6 +617,25 @@ impl<'a> Core<'a> {
         f(&mut lock(&self.incidents));
     }
 
+    /// Keeps a finished tracer's track for the merged trace, unless it
+    /// recorded nothing (always, with tracing off).
+    fn keep_track(&self, tracer: fd_trace::Tracer) {
+        let track = tracer.finish();
+        if !track.records.is_empty() || track.dropped > 0 {
+            lock(&self.tracks).push(track);
+        }
+    }
+
+    /// The front end's own track followed by every kept track.
+    fn merged_trace(&self, tracer: fd_trace::Tracer) -> fd_trace::Trace {
+        let mut trace = fd_trace::Trace::new("fragdroid serve");
+        trace.absorb(tracer.finish());
+        for track in lock(&self.tracks).drain(..) {
+            trace.absorb(track);
+        }
+        trace
+    }
+
     /// Marks the server draining + shut down and wakes everyone: the
     /// workers through the condvar, a socket accept loop blocked in
     /// `accept()` through one self-connect, which it then drops.
@@ -647,12 +660,6 @@ impl<'a> Core<'a> {
             };
         }
     }
-}
-
-/// FNV digest of the full config; journal headers refuse to mix
-/// configurations, mirroring the checkpoint fingerprint.
-fn config_digest(config: &FragDroidConfig) -> u64 {
-    fnv1a(DIGEST_SEED, format!("{config:?}").as_bytes())
 }
 
 /// FNV digest of one submission's content — the idempotency key's
@@ -806,32 +813,19 @@ fn handle_request(
     }
 }
 
-/// Deadline/stop behavior of one session.
-struct SessionMode<'a> {
-    /// Close the session when no complete frame arrives within this
-    /// window (socket sessions only).
-    idle_timeout: Option<Duration>,
-    /// Server-side force-stop flag, checked every read tick.
-    stop: Option<&'a AtomicBool>,
-}
-
-impl SessionMode<'_> {
-    /// Stdio: block forever, no stop flag.
-    fn blocking() -> SessionMode<'static> {
-        SessionMode { idle_timeout: None, stop: None }
-    }
-}
-
 /// Reads frames and dispatches requests until the session ends. A
 /// corrupt frame ends the session without a reply, matching the device
-/// agent; in socket mode only this session dies.
+/// agent; in socket mode only this session dies. With an `idle` window,
+/// the session ends at the first read that would start after the window
+/// has passed with no complete frame; the socket's read timeout (the
+/// same window) bounds a read that finds nothing.
 fn session_loop<R: Read, W: Write>(
     input: &mut R,
     output: &mut W,
     core: &Core<'_>,
     tracer: &fd_trace::Tracer,
     workers: usize,
-    mode: &SessionMode<'_>,
+    idle: Option<Duration>,
 ) -> Result<(), ServeError> {
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 64 * 1024];
@@ -867,31 +861,21 @@ fn session_loop<R: Read, W: Write>(
             }
             written?;
         }
-        if let Some(stop) = mode.stop {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
+        // Checked before every read, so bytes that trickle in without
+        // completing a frame cannot hold the session open.
+        if idle.is_some_and(|idle| last_frame.elapsed() >= idle) {
+            core.bump(|i| i.idle_timeouts += 1);
+            return Ok(());
         }
         match input.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client hung up
+            Ok(0) => return Ok(()), // client hung up, or the drain shut the socket
             Ok(n) => frames.push(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // A read tick: enforce the slow-loris deadline, then
-                // wait for more bytes.
-                if let Some(idle) = mode.idle_timeout {
-                    if last_frame.elapsed() >= idle {
-                        core.bump(|i| i.idle_timeouts += 1);
-                        return Ok(());
-                    }
-                }
-            }
-            Err(e) => return Err(ServeError::io("read", e)),
+            Err(e) => match e.kind() {
+                // Interrupted, or the read timeout ran out: the idle
+                // check above decides.
+                ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut => {}
+                _ => return Err(ServeError::io("read", e)),
+            },
         }
     }
 }
@@ -946,7 +930,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
             job: job.id,
             rejected: result.is_err(),
         });
-        lock(&core.tracks).push(tracer.finish());
+        core.keep_track(tracer);
         core.bump(|i| {
             if result.is_ok() {
                 i.jobs_completed += 1;
@@ -985,41 +969,19 @@ pub fn serve<R: Read, W: Write>(
             let pool = &pool;
             scope.spawn(move || worker_loop(core, pool, lane));
         }
-        let io_result = session_loop(
-            &mut input,
-            &mut output,
-            &core,
-            &tracer,
-            workers,
-            &SessionMode::blocking(),
-        );
+        let io_result = session_loop(&mut input, &mut output, &core, &tracer, workers, None);
         core.begin_drain();
         io_result
     });
 
-    let mut trace = fd_trace::Trace::new("fragdroid serve");
-    trace.absorb(tracer.finish());
-    for track in lock(&core.tracks).drain(..) {
-        trace.absorb(track);
-    }
-    result.map(|()| trace)
-}
-
-/// Binds `addr` and serves it — [`ServeListener::bind`] +
-/// [`serve_listener`].
-pub fn serve_listen(
-    addr: &ListenAddr,
-    options: &ServeOptions,
-    trace_config: &fd_trace::TraceConfig,
-) -> Result<ServeSummary, ServeError> {
-    serve_listener(ServeListener::bind(addr)?, options, trace_config)
+    result.map(|()| core.merged_trace(tracer))
 }
 
 /// Serves a bound socket listener until a [`ServeRequest::Shutdown`]
 /// arrives on any session: accepts up to the connection cap, runs one
-/// session thread per connection with read/write deadlines and the
+/// session thread per connection with the write deadline and the
 /// idle-timeout guard, then drains — finishes and journals every queued
-/// job, closes the remaining sessions — and returns the merged
+/// job, shuts down the sessions still live — and returns the merged
 /// trace and incident counters.
 pub fn serve_listener(
     listener: ServeListener,
@@ -1034,10 +996,15 @@ pub fn serve_listener(
     let tracer = fd_trace::Tracer::new(trace_config, core.clock, 0);
     emit_recovery(&core, &tracer);
 
-    let stop_sessions = AtomicBool::new(false);
-    let active = AtomicUsize::new(0);
-    let next_conn = AtomicU64::new(1);
-    let session_handles: Mutex<Vec<AnyStream>> = Mutex::new(Vec::new());
+    let idle =
+        (options.idle_timeout_ms != 0).then(|| Duration::from_millis(options.idle_timeout_ms));
+    let write_timeout =
+        (options.write_timeout_ms != 0).then(|| Duration::from_millis(options.write_timeout_ms));
+    // The live sessions: an entry goes in when a connection is accepted
+    // and comes out when its session thread ends. Its size is the
+    // connection cap's count; the drain shuts down whatever is left.
+    let live: Mutex<BTreeMap<u64, AnyStream>> = Mutex::new(BTreeMap::new());
+    let mut next_conn = 1u64;
 
     let result = std::thread::scope(|scope| -> Result<(), ServeError> {
         for lane in 0..workers {
@@ -1055,30 +1022,27 @@ pub fn serve_listener(
             }
             match accepted {
                 Ok(stream) => {
-                    if active.load(Ordering::Acquire) >= max_connections {
+                    let mut sessions = lock(&live);
+                    if sessions.len() >= max_connections {
+                        drop(sessions);
                         core.bump(|i| i.overloaded_rejections += 1);
                         reject_overloaded(stream, options);
                         continue;
                     }
-                    let _ = stream.set_read_timeout(Some(SESSION_TICK));
-                    if options.write_timeout_ms != 0 {
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                            options.write_timeout_ms,
-                        )));
-                    }
-                    let Ok(handle) = stream.try_clone() else { continue };
-                    lock(&session_handles).push(handle);
-                    active.fetch_add(1, Ordering::AcqRel);
-                    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                    let core = &core;
-                    let active = &active;
-                    let stop = &stop_sessions;
+                    let _ = stream.set_read_timeout(idle);
+                    let _ = stream.set_write_timeout(write_timeout);
+                    let Ok(entry) = stream.try_clone() else { continue };
+                    let conn = next_conn;
+                    next_conn += 1;
+                    sessions.insert(conn, entry);
+                    drop(sessions);
+                    let (core, live) = (&core, &live);
                     scope.spawn(move || {
-                        run_session(core, stream, conn, workers, stop);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        run_session(core, stream, conn, workers, idle);
+                        lock(live).remove(&conn);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Transient accept failure (EMFILE under load): absorb
                 // and keep listening rather than killing the server.
                 Err(_) => {
@@ -1089,11 +1053,12 @@ pub fn serve_listener(
         }
         // Drain: workers already saw shutdown; wait until the queue is
         // empty and nothing is mid-run (every result is journaled as it
-        // finishes), then close what sessions remain.
+        // finishes), then shut down the live sessions. That wakes a
+        // session blocked in a read (EOF) or a write (EPIPE); each ends
+        // and drops its entry, and the scope joins them.
         core.wait_drained();
-        stop_sessions.store(true, Ordering::Relaxed);
-        for handle in lock(&session_handles).drain(..) {
-            let _ = handle.shutdown_both();
+        for stream in lock(&live).values() {
+            let _ = stream.shutdown_both();
         }
         Ok(())
     });
@@ -1102,13 +1067,8 @@ pub fn serve_listener(
         let _ = std::fs::remove_file(path);
     }
 
-    let mut trace = fd_trace::Trace::new("fragdroid serve");
-    trace.absorb(tracer.finish());
-    for track in lock(&core.tracks).drain(..) {
-        trace.absorb(track);
-    }
     let incidents = lock(&core.incidents).clone();
-    result.map(|()| ServeSummary { trace, incidents })
+    result.map(|()| ServeSummary { trace: core.merged_trace(tracer), incidents })
 }
 
 /// Emits the journal-recovery trace event when startup restored jobs.
@@ -1121,10 +1081,9 @@ fn emit_recovery(core: &Core<'_>, tracer: &fd_trace::Tracer) {
 
 /// Sends the one `Overloaded` frame a connection past the cap gets,
 /// best-effort, then drops the stream.
-fn reject_overloaded(stream: AnyStream, options: &ServeOptions) {
+fn reject_overloaded(mut stream: AnyStream, options: &ServeOptions) {
     let timeout = if options.write_timeout_ms == 0 { 1_000 } else { options.write_timeout_ms };
     let _ = stream.set_write_timeout(Some(Duration::from_millis(timeout)));
-    let mut stream = stream;
     let _ = stream.write_all(&encode_frame(&Envelope {
         id: 0,
         body: ServeResponse::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS },
@@ -1134,32 +1093,29 @@ fn reject_overloaded(stream: AnyStream, options: &ServeOptions) {
 
 /// One socket session: trace the connection open/close, split the
 /// stream into reader + writer halves, and run the shared session loop
-/// under the socket deadlines.
-fn run_session(core: &Core<'_>, stream: AnyStream, conn: u64, workers: usize, stop: &AtomicBool) {
+/// with the idle window.
+fn run_session(
+    core: &Core<'_>,
+    stream: AnyStream,
+    conn: u64,
+    workers: usize,
+    idle: Option<Duration>,
+) {
     let tracer = fd_trace::Tracer::new(core.trace_config, core.clock, SESSION_TRACK_BASE + conn);
     tracer.event(|| fd_trace::TraceEvent::ConnectionOpened { conn });
     core.bump(|i| i.connections_opened += 1);
-    let idle = core.options.idle_timeout_ms;
-    let mode = SessionMode {
-        idle_timeout: (idle != 0).then(|| Duration::from_millis(idle)),
-        stop: Some(stop),
-    };
     match stream.try_clone() {
+        // A session-level I/O failure (client reset, write timeout)
+        // ends this session; the server and its queue live on.
         Ok(mut writer) => {
             let mut reader = stream;
-            // A session-level I/O failure (client reset, write timeout)
-            // ends this session; the server and its queue live on.
-            let _ = session_loop(&mut reader, &mut writer, core, &tracer, workers, &mode);
-            // The accept loop keeps a clone of this stream for the
-            // drain-time sweep, so dropping our halves does not close
-            // the socket — shut it down so the client sees EOF now.
-            let _ = reader.shutdown_both();
+            let _ = session_loop(&mut reader, &mut writer, core, &tracer, workers, idle);
         }
         Err(_) => core.bump(|i| i.accept_errors += 1),
     }
     tracer.event(|| fd_trace::TraceEvent::ConnectionClosed { conn });
     core.bump(|i| i.connections_closed += 1);
-    lock(&core.tracks).push(tracer.finish());
+    core.keep_track(tracer);
 }
 
 #[cfg(test)]

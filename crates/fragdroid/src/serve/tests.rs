@@ -421,6 +421,89 @@ fn idle_sessions_are_dropped() {
     assert_eq!(summary.incidents.idle_timeouts, 1);
 }
 
+/// Bytes that trickle in without completing a frame do not reset the
+/// idle window: the session is dropped once the window passes.
+#[test]
+fn a_trickling_session_is_dropped_at_the_idle_window() {
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions { idle_timeout_ms: 200, ..ServeOptions::default() };
+    let handle = std::thread::spawn(move || {
+        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+    });
+
+    let mut loris = AnyStream::connect(&addr).expect("connect");
+    loris.set_read_timeout(Some(Duration::from_millis(1))).expect("read timeout");
+    loris.write_all(b"999999 ").expect("frame header");
+    let started = Instant::now();
+    let mut buf = [0u8; 16];
+    // The server closes the session: a write it refuses (EPIPE or a
+    // reset), EOF, or a reset on read.
+    loop {
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a trickling session was still open after {:?}",
+            started.elapsed()
+        );
+        if loris.write_all(b"x").is_err() {
+            break;
+        }
+        match loris.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => panic!("the server never replies to half a frame, got {n} bytes"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    shutdown_socket(&addr);
+    let summary = handle.join().expect("no panic").expect("no serve error");
+    assert_eq!(summary.incidents.idle_timeouts, 1);
+}
+
+/// Open descriptors in this process.
+fn open_descriptors() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("list /proc/self/fd").count()
+}
+
+/// A session that ends releases its socket: 200 short sessions leave
+/// the server holding no more descriptors than before them. Other tests
+/// in this process open descriptors too, so the count is polled for a
+/// short while rather than read once.
+#[test]
+fn ended_sessions_release_their_sockets() {
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions::default();
+    let handle = std::thread::spawn(move || {
+        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+    });
+    let status = || {
+        let reply = request_once(&addr, ServeRequest::Status, Duration::from_secs(10));
+        assert!(matches!(reply, Ok(ServeResponse::Status { .. })), "got {reply:?}");
+    };
+
+    status(); // warm-up: the server's workers and pool are up
+    let before = open_descriptors();
+    for _ in 0..200 {
+        status();
+    }
+    let started = Instant::now();
+    let grown = loop {
+        let grown = open_descriptors().saturating_sub(before);
+        if grown < 20 || started.elapsed() > Duration::from_secs(2) {
+            break grown;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(grown < 20, "200 ended sessions left {grown} descriptors open");
+
+    shutdown_socket(&addr);
+    let summary = handle.join().expect("no panic").expect("no serve error");
+    assert_eq!(summary.incidents.connections_opened, 202, "{:?}", summary.incidents);
+}
+
 /// Unix-socket front end: bind, serve, and remove the socket file on
 /// the way out.
 #[test]
@@ -519,8 +602,8 @@ fn journal_recovery_serves_completed_and_requeues_pending() {
     // Between lives: append a Submitted record for job 2 with no
     // Completed — exactly what a crash after durable admission leaves.
     {
-        let (mut j, _recovery) = JobJournal::open_or_create(&path, config_digest(&options.config))
-            .expect("reopen journal");
+        let (mut j, _recovery) =
+            JobJournal::open_or_create(&path, options.config.digest()).expect("reopen journal");
         j.append_submitted(2, submission_digest(&hex, &inputs), &hex, &inputs)
             .expect("append pending job");
     }
@@ -566,7 +649,7 @@ fn journal_refuses_a_different_config() {
     let _ = std::fs::remove_file(&path);
     let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
     {
-        let (_j, _recovery) = JobJournal::open_or_create(&path, config_digest(&options.config) ^ 1)
+        let (_j, _recovery) = JobJournal::open_or_create(&path, options.config.digest() ^ 1)
             .expect("seed journal under a different digest");
     }
     let err = serve(&b""[..], Vec::new(), &options, &fd_trace::TraceConfig::off())
@@ -588,8 +671,8 @@ fn journal_corrupted_mid_file_refuses_to_serve() {
     let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
     let (hex, inputs) = quickstart();
     {
-        let (mut j, _recovery) = JobJournal::open_or_create(&path, config_digest(&options.config))
-            .expect("create journal");
+        let (mut j, _recovery) =
+            JobJournal::open_or_create(&path, options.config.digest()).expect("create journal");
         for job in 1..=2 {
             j.append_submitted(job, submission_digest(&hex, &inputs), &hex, &inputs)
                 .expect("append accepted job");

@@ -21,8 +21,10 @@
 //!   suite-level `wall_ms`/`busy_ms` are the *sum* of per-app walls
 //!   (shards ran on different clocks, so there is no meaningful
 //!   end-to-end wall), and `workers` is the shard count;
-//! * quarantined slots journaled under their shard-local label
-//!   (`container[3]`) are relabeled to their global index;
+//! * a slice labels a quarantined slot as its source does at the global
+//!   index (a decoded app's package, else `container[<global>]`);
+//!   journals that recorded a shard-local `container[3]` are relabeled
+//!   to their global index;
 //! * flake summaries merge by concatenation (indexes remapped), with
 //!   `retries` the maximum across shards;
 //! * device incidents are a live-pool observation, not a journaled
@@ -68,7 +70,8 @@ pub fn shard_journal_path(base: &Path, index: usize, shards: usize) -> PathBuf {
 
 /// One shard's view of a corpus: a contiguous sub-range, offset back to
 /// local indexes. Its streamed digest covers only the range, giving the
-/// shard's journal its own fingerprint.
+/// shard's journal its own fingerprint; its slot labels are the source's
+/// labels at the global index.
 pub struct ShardSlice<'a> {
     source: &'a dyn CorpusSource,
     range: Range<usize>,
@@ -104,6 +107,10 @@ impl CorpusSource for ShardSlice<'_> {
             return Err(format!("shard entry {index} out of range ({} entries)", self.range.len()));
         }
         self.source.fetch(self.range.start + index)
+    }
+
+    fn label(&self, index: usize) -> String {
+        self.source.label(self.range.start + index)
     }
 }
 
@@ -315,8 +322,9 @@ pub fn merge_shards(
     Ok((MergedRun { run, shards: stats }, trace))
 }
 
-/// Rewrites a shard-local quarantine label (`container[<local>]`) to its
-/// global spelling; real package names pass through untouched.
+/// Rewrites a shard-local quarantine label (`container[<local>]`), as
+/// journals written before [`ShardSlice`] forwarded labels hold it, to
+/// its global spelling; every other label passes through untouched.
 fn relabel(package: &mut String, local: usize, global: usize) {
     if *package == format!("container[{local}]") {
         *package = format!("container[{global}]");

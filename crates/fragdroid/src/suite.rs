@@ -21,7 +21,7 @@
 use crate::config::FragDroidConfig;
 use crate::driver::FragDroid;
 use crate::report::RunReport;
-use fd_apk::corpus::{fnv1a, DIGEST_SEED};
+use fd_apk::corpus::{fnv1a, fold_entry_digest, DIGEST_SEED};
 use fd_apk::AndroidApp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -492,7 +492,7 @@ pub trait CorpusSource: Sync {
         let mut digest = DIGEST_SEED;
         for index in 0..self.len() {
             let (bytes, inputs) = self.fetch(index)?;
-            digest = fold_entry(digest, &bytes, &inputs);
+            digest = fold_entry_digest(digest, &bytes, &inputs);
         }
         Ok(digest)
     }
@@ -502,16 +502,6 @@ pub trait CorpusSource: Sync {
     fn label(&self, index: usize) -> String {
         format!("container[{index}]")
     }
-}
-
-/// One entry's contribution to [`CorpusSource::digest`].
-fn fold_entry(mut digest: u64, bytes: &[u8], inputs: &BTreeMap<String, String>) -> u64 {
-    digest = fnv1a(digest, bytes);
-    for (key, value) in inputs {
-        digest = fnv1a(digest, key.as_bytes());
-        digest = fnv1a(digest, value.as_bytes());
-    }
-    digest
 }
 
 /// An in-memory corpus is trivially a [`CorpusSource`]: fetching clones
@@ -530,7 +520,7 @@ impl CorpusSource for [SuiteContainer] {
     fn digest(&self) -> Result<u64, String> {
         Ok(self
             .iter()
-            .fold(DIGEST_SEED, |digest, (bytes, inputs)| fold_entry(digest, bytes, inputs)))
+            .fold(DIGEST_SEED, |digest, (bytes, inputs)| fold_entry_digest(digest, bytes, inputs)))
     }
 }
 

@@ -220,3 +220,29 @@ mod kill_schedules_and_resume {
         }
     }
 }
+
+/// A farm over decoded apps labels a refused (packer-protected) slot with
+/// the app's package, as the in-process suite does, not `container[i]`.
+#[test]
+fn a_decoded_app_farm_keeps_package_labels() {
+    let apps: Vec<fragdroid::suite::SuiteApp> = fd_appgen::corpus::corpus_217(1)
+        .into_iter()
+        .take(24)
+        .map(|generated| (generated.app, generated.known_inputs))
+        .collect();
+    let config = FragDroidConfig::default();
+    let (reference, _) = fragdroid::Suite::new(&config, 2).run(&apps);
+    assert!(reference.outcomes.iter().any(|o| o.is_rejected()), "the slice holds packed apps");
+    let farm: Vec<_> = (0..2).map(|_| spawn_server(1)).collect();
+    let mut options = DispatchOptions::new(farm.iter().map(|(a, _)| a.clone()).collect());
+    options.shards = 3;
+    let run = dispatch(&apps, &config, &options, &fd_trace::TraceConfig::off())
+        .expect("dispatch completes");
+    for (addr, handle) in farm {
+        kill_server(&addr, handle);
+    }
+    let packages = |apps: &[fragdroid::suite::AppMetrics]| -> Vec<String> {
+        apps.iter().map(|m| m.package.clone()).collect()
+    };
+    assert_eq!(packages(&run.merged.run.metrics.apps), packages(&reference.metrics.apps));
+}

@@ -4,7 +4,7 @@
 //! count merges back to the unsharded findings is a cell of the
 //! `suite_differential` matrix.
 
-use fragdroid::suite::SuiteContainer;
+use fragdroid::suite::{SuiteApp, SuiteContainer};
 use fragdroid::{
     merge_shards, run_shard, shard_journal_path, CheckpointOptions, CorpusSource, FragDroidConfig,
     ShardError, Suite, SuiteRun,
@@ -145,4 +145,28 @@ mod kill_and_resume {
         }
         cleanup(&base, shards);
     }
+}
+
+/// A shard of decoded apps labels a refused (packer-protected) slot with
+/// the app's package, as the unsharded suite does, not `container[i]`.
+#[test]
+fn decoded_app_shards_keep_package_labels() {
+    let apps: Vec<SuiteApp> = fd_appgen::corpus::corpus_217(1)
+        .into_iter()
+        .take(40)
+        .map(|generated| (generated.app, generated.known_inputs))
+        .collect();
+    let config = FragDroidConfig::default();
+    let packages = |run: &SuiteRun| -> Vec<String> {
+        run.metrics.apps.iter().map(|m| m.package.clone()).collect()
+    };
+    let reference = reference_run(&apps, &config);
+    assert!(reference.outcomes.iter().any(|o| o.is_rejected()), "the slice holds packed apps");
+    let shards = 3;
+    let base = scratch("labels");
+    run_all_shards(&apps, &config, &base, shards);
+    let (merged, _) = merge_shards(&apps, &config, 0, &base, shards, &fd_trace::TraceConfig::off())
+        .expect("complete shards merge");
+    cleanup(&base, shards);
+    assert_eq!(packages(&merged.run), packages(&reference));
 }
