@@ -731,8 +731,9 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
 /// makes `--resume` survive a coordinator kill. The merged result
 /// renders Table 1 plus the farm appendix, and its outcome digest is
 /// byte-identical to an unsharded `fragdroid corpus` run of the same
-/// corpus and config — the endpoints must run the matching config
-/// (deadline, faults), since each worker executes jobs under its own.
+/// corpus and config. The endpoints must run the matching config
+/// (deadline, faults, budget), since each executes jobs under its own;
+/// one that reports another config fails the run with exit code 6.
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv)?;
     if !p.positional.is_empty() {

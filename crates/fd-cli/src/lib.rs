@@ -104,10 +104,9 @@ impl From<fragdroid::ClientError> for CliError {
 
 impl From<fragdroid::DispatchError> for CliError {
     fn from(error: fragdroid::DispatchError) -> Self {
-        // Shard and journal causes keep their own exit codes so scripts
-        // can tell a broken merge from a dead farm.
+        // A journal cause keeps its own exit code so scripts can tell a
+        // broken journal from a dead or misconfigured farm.
         match error {
-            fragdroid::DispatchError::Shard(e) => CliError::Shard(e.to_string()),
             fragdroid::DispatchError::Journal(e) => {
                 CliError::Checkpoint(format!("coordinator journal: {e}"))
             }

@@ -2,8 +2,9 @@
 //! `fragdroid` binary: `dispatch --connect` must drive three child
 //! `serve` worker processes — one of them SIGKILLed mid-run — to a
 //! rendered Table 1 whose outcome digest is byte-identical to the
-//! unsharded `corpus` run, and `--json` must emit the machine-readable
-//! metrics + farm summary pair.
+//! unsharded `corpus` run, `--json` must emit the machine-readable
+//! metrics + farm summary pair, and an endpoint running another engine
+//! config must fail the run with exit code 6.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
@@ -50,9 +51,10 @@ struct ServeProc {
 }
 
 impl ServeProc {
-    fn spawn() -> Self {
+    fn spawn(extra: &[&str]) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_fragdroid"))
             .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
+            .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -91,7 +93,7 @@ fn three_workers_one_sigkilled_mid_run_still_render_table1_with_the_unsharded_di
     // unsharded in one process.
     let reference = digest_line(&stdout_of(&fragdroid(&["corpus", "--limit", "4"])));
 
-    let workers: Vec<ServeProc> = (0..3).map(|_| ServeProc::spawn()).collect();
+    let workers: Vec<ServeProc> = (0..3).map(|_| ServeProc::spawn(&[])).collect();
     let connect = workers.iter().map(|w| w.spec.as_str()).collect::<Vec<_>>().join(",");
     let checkpoint = tmp("sigkill.journal");
     drop(std::fs::remove_file(&checkpoint));
@@ -135,7 +137,7 @@ fn three_workers_one_sigkilled_mid_run_still_render_table1_with_the_unsharded_di
 
 #[test]
 fn json_mode_emits_metrics_and_farm_summary() {
-    let workers: Vec<ServeProc> = (0..3).map(|_| ServeProc::spawn()).collect();
+    let workers: Vec<ServeProc> = (0..3).map(|_| ServeProc::spawn(&[])).collect();
     let connect = workers.iter().map(|w| w.spec.as_str()).collect::<Vec<_>>().join(",");
 
     let out =
@@ -171,4 +173,19 @@ fn json_mode_emits_metrics_and_farm_summary() {
         Some(3),
         "three apps in the merged metrics: {stdout}"
     );
+}
+
+/// An endpoint whose engine config differs from the coordinator's (here
+/// a smaller event budget) fails the run with exit code 6, naming the
+/// endpoint, and prints no table.
+#[test]
+fn an_endpoint_running_another_config_exits_6() {
+    let worker = ServeProc::spawn(&["--budget", "100"]);
+    let out = fragdroid(&["dispatch", "--connect", &worker.spec, "--limit", "2"]);
+    let endpoint = worker.spec.clone();
+    worker.kill();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "{stderr}");
+    assert!(stderr.contains(&format!("endpoint {endpoint} runs config")), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }

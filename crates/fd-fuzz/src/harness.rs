@@ -262,7 +262,14 @@ fn seed_serve_response_stream() -> Vec<u8> {
         ServeResponse::Draining { job: 5, retry_after_ms: 200 },
         ServeResponse::Conflict { job: 6, reason: "digest mismatch".to_string() },
         ServeResponse::Overloaded { retry_after_ms: 100 },
-        ServeResponse::Status { queued: 1, running: 1, completed: 2, rejected: 0, workers: 2 },
+        ServeResponse::Status {
+            queued: 1,
+            running: 1,
+            completed: 2,
+            rejected: 0,
+            workers: 2,
+            config_digest: Some(0x5eed_c0f1),
+        },
         ServeResponse::Bye,
     ])
 }

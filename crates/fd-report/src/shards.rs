@@ -21,7 +21,7 @@ pub fn render_shard_merge(merged: &MergedRun) -> String {
                 s.apps.to_string(),
                 s.rejected.to_string(),
                 s.crashes.to_string(),
-                s.journal.display().to_string(),
+                s.journal.as_ref().map_or_else(String::new, |j| j.display().to_string()),
             ]
         })
         .collect();
@@ -69,14 +69,14 @@ mod tests {
                     apps: 1,
                     rejected: 1,
                     crashes: 0,
-                    journal: "/tmp/j.shard-0-of-2".into(),
+                    journal: Some("/tmp/j.shard-0-of-2".into()),
                 },
                 ShardStat {
                     shard: 1,
                     apps: 0,
                     rejected: 0,
                     crashes: 0,
-                    journal: "/tmp/j.shard-1-of-2".into(),
+                    journal: Some("/tmp/j.shard-1-of-2".into()),
                 },
             ],
         };

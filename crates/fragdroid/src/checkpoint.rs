@@ -514,11 +514,12 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
 }
 
 /// Writes a *complete* journal in one shot: header, every slot in index
-/// order, one final fsync. Used by the dispatch coordinator
-/// ([`crate::dispatch`]) to materialize a shard journal from outcomes it
-/// collected over the wire — the resulting file is byte-for-byte what a
-/// local [`run_shard`](crate::shard::run_shard) would have left behind,
-/// so [`merge_shards`](crate::shard::merge_shards) accepts it without
+/// order, one final fsync. A journaled dispatch ([`crate::dispatch`])
+/// writes each shard it completed over the wire this way, as a
+/// durability record for `--resume`; dispatch itself merges from memory
+/// and never reads the file back. The file is byte-for-byte what a local
+/// [`run_shard`](crate::shard::run_shard) would have left behind, so
+/// [`merge_shards`](crate::shard::merge_shards) accepts it without
 /// knowing who wrote it. [`DurableLog::create`]'s tmp-then-rename makes
 /// re-dispatch idempotent: rewriting an already-complete shard journal
 /// replaces it atomically with identical bytes.

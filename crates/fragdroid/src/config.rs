@@ -135,11 +135,28 @@ impl FragDroidConfig {
     pub(crate) fn digest(&self) -> u64 {
         fd_apk::corpus::fnv1a(fd_apk::corpus::DIGEST_SEED, format!("{self:?}").as_bytes())
     }
+
+    /// [`FragDroidConfig::digest`] of every knob but the device backend,
+    /// which cannot change what a run finds: the digest a serve endpoint
+    /// reports and a dispatch coordinator compares with its own.
+    pub(crate) fn findings_digest(&self) -> u64 {
+        FragDroidConfig { backend: Default::default(), ..self.clone() }.digest()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn findings_digest_ignores_only_the_backend() {
+        let base = FragDroidConfig::default();
+        let subprocess = base.clone().with_backend(fd_droidsim::DeviceBackend::Subprocess);
+        assert_ne!(base.digest(), subprocess.digest(), "journals pin the backend");
+        assert_eq!(base.findings_digest(), subprocess.findings_digest());
+        let deadline = base.clone().with_deadline(std::time::Duration::ZERO);
+        assert_ne!(base.findings_digest(), deadline.findings_digest());
+    }
 
     #[test]
     fn ablation_builders_flip_exactly_one_flag() {

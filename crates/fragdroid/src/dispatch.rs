@@ -27,40 +27,35 @@
 //! * **Stragglers.** Once the queue drains, the last in-flight shards
 //!   are re-dispatched to idle endpoints; whoever finishes first
 //!   commits, the other attempt is counted as wasted.
-//! * **Idempotency by construction.** Job ids are global corpus
-//!   indexes, so the server's `(id, digest)` dedup makes re-execution
-//!   safe; shard journals are written atomically (tmp + rename) with
-//!   content derived only from deterministic outcomes, so re-writing
-//!   one replaces it with identical bytes.
-//! * **A crash-safe coordinator journal.** Every grant, revocation,
-//!   quarantine, and shard completion is one record in a durable log
-//!   (`durable_log`, shared with the checkpoint and serve journals),
-//!   fsynced as it is appended; `ShardDone` is appended only *after* the
-//!   shard's own journal is durable. `dispatch --resume` replays the
-//!   journal, re-validates every completed shard's file, and re-runs
-//!   only what does not check out — so SIGKILL of the coordinator itself
-//!   loses at most in-flight work.
+//! * **One config.** Job ids are global corpus indexes, so the server's
+//!   `(id, digest)` dedup makes re-execution safe. Before its first
+//!   lease each worker probes its endpoint, and one that reports another
+//!   engine config digest fails the run ([`DispatchError::ConfigMismatch`]).
+//! * **An optional crash-safe journal.** With [`DispatchOptions::journal`]
+//!   set, every grant, revocation, quarantine, and shard completion is
+//!   one fsynced record in a durable log (`durable_log`), and `ShardDone`
+//!   is appended only *after* that shard's own journal is durable.
+//!   `--resume` loads each claimed shard journal once and re-runs only
+//!   what does not check out, so SIGKILL of the coordinator loses at
+//!   most in-flight work. Without a journal, dispatch writes no file.
 //!
-//! Completed shards merge through
-//! [`merge_shards`], so the merged
+//! The winning attempt's outcomes stay in memory and are assembled by
+//! the shard merge's own rules, so the merged
 //! [`SuiteRun::outcome_digest`](crate::suite::SuiteRun) is
 //! byte-identical to an unsharded run of the same corpus and config.
-//!
-//! One operator responsibility remains: every serve endpoint must run
-//! the *same* engine config as the coordinator passes to `dispatch` —
-//! the `Status` probe carries no config digest, so a mismatched worker
-//! is only caught by the report digest at merge time.
+//! Dispatch never reads its shard journals back; they are durability
+//! records that [`merge_shards`](crate::shard::merge_shards) also
+//! accepts.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{load_journal, write_complete_journal, Fingerprint, JournalError};
+use crate::checkpoint::{write_complete_journal, Fingerprint, JournalError};
 use crate::config::FragDroidConfig;
 use crate::durable_log::{
     self, decode_line, encode_line, replay, DurableLog, LineError, LogRecord, Replay,
@@ -70,7 +65,9 @@ use crate::report::RunReport;
 use crate::serve::{
     request_once, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
 };
-use crate::shard::{merge_shards, shard_journal_path, MergedRun, ShardError, ShardSlice};
+use crate::shard::{
+    assemble_shards, load_shard, shard_journal_path, shard_ranges, MergedRun, ShardPart, ShardSlice,
+};
 use crate::suite::{slot_metrics, AppMetrics, AppOutcome, CorpusSource};
 use fd_droidsim::proto::to_hex;
 
@@ -93,8 +90,8 @@ pub struct DispatchOptions {
     pub endpoints: Vec<ListenAddr>,
     /// Shards to split the corpus into; `0` means one per endpoint.
     pub shards: usize,
-    /// Coordinator journal path. `None` disables crash-safety (shard
-    /// journals go to a scratch path and are removed after the merge).
+    /// Coordinator journal path; shard journals go beside it. `None`
+    /// disables crash-safety: the run writes no file at all.
     pub journal: Option<PathBuf>,
     /// Resume a previous coordinator journal instead of starting fresh.
     pub resume: bool,
@@ -159,9 +156,7 @@ pub enum DispatchError {
     ResumeWithoutJournal,
     /// The coordinator journal failed (create, append, parse, resume).
     Journal(JournalError),
-    /// The split or the merge failed.
-    Shard(ShardError),
-    /// The corpus source could not be streamed to fingerprint the run.
+    /// The corpus could not be streamed to fingerprint a journaled run.
     Source {
         /// The streaming failure, rendered.
         detail: String,
@@ -172,6 +167,15 @@ pub enum DispatchError {
         journal: usize,
         /// Shards this invocation asked for.
         requested: usize,
+    },
+    /// An endpoint runs an engine config other than the coordinator's.
+    ConfigMismatch {
+        /// The endpoint, rendered (`host:port` or `unix:path`).
+        endpoint: String,
+        /// The coordinator's config digest.
+        expected: u64,
+        /// The digest the endpoint reported.
+        found: u64,
     },
     /// No grant, job, or completion for `stall_timeout`: every endpoint
     /// is dead or quarantined and nothing can make progress.
@@ -195,13 +199,15 @@ impl std::fmt::Display for DispatchError {
                 write!(f, "--resume needs a coordinator journal path (--checkpoint)")
             }
             DispatchError::Journal(error) => write!(f, "coordinator journal: {error}"),
-            DispatchError::Shard(error) => write!(f, "{error}"),
             DispatchError::Source { detail } => write!(f, "corpus source failed: {detail}"),
             DispatchError::ShardCountMismatch { journal, requested } => write!(
                 f,
                 "coordinator journal records {journal} shards, this invocation asked for \
                  {requested}; shard counts must match to resume"
             ),
+            DispatchError::ConfigMismatch { endpoint, expected, found } => {
+                write!(f, "endpoint {endpoint} runs config {found:#018x}, not {expected:#018x}")
+            }
             DispatchError::Stalled { completed, shards, detail } => {
                 write!(f, "dispatch stalled at {completed}/{shards} shards: {detail}")
             }
@@ -214,12 +220,6 @@ impl std::error::Error for DispatchError {}
 impl From<JournalError> for DispatchError {
     fn from(error: JournalError) -> Self {
         DispatchError::Journal(error)
-    }
-}
-
-impl From<ShardError> for DispatchError {
-    fn from(error: ShardError) -> Self {
-        DispatchError::Shard(error)
     }
 }
 
@@ -403,7 +403,7 @@ pub fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
 // Results
 
 /// Per-endpoint accounting for the dispatch summary.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct WorkerStat {
     /// The endpoint, rendered (`host:port` or `unix:path`).
     pub endpoint: String,
@@ -418,7 +418,7 @@ pub struct WorkerStat {
 }
 
 /// What happened operationally, alongside the merged result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct DispatchSummary {
     /// Shards the corpus was split into.
     pub shards: usize,
@@ -451,18 +451,12 @@ pub struct DispatchRun {
 // ---------------------------------------------------------------------------
 // Farm state
 
-/// One live lease.
+/// One live lease; its `generation` alone identifies it.
 struct Lease {
     shard: usize,
     worker: usize,
     generation: u64,
     granted_at: Instant,
-}
-
-impl Lease {
-    fn is(&self, shard: usize, worker: usize, generation: u64) -> bool {
-        self.shard == shard && self.worker == worker && self.generation == generation
-    }
 }
 
 /// Where an endpoint stands with the farm. `round` counts the failed
@@ -484,10 +478,7 @@ struct WorkerSlot {
     streak: Streak,
     standing: Standing,
     bench: Backoff,
-    assignments: usize,
-    completed: usize,
-    failures: usize,
-    quarantines: usize,
+    stat: WorkerStat,
 }
 
 impl WorkerSlot {
@@ -498,20 +489,20 @@ impl WorkerSlot {
             standing: Standing::Active,
             bench: Backoff::new(base, base.saturating_mul(BENCH_CAP))
                 .jittered(options.jitter_seed ^ worker as u64),
-            assignments: 0,
-            completed: 0,
-            failures: 0,
-            quarantines: 0,
+            stat: WorkerStat {
+                endpoint: options.endpoints[worker].to_string(),
+                ..WorkerStat::default()
+            },
         }
     }
 
     /// Counts one failed shard attempt; `true` means it tripped the
     /// streak and benched the endpoint (callers journal + trace that).
     fn fail(&mut self, now: Instant) -> bool {
-        self.failures += 1;
+        self.stat.failures += 1;
         let tripped = self.streak.fail();
         if tripped {
-            self.quarantines += 1;
+            self.stat.quarantines += 1;
             self.bench(now, 0);
         }
         tripped
@@ -558,19 +549,24 @@ impl WorkerSlot {
 struct Farm {
     pending: VecDeque<usize>,
     leases: Vec<Lease>,
-    done: BTreeSet<usize>,
+    /// Each completed shard's first committed outcomes.
+    done: BTreeMap<usize, ShardPart>,
     /// When each shard's last lease was revoked, for reassignment
     /// latency; cleared at the re-grant that consumes it.
     revoked_at: Vec<Option<Instant>>,
     workers: Vec<WorkerSlot>,
     next_generation: u64,
-    shutdown: bool,
     fatal: Option<DispatchError>,
     last_progress: Instant,
-    reassignments: usize,
-    stragglers: usize,
-    wasted: usize,
-    reassignment_latencies: Vec<Duration>,
+    /// The run's accounting so far; `workers` is copied in at the end.
+    summary: DispatchSummary,
+}
+
+impl Farm {
+    /// Whether the run is over: failed, or every shard committed.
+    fn over(&self) -> bool {
+        self.fatal.is_some() || self.done.len() == self.summary.shards
+    }
 }
 
 /// Mutex lock that shrugs off poisoning: the farm state stays usable
@@ -579,38 +575,45 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// What a journaled run keeps beside the farm: the coordinator journal,
+/// where shard journals go, and what each one is fingerprinted with.
+struct Journaled<'a> {
+    log: Mutex<DurableLog>,
+    /// The coordinator journal's path, which shard journals extend.
+    base: &'a Path,
+    /// Each shard's fingerprint, in shard order.
+    fingerprints: Vec<Fingerprint>,
+    /// Shards whose `ShardDone` is already in the resumed journal;
+    /// completing one again must not append a duplicate record.
+    done: BTreeSet<usize>,
+}
+
 /// Everything worker threads and the coordinator share by reference.
 struct DispatchCtx<'a> {
     source: &'a dyn CorpusSource,
     options: &'a DispatchOptions,
-    shards: usize,
-    base: &'a Path,
-    shard_fingerprints: &'a [Fingerprint],
+    /// The engine config digest every endpoint must report.
+    config_digest: u64,
     ranges: &'a [Range<usize>],
-    /// Shards whose `ShardDone` is already in the resumed journal;
-    /// completing one again must not append a duplicate record.
-    journaled_done: &'a BTreeSet<usize>,
     farm: &'a Mutex<Farm>,
     cv: &'a Condvar,
-    log: &'a Option<Mutex<DurableLog>>,
+    journal: Option<Journaled<'a>>,
 }
 
 impl DispatchCtx<'_> {
     /// Appends one record to the coordinator journal (fsync'd per
-    /// record).
+    /// record), if the run keeps one.
     fn append(&self, record: &DispatchRecord) {
-        let Some(log) = self.log else { return };
-        if let Err(error) = lock(log).append(record) {
-            self.fail(error);
+        let Some(journal) = &self.journal else { return };
+        if let Err(error) = lock(&journal.log).append(record) {
+            self.fail(DispatchError::Journal(error));
         }
     }
 
-    /// A journal failure is fatal: a journal whose durability cannot be
-    /// trusted is worse than stopping.
-    fn fail(&self, error: JournalError) {
-        let mut g = lock(self.farm);
-        g.fatal.get_or_insert(DispatchError::Journal(error));
-        g.shutdown = true;
+    /// Stops the run with `error`. A journal failure is one: a journal
+    /// whose durability cannot be trusted is worse than stopping.
+    fn fail(&self, error: DispatchError) {
+        lock(self.farm).fatal.get_or_insert(error);
         self.cv.notify_all();
     }
 }
@@ -641,7 +644,7 @@ fn revoke_leases(g: &mut Farm, now: Instant, pred: impl Fn(&Lease) -> bool) -> R
     let mut quarantined = Vec::new();
     for lease in &leases {
         let shard = lease.shard;
-        if !(g.done.contains(&shard)
+        if !(g.done.contains_key(&shard)
             || g.leases.iter().any(|l| l.shard == shard)
             || g.pending.contains(&shard))
         {
@@ -679,7 +682,7 @@ impl Revocations {
 }
 
 fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant) -> Action {
-    if g.shutdown || g.fatal.is_some() || g.done.len() == ctx.shards {
+    if g.over() {
         return Action::Exit;
     }
     if let Some(action) = g.workers[worker].sit_out(now, ctx.options.heartbeat_interval) {
@@ -688,7 +691,7 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
     let mut i = 0;
     while i < g.pending.len() {
         let shard = g.pending[i];
-        if g.done.contains(&shard) {
+        if g.done.contains_key(&shard) {
             g.pending.remove(i);
             continue;
         }
@@ -702,12 +705,13 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
         let generation = g.next_generation;
         g.next_generation += 1;
         g.leases.push(Lease { shard, worker, generation, granted_at: now });
-        g.workers[worker].assignments += 1;
+        g.workers[worker].stat.assignments += 1;
         g.last_progress = now;
         let mut reassigned = false;
         if let Some(revoked) = g.revoked_at[shard].take() {
-            g.reassignments += 1;
-            g.reassignment_latencies.push(now.duration_since(revoked));
+            let latency_ms = now.duration_since(revoked).as_millis() as u64;
+            g.summary.reassignments += 1;
+            g.summary.reassignment_latencies_ms.push(latency_ms);
             reassigned = true;
         }
         return Action::Run { shard, generation, reassigned };
@@ -729,6 +733,20 @@ fn healthy(addr: &ListenAddr, timeout: Duration) -> bool {
     )
 }
 
+/// Fails the run if `worker`'s endpoint reports an engine config digest
+/// other than the coordinator's. Silence, or a server that predates the
+/// digest, passes: the lease machinery deals with the dead, and only a
+/// reported mismatch is proof.
+fn check_config(ctx: &DispatchCtx<'_>, worker: usize) {
+    let (addr, expected) = (&ctx.options.endpoints[worker], ctx.config_digest);
+    let reply = request_once(addr, ServeRequest::Status, PROBE_TIMEOUT);
+    if let Ok(ServeResponse::Status { config_digest: Some(found), .. }) = reply {
+        if found != expected {
+            ctx.fail(DispatchError::ConfigMismatch { endpoint: addr.to_string(), expected, found });
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Worker threads
 
@@ -742,19 +760,19 @@ fn run_shard_over_wire(
     worker: usize,
     shard: usize,
     generation: u64,
-) -> Result<Vec<(usize, AppOutcome, AppMetrics)>, String> {
+) -> Result<Vec<(AppOutcome, AppMetrics)>, String> {
     let range = ctx.ranges[shard].clone();
     let mut client = SubmitClient::new(ctx.options.endpoints[worker].clone())
         .with_deadline(ctx.options.job_deadline)
         .with_max_attempts(ctx.options.job_attempts);
     let mut outcomes = Vec::with_capacity(range.len());
-    for (local, global) in range.enumerate() {
+    for global in range {
         {
             let g = lock(ctx.farm);
-            if g.shutdown || g.fatal.is_some() {
+            if g.over() {
                 return Err("coordinator shut down mid-shard".to_string());
             }
-            if !g.leases.iter().any(|l| l.is(shard, worker, generation)) {
+            if !g.leases.iter().any(|l| l.generation == generation) {
                 return Err("lease revoked mid-shard".to_string());
             }
         }
@@ -796,7 +814,7 @@ fn run_shard_over_wire(
             }
         };
         let metrics = slot_metrics(&outcome, package, started.elapsed());
-        outcomes.push((local, outcome, metrics));
+        outcomes.push((outcome, metrics));
         lock(ctx.farm).last_progress = Instant::now();
     }
     Ok(outcomes)
@@ -819,6 +837,7 @@ fn worker_loop(
     trace_config: &fd_trace::TraceConfig,
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, worker as u64 + 1);
+    check_config(ctx, worker);
     loop {
         let mut g = lock(ctx.farm);
         match next_action(&mut g, worker, ctx, Instant::now()) {
@@ -846,42 +865,45 @@ fn worker_loop(
                     });
                 }
                 match run_shard_over_wire(ctx, worker, shard, generation) {
-                    Ok(outcomes) => {
-                        // Durability order is the whole invariant:
-                        // shard journal fsync'd first, ShardDone after.
-                        let path = shard_journal_path(ctx.base, shard, ctx.shards);
-                        let written = write_complete_journal(
-                            &path,
-                            ctx.shard_fingerprints[shard],
-                            outcomes.iter().map(|(i, o, m)| (*i, o, m)),
-                        );
-                        if let Err(error) = written {
-                            ctx.fail(error);
-                            continue;
+                    Ok(slots) => {
+                        let apps = slots.len();
+                        if let Some(journal) = &ctx.journal {
+                            // Durability order is the whole invariant:
+                            // shard journal fsync'd first, ShardDone after.
+                            let written = write_complete_journal(
+                                &shard_journal_path(journal.base, shard, ctx.ranges.len()),
+                                journal.fingerprints[shard],
+                                slots.iter().enumerate().map(|(i, (o, m))| (i, o, m)),
+                            );
+                            if let Err(error) = written {
+                                ctx.fail(DispatchError::Journal(error));
+                                continue;
+                            }
                         }
                         let won = {
                             let mut g = lock(ctx.farm);
-                            g.leases.retain(|l| !l.is(shard, worker, generation));
-                            let won = g.done.insert(shard);
+                            g.leases.retain(|l| l.generation != generation);
+                            let won = !g.done.contains_key(&shard);
                             if won {
-                                g.workers[worker].completed += 1;
+                                g.done.insert(shard, ShardPart { slots, flakes: None });
+                                g.workers[worker].stat.shards_completed += 1;
                                 g.workers[worker].streak.clear();
                                 g.last_progress = Instant::now();
                             } else {
                                 // A straggler race we lost; the shard
-                                // journal we rewrote holds identical
-                                // bytes, so no harm done.
-                                g.wasted += 1;
+                                // journal we rewrote, if any, holds
+                                // identical bytes, so no harm done.
+                                g.summary.wasted_completions += 1;
                             }
                             ctx.cv.notify_all();
                             won
                         };
-                        if won && !ctx.journaled_done.contains(&shard) {
+                        if won && ctx.journal.as_ref().is_some_and(|j| !j.done.contains(&shard)) {
                             ctx.append(&DispatchRecord::ShardDone {
                                 shard,
                                 worker,
                                 generation,
-                                apps: outcomes.len(),
+                                apps,
                             });
                         }
                     }
@@ -890,7 +912,7 @@ fn worker_loop(
                     // discovered ourselves is ours to record.
                     Err(_reason) => {
                         let revoked = revoke_leases(&mut lock(ctx.farm), Instant::now(), |l| {
-                            l.is(shard, worker, generation)
+                            l.generation == generation
                         });
                         revoked.publish(ctx, &tracer);
                     }
@@ -916,9 +938,7 @@ fn coordinator_loop(
     loop {
         let (expired, probes, stalled) = {
             let mut g = lock(ctx.farm);
-            if g.done.len() == ctx.shards || g.fatal.is_some() || g.shutdown {
-                g.shutdown = true;
-                ctx.cv.notify_all();
+            if g.over() {
                 break;
             }
             let now = Instant::now();
@@ -936,14 +956,14 @@ fn coordinator_loop(
                     .map(|l| l.shard)
                     .collect();
                 for shard in candidates {
-                    if g.done.contains(&shard)
+                    if g.done.contains_key(&shard)
                         || g.pending.contains(&shard)
                         || g.leases.iter().filter(|l| l.shard == shard).count() != 1
                     {
                         continue;
                     }
                     g.pending.push_back(shard);
-                    g.stragglers += 1;
+                    g.summary.straggler_redispatches += 1;
                     ctx.cv.notify_all();
                 }
             }
@@ -953,18 +973,17 @@ fn coordinator_loop(
                 let queued = g.pending.len();
                 g.fatal = Some(DispatchError::Stalled {
                     completed: g.done.len(),
-                    shards: ctx.shards,
+                    shards: ctx.ranges.len(),
                     detail: format!(
                         "no progress for {:?} ({leased} leases in flight, {queued} shards \
                          queued, every endpoint dead or quarantined)",
                         ctx.options.stall_timeout
                     ),
                 });
-                g.shutdown = true;
                 ctx.cv.notify_all();
             }
             let probes: BTreeSet<usize> = g.leases.iter().map(|l| l.worker).collect();
-            (expired, probes, g.shutdown)
+            (expired, probes, g.fatal.is_some())
         };
         expired.publish(ctx, &tracer);
         if stalled {
@@ -982,7 +1001,7 @@ fn coordinator_loop(
         // Re-check under the lock: a completion notified during the
         // probes must not leave the coordinator waiting a whole tick.
         let g = lock(ctx.farm);
-        if g.done.len() < ctx.shards && g.fatal.is_none() && !g.shutdown {
+        if !g.over() {
             drop(ctx.cv.wait_timeout(g, ctx.options.heartbeat_interval));
         }
     }
@@ -992,20 +1011,19 @@ fn coordinator_loop(
 // ---------------------------------------------------------------------------
 // Entry point
 
-/// Distinguishes concurrent scratch journals within one process.
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
 /// Dispatches `source` across `options.endpoints`, drives every shard
-/// to completion with lease-based fault tolerance, and merges the shard
-/// journals into one run whose `outcome_digest` is byte-identical to an
-/// unsharded run of the same corpus and config.
+/// to completion with lease-based fault tolerance, and assembles the
+/// shards' outcomes into one run whose `outcome_digest` is
+/// byte-identical to an unsharded run of the same corpus and config.
 ///
 /// # Errors
 /// [`DispatchError::NoEndpoints`] / [`DispatchError::ResumeWithoutJournal`]
-/// for invalid invocations; [`DispatchError::Journal`] when the
-/// coordinator journal cannot be created, resumed, or appended;
-/// [`DispatchError::Stalled`] when every endpoint is dead and nothing
-/// can progress; [`DispatchError::Shard`] when the final merge fails.
+/// for invalid invocations; [`DispatchError::Source`] when a journaled
+/// run cannot digest the corpus; [`DispatchError::Journal`] when the
+/// coordinator journal or a shard journal cannot be created, resumed, or
+/// appended; [`DispatchError::ConfigMismatch`] when an endpoint runs
+/// another engine config; [`DispatchError::Stalled`] when every endpoint
+/// is dead and nothing can progress.
 pub fn dispatch(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
@@ -1019,103 +1037,82 @@ pub fn dispatch(
         return Err(DispatchError::ResumeWithoutJournal);
     }
     let shards = if options.shards == 0 { options.endpoints.len() } else { options.shards };
-    let fingerprint =
-        Fingerprint::of(source, config, 0).map_err(|detail| DispatchError::Source { detail })?;
+    let ranges = shard_ranges(source.len(), shards);
 
-    let mut ranges = Vec::with_capacity(shards);
-    let mut shard_fingerprints = Vec::with_capacity(shards);
-    for index in 0..shards {
-        let slice = ShardSlice::new(source, shards, index)?;
-        let fp = Fingerprint::of(&slice, config, 0)
-            .map_err(|detail| DispatchError::Source { detail })?;
-        ranges.push(slice.range());
-        shard_fingerprints.push(fp);
-    }
-
-    let scratch = options.journal.is_none();
-    let base: PathBuf = match &options.journal {
-        Some(path) => path.clone(),
-        None => std::env::temp_dir().join(format!(
-            "fragdroid-dispatch-{}-{}",
-            std::process::id(),
-            SCRATCH.fetch_add(1, Ordering::Relaxed)
-        )),
-    };
-
-    let mut done = BTreeSet::new();
-    let mut journaled_done = BTreeSet::new();
-    let mut resumed_shards = 0usize;
-    let log: Option<Mutex<DurableLog>> = match &options.journal {
+    // Shards claimed by a resumed journal whose own journals check out.
+    let mut done = BTreeMap::new();
+    let journal = match &options.journal {
         None => None,
-        Some(path) if options.resume && path.exists() => {
-            let loaded = parse_dispatch_journal(&durable_log::read(path)?)?;
-            fingerprint.check(loaded.fingerprint)?;
-            if loaded.shards != shards {
-                return Err(DispatchError::ShardCountMismatch {
-                    journal: loaded.shards,
-                    requested: shards,
-                });
-            }
-            for &shard in loaded.done.keys() {
-                journaled_done.insert(shard);
-                // ShardDone is a claim, not proof: trust only shard
-                // journals that still load, fingerprint-match, and
-                // cover their whole slice. Anything else re-runs.
-                match load_journal(&shard_journal_path(&base, shard, shards)) {
-                    Ok(l)
-                        if l.fingerprint == shard_fingerprints[shard]
-                            && l.slots.len() == ranges[shard].len() =>
-                    {
-                        done.insert(shard);
-                        resumed_shards += 1;
-                    }
-                    _ => {}
-                }
-            }
-            Some(Mutex::new(DurableLog::resume(path, loaded.valid_len, 1)?))
-        }
         Some(path) => {
-            if path.exists() {
-                return Err(DispatchError::Journal(JournalError::AlreadyExists {
-                    path: path.display().to_string(),
-                }));
-            }
-            let header = DispatchRecord::Header(DispatchHeader {
-                version: DISPATCH_JOURNAL_VERSION,
-                fingerprint,
-                shards,
-            });
-            Some(Mutex::new(DurableLog::create(path, &header, 1)?))
+            let digest = |slice: &dyn CorpusSource| {
+                Fingerprint::of(slice, config, 0).map_err(|detail| DispatchError::Source { detail })
+            };
+            let fingerprint = digest(source)?;
+            let fingerprints = ranges
+                .iter()
+                .map(|range| digest(&ShardSlice::over(source, range.clone())))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut journaled_done = BTreeSet::new();
+            let log = if options.resume && path.exists() {
+                let loaded = parse_dispatch_journal(&durable_log::read(path)?)?;
+                fingerprint.check(loaded.fingerprint)?;
+                if loaded.shards != shards {
+                    return Err(DispatchError::ShardCountMismatch {
+                        journal: loaded.shards,
+                        requested: shards,
+                    });
+                }
+                for &shard in loaded.done.keys() {
+                    journaled_done.insert(shard);
+                    // ShardDone is a claim, not proof: trust only shard
+                    // journals that pass the shard merge's checks, loaded
+                    // once. Anything else re-runs.
+                    let journal = shard_journal_path(path, shard, shards);
+                    let checked = load_shard(&journal, fingerprints[shard], shard, &ranges[shard]);
+                    if let Ok(part) = checked {
+                        done.insert(shard, part);
+                    }
+                }
+                DurableLog::resume(path, loaded.valid_len, 1)?
+            } else {
+                if path.exists() {
+                    return Err(DispatchError::Journal(JournalError::AlreadyExists {
+                        path: path.display().to_string(),
+                    }));
+                }
+                let header = DispatchRecord::Header(DispatchHeader {
+                    version: DISPATCH_JOURNAL_VERSION,
+                    fingerprint,
+                    shards,
+                });
+                DurableLog::create(path, &header, 1)?
+            };
+            let log = Mutex::new(log);
+            Some(Journaled { log, base: path, fingerprints, done: journaled_done })
         }
     };
+    let resumed_shards = done.len();
 
     let farm = Mutex::new(Farm {
-        pending: (0..shards).filter(|s| !done.contains(s)).collect(),
+        pending: (0..shards).filter(|s| !done.contains_key(s)).collect(),
         leases: Vec::new(),
         done,
         revoked_at: vec![None; shards],
         workers: (0..options.endpoints.len()).map(|w| WorkerSlot::new(options, w)).collect(),
         next_generation: 0,
-        shutdown: false,
         fatal: None,
         last_progress: Instant::now(),
-        reassignments: 0,
-        stragglers: 0,
-        wasted: 0,
-        reassignment_latencies: Vec::new(),
+        summary: DispatchSummary { shards, resumed_shards, ..DispatchSummary::default() },
     });
     let cv = Condvar::new();
     let ctx = DispatchCtx {
         source,
         options,
-        shards,
-        base: &base,
-        shard_fingerprints: &shard_fingerprints,
+        config_digest: config.findings_digest(),
         ranges: &ranges,
-        journaled_done: &journaled_done,
         farm: &farm,
         cv: &cv,
-        log: &log,
+        journal,
     };
 
     let clock = fd_trace::TraceClock::start();
@@ -1133,43 +1130,15 @@ pub fn dispatch(
         }
     });
 
-    let summary = {
-        let mut g = lock(&farm);
-        if let Some(error) = g.fatal.take() {
-            return Err(error);
-        }
-        DispatchSummary {
-            shards,
-            resumed_shards,
-            reassignments: g.reassignments,
-            straggler_redispatches: g.stragglers,
-            wasted_completions: g.wasted,
-            reassignment_latencies_ms: g
-                .reassignment_latencies
-                .iter()
-                .map(|d| d.as_millis() as u64)
-                .collect(),
-            workers: options
-                .endpoints
-                .iter()
-                .zip(g.workers.iter())
-                .map(|(addr, slot)| WorkerStat {
-                    endpoint: addr.to_string(),
-                    assignments: slot.assignments,
-                    shards_completed: slot.completed,
-                    failures: slot.failures,
-                    quarantines: slot.quarantines,
-                })
-                .collect(),
-        }
-    };
-
-    let (merged, _merge_trace) = merge_shards(source, config, 0, &base, shards, trace_config)?;
-    if scratch {
-        for shard in 0..shards {
-            drop(std::fs::remove_file(shard_journal_path(&base, shard, shards)));
-        }
+    let mut g = lock(&farm);
+    if let Some(error) = g.fatal.take() {
+        return Err(error);
     }
+    let mut summary = std::mem::take(&mut g.summary);
+    summary.workers = g.workers.iter().map(|slot| slot.stat.clone()).collect();
+    // Without a fatal error the coordinator stopped only once every
+    // shard committed, so `done` holds them all, in shard order.
+    let merged = assemble_shards(std::mem::take(&mut g.done).into_values().collect());
 
     let mut trace = fd_trace::Trace::new("fragdroid-dispatch");
     for track in tracks {
@@ -1182,13 +1151,14 @@ pub fn dispatch(
 mod tests {
     use super::*;
     use crate::serve::{serve_listener, ServeListener, ServeOptions};
+    use crate::shard::merge_shards;
     use crate::suite::{run_corpus_suite_traced, SuiteContainer};
     use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
     use std::io::{Read, Write};
-    use std::sync::atomic::AtomicU64 as TestCounter;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch(name: &str) -> PathBuf {
-        static NEXT: TestCounter = TestCounter::new(0);
+        static NEXT: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
             "fragdroid-dispatch-test-{}-{}-{name}",
             std::process::id(),
@@ -1205,10 +1175,13 @@ mod tests {
     }
 
     fn spawn_server(workers: usize) -> (ListenAddr, std::thread::JoinHandle<()>) {
+        spawn_server_with(ServeOptions { workers, ..ServeOptions::default() })
+    }
+
+    fn spawn_server_with(options: ServeOptions) -> (ListenAddr, std::thread::JoinHandle<()>) {
         let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string()))
             .expect("bind a loopback test server");
         let addr = listener.local_addr().clone();
-        let options = ServeOptions { workers, ..ServeOptions::default() };
         let handle = std::thread::spawn(move || {
             serve_listener(listener, &options, &fd_trace::TraceConfig::off())
                 .expect("test server runs to clean shutdown");
@@ -1262,8 +1235,14 @@ mod tests {
 
     #[test]
     fn probe_counts_status_and_busy_as_healthy_and_nothing_else() {
-        let status =
-            ServeResponse::Status { queued: 0, running: 1, completed: 2, rejected: 0, workers: 1 };
+        let status = ServeResponse::Status {
+            queued: 0,
+            running: 1,
+            completed: 2,
+            rejected: 0,
+            workers: 1,
+            config_digest: None,
+        };
         assert!(probe_against(Fake::Reply(status)));
         assert!(probe_against(Fake::Reply(ServeResponse::Busy { job: 0, retry_after_ms: 5 })));
         let draining = ServeResponse::Draining { job: 0, retry_after_ms: 5 };
@@ -1283,7 +1262,7 @@ mod tests {
     #[test]
     fn failed_revivals_double_the_jittered_bench_and_a_clean_probe_resets_it() {
         let base = Duration::from_millis(100);
-        let mut options = DispatchOptions::new(Vec::new());
+        let mut options = DispatchOptions::new(vec![ListenAddr::Tcp("127.0.0.1:1".into()); 4]);
         options.quarantine_after = 2;
         options.quarantine_backoff = base;
         let heartbeat = Duration::from_secs(3600);
@@ -1323,7 +1302,7 @@ mod tests {
         assert!(!slot.fail(now), "the clean probe cleared the streak");
         assert!(slot.fail(now));
         assert!(bench_span(&slot, now) <= base, "the next bench starts from the base again");
-        assert_eq!((slot.failures, slot.quarantines), (4, 2));
+        assert_eq!((slot.stat.failures, slot.stat.quarantines), (4, 2));
     }
 
     #[test]
@@ -1523,10 +1502,41 @@ mod tests {
             "nothing re-leased on a complete journal"
         );
         assert_eq!(second.merged.run.outcome_digest(), first.merged.run.outcome_digest());
+        // Dispatch never reads its shard journals back, so pin them as
+        // what `corpus --merge` accepts.
+        let (remerged, _) = merge_shards(&corpus, &config, 0, &journal, 2, &off)
+            .expect("a journaled farm's shard journals merge");
+        assert_eq!(remerged.run.outcome_digest(), first.merged.run.outcome_digest());
 
         for shard in 0..2 {
             drop(std::fs::remove_file(shard_journal_path(&journal, shard, 2)));
         }
         drop(std::fs::remove_file(&journal));
+    }
+
+    /// An endpoint that runs another engine config fails the run before
+    /// any of its findings are merged, naming the endpoint.
+    #[test]
+    fn an_endpoint_running_another_config_fails_the_run() {
+        let corpus = corpus(2);
+        let config = FragDroidConfig::default();
+        let off = fd_trace::TraceConfig::off();
+        let (addr, server) = spawn_server_with(ServeOptions {
+            config: FragDroidConfig::default().with_deadline(Duration::ZERO),
+            ..ServeOptions::default()
+        });
+        let options = DispatchOptions::new(vec![addr.clone()]);
+        let result = dispatch(&corpus, &config, &options, &off);
+        shutdown(&addr, server);
+        let error = result.expect_err("a mismatched endpoint fails the run");
+        assert_eq!(
+            error,
+            DispatchError::ConfigMismatch {
+                endpoint: addr.to_string(),
+                expected: config.findings_digest(),
+                found: FragDroidConfig::default().with_deadline(Duration::ZERO).findings_digest(),
+            }
+        );
+        assert!(error.to_string().contains(&addr.to_string()), "{error}");
     }
 }

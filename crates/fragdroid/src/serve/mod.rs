@@ -191,6 +191,11 @@ pub enum ServeResponse {
         rejected: u64,
         /// Worker threads draining the queue.
         workers: u64,
+        /// Digest of the engine config every job runs with, backend
+        /// aside, which a dispatch coordinator compares with its own.
+        /// `None` from a server that predates the field.
+        #[serde(default)]
+        config_digest: Option<u64>,
     },
     /// Reply to [`ServeRequest::Shutdown`].
     Bye,
@@ -798,6 +803,7 @@ fn handle_request(
                     completed: counts[2],
                     rejected: counts[3],
                     workers: workers as u64,
+                    config_digest: Some(core.options.config.findings_digest()),
                 },
                 false,
             )

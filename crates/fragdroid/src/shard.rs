@@ -4,29 +4,24 @@
 //! A *shard* is a contiguous slice of the corpus ([`shard_range`] —
 //! ragged tails land on the leading shards). Each shard runs the normal
 //! checkpointed suite over a [`ShardSlice`] of the corpus source and
-//! journals to its own path ([`shard_journal_path`]). Shard identity
-//! falls out of the PR 5 fingerprint scheme for free: a sub-corpus has
-//! its own length and streamed digest, so shard 2-of-4's journal can
-//! never be resumed as shard 3-of-4's, against a different corpus, or
-//! with a different config.
+//! journals to its own path ([`shard_journal_path`]). A sub-corpus has
+//! its own length and streamed digest, so its journal's fingerprint
+//! ties it to one slice of one corpus under one config.
 //!
-//! [`merge_shards`] folds the per-shard journals into one
-//! [`SuiteRun`]: every journal is fingerprint-checked against its
-//! expected slice, completeness-checked, local indexes are mapped back
-//! to global input order, and the outcomes are reassembled in that
-//! order — so the merged [`SuiteRun::outcome_digest`] is byte-identical
-//! to an unsharded run by construction. Merge rules for the lossy bits:
+//! [`merge_shards`] loads each journal (`load_shard`: fingerprint,
+//! completeness, global indexes) and assembles the shards in order
+//! (`assemble_shards`), so the merged [`SuiteRun::outcome_digest`] is
+//! byte-identical to an unsharded run by construction. The dispatch farm
+//! assembles the outcomes it holds the same way. The lossy bits:
 //!
-//! * per-app wall times come from the journals unchanged; the merged
-//!   suite-level `wall_ms`/`busy_ms` are the *sum* of per-app walls
-//!   (shards ran on different clocks, so there is no meaningful
-//!   end-to-end wall), and `workers` is the shard count;
-//! * a slice labels a quarantined slot as its source does at the global
-//!   index (a decoded app's package, else `container[<global>]`);
-//!   journals that recorded a shard-local `container[3]` are relabeled
-//!   to their global index;
-//! * flake summaries merge by concatenation (indexes remapped), with
-//!   `retries` the maximum across shards;
+//! * per-app wall times pass through; the merged `wall_ms`/`busy_ms`
+//!   are the *sum* of per-app walls (shards ran on different clocks),
+//!   and `workers` is the shard count;
+//! * a quarantined slot carries its source's label at the global index;
+//!   a journal's shard-local `container[3]`, as older versions wrote it,
+//!   is relabeled to the global index when loaded;
+//! * flake summaries concatenate (indexes remapped), with `retries` the
+//!   maximum across shards;
 //! * device incidents are a live-pool observation, not a journaled
 //!   fact, so the merged metrics report 0.
 
@@ -37,7 +32,6 @@ use crate::config::FragDroidConfig;
 use crate::suite::{
     assemble_metrics, AppMetrics, AppOutcome, CorpusSource, Suite, SuiteContainer, SuiteRun,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -58,6 +52,11 @@ pub fn shard_range(total: usize, shards: usize, index: usize) -> Result<Range<us
     let start = index * base + index.min(extra);
     let len = base + usize::from(index < extra);
     Ok(start..start + len)
+}
+
+/// Every shard's range of an N-way split, in shard order.
+pub(crate) fn shard_ranges(total: usize, shards: usize) -> Vec<Range<usize>> {
+    (0..shards).filter_map(|index| shard_range(total, shards, index).ok()).collect()
 }
 
 /// The journal path shard `index` of `shards` writes:
@@ -87,8 +86,12 @@ impl<'a> ShardSlice<'a> {
         shards: usize,
         index: usize,
     ) -> Result<Self, ShardError> {
-        let range = shard_range(source.len(), shards, index)?;
-        Ok(ShardSlice { source, range })
+        Ok(ShardSlice::over(source, shard_range(source.len(), shards, index)?))
+    }
+
+    /// The slice of `source` covering `range`, a range of a valid split.
+    pub(crate) fn over(source: &'a dyn CorpusSource, range: Range<usize>) -> Self {
+        ShardSlice { source, range }
     }
 
     /// The global corpus range this slice covers.
@@ -187,8 +190,9 @@ pub struct ShardStat {
     pub rejected: usize,
     /// Crashes among them.
     pub crashes: usize,
-    /// The journal the shard was read from.
-    pub journal: PathBuf,
+    /// The journal the shard was read from; `None` when it was merged
+    /// from outcomes held in memory.
+    pub journal: Option<PathBuf>,
 }
 
 /// A merged multi-shard suite: the reassembled run plus per-shard
@@ -242,45 +246,85 @@ pub fn merge_shards(
     if shards == 0 {
         return Err(ShardError::Split { shards, index: 0 });
     }
-    let total = source.len();
-    let clock = fd_trace::TraceClock::start();
-    let tracer = fd_trace::Tracer::new(trace_config, clock, 0);
-
-    let mut slots: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
-    let mut stats = Vec::with_capacity(shards);
-    let mut merged_flakes: Option<FlakeSummary> = None;
-
-    for shard in 0..shards {
-        let slice = ShardSlice::new(source, shards, shard)?;
-        let range = slice.range();
+    let tracer = fd_trace::Tracer::new(trace_config, fd_trace::TraceClock::start(), 0);
+    let mut parts = Vec::with_capacity(shards);
+    for (shard, range) in shard_ranges(source.len(), shards).into_iter().enumerate() {
+        let slice = ShardSlice::over(source, range.clone());
         let expected = Fingerprint::of(&slice, config, flake_retries)
             .map_err(|detail| ShardError::Source { detail })?;
-        let journal = shard_journal_path(base, shard, shards);
-        let loaded =
-            load_journal(&journal).map_err(|error| ShardError::Journal { shard, error })?;
-        expected.check(loaded.fingerprint).map_err(|error| ShardError::Journal { shard, error })?;
-        if loaded.slots.len() != range.len() {
-            return Err(ShardError::Incomplete {
-                shard,
-                done: loaded.slots.len(),
-                total: range.len(),
-            });
+        parts.push(load_shard(&shard_journal_path(base, shard, shards), expected, shard, &range)?);
+        tracer.event(|| fd_trace::TraceEvent::ShardMerged {
+            shard: shard as u64,
+            apps: range.len() as u64,
+        });
+    }
+    let mut merged = assemble_shards(parts);
+    for stat in &mut merged.shards {
+        stat.journal = Some(shard_journal_path(base, stat.shard, shards));
+    }
+    let mut trace = fd_trace::Trace::new("fragdroid-shard-merge");
+    trace.absorb(tracer.finish());
+    Ok((merged, trace))
+}
+
+/// One complete shard, ready to assemble: its slots in local order and
+/// its flake verdicts at global indexes.
+pub(crate) struct ShardPart {
+    pub(crate) slots: Vec<(AppOutcome, AppMetrics)>,
+    pub(crate) flakes: Option<FlakeSummary>,
+}
+
+/// Loads shard `shard`'s journal from `path`, checks it against the
+/// fingerprint of its slice (`range` of the corpus) and that it covers
+/// the whole slice, then maps it to global indexes.
+pub(crate) fn load_shard(
+    path: &Path,
+    expected: Fingerprint,
+    shard: usize,
+    range: &Range<usize>,
+) -> Result<ShardPart, ShardError> {
+    let loaded = load_journal(path).map_err(|error| ShardError::Journal { shard, error })?;
+    expected.check(loaded.fingerprint).map_err(|error| ShardError::Journal { shard, error })?;
+    if loaded.slots.len() != range.len() {
+        return Err(ShardError::Incomplete { shard, done: loaded.slots.len(), total: range.len() });
+    }
+    // A matching fingerprint bounds the indexes: they are `0..range.len()`.
+    let slots = loaded
+        .slots
+        .into_iter()
+        .map(|(local, (outcome, mut metrics))| {
+            relabel(&mut metrics.package, local, range.start + local);
+            (outcome, metrics)
+        })
+        .collect();
+    let mut flakes = loaded.flakes;
+    for record in flakes.iter_mut().flat_map(|flakes| &mut flakes.apps) {
+        let local = record.index;
+        record.index = range.start + local;
+        relabel(&mut record.package, local, record.index);
+    }
+    Ok(ShardPart { slots, flakes })
+}
+
+/// Assembles complete shards, given in shard order, into one run: the
+/// slots concatenate into global input order, and the lossy bits follow
+/// the module's merge rules.
+pub(crate) fn assemble_shards(parts: Vec<ShardPart>) -> MergedRun {
+    let shards = parts.len();
+    let (mut outcomes, mut per_app, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+    let mut wall_ms = 0u64;
+    let mut merged_flakes: Option<FlakeSummary> = None;
+    for (shard, part) in parts.into_iter().enumerate() {
+        let mut stat =
+            ShardStat { shard, apps: part.slots.len(), rejected: 0, crashes: 0, journal: None };
+        for (outcome, metrics) in part.slots {
+            stat.rejected += usize::from(metrics.rejected);
+            stat.crashes += metrics.crashes;
+            wall_ms += metrics.wall_ms;
+            outcomes.push(outcome);
+            per_app.push(metrics);
         }
-        let mut rejected = 0;
-        let mut crashes = 0;
-        for (local, (outcome, mut metrics)) in loaded.slots {
-            let global = range.start + local;
-            relabel(&mut metrics.package, local, global);
-            rejected += usize::from(metrics.rejected);
-            crashes += metrics.crashes;
-            slots.insert(global, (outcome, metrics));
-        }
-        if let Some(mut flakes) = loaded.flakes {
-            for record in &mut flakes.apps {
-                let local = record.index;
-                record.index = range.start + local;
-                relabel(&mut record.package, local, record.index);
-            }
+        if let Some(flakes) = part.flakes {
             merged_flakes = Some(match merged_flakes.take() {
                 None => flakes,
                 Some(mut all) => {
@@ -292,21 +336,7 @@ pub fn merge_shards(
                 }
             });
         }
-        tracer.event(|| fd_trace::TraceEvent::ShardMerged {
-            shard: shard as u64,
-            apps: range.len() as u64,
-        });
-        stats.push(ShardStat { shard, apps: range.len(), rejected, crashes, journal });
-    }
-
-    debug_assert_eq!(slots.len(), total, "complete shards cover the corpus exactly");
-    let mut outcomes = Vec::with_capacity(total);
-    let mut per_app = Vec::with_capacity(total);
-    let mut wall_ms = 0u64;
-    for (_, (outcome, metrics)) in slots {
-        wall_ms += metrics.wall_ms;
-        per_app.push(metrics);
-        outcomes.push(outcome);
+        stats.push(stat);
     }
     if let Some(flakes) = &mut merged_flakes {
         flakes.apps.sort_by_key(|record| record.index);
@@ -315,11 +345,7 @@ pub fn merge_shards(
     let wall = Duration::from_millis(wall_ms);
     let mut metrics = assemble_metrics(per_app, shards, wall, wall, 0);
     metrics.flake_summary = merged_flakes;
-
-    let run = SuiteRun { outcomes, metrics };
-    let mut trace = fd_trace::Trace::new("fragdroid-shard-merge");
-    trace.absorb(tracer.finish());
-    Ok((MergedRun { run, shards: stats }, trace))
+    MergedRun { run: SuiteRun { outcomes, metrics }, shards: stats }
 }
 
 /// Rewrites a shard-local quarantine label (`container[<local>]`), as

@@ -356,9 +356,9 @@ impl CorpusSource for Undigestable {
 }
 
 /// Only a journal needs the corpus digest: an unjournaled run — flake
-/// triage included — never computes it, so a corpus that cannot be
-/// digested still runs to completion, and a journaled run reports the
-/// failure against its journal path.
+/// triage and a dispatch farm included — never computes it, so a corpus
+/// that cannot be digested still runs to completion, and a journaled run
+/// reports the failure against its journal path.
 #[test]
 fn unjournaled_runs_never_digest_the_corpus() {
     let source = Undigestable {
@@ -381,6 +381,9 @@ fn unjournaled_runs_never_digest_the_corpus() {
     let (run, _) = Suite { flake_retries: 2, ..Suite::new(&config, 2) }.run(&source);
     assert_eq!(run.outcomes.len(), 4);
     assert!(run.metrics.flake_summary.is_some(), "triage ran");
+
+    let plain = findings(&Suite::new(&config, 1).run(&source).0);
+    assert_eq!(dispatched(&source, &config, 1, 1), plain, "unjournaled dispatch");
     assert_eq!(source.digests.load(Ordering::Relaxed), 0, "digest never called");
 
     let path = scratch("undigestable");
