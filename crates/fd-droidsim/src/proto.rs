@@ -344,15 +344,34 @@ pub fn decode_request_stream(bytes: &[u8]) -> Result<Vec<Envelope<AgentRequest>>
     Ok(out)
 }
 
+/// The lowercase hex digit of each nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's nibble value as a hex digit (either case), or
+/// [`NOT_HEX`].
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// [`HEX_VALUES`]' mark for a byte that is no hex digit.
+const NOT_HEX: u8 = 0xff;
+
 /// Hex-encodes bytes (lowercase) — how packed containers travel inside
 /// JSON frames.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
     }
-    s
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decodes lowercase/uppercase hex back to bytes.
@@ -361,15 +380,14 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, ProtoError> {
     if bytes.len() % 2 != 0 {
         return Err(ProtoError::BadJson { detail: "odd-length hex string".to_string() });
     }
-    let nibble = |b: u8| -> Result<u8, ProtoError> {
-        (b as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| ProtoError::BadJson { detail: format!("non-hex byte 0x{b:02x}") })
-    };
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
+    let mut out = vec![0u8; bytes.len() / 2];
+    for (byte, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUES[usize::from(pair[0])], HEX_VALUES[usize::from(pair[1])]);
+        if hi == NOT_HEX || lo == NOT_HEX {
+            let bad = if hi == NOT_HEX { pair[0] } else { pair[1] };
+            return Err(ProtoError::BadJson { detail: format!("non-hex byte 0x{bad:02x}") });
+        }
+        *byte = (hi << 4) | lo;
     }
     Ok(out)
 }
@@ -437,9 +455,22 @@ mod tests {
     fn hex_roundtrips() {
         let data: Vec<u8> = (0..=255u8).collect();
         let hex = to_hex(&data);
-        assert_eq!(from_hex(&hex).expect("roundtrips"), data);
-        assert!(from_hex("abc").is_err(), "odd length");
-        assert!(from_hex("zz").is_err(), "non-hex");
+        for (b, pair) in data.iter().zip(hex.as_bytes().chunks_exact(2)) {
+            assert_eq!(pair, format!("{b:02x}").as_bytes(), "lowercase, two digits per byte");
+        }
+        assert_eq!(from_hex(&hex).expect("lowercase roundtrips"), data);
+        assert_eq!(from_hex(&hex.to_uppercase()).expect("uppercase roundtrips"), data);
+        let bad = |s: &str| match from_hex(s) {
+            Err(ProtoError::BadJson { detail }) => detail,
+            other => panic!("{s:?} decoded to {other:?}"),
+        };
+        assert_eq!(bad("abc"), "odd-length hex string");
+        for b in (0..0x80u8).filter(|b| !b.is_ascii_hexdigit()) {
+            let text = format!("a{}", char::from(b));
+            assert_eq!(bad(&text), format!("non-hex byte 0x{b:02x}"));
+        }
+        assert_eq!(bad("zz"), "non-hex byte 0x7a");
+        assert_eq!(bad("\u{e9}"), "non-hex byte 0xc3", "the first byte of a UTF-8 pair");
     }
 
     #[test]

@@ -232,8 +232,9 @@ fn seed_request_stream(container: &[u8]) -> Vec<u8> {
     ])
 }
 
-/// A representative serve session (submit → poll → status → shutdown)
-/// over `container` — the serve target's request-direction seed.
+/// A representative serve session (submit → poll → await → status →
+/// shutdown) over `container` — the serve target's request-direction
+/// seed.
 fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>) -> Vec<u8> {
     use fragdroid::ServeRequest;
     frame_stream(vec![
@@ -243,6 +244,7 @@ fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>
             inputs: inputs.clone(),
         },
         ServeRequest::Poll { job: 1 },
+        ServeRequest::Await { job: 1, wait_ms: 5 },
         ServeRequest::Status,
         ServeRequest::Shutdown,
     ])
@@ -816,8 +818,8 @@ mod tests {
         let corpus = SeedCorpus::build();
         // Request sessions: submit → poll → status → shutdown.
         for stream in &corpus.serve[..3] {
-            assert_eq!(decode_frames(stream, stream.len(), classify_serve_payload), Ok(4));
-            assert_eq!(decode_frames(stream, 1, classify_serve_payload), Ok(4));
+            assert_eq!(decode_frames(stream, stream.len(), classify_serve_payload), Ok(5));
+            assert_eq!(decode_frames(stream, 1, classify_serve_payload), Ok(5));
         }
         // The response stream carries one of every reply shape.
         let responses = corpus.serve.last().expect("response seed present");

@@ -28,9 +28,10 @@
 //!   are re-dispatched to idle endpoints; whoever finishes first
 //!   commits, the other attempt is counted as wasted.
 //! * **One config.** Job ids are global corpus indexes, so the server's
-//!   `(id, digest)` dedup makes re-execution safe. Before its first
-//!   lease each worker probes its endpoint, and one that reports another
-//!   engine config digest fails the run ([`DispatchError::ConfigMismatch`]).
+//!   `(id, digest)` dedup makes re-execution safe. Every probe (before
+//!   a worker's first lease, each heartbeat, each revival) reads the
+//!   endpoint's engine config digest, and one that reports another fails
+//!   the run ([`DispatchError::ConfigMismatch`]).
 //! * **An optional crash-safe journal.** With [`DispatchOptions::journal`]
 //!   set, every grant, revocation, quarantine, and shard completion is
 //!   one fsynced record in a durable log (`durable_log`), and `ShardDone`
@@ -616,6 +617,18 @@ impl DispatchCtx<'_> {
         lock(self.farm).fatal.get_or_insert(error);
         self.cv.notify_all();
     }
+
+    /// Probes `worker`'s endpoint ([`healthy`]); a config mismatch fails
+    /// the run and counts as unhealthy. Every probe checks the config —
+    /// the first, each heartbeat and each revival — so an endpoint
+    /// restarted mid-run under another config is caught too.
+    fn probe(&self, worker: usize) -> bool {
+        let addr = &self.options.endpoints[worker];
+        healthy(addr, PROBE_TIMEOUT, self.config_digest).unwrap_or_else(|mismatch| {
+            self.fail(mismatch);
+            false
+        })
+    }
 }
 
 /// What an idle worker thread should do next, decided under the lock.
@@ -722,28 +735,20 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
 // ---------------------------------------------------------------------------
 // Health probes
 
-/// Clean-transport liveness probe: a `Status` round trip to a server
-/// that will still take work. `Busy` means alive-but-saturated
+/// Clean-transport liveness and config probe: a `Status` round trip to
+/// a server that will still take work. `Busy` means alive-but-saturated
 /// (healthy); `Draining` means it is dying, and a hang-up, a timeout or
-/// any other reply is unhealthy too.
-fn healthy(addr: &ListenAddr, timeout: Duration) -> bool {
-    matches!(
-        request_once(addr, ServeRequest::Status, timeout),
-        Ok(ServeResponse::Status { .. } | ServeResponse::Busy { .. })
-    )
-}
-
-/// Fails the run if `worker`'s endpoint reports an engine config digest
-/// other than the coordinator's. Silence, or a server that predates the
-/// digest, passes: the lease machinery deals with the dead, and only a
-/// reported mismatch is proof.
-fn check_config(ctx: &DispatchCtx<'_>, worker: usize) {
-    let (addr, expected) = (&ctx.options.endpoints[worker], ctx.config_digest);
-    let reply = request_once(addr, ServeRequest::Status, PROBE_TIMEOUT);
-    if let Ok(ServeResponse::Status { config_digest: Some(found), .. }) = reply {
-        if found != expected {
-            ctx.fail(DispatchError::ConfigMismatch { endpoint: addr.to_string(), expected, found });
+/// any other reply is unhealthy too. A `Status` reporting an engine
+/// config digest other than `expected` is a
+/// [`DispatchError::ConfigMismatch`]; a server that predates the digest
+/// reports none and passes.
+fn healthy(addr: &ListenAddr, timeout: Duration, expected: u64) -> Result<bool, DispatchError> {
+    match request_once(addr, ServeRequest::Status, timeout) {
+        Ok(ServeResponse::Status { config_digest: Some(found), .. }) if found != expected => {
+            Err(DispatchError::ConfigMismatch { endpoint: addr.to_string(), expected, found })
         }
+        Ok(ServeResponse::Status { .. } | ServeResponse::Busy { .. }) => Ok(true),
+        _ => Ok(false),
     }
 }
 
@@ -837,7 +842,8 @@ fn worker_loop(
     trace_config: &fd_trace::TraceConfig,
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, worker as u64 + 1);
-    check_config(ctx, worker);
+    // The first probe only checks the config: the leases find the dead.
+    ctx.probe(worker);
     loop {
         let mut g = lock(ctx.farm);
         match next_action(&mut g, worker, ctx, Instant::now()) {
@@ -847,7 +853,7 @@ fn worker_loop(
             Action::Wait(duration) => drop(ctx.cv.wait_timeout(g, duration)),
             Action::Probe => {
                 drop(g);
-                let clean = healthy(&ctx.options.endpoints[worker], PROBE_TIMEOUT);
+                let clean = ctx.probe(worker);
                 lock(ctx.farm).workers[worker].revived(clean, Instant::now());
             }
             Action::Run { shard, generation, reassigned } => {
@@ -992,7 +998,7 @@ fn coordinator_loop(
         // Heartbeats, off the lock: a failed probe revokes everything
         // the endpoint holds rather than waiting out the lease.
         for worker in probes {
-            if !healthy(&ctx.options.endpoints[worker], PROBE_TIMEOUT) {
+            if !ctx.probe(worker) {
                 let dead =
                     revoke_leases(&mut lock(ctx.farm), Instant::now(), |l| l.worker == worker);
                 dead.publish(ctx, &tracer);
@@ -1150,7 +1156,7 @@ pub fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{serve_listener, ServeListener, ServeOptions};
+    use crate::serve::{serve_listener, AnyStream, ServeListener, ServeOptions, MAX_AWAIT};
     use crate::shard::merge_shards;
     use crate::suite::{run_corpus_suite_traced, SuiteContainer};
     use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
@@ -1228,7 +1234,7 @@ mod tests {
                 Fake::Silent => drop(stream.read(&mut chunk)),
             }
         });
-        let verdict = healthy(&addr, Duration::from_millis(200));
+        let verdict = healthy(&addr, Duration::from_millis(200), 0).expect("no digest reported");
         endpoint.join().expect("fake endpoint exits");
         verdict
     }
@@ -1512,6 +1518,108 @@ mod tests {
             drop(std::fs::remove_file(shard_journal_path(&journal, shard, 2)));
         }
         drop(std::fs::remove_file(&journal));
+    }
+
+    /// Serves every connection to a fake endpoint on its own thread,
+    /// answering each request with `answer`, until the returned stop
+    /// function is called; stopping joins every connection thread.
+    fn fake_endpoint(
+        answer: impl Fn(ServeRequest) -> ServeResponse + Send + Sync + 'static,
+    ) -> (ListenAddr, impl FnOnce()) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a fake endpoint");
+        let addr = ListenAddr::Tcp(listener.local_addr().expect("bound").to_string());
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stopped = stop.clone();
+        let accepting = std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                for stream in listener.incoming() {
+                    if stopped.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(mut stream) = stream else { continue };
+                    let answer = &answer;
+                    scope.spawn(move || {
+                        let mut frames = FrameBuffer::new();
+                        let mut chunk = [0u8; 64 * 1024];
+                        loop {
+                            while let Ok(Some(payload)) = frames.next_frame() {
+                                let request = decode_payload::<ServeRequest>(&payload)
+                                    .expect("the coordinator sends decodable requests");
+                                let body = answer(request.body);
+                                let frame = encode_frame(&Envelope { id: request.id, body });
+                                if stream.write_all(&frame).is_err() {
+                                    return;
+                                }
+                            }
+                            match stream.read(&mut chunk) {
+                                Ok(0) | Err(_) => return,
+                                Ok(n) => frames.push(&chunk[..n]),
+                            }
+                        }
+                    });
+                }
+            })
+        });
+        let wake = addr.clone();
+        let stop_fn = move || {
+            stop.store(true, Ordering::SeqCst);
+            drop(AnyStream::connect(&wake));
+            accepting.join().expect("the fake endpoint's threads exit");
+        };
+        (addr, stop_fn)
+    }
+
+    /// An endpoint restarted mid-run under another config is caught by
+    /// the next heartbeat: the fake answers the first `Status` (the
+    /// worker's startup probe) with the coordinator's digest and every
+    /// later one with another, and holds each job's report until a
+    /// heartbeat has been answered.
+    #[test]
+    fn a_heartbeat_that_reports_another_config_fails_the_run() {
+        let gen = fd_appgen::templates::quickstart();
+        let corpus = vec![(fd_apk::pack(&gen.app), gen.known_inputs.clone())];
+        let config = FragDroidConfig::default();
+        let report = crate::FragDroid::new(config.clone()).run(&gen.app, &gen.known_inputs);
+        let json = serde_json::to_string_pretty(&report).expect("the report serializes");
+        let (expected, other) = (config.findings_digest(), config.findings_digest() ^ 1);
+        let statuses = std::sync::Arc::new(AtomicU64::new(0));
+        let answered = statuses.clone();
+        let (addr, stop) = fake_endpoint(move |request| match request {
+            ServeRequest::Status => {
+                let first = answered.fetch_add(1, Ordering::SeqCst) == 0;
+                let digest = if first { expected } else { other };
+                ServeResponse::Status {
+                    queued: 0,
+                    running: 0,
+                    completed: 0,
+                    rejected: 0,
+                    workers: 1,
+                    config_digest: Some(digest),
+                }
+            }
+            ServeRequest::Submit { job, .. } => ServeResponse::Accepted { job },
+            ServeRequest::Poll { job } | ServeRequest::Await { job, .. } => {
+                let held = Instant::now();
+                while answered.load(Ordering::SeqCst) < 2 && held.elapsed() < MAX_AWAIT {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ServeResponse::Report { job, json: json.clone() }
+            }
+            ServeRequest::Shutdown => ServeResponse::Bye,
+        });
+        let mut options = DispatchOptions::new(vec![addr.clone()]);
+        options.heartbeat_interval = Duration::from_millis(10);
+        let result = dispatch(&corpus, &config, &options, &fd_trace::TraceConfig::off());
+        stop();
+        assert!(statuses.load(Ordering::SeqCst) >= 2, "a heartbeat was answered");
+        assert_eq!(
+            result.map(|run| run.merged.run.outcome_digest()),
+            Err(DispatchError::ConfigMismatch {
+                endpoint: addr.to_string(),
+                expected,
+                found: other
+            })
+        );
     }
 
     /// An endpoint that runs another engine config fails the run before

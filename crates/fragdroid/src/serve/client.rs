@@ -1,6 +1,6 @@
 //! The retry-with-backoff serve client `fragdroid submit` and the
 //! dispatch farm drive: it connects (TCP or Unix), submits jobs under
-//! client-assigned ids over one kept connection, and polls each until
+//! client-assigned ids over one kept connection, and awaits each until
 //! its report lands — reconnecting and resubmitting idempotently across
 //! torn connections, `Busy` queues, draining servers, and server
 //! restarts. With a [`ChaosConfig`] armed, every
@@ -9,7 +9,7 @@
 //! deterministic chaos harness the serve property tests run.
 
 use super::chaos::{ChaosConfig, ChaosStream};
-use super::{AnyStream, ListenAddr, ServeRequest, ServeResponse};
+use super::{AnyStream, ListenAddr, ServeRequest, ServeResponse, MAX_AWAIT};
 use crate::health::Backoff;
 use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -90,8 +90,6 @@ pub struct SubmitClient {
     /// Reconnect naps; unjittered unless [`Self::with_backoff_jitter`]
     /// armed a seed (tests that pin exact sleep totals leave it off).
     backoff: Backoff,
-    /// Naps between `Pending` polls: 100 µs, doubling up to 5 ms.
-    poll: Backoff,
     deadline: Duration,
     io_timeout: Duration,
     chaos: Option<ChaosConfig>,
@@ -103,16 +101,14 @@ pub struct SubmitClient {
 impl SubmitClient {
     /// A client for `addr` with the default budgets: 8 reconnect
     /// attempts, 10 ms base backoff (the first nap is twice the base,
-    /// doubling, capped at 500 ms, never past the deadline), poll naps
-    /// of 100 µs doubling up to 5 ms, 60 s overall deadline per job, 2 s
-    /// per-operation I/O timeout, no chaos. No connection is opened
-    /// until the first submit.
+    /// doubling, capped at 500 ms, never past the deadline), 60 s
+    /// overall deadline per job, 2 s per-operation I/O timeout, no
+    /// chaos. No connection is opened until the first submit.
     pub fn new(addr: ListenAddr) -> SubmitClient {
         SubmitClient {
             addr,
             max_attempts: 8,
             backoff: Backoff::new(Duration::from_millis(10), Duration::from_millis(500)),
-            poll: Backoff::new(Duration::from_micros(100), Duration::from_millis(5)),
             deadline: Duration::from_secs(60),
             io_timeout: Duration::from_secs(2),
             chaos: None,
@@ -208,7 +204,7 @@ impl SubmitClient {
                 Ok(c) => match c.call(request) {
                     Ok(ServeResponse::Accepted { .. }) if accept_only => return Ok(None),
                     Ok(ServeResponse::Accepted { .. }) => {
-                        poll_until_settled(c, job, started, self.deadline, &mut self.poll)
+                        poll_until_settled(c, job, started, self.deadline)
                     }
                     Ok(ServeResponse::Busy { retry_after_ms, .. }) => {
                         Step::SleepResubmit(retry_after_ms)
@@ -304,25 +300,23 @@ enum Step {
     Broken(String),
 }
 
-/// Polls until the job settles, the connection breaks, or the deadline
-/// passes.
+/// Awaits the job until it settles, the connection breaks, or the
+/// deadline passes. The server holds each `Await` reply for at most the
+/// deadline's remainder, so a `Pending` is asked again at once.
 fn poll_until_settled(
     c: &mut Conversation,
     job: u64,
     started: Instant,
     deadline: Duration,
-    naps: &mut Backoff,
 ) -> Step {
-    let mut round = 0;
     loop {
-        if started.elapsed() >= deadline {
+        let remaining = deadline.saturating_sub(started.elapsed());
+        if remaining.is_zero() {
             return Step::Deadline("job accepted, report still pending".to_string());
         }
-        match c.call(ServeRequest::Poll { job }) {
-            Ok(ServeResponse::Pending { .. }) => {
-                bounded_sleep(naps.nap(round), started, deadline);
-                round = round.saturating_add(1);
-            }
+        let wait_ms = remaining.min(MAX_AWAIT).as_millis() as u64;
+        match c.call(ServeRequest::Await { job, wait_ms }) {
+            Ok(ServeResponse::Pending { .. }) => {}
             Ok(ServeResponse::Report { json, .. }) => {
                 return Step::Settled(JobOutcome::Report { json })
             }
@@ -400,6 +394,12 @@ impl Conversation {
     /// transport or protocol trouble is an `Err(String)` — the caller
     /// reconnects.
     fn call(&mut self, body: ServeRequest) -> Result<ServeResponse, String> {
+        let id = self.send(body)?;
+        self.receive(id)
+    }
+
+    /// Writes one request frame and returns its id.
+    fn send(&mut self, body: ServeRequest) -> Result<u64, String> {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_frame(&Envelope { id, body });
@@ -414,7 +414,11 @@ impl Conversation {
         self.wire.write_all(&frame).map_err(|e| format!("write: {e}"))?;
         self.wire.flush().map_err(|e| format!("flush: {e}"))?;
         self.last_frame = Some(frame);
+        Ok(id)
+    }
 
+    /// Reads until the reply to request `id` arrives.
+    fn receive(&mut self, id: u64) -> Result<ServeResponse, String> {
         let mut chunk = [0u8; 64 * 1024];
         loop {
             loop {
@@ -496,13 +500,6 @@ mod tests {
         assert_eq!(jittered, naps(SubmitClient::new(addr).with_backoff_jitter(42)));
     }
 
-    #[test]
-    fn poll_naps_double_from_100us_up_to_the_poll_interval() {
-        let mut client = SubmitClient::new(ListenAddr::Tcp("127.0.0.1:1".to_string()));
-        let us: Vec<u128> = (0..9).map(|round| client.poll.nap(round).as_micros()).collect();
-        assert_eq!(us, [100, 200, 400, 800, 1600, 3200, 5000, 5000, 5000]);
-    }
-
     /// The quickstart app as (hex container, known inputs).
     fn quickstart() -> (String, BTreeMap<String, String>) {
         let generated = fd_appgen::templates::quickstart();
@@ -563,6 +560,105 @@ mod tests {
 
         let incidents = shutdown(&addr, handle);
         assert_eq!(incidents.idle_timeouts, 1, "{incidents:?}");
+    }
+
+    /// Queues quickstart runs on their own connection, enough to keep a
+    /// one-worker server busy for about `span` at the pace of one timed
+    /// run, so a job submitted next waits behind them. Returns how many
+    /// jobs the server took, the timed one included.
+    fn queue_work_ahead(addr: &ListenAddr, span: Duration) -> u64 {
+        let (hex, inputs) = quickstart();
+        let mut ahead = SubmitClient::new(addr.clone());
+        let started = Instant::now();
+        ahead.submit(100, &hex, &inputs).expect("the timed run settles");
+        let jobs = (span.as_micros() / started.elapsed().as_micros().max(1)) as u64 + 1;
+        for job in 101..101 + jobs {
+            ahead.submit_async(job, &hex, &inputs).expect("work ahead is accepted");
+        }
+        jobs + 1
+    }
+
+    /// A reply held past the idle window does not count as client
+    /// silence: the session's idle clock restarts at each reply.
+    #[test]
+    fn a_held_wait_keeps_its_session() {
+        let options = ServeOptions {
+            idle_timeout_ms: 50,
+            workers: 1,
+            queue_cap: 0,
+            ..ServeOptions::default()
+        };
+        let (addr, handle) = spawn_server(options);
+        let (hex, inputs) = quickstart();
+        queue_work_ahead(&addr, Duration::from_millis(200));
+        let mut client = SubmitClient::new(addr.clone());
+        let started = Instant::now();
+        let outcome = client.submit(1, &hex, &inputs).expect("the job behind the work settles");
+        let waited = started.elapsed();
+        assert!(matches!(outcome, JobOutcome::Report { .. }), "{outcome:?}");
+        assert!(waited > Duration::from_millis(50), "the work ahead outlasted the idle window");
+        assert_eq!(client.connections, 1, "one session for the whole wait ({waited:?})");
+
+        let incidents = shutdown(&addr, handle);
+        assert_eq!(incidents.idle_timeouts, 0, "{incidents:?}");
+    }
+
+    /// A job that settles inside the server-side wait costs one `Submit`
+    /// and one `Await` on the wire: request ids count from 1 per
+    /// connection.
+    #[test]
+    fn a_job_settling_inside_the_wait_costs_two_frames() {
+        let (addr, handle) = spawn_server(ServeOptions::default());
+        let (hex, inputs) = quickstart();
+        let mut client = SubmitClient::new(addr.clone());
+        client.submit(1, &hex, &inputs).expect("the job settles");
+        assert_eq!(client.connections, 1);
+        let sent = client.conversation.as_ref().map(|c| c.next_id - 1);
+        assert_eq!(sent, Some(2), "one Submit and one Await");
+        shutdown(&addr, handle);
+    }
+
+    /// `Shutdown` while another session holds an `Await` reply is
+    /// answered `Bye` at once, the held reply is released, and the drain
+    /// finishes inside its usual bound.
+    #[test]
+    fn shutdown_during_a_held_await_returns_bye() {
+        let options = ServeOptions { workers: 1, queue_cap: 0, ..ServeOptions::default() };
+        let (addr, handle) = spawn_server(options);
+        let (hex, inputs) = quickstart();
+        let ahead = queue_work_ahead(&addr, Duration::from_millis(200));
+        let mut client = SubmitClient::new(addr.clone());
+        client.submit_async(1, &hex, &inputs).expect("job 1 is accepted");
+        // The waiter's session is live (it answered a Status) and its
+        // Await is on the wire before the Shutdown is sent.
+        let (sent, held) = std::sync::mpsc::channel();
+        let waiter = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Conversation::new(Wire::Plain(connect(&addr, MAX_AWAIT * 2)?), None);
+                c.call(ServeRequest::Status)?;
+                let id = c.send(ServeRequest::Await { job: 1, wait_ms: 1_000 })?;
+                sent.send(()).expect("the test thread waits for the Await");
+                c.receive(id)
+            })
+        };
+        held.recv().expect("the Await is sent");
+        let started = Instant::now();
+        let reply = request_once(&addr, ServeRequest::Shutdown, Duration::from_secs(10));
+        assert_eq!(reply, Ok(ServeResponse::Bye));
+        assert!(started.elapsed() < MAX_AWAIT, "Bye does not wait behind a held reply");
+        match waiter.join().expect("no panic") {
+            Ok(ServeResponse::Pending { job: 1 } | ServeResponse::Report { job: 1, .. }) => {}
+            other => panic!("the held Await ends with Pending or the report, got {other:?}"),
+        }
+        let (done, served) = std::sync::mpsc::channel();
+        std::thread::spawn(move || drop(done.send(handle.join())));
+        let summary = served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the drain finishes inside its bound")
+            .expect("no panic")
+            .expect("no serve error");
+        assert_eq!(summary.incidents.jobs_completed, ahead + 1, "{:?}", summary.incidents);
     }
 
     #[test]

@@ -76,6 +76,11 @@ const DRAIN_RETRY_MS: u64 = 200;
 /// Retry-after hint on [`ServeResponse::Overloaded`].
 const OVERLOADED_RETRY_MS: u64 = 100;
 
+/// The longest a session holds an [`ServeRequest::Await`] reply: below
+/// the submit client's 2 s I/O timeout, so a held reply never reads as
+/// a dead server.
+pub const MAX_AWAIT: Duration = Duration::from_secs(1);
+
 /// Trace-track offset for connection sessions, far above any realistic
 /// job id so session tracks never collide with per-job worker tracks.
 const SESSION_TRACK_BASE: u64 = 1 << 32;
@@ -104,6 +109,18 @@ pub enum ServeRequest {
         /// The id the submission used.
         job: u64,
     },
+    /// [`ServeRequest::Poll`] that waits: while the job is queued or
+    /// running, the reply is held until the job settles, a drain
+    /// starts, or `min(wait_ms, MAX_AWAIT)` passes, and only then is
+    /// [`ServeResponse::Pending`] sent. A server that predates this
+    /// request cannot decode it and closes the session.
+    Await {
+        /// The id the submission used.
+        job: u64,
+        /// How long the client will wait for the reply, milliseconds;
+        /// the server caps it at [`MAX_AWAIT`].
+        wait_ms: u64,
+    },
     /// Ask for a queue snapshot.
     Status,
     /// Orderly shutdown: the server stops accepting, finishes every
@@ -121,12 +138,14 @@ pub enum ServeResponse {
         /// The job id to poll with.
         job: u64,
     },
-    /// Reply to [`ServeRequest::Poll`]: still queued or running.
+    /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`]: still
+    /// queued or running.
     Pending {
         /// The polled job.
         job: u64,
     },
-    /// Reply to [`ServeRequest::Poll`]: the run finished.
+    /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`]: the
+    /// run finished.
     Report {
         /// The polled job.
         job: u64,
@@ -134,15 +153,17 @@ pub enum ServeResponse {
         /// prints it.
         json: String,
     },
-    /// Reply to [`ServeRequest::Poll`]: the input was refused (bad hex,
-    /// ingestion-frontier rejection, or an unserializable report).
+    /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`]: the
+    /// input was refused (bad hex, ingestion-frontier rejection, or an
+    /// unserializable report).
     Rejected {
         /// The polled job.
         job: u64,
         /// The typed refusal, rendered.
         reason: String,
     },
-    /// Reply to [`ServeRequest::Poll`] for an id never accepted.
+    /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`] for an
+    /// id never accepted.
     UnknownJob {
         /// The polled job.
         job: u64,
@@ -216,9 +237,9 @@ pub struct ServeOptions {
     /// at least 1. Ignored in stdio mode.
     pub max_connections: usize,
     /// Slow-loris guard: a socket session that completes no frame
-    /// within this window is closed (at its next read, which the window
-    /// also bounds as the socket's read timeout). `0` disables the
-    /// guard. Ignored in stdio mode.
+    /// within this window of its last reply is closed (at its next
+    /// read, which the window also bounds as the socket's read timeout).
+    /// `0` disables the guard. Ignored in stdio mode.
     pub idle_timeout_ms: u64,
     /// Per-connection write deadline, milliseconds. `0` means no
     /// deadline. Ignored in stdio mode.
@@ -525,8 +546,7 @@ struct JobEntry {
     state: JobState,
 }
 
-/// Shared queue + job table, guarded by one mutex; the condvar wakes
-/// idle workers on submit and the drain waiter on completion.
+/// Shared queue + job table, guarded by one mutex.
 #[derive(Default)]
 struct State {
     queue: VecDeque<Job>,
@@ -544,7 +564,13 @@ struct State {
 /// reverse.
 struct Core<'a> {
     state: Mutex<State>,
-    cvar: Condvar,
+    /// Wakes idle workers: one per submit, all at the drain. Only
+    /// workers wait on it, so a submit's single wake-up always reaches
+    /// one that can run the job.
+    queued: Condvar,
+    /// Wakes everyone waiting for jobs to settle (held `Await` replies,
+    /// the drain): all on every completion and at the drain.
+    settled: Condvar,
     options: &'a ServeOptions,
     trace_config: &'a fd_trace::TraceConfig,
     clock: fd_trace::TraceClock,
@@ -607,7 +633,8 @@ impl<'a> Core<'a> {
         }
         Ok(Core {
             state: Mutex::new(state),
-            cvar: Condvar::new(),
+            queued: Condvar::new(),
+            settled: Condvar::new(),
             options,
             trace_config,
             clock: fd_trace::TraceClock::start(),
@@ -642,14 +669,16 @@ impl<'a> Core<'a> {
     }
 
     /// Marks the server draining + shut down and wakes everyone: the
-    /// workers through the condvar, a socket accept loop blocked in
-    /// `accept()` through one self-connect, which it then drops.
+    /// workers and held `Await` replies through both condvars, a socket
+    /// accept loop blocked in `accept()` through one self-connect, which
+    /// it then drops.
     fn begin_drain(&self) {
         let mut st = lock(&self.state);
         st.draining = true;
         st.shutdown = true;
         drop(st);
-        self.cvar.notify_all();
+        self.queued.notify_all();
+        self.settled.notify_all();
         if let Some(addr) = &self.wake {
             drop(AnyStream::connect(addr));
         }
@@ -659,9 +688,33 @@ impl<'a> Core<'a> {
     fn wait_drained(&self) {
         let mut st = lock(&self.state);
         while !(st.queue.is_empty() && st.running == 0) {
-            st = match self.cvar.wait(st) {
+            st = match self.settled.wait(st) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
+            };
+        }
+    }
+
+    /// Answers an `Await`: the `Poll` reply, held while `job` is queued
+    /// or running until it settles, a drain starts or `wait` passes. An
+    /// `Await` that arrives mid-drain holds as usual: the drain runs
+    /// every queued job, so its hold ends with the job.
+    fn await_settled(&self, job: u64, wait: Duration) -> ServeResponse {
+        let until = Instant::now() + wait.min(MAX_AWAIT);
+        let mut st = lock(&self.state);
+        let draining = st.draining;
+        loop {
+            let unsettled = matches!(
+                st.jobs.get(&job).map(|e| &e.state),
+                Some(JobState::Queued | JobState::Running)
+            );
+            let left = until.saturating_duration_since(Instant::now());
+            if !unsettled || st.draining != draining || left.is_zero() {
+                return poll_reply(&st, job);
+            }
+            st = match self.settled.wait_timeout(st, left) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
             };
         }
     }
@@ -692,6 +745,18 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Where `job` stands, as a `Poll` reply.
+fn poll_reply(st: &State, job: u64) -> ServeResponse {
+    match st.jobs.get(&job).map(|e| &e.state) {
+        None => ServeResponse::UnknownJob { job },
+        Some(JobState::Queued) | Some(JobState::Running) => ServeResponse::Pending { job },
+        Some(JobState::Done(Ok(json))) => ServeResponse::Report { job, json: json.clone() },
+        Some(JobState::Done(Err(reason))) => {
+            ServeResponse::Rejected { job, reason: reason.clone() }
+        }
     }
 }
 
@@ -756,7 +821,7 @@ fn handle_request(
                 Ok(container) => {
                     st.queue.push_back(Job { id: job, container, inputs });
                     st.jobs.insert(job, JobEntry { digest, state: JobState::Queued });
-                    core.cvar.notify_one();
+                    core.queued.notify_one();
                 }
                 // A submission that is not even hex never reaches a
                 // worker; the refusal is pollable under its job id.
@@ -773,17 +838,9 @@ fn handle_request(
             tracer.event(|| fd_trace::TraceEvent::JobSubmitted { job });
             (ServeResponse::Accepted { job }, false)
         }
-        ServeRequest::Poll { job } => {
-            let st = lock(&core.state);
-            let reply = match st.jobs.get(&job).map(|e| &e.state) {
-                None => ServeResponse::UnknownJob { job },
-                Some(JobState::Queued) | Some(JobState::Running) => ServeResponse::Pending { job },
-                Some(JobState::Done(Ok(json))) => ServeResponse::Report { job, json: json.clone() },
-                Some(JobState::Done(Err(reason))) => {
-                    ServeResponse::Rejected { job, reason: reason.clone() }
-                }
-            };
-            (reply, false)
+        ServeRequest::Poll { job } => (poll_reply(&lock(&core.state), job), false),
+        ServeRequest::Await { job, wait_ms } => {
+            (core.await_settled(job, Duration::from_millis(wait_ms)), false)
         }
         ServeRequest::Status => {
             let st = lock(&core.state);
@@ -823,8 +880,9 @@ fn handle_request(
 /// corrupt frame ends the session without a reply, matching the device
 /// agent; in socket mode only this session dies. With an `idle` window,
 /// the session ends at the first read that would start after the window
-/// has passed with no complete frame; the socket's read timeout (the
-/// same window) bounds a read that finds nothing.
+/// has passed since its last reply; the socket's read timeout (the same
+/// window) bounds a read that finds nothing. The clock restarts when a
+/// reply is written, so a held `Await` reply is never client silence.
 fn session_loop<R: Read, W: Write>(
     input: &mut R,
     output: &mut W,
@@ -835,7 +893,7 @@ fn session_loop<R: Read, W: Write>(
 ) -> Result<(), ServeError> {
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 64 * 1024];
-    let mut last_frame = Instant::now();
+    let mut last_reply = Instant::now();
     loop {
         loop {
             let payload = match frames.next_frame() {
@@ -846,7 +904,6 @@ fn session_loop<R: Read, W: Write>(
                     return Ok(());
                 }
             };
-            last_frame = Instant::now();
             let Ok(envelope) = decode_payload::<ServeRequest>(&payload) else {
                 core.bump(|i| i.protocol_errors += 1);
                 return Ok(());
@@ -866,10 +923,11 @@ fn session_loop<R: Read, W: Write>(
                 return written;
             }
             written?;
+            last_reply = Instant::now();
         }
         // Checked before every read, so bytes that trickle in without
         // completing a frame cannot hold the session open.
-        if idle.is_some_and(|idle| last_frame.elapsed() >= idle) {
+        if idle.is_some_and(|idle| last_reply.elapsed() >= idle) {
             core.bump(|i| i.idle_timeouts += 1);
             return Ok(());
         }
@@ -905,7 +963,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
                 if st.shutdown {
                     return;
                 }
-                st = match core.cvar.wait(st) {
+                st = match core.queued.wait(st) {
                     Ok(guard) => guard,
                     Err(poisoned) => poisoned.into_inner(),
                 };
@@ -950,7 +1008,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
         }
         st.running -= 1;
         drop(st);
-        core.cvar.notify_all();
+        core.settled.notify_all();
     }
 }
 

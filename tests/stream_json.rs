@@ -4,7 +4,9 @@
 //! checksummed lines and the container fingerprint both hash these
 //! bytes. Each case here compares the streamed string against the tree
 //! render (`to_value().render_json(false)`) on an edge the fast path
-//! could plausibly get wrong.
+//! could plausibly get wrong, and the re-indented pretty text
+//! (`serde_json::to_string_pretty`, which every `--json` printer and
+//! serve's reports use) against the pretty tree render.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,6 +17,8 @@ fn assert_stream_matches_tree<T: Serialize>(value: &T) {
     let tree = value.to_value().render_json(false);
     assert_eq!(streamed, tree);
     assert_eq!(serde_json::to_string(value).expect("serializes"), tree);
+    let pretty = serde_json::to_string_pretty(value).expect("serializes");
+    assert_eq!(pretty, value.to_value().render_json(true));
 }
 
 #[test]
@@ -133,4 +137,30 @@ fn derived_types_stream_identically() {
     ] {
         assert_stream_matches_tree(&shape);
     }
+}
+
+#[test]
+fn pretty_reindent_skips_string_contents_and_keeps_empty_containers() {
+    // Structural bytes inside strings, and escapes right before the
+    // closing quote, must not move the indent.
+    for text in ["{ } [ ] , :", "{\"a\":[1,2]}", "ends in quote\"", "ends in backslash\\", "\\\""] {
+        assert_stream_matches_tree(&text);
+        assert_stream_matches_tree(&vec![text, text]);
+        assert_stream_matches_tree(&BTreeMap::from([(text, text)]));
+    }
+    assert_stream_matches_tree(&vec![Vec::<u8>::new(), vec![], vec![1]]);
+    assert_stream_matches_tree(&vec![vec![Vec::<u8>::new()]]);
+    let empty_value: BTreeMap<&str, BTreeMap<&str, u8>> =
+        BTreeMap::from([("empty", BTreeMap::new()), ("one", BTreeMap::from([("k", 1)]))]);
+    assert_stream_matches_tree(&empty_value);
+    assert_stream_matches_tree(&vec![BTreeMap::<String, Vec<u8>>::new()]);
+    assert_stream_matches_tree(&BTreeMap::from([("", BTreeMap::from([("", Vec::<u8>::new())]))]));
+}
+
+#[test]
+fn run_reports_pretty_print_identically() {
+    use fragdroid_repro::tool::{FragDroid, FragDroidConfig};
+    let gen = fragdroid_repro::appgen::templates::quickstart();
+    let report = FragDroid::new(FragDroidConfig::default()).run(&gen.app, &gen.known_inputs);
+    assert_stream_matches_tree(&report);
 }
