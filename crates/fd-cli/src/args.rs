@@ -62,6 +62,37 @@ impl Parsed {
         }
     }
 
+    /// An optional numeric option: `None` when absent.
+    pub fn opt_num(&self, key: &str) -> Result<Option<u64>, String> {
+        self.opt(key).map(|_| self.num(key, 0)).transpose()
+    }
+
+    /// The engine config every command that runs or checks apps shares:
+    /// `--budget N` events (default 40 000), `--deadline-ms N` per app
+    /// (0: none), `--fault-rate R` with `--fault-seed N` (default 1), and,
+    /// when `devices` is set, `--backend <in-process|subprocess|mock-adb>`
+    /// (default in-process).
+    pub fn engine_config(&self, devices: bool) -> Result<fragdroid::FragDroidConfig, String> {
+        let mut config = fragdroid::FragDroidConfig {
+            event_budget: self.num("budget", 40_000)? as usize,
+            ..fragdroid::FragDroidConfig::default()
+        };
+        if let (true, Some(name)) = (devices, self.opt("backend")) {
+            config.backend = fd_droidsim::DeviceBackend::parse(name).ok_or_else(|| {
+                format!("unknown backend '{name}' (in-process, subprocess, mock-adb)")
+            })?;
+        }
+        let deadline_ms = self.num("deadline-ms", 0)?;
+        if deadline_ms > 0 {
+            config = config.with_deadline(std::time::Duration::from_millis(deadline_ms));
+        }
+        let fault_rate = self.fraction("fault-rate", 0.0)?;
+        if fault_rate > 0.0 {
+            config = config.with_faults(self.num("fault-seed", 1)?, fault_rate);
+        }
+        Ok(config)
+    }
+
     /// A fractional option with a default, constrained to `[0, 1]`.
     pub fn fraction(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.opt(key) {
@@ -141,6 +172,35 @@ mod tests {
     fn bad_number_is_an_error() {
         let p = parse(&argv(&["--seed", "x"])).unwrap();
         assert!(p.num("seed", 0).is_err());
+    }
+
+    #[test]
+    fn opt_num_is_none_some_or_an_error() {
+        let p = parse(&argv(&["--shard-index", "3", "--chaos-seed", "x"])).unwrap();
+        assert_eq!(p.opt_num("absent"), Ok(None));
+        assert_eq!(p.opt_num("shard-index"), Ok(Some(3)));
+        assert_eq!(p.opt_num("chaos-seed"), Err("--chaos-seed expects a number, got 'x'".into()));
+    }
+
+    #[test]
+    fn engine_config_reads_every_engine_flag() {
+        let config = |line: &str, devices| {
+            let parsed = parse(&argv(&line.split_whitespace().collect::<Vec<_>>())).unwrap();
+            parsed.engine_config(devices).map(|config| format!("{config:?}"))
+        };
+        let default = fragdroid::FragDroidConfig::default();
+        assert_eq!(config("", true), Ok(format!("{default:?}")));
+        let flags = "--budget 5000 --deadline-ms 600000 --fault-rate 0.25 --fault-seed 7 \
+                     --backend subprocess";
+        let expected = fragdroid::FragDroidConfig { event_budget: 5000, ..default }
+            .with_deadline(std::time::Duration::from_millis(600_000))
+            .with_faults(7, 0.25);
+        assert_eq!(config(flags, false), Ok(format!("{expected:?}")), "no backend");
+        let subprocess = expected.with_backend(fd_droidsim::DeviceBackend::Subprocess);
+        assert_eq!(config(flags, true), Ok(format!("{subprocess:?}")));
+        let bogus = config("--backend adb", true).unwrap_err();
+        assert!(bogus.starts_with("unknown backend 'adb'"), "{bogus}");
+        assert!(config("--backend adb", false).is_ok());
     }
 
     #[test]

@@ -1,18 +1,8 @@
 //! Subcommand implementations.
 
-use crate::args::{parse, Parsed};
+use crate::args::parse;
 use crate::{load_app, load_app_traced, load_inputs, write_trace, CliError};
 use fragdroid::{FragDroid, FragDroidConfig};
-
-/// Parses `--backend <in-process|subprocess|mock-adb>` (defaulting to the
-/// in-process simulator).
-fn parse_backend(p: &Parsed) -> Result<fd_droidsim::DeviceBackend, String> {
-    match p.opt("backend") {
-        None => Ok(fd_droidsim::DeviceBackend::default()),
-        Some(name) => fd_droidsim::DeviceBackend::parse(name)
-            .ok_or_else(|| format!("unknown backend '{name}' (in-process, subprocess, mock-adb)")),
-    }
-}
 
 /// `fragdroid device-agent [--die-after N]` — the child end of the
 /// subprocess backend: serves the length-prefixed device wire protocol
@@ -25,12 +15,7 @@ pub fn device_agent(argv: &[String]) -> Result<(), CliError> {
     if !p.positional.is_empty() {
         return Err("device-agent takes no positional arguments".into());
     }
-    let die_after = match p.opt("die-after") {
-        None => None,
-        Some(v) => {
-            Some(v.parse::<u64>().map_err(|_| format!("--die-after expects a number, got '{v}'"))?)
-        }
-    };
+    let die_after = p.opt_num("die-after")?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     fd_droidsim::serve(stdin.lock(), stdout.lock(), fd_droidsim::AgentOptions { die_after })
@@ -136,23 +121,17 @@ pub fn dot(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid run <app.fapk> [--inputs F] [--budget N] [--fault-rate R]
-/// [--fault-seed N] [--trace-out T.jsonl] [--json]`
+/// `fragdroid run <app.fapk> [--inputs F] [ENGINE FLAGS] [--trace-out
+/// T.jsonl] [--json]`, the engine flags being `--budget N`,
+/// `--deadline-ms N`, `--fault-rate R`, `--fault-seed N` and `--backend B`
+/// ([`crate::args::Parsed::engine_config`]).
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv)?;
     let (trace_out, trace_config) = p.trace_out();
     let tracer = fd_trace::Tracer::new(&trace_config, fd_trace::TraceClock::start(), 0);
     let app = load_app_traced(p.one_path("container path")?, &tracer)?;
     let inputs = load_inputs(p.opt("inputs"))?;
-    let mut config = FragDroidConfig {
-        event_budget: p.num("budget", 40_000)? as usize,
-        ..FragDroidConfig::default()
-    }
-    .with_backend(parse_backend(&p)?);
-    let fault_rate = p.fraction("fault-rate", 0.0)?;
-    if fault_rate > 0.0 {
-        config = config.with_faults(p.num("fault-seed", 1)?, fault_rate);
-    }
+    let mut config = p.engine_config(true)?;
     if let Some(spec) = p.opt("find-api") {
         let (group, name) = spec
             .split_once('/')
@@ -338,8 +317,8 @@ pub fn java(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid corpus [--seed N] [--limit N] [--workers N] [--deadline-ms N]
-/// [--fault-rate R] [--fault-seed N] [--trace-out T.jsonl] [--json]` — run
+/// `fragdroid corpus [--seed N] [--limit N] [--workers N] [ENGINE FLAGS]
+/// [--trace-out T.jsonl] [--json]` (engine flags as for `run`) — run
 /// the whole corpus through the shared container suite runner and report
 /// coverage plus runner metrics. Every app goes in as packed FAPK bytes;
 /// the ingestion frontier quarantines what it refuses (packer-protected
@@ -353,26 +332,13 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     let source = &*corpus;
     let total = fragdroid::CorpusSource::len(source);
 
-    let backend = parse_backend(&p)?;
-    let mut config = FragDroidConfig::default().with_backend(backend);
-    let deadline_ms = p.num("deadline-ms", 0)?;
-    if deadline_ms > 0 {
-        config = config.with_deadline(std::time::Duration::from_millis(deadline_ms));
-    }
-    let fault_rate = p.fraction("fault-rate", 0.0)?;
-    if fault_rate > 0.0 {
-        config = config.with_faults(p.num("fault-seed", 1)?, fault_rate);
-    }
+    let config = p.engine_config(true)?;
+    let backend = config.backend;
     // Shard-split arguments: `--shards N --shard-index I` runs one shard
     // (journaling to `<checkpoint>.shard-I-of-N`); `--shards N --merge`
     // folds the per-shard journals back into the single-run report.
     let shards = p.num("shards", 0)? as usize;
-    let shard_index = match p.opt("shard-index") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>().map_err(|_| format!("--shard-index expects a number, got '{v}'"))?,
-        ),
-    };
+    let shard_index = p.opt_num("shard-index")?.map(|index| index as usize);
     let merge = p.flag("merge");
     let checkpoint_path = p.opt("checkpoint");
     if (shard_index.is_some() || merge) && shards == 0 {
@@ -546,7 +512,7 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     );
     println!("activities:  {acts}/{acts_sum}");
     println!("fragments:   {frags}/{frags_sum}");
-    if fault_rate > 0.0 {
+    if config.faults_armed() {
         println!("faults:      {faults} injected, {retries} retries");
         println!("crashes:     {crashes} ({recovered} recovered)");
     }
@@ -622,10 +588,10 @@ pub fn gen_corpus(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid serve [--workers N] [--budget N] [--fault-rate R]
-/// [--fault-seed N] [--backend B] [--trace-out T.jsonl] [--listen ADDR]
-/// [--journal J] [--queue-cap N] [--max-conns N] [--idle-timeout-ms N]
-/// [--write-timeout-ms N]` — job-queue mode: submitted containers run on
+/// `fragdroid serve [--workers N] [ENGINE FLAGS] [--trace-out T.jsonl]
+/// [--listen ADDR] [--journal J] [--queue-cap N] [--max-conns N]
+/// [--idle-timeout-ms N] [--write-timeout-ms N]` (engine flags as for
+/// `run`) — job-queue mode: submitted containers run on
 /// pooled devices, and a finished job polls back the exact report bytes
 /// `run --json` would print. Without `--listen` the server speaks one
 /// stdin/stdout session; with it, a TCP (`HOST:PORT`) or Unix
@@ -636,15 +602,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     if !p.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
     }
-    let mut config = FragDroidConfig {
-        event_budget: p.num("budget", 40_000)? as usize,
-        ..FragDroidConfig::default()
-    }
-    .with_backend(parse_backend(&p)?);
-    let fault_rate = p.fraction("fault-rate", 0.0)?;
-    if fault_rate > 0.0 {
-        config = config.with_faults(p.num("fault-seed", 1)?, fault_rate);
-    }
+    let config = p.engine_config(true)?;
     let defaults = fragdroid::ServeOptions::default();
     let options = fragdroid::ServeOptions {
         workers: p.num("workers", 1)? as usize,
@@ -703,9 +661,7 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
     let mut client = fragdroid::SubmitClient::new(addr)
         .with_deadline(std::time::Duration::from_millis(p.num("timeout-ms", 60_000)?))
         .with_max_attempts(p.num("retries", 8)? as u32);
-    if let Some(seed) = p.opt("chaos-seed") {
-        let seed: u64 =
-            seed.parse().map_err(|_| format!("--chaos-seed expects a number, got '{seed}'"))?;
+    if let Some(seed) = p.opt_num("chaos-seed")? {
         client = client.with_chaos(fragdroid::ChaosConfig::from_seed(seed));
     }
     if p.flag("async") {
@@ -731,9 +687,10 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
 /// makes `--resume` survive a coordinator kill. The merged result
 /// renders Table 1 plus the farm appendix, and its outcome digest is
 /// byte-identical to an unsharded `fragdroid corpus` run of the same
-/// corpus and config. The endpoints must run the matching config
-/// (deadline, faults, budget), since each executes jobs under its own;
-/// one that reports another config fails the run with exit code 6.
+/// corpus and config. The coordinator reads the same engine flags as
+/// `serve` bar `--backend`, and the endpoints must run the matching ones,
+/// since each executes jobs under its own config; one that reports
+/// another config fails the run with exit code 6.
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv)?;
     if !p.positional.is_empty() {
@@ -749,17 +706,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     }
     let corpus = p.corpus_source()?;
 
-    // The digest-parity config. Only knobs that change what the suite
-    // *finds* matter here; execution happens on the serve endpoints.
-    let mut config = FragDroidConfig::default();
-    let deadline_ms = p.num("deadline-ms", 0)?;
-    if deadline_ms > 0 {
-        config = config.with_deadline(std::time::Duration::from_millis(deadline_ms));
-    }
-    let fault_rate = p.fraction("fault-rate", 0.0)?;
-    if fault_rate > 0.0 {
-        config = config.with_faults(p.num("fault-seed", 1)?, fault_rate);
-    }
+    // The digest-parity config: the engine flags the endpoints run with.
+    // Execution happens on the endpoints, so there is no `--backend`.
+    let config = p.engine_config(false)?;
 
     let ms = std::time::Duration::from_millis;
     let mut options = fragdroid::DispatchOptions::new(endpoints);
@@ -773,15 +722,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     options.quarantine_backoff = ms(p.num("quarantine-backoff-ms", 500)?);
     options.job_deadline = ms(p.num("job-timeout-ms", 60_000)?);
     options.job_attempts = p.num("job-retries", 8)? as u32;
-    if let Some(v) = p.opt("jitter-seed") {
-        options.jitter_seed =
-            v.parse().map_err(|_| format!("--jitter-seed expects a number, got '{v}'"))?;
-    }
-    if let Some(v) = p.opt("chaos-seed") {
-        let chaos_seed: u64 =
-            v.parse().map_err(|_| format!("--chaos-seed expects a number, got '{v}'"))?;
-        options.chaos = Some(fragdroid::ChaosConfig::from_seed(chaos_seed));
-    }
+    options.jitter_seed = p.num("jitter-seed", options.jitter_seed)?;
+    options.chaos = p.opt_num("chaos-seed")?.map(fragdroid::ChaosConfig::from_seed);
 
     let (trace_out, trace_config) = p.trace_out();
 

@@ -3,8 +3,9 @@
 //! `serve` worker processes — one of them SIGKILLed mid-run — to a
 //! rendered Table 1 whose outcome digest is byte-identical to the
 //! unsharded `corpus` run, `--json` must emit the machine-readable
-//! metrics + farm summary pair, and an endpoint running another engine
-//! config must fail the run with exit code 6.
+//! metrics + farm summary pair, an endpoint running another engine
+//! config must fail the run with exit code 6, and the engine flags must
+//! mean the same config to `serve`, `dispatch` and `corpus`.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
@@ -188,4 +189,20 @@ fn an_endpoint_running_another_config_exits_6() {
     assert_eq!(out.status.code(), Some(6), "{stderr}");
     assert!(stderr.contains(&format!("endpoint {endpoint} runs config")), "{stderr}");
     assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}
+
+/// `serve`, `dispatch` and `corpus` read the same engine flags: a farm
+/// behind `serve --budget 5000 --deadline-ms 600000` runs a `dispatch`
+/// given the same flags, and finds what `corpus` given them finds. The
+/// deadline is never hit, so the digest is deterministic.
+#[test]
+fn serve_dispatch_and_corpus_share_the_engine_flags() {
+    let flags = ["--budget", "5000", "--deadline-ms", "600000"];
+    let worker = ServeProc::spawn(&flags);
+    let out =
+        fragdroid(&[&["dispatch", "--connect", &worker.spec, "--limit", "4"][..], &flags].concat());
+    worker.kill();
+    let corpus = fragdroid(&[&["corpus", "--limit", "4"][..], &flags].concat());
+    let reference = digest_line(&stdout_of(&corpus));
+    assert_eq!(digest_line(&stdout_of(&out)), reference);
 }

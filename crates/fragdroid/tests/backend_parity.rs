@@ -1,12 +1,13 @@
-//! Agent death must be contained: a subprocess-backend agent that dies
-//! at *any* request boundary yields either a fully recovered run (via
-//! the pool) or a typed infrastructure failure, never a hang, a panic, or
-//! a phantom app crash. That a healthy subprocess backend reports
-//! byte-identically to the in-process simulator is a cell of the
+//! Agent death must be contained: a bare subprocess-backend device whose
+//! agent dies at *any* request boundary yields either the healthy report
+//! or a typed infrastructure failure, never a hang, a panic, or a
+//! phantom app crash. That a healthy subprocess backend reports
+//! byte-identically to the in-process simulator, and that a pool lane
+//! whose agent dies recovers the whole run, are cells of the
 //! `suite_differential` matrix.
 
 use fd_droidsim::{AgentOptions, DeviceApi, SubprocessDevice};
-use fragdroid::{DevicePool, FragDroid, FragDroidConfig, RunReport};
+use fragdroid::{FragDroid, FragDroidConfig, RunReport};
 
 fn report_on(
     config: &FragDroidConfig,
@@ -62,48 +63,5 @@ fn agent_death_at_every_request_boundary_is_contained() {
                 assert!(report.device_errors.infrastructure >= 1, "boundary {die_at}");
             }
         }
-    }
-}
-
-/// The same sweep through the pool: generation 0 dies at request `i`,
-/// the replacement is healthy, and the pool must always deliver the
-/// healthy report while counting exactly the incidents it absorbed.
-#[test]
-fn pool_recovers_the_run_for_every_kill_boundary() {
-    let gen = fd_appgen::templates::tabbed_categories();
-    let config = FragDroidConfig::default();
-    let (healthy, requests) = healthy_run(&config, &gen.app, &gen.known_inputs);
-
-    // Sample the boundary space: the first requests (install/launch),
-    // a mid-run stride, and the final boundary.
-    let boundaries: Vec<u64> =
-        (0..4).chain((4..=requests).step_by(7)).chain(std::iter::once(requests)).collect();
-    for die_at in boundaries {
-        let pool = DevicePool::with_factory(
-            1,
-            Box::new(move |_, generation| {
-                let die_after = if generation == 0 { Some(die_at) } else { None };
-                Box::new(SubprocessDevice::in_memory(AgentOptions { die_after }))
-                    as Box<dyn DeviceApi>
-            }),
-        );
-        let report = pool.run_app(0, &fd_trace::Tracer::disabled(), |device| {
-            report_on(&config, &gen.app, &gen.known_inputs, device)
-        });
-        assert!(
-            report.infra_failure.is_none(),
-            "boundary {die_at}: the pool retries on a fresh device"
-        );
-        assert_eq!(
-            report_json(&report),
-            report_json(&healthy),
-            "boundary {die_at}: the recovered run is byte-identical to a healthy one"
-        );
-        let expected_incidents = usize::from(die_at < requests);
-        assert_eq!(
-            pool.incidents(),
-            expected_incidents,
-            "boundary {die_at}: every absorbed death is counted, and only those"
-        );
     }
 }

@@ -1,14 +1,10 @@
-//! The serve service's load-bearing promises, property-tested:
-//!
-//! * under *any* seeded chaos schedule (torn frames, shredded writes,
-//!   stalls, duplicated requests, mid-job disconnects) a submitted job
-//!   still ends as the byte-identical report a clean transport gets —
-//!   or a typed error — and the server neither hangs nor leaks
-//!   connection slots;
-//! * a job journal truncated at *any* byte offset (a crash torn-write)
-//!   recovers: completed jobs are served byte-identically, chopped-off
-//!   jobs re-run through idempotent resubmission to the same bytes, and
-//!   no job is ever executed twice under its (id, digest) key.
+//! The serve job journal's crash promise, property-tested: a journal
+//! truncated at *any* byte offset (a crash torn-write) recovers —
+//! completed jobs are served byte-identically, chopped-off jobs re-run
+//! through idempotent resubmission to the same bytes, and no job is ever
+//! executed twice under its (id, digest) key. That a chaotic transport
+//! changes no report, leaks no session and runs no job twice is the
+//! chaos serve cell of the `suite_differential` matrix.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,8 +13,8 @@ use std::time::Duration;
 
 use fd_droidsim::proto::to_hex;
 use fragdroid::{
-    request_once, serve_listener, ChaosConfig, JobOutcome, ListenAddr, ServeListener, ServeOptions,
-    ServeRequest, ServeResponse, ServeSummary, SubmitClient,
+    request_once, serve_listener, ListenAddr, ServeListener, ServeOptions, ServeRequest,
+    ServeResponse, ServeSummary, SubmitClient,
 };
 
 fn scratch(name: &str) -> PathBuf {
@@ -48,53 +44,6 @@ fn shutdown(addr: &ListenAddr, handle: std::thread::JoinHandle<ServeSummary>) ->
     let reply = request_once(addr, ServeRequest::Shutdown, Duration::from_secs(60));
     assert_eq!(reply, Ok(ServeResponse::Bye));
     handle.join().expect("server thread does not panic")
-}
-
-mod chaos_schedules {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// For any chaos seed: the chaotic submission lands the report
-        /// byte-identical to a clean one, an idempotent resubmission
-        /// does not re-run the job, and every connection slot the chaos
-        /// opened is released by the time the server drains.
-        #[test]
-        fn any_schedule_settles_byte_identically(seed in 0u64..1_000_000) {
-            let (hex, inputs) = quickstart();
-            let (addr, handle) = spawn_server(ServeOptions::default());
-
-            let mut clean = SubmitClient::new(addr.clone());
-            let baseline = clean.submit(1, &hex, &inputs).expect("clean run settles");
-            prop_assert!(matches!(baseline, JobOutcome::Report { .. }));
-
-            let mut chaotic = SubmitClient::new(addr.clone())
-                .with_chaos(ChaosConfig::from_seed(seed))
-                .with_max_attempts(64)
-                .with_deadline(Duration::from_secs(120));
-            let outcome = chaotic.submit(2, &hex, &inputs).expect("chaos run settles");
-            prop_assert_eq!(&outcome, &baseline, "chaos must not change the report bytes");
-
-            // Idempotent resubmission of the settled job — clean
-            // transport, same id and content — replays the stored
-            // report instead of running the app again.
-            let replay = clean.submit(2, &hex, &inputs).expect("resubmit settles");
-            prop_assert_eq!(&replay, &baseline);
-
-            let summary = shutdown(&addr, handle);
-            let i = &summary.incidents;
-            prop_assert_eq!(i.jobs_completed, 2, "dedup prevented any re-execution");
-            prop_assert!(i.resubmits_deduped >= 1);
-            prop_assert_eq!(
-                i.connections_opened, i.connections_closed,
-                "no leaked connection slots (opened {} closed {})",
-                i.connections_opened, i.connections_closed
-            );
-            prop_assert_eq!(i.journal_errors, 0);
-        }
-    }
 }
 
 mod journal_truncation {

@@ -1,6 +1,8 @@
-//! Tracing must never change results: a disabled tracer is property-tested
-//! to produce byte-identical reports, and an enabled tracer's spans must
-//! agree with the suite's own wall-clock metrics.
+//! Tracing must never change results: a disabled and an enabled tracer
+//! are property-tested to produce byte-identical reports of one app, and
+//! an enabled tracer's spans must agree with the suite's own wall-clock
+//! metrics. That a traced suite run finds what an untraced one finds is
+//! a cell of the `suite_differential` matrix.
 
 use fragdroid::{FragDroid, FragDroidConfig, Suite, SuiteMetrics};
 
@@ -53,31 +55,6 @@ mod disabled_is_byte_identical {
             prop_assert_eq!(&a, &b, "disabled tracer must be invisible");
             prop_assert_eq!(&a, &c, "enabled tracer must be invisible too");
             prop_assert!(!track.records.is_empty(), "enabled run did record");
-        }
-
-        /// The suite agrees the same way: with tracing off it is
-        /// byte-identical to a direct run of each app, and turning
-        /// tracing on changes the trace, not the outcomes.
-        #[test]
-        fn suite_reports_unaffected_by_tracing(seed in 0u64..16) {
-            let apps = corpus_slice(seed + 1, 3);
-            let config = FragDroidConfig::default().with_faults(seed, 0.2);
-            let suite = Suite::new(&config, 2);
-            let (off_run, off_trace) = suite.run(&apps);
-            let (on_run, on_trace) =
-                Suite { trace: fd_trace::TraceConfig::on(), ..suite }.run(&apps);
-            prop_assert!(off_trace.records.is_empty());
-            prop_assert!(!on_trace.records.is_empty());
-            for (((app, inputs), off), on) in
-                apps.iter().zip(&off_run.outcomes).zip(&on_run.outcomes)
-            {
-                let direct = FragDroid::new(config.clone()).run(app, inputs);
-                let b = serde_json::to_string(&direct).unwrap();
-                let off = serde_json::to_string(off.report().unwrap()).unwrap();
-                let on = serde_json::to_string(on.report().unwrap()).unwrap();
-                prop_assert_eq!(&b, &off);
-                prop_assert_eq!(&b, &on);
-            }
         }
     }
 }
