@@ -1,25 +1,195 @@
-//! Subcommand implementations.
+//! The subcommand table and the handlers it names.
 
-use crate::args::parse;
+use crate::args::{Command, Flag, Kind::*, Parsed};
 use crate::{load_app, load_app_traced, load_inputs, write_trace, CliError};
 use fragdroid::{FragDroid, FragDroidConfig};
 
-/// `fragdroid device-agent [--die-after N]` — the child end of the
-/// subprocess backend: serves the length-prefixed device wire protocol
-/// over stdin/stdout until the parent hangs up. `--die-after N` makes the
-/// agent vanish without replying to request `N` (counting the install as
-/// request 0) — the deterministic SIGKILL stand-in CI's kill-injection
-/// uses to exercise the pool's recovery path.
-pub fn device_agent(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    if !p.positional.is_empty() {
-        return Err("device-agent takes no positional arguments".into());
-    }
+/// The engine flags every command that runs or checks apps shares.
+pub(crate) const ENGINE: &[Flag] =
+    &[("budget", Usize), ("deadline-ms", U64), ("fault-rate", Fraction), ("fault-seed", U64)];
+/// The device backend of a command that runs apps itself.
+pub(crate) const BACKEND: &[Flag] = &[("backend", Text("in-process|subprocess|mock-adb"))];
+/// The corpus a suite command runs (`Parsed::corpus_source`).
+pub(crate) const CORPUS: &[Flag] = &[("seed", U64), ("limit", Usize), ("corpus", Text("DIR"))];
+/// A checkpoint journal and resuming from it.
+pub(crate) const JOURNAL: &[Flag] = &[("checkpoint", Text("J")), ("resume", Bare)];
+/// Flake triage: how often a failed app is retried.
+pub(crate) const FLAKES: &[Flag] = &[("flake-retries", Usize)];
+/// `--trace-out T.jsonl` (`Parsed::trace_out`).
+pub(crate) const TRACE: &[Flag] = &[("trace-out", Text("T.jsonl"))];
+
+/// `--inputs F`: the widget-ID → value JSON of an app's gate secrets.
+const INPUTS: &[Flag] = &[("inputs", Text("F"))];
+/// `--json`: machine-readable output.
+const JSON: &[Flag] = &[("json", Bare)];
+/// The container positional of the single-app commands.
+const APP: &[&str] = &["<app.fapk>"];
+
+/// One table entry: name, positionals, flag groups, `help` prose, handler.
+const fn cmd(
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [&'static [Flag]],
+    summary: &'static str,
+    handler: fn(&Parsed) -> Result<(), CliError>,
+) -> Command {
+    Command { name, positionals, flags, summary, handler }
+}
+
+/// Every subcommand, in `help` order: parsing, `help` and dispatch all
+/// read this table.
+pub const COMMANDS: &[Command] = &[
+    cmd(
+        "gen",
+        &["<out.fapk>"],
+        &[&[("template", Text("NAME")), ("random", Bare), ("seed", U64), ("size", Usize)]],
+        "write a template app (see 'templates'; default quickstart) or, with --random, a \
+         seeded one of --size activities and fragments, plus <out.fapk>.inputs.json",
+        gen,
+    ),
+    cmd("info", APP, &[], "manifest, classes, layouts, metadata", info),
+    cmd("static", APP, &[INPUTS], "static extraction as JSON", static_info),
+    cmd("dot", APP, &[], "initial AFTM as Graphviz DOT", dot),
+    cmd(
+        "run",
+        APP,
+        &[INPUTS, JSON, &[("find-api", Text("g/n"))], ENGINE, BACKEND, JOURNAL, FLAKES, TRACE],
+        "full exploration + coverage report; with --checkpoint or --flake-retries the app \
+         runs as a one-app corpus on the suite runner",
+        run,
+    ),
+    cmd("dump", APP, &[], "launch and print the UI hierarchy", dump),
+    cmd("unpack", APP, &[&[("out", Text("DIR"))]], "apktool-style decompile to --out", unpack),
+    cmd("repack", &["<DIR>"], &[&[("out", Text("app.fapk"))]], "rebuild a container", repack),
+    cmd("replay", &["<app.fapk>", "<trace.json>"], &[], "replay a recorded session", replay),
+    cmd("java", APP, &[INPUTS], "emit the generated Robotium test class", java),
+    cmd(
+        "corpus",
+        &[],
+        &[
+            CORPUS,
+            &[("workers", Usize), ("app-budget", Usize), ("agent-die-after", U64), ("merge", Bare)],
+            &[("shards", Usize), ("shard-index", Usize)],
+            JSON,
+            ENGINE,
+            BACKEND,
+            JOURNAL,
+            FLAKES,
+            TRACE,
+        ],
+        "run the synthetic 217 (or the gen-corpus directory --corpus) on the suite runner; \
+         journal to J, --resume it, or stop after --app-budget fresh apps; \
+         --agent-die-after kills each lane's first subprocess agent after N requests; \
+         --shards with --shard-index runs one shard to J.shard-I-of-N, with --merge \
+         combines the shard journals into the single-run report and outcome digest",
+        corpus,
+    ),
+    cmd(
+        "gen-corpus",
+        &["<DIR>"],
+        &[&[
+            ("apps", Usize),
+            ("seed", U64),
+            ("profile", Text("tiny|paper")),
+            ("shard-size", Usize),
+        ]],
+        "write a seeded synthetic corpus to DIR as sharded packed containers + manifest",
+        gen_corpus,
+    ),
+    cmd(
+        "serve",
+        &[],
+        &[
+            &[("workers", Usize), ("listen", Text("ADDR")), ("journal", Text("J"))],
+            &[("queue-cap", Usize), ("max-conns", Usize)],
+            &[("idle-timeout-ms", U64), ("write-timeout-ms", U64)],
+            ENGINE,
+            BACKEND,
+            TRACE,
+        ],
+        "job queue: run submitted containers and answer polls with the bytes 'run --json' \
+         prints, over stdin/stdout or, with --listen unix:PATH|HOST:PORT, many socket \
+         sessions (bounded queue, connection cap, idle timeouts, drain on Shutdown); \
+         --journal makes admission crash-safe across restarts",
+        serve,
+    ),
+    cmd(
+        "submit",
+        APP,
+        &[
+            &[("connect", Text("ADDR")), ("job", U64)],
+            INPUTS,
+            &[("async", Bare), ("timeout-ms", U64), ("retries", U32), ("chaos-seed", U64)],
+        ],
+        "submit one container to a serve socket (--connect is required) with retry and \
+         backoff and print its report, or with --async only await the durable accept; \
+         job ids are idempotent resubmission keys",
+        submit,
+    ),
+    cmd(
+        "dispatch",
+        &[],
+        &[
+            &[("connect", Text("ADDR[,ADDR...]"))],
+            CORPUS,
+            &[("shards", Usize)],
+            JOURNAL,
+            &[("lease-timeout-ms", U64), ("heartbeat-ms", U64), ("stall-timeout-ms", U64)],
+            &[("quarantine-after", U32), ("quarantine-backoff-ms", U64)],
+            &[("job-timeout-ms", U64), ("job-retries", U32)],
+            &[("jitter-seed", U64), ("chaos-seed", U64)],
+            JSON,
+            ENGINE,
+            TRACE,
+        ],
+        "farm coordinator: shard the corpus across the serve endpoints --connect (required) \
+         under leases, heartbeats, quarantine and reassignment, merge the outcomes they \
+         return to the unsharded outcome digest, and print Table 1 plus a per-worker \
+         summary; --checkpoint journals coordinator progress for --resume; the endpoints \
+         must run the same engine flags",
+        dispatch,
+    ),
+    cmd(
+        "device-agent",
+        &[],
+        &[&[("die-after", U64)]],
+        "serve the device wire protocol on stdin/stdout for the subprocess backend",
+        device_agent,
+    ),
+    cmd(
+        "fuzz",
+        &[],
+        &[
+            &[("seed", U64), ("mutants", U64), ("target", Text("T[,T...]")), ("out", Text("DIR"))],
+            JSON,
+            TRACE,
+        ],
+        "deterministic ingestion-frontier fuzz campaign over the targets container, smali, \
+         json, protocol, corpus, serve and dispatch; fails if any mutant panics",
+        fuzz,
+    ),
+    cmd("trace", &["<trace.jsonl>"], &[JSON], "per-phase/per-app profile of a trace", trace),
+    cmd("templates", &[], &[], "list template names for 'gen'", templates),
+];
+
+fn templates(_: &Parsed) -> Result<(), CliError> {
+    println!("quickstart\nfig1-tabs\nfig2-drawer");
+    Ok(())
+}
+
+/// The child end of the subprocess backend. `--die-after N` makes the
+/// agent vanish without replying to request `N` (the install is request
+/// 0): the deterministic SIGKILL stand-in of the kill-injection runs.
+fn device_agent(p: &Parsed) -> Result<(), CliError> {
     let die_after = p.opt_num("die-after")?;
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    fd_droidsim::serve(stdin.lock(), stdout.lock(), fd_droidsim::AgentOptions { die_after })
+    let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+    fd_droidsim::serve(stdin, stdout, fd_droidsim::AgentOptions { die_after })
         .map_err(|e| CliError::Failure(format!("device-agent: {e}")))
+}
+
+/// A suite run's metrics as the one-line JSON `--json` prints.
+fn metrics_json(run: &fragdroid::SuiteRun) -> Result<String, String> {
+    run.metrics.to_json().map_err(|e| format!("cannot serialize metrics: {e}"))
 }
 
 /// Pretty-serializes with the error propagated instead of panicking, so a
@@ -28,13 +198,11 @@ fn to_pretty_json<T: serde::Serialize>(what: &str, value: &T) -> Result<String, 
     serde_json::to_string_pretty(value).map_err(|e| format!("cannot serialize {what}: {e}"))
 }
 
-/// `fragdroid gen <out.fapk> [--template NAME | --random] [--seed N] [--size N]`
-pub fn gen(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let out = p.one_path("output path")?;
+fn gen(p: &Parsed) -> Result<(), CliError> {
+    let out = p.arg(0);
     let seed = p.num("seed", 42)?;
     let generated = if p.flag("random") {
-        let size = p.num("size", 8)? as usize;
+        let size = p.num("size", 8)?;
         let config = fd_appgen::random::GenConfig {
             activities: size,
             fragments: size,
@@ -65,10 +233,8 @@ pub fn gen(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid info <app.fapk>`
-pub fn info(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn info(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     println!("package:    {}", app.package());
     println!("category:   {}", app.meta.category);
     println!("downloads:  {}", app.meta.downloads_band());
@@ -89,49 +255,34 @@ pub fn info(argv: &[String]) -> Result<(), CliError> {
         let launcher = if decl.is_launcher() { "  [launcher]" } else { "" };
         println!("  {}{}", decl.name, launcher);
     }
-    let fragments: Vec<&str> = app
-        .classes
-        .iter()
-        .filter(|c| app.classes.is_fragment_class(c.name.as_str()))
-        .map(|c| c.name.as_str())
-        .collect();
     println!("fragments:");
-    for f in fragments {
-        println!("  {f}");
+    for class in app.classes.iter().filter(|c| app.classes.is_fragment_class(c.name.as_str())) {
+        println!("  {}", class.name.as_str());
     }
     Ok(())
 }
 
-/// `fragdroid static <app.fapk> [--inputs F]`
-pub fn static_info(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn static_info(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     let inputs = load_inputs(p.opt("inputs"))?;
     let info = fd_static::extract(&app, &inputs);
     println!("{}", to_pretty_json("static info", &info)?);
     Ok(())
 }
 
-/// `fragdroid dot <app.fapk>`
-pub fn dot(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn dot(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     let info = fd_static::extract(&app, &Default::default());
     print!("{}", fd_aftm::dot::to_dot(&info.aftm));
     Ok(())
 }
 
-/// `fragdroid run <app.fapk> [--inputs F] [ENGINE FLAGS] [--trace-out
-/// T.jsonl] [--json]`, the engine flags being `--budget N`,
-/// `--deadline-ms N`, `--fault-rate R`, `--fault-seed N` and `--backend B`
-/// ([`crate::args::Parsed::engine_config`]).
-pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
+fn run(p: &Parsed) -> Result<(), CliError> {
     let (trace_out, trace_config) = p.trace_out();
     let tracer = fd_trace::Tracer::new(&trace_config, fd_trace::TraceClock::start(), 0);
-    let app = load_app_traced(p.one_path("container path")?, &tracer)?;
+    let app = load_app_traced(p.arg(0), &tracer)?;
     let inputs = load_inputs(p.opt("inputs"))?;
-    let mut config = p.engine_config(true)?;
+    let mut config = p.engine_config()?;
     if let Some(spec) = p.opt("find-api") {
         let (group, name) = spec
             .split_once('/')
@@ -140,11 +291,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     let checkpoint_path = p.opt("checkpoint");
     let resume = p.flag("resume");
-    let flake_retries = p.num("flake-retries", 0)? as usize;
+    let flake_retries = p.num("flake-retries", 0)?;
     if resume && checkpoint_path.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
     }
-    let report = if checkpoint_path.is_some() || flake_retries > 0 {
+    let (report, suite_records) = if checkpoint_path.is_some() || flake_retries > 0 {
         // Route the single app through the checkpointed suite runner as a
         // one-slot corpus: the journal, resume and flake semantics are
         // identical to `corpus`.
@@ -163,13 +314,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             }
             None => suite.run(&slot),
         };
-        if let Some(flakes) = &run.metrics.flake_summary {
-            if !flakes.apps.is_empty() {
-                eprintln!(
-                    "flake triage: {} deterministic, {} flaky ({} retries each)",
-                    flakes.deterministic, flakes.flaky, flakes.retries
-                );
-            }
+        if let Some(flakes) = run.metrics.flake_summary.as_ref().filter(|f| !f.apps.is_empty()) {
+            eprintln!(
+                "flake triage: {} deterministic, {} flaky ({} retries each)",
+                flakes.deterministic, flakes.flaky, flakes.retries
+            );
         }
         let report = match run.outcomes.into_iter().next() {
             Some(outcome) => match outcome {
@@ -180,22 +329,16 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             },
             None => return Err("checkpointed run completed no apps".into()),
         };
-        if let Some(out) = trace_out {
-            let mut trace = fd_trace::Trace::new(&format!("fragdroid run {}", app.package()));
-            trace.absorb(tracer.finish());
-            trace.records.extend(suite_trace.records);
-            write_trace(out, &trace)?;
-        }
-        report
+        (report, suite_trace.records)
     } else {
-        let report = FragDroid::new(config).run_traced(&app, &inputs, &tracer);
-        if let Some(out) = trace_out {
-            let mut trace = fd_trace::Trace::new(&format!("fragdroid run {}", app.package()));
-            trace.absorb(tracer.finish());
-            write_trace(out, &trace)?;
-        }
-        report
+        (FragDroid::new(config).run_traced(&app, &inputs, &tracer), Vec::new())
     };
+    if let Some(out) = trace_out {
+        let mut trace = fd_trace::Trace::new(&format!("fragdroid run {}", app.package()));
+        trace.absorb(tracer.finish());
+        trace.records.extend(suite_records);
+        write_trace(Some(out), &trace)?;
+    }
 
     if p.flag("json") {
         println!("{}", to_pretty_json("report", &report)?);
@@ -238,35 +381,21 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid unpack <app.fapk> --out DIR` — apktool-style decompile to a
-/// project directory.
-pub fn unpack(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn unpack(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     let out = p.opt("out").ok_or("missing --out directory")?;
     fd_apk::workspace::unpack(&app, std::path::Path::new(out)).map_err(|e| e.to_string())?;
     println!("unpacked {} to {out}", app.package());
     Ok(())
 }
 
-/// `fragdroid repack <dir> --out app.fapk` — rebuild a container from an
-/// (edited) project directory.
-pub fn repack(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let dir = p.one_path("project directory")?;
+fn repack(p: &Parsed) -> Result<(), CliError> {
+    let dir = p.arg(0);
     let out = p.opt("out").ok_or("missing --out file")?;
     let app = fd_apk::workspace::load(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     let problems = app.validate();
     if !problems.is_empty() {
-        return Err(format!(
-            "rebuilt app is malformed:
-  {}",
-            problems.join(
-                "
-  "
-            )
-        )
-        .into());
+        return Err(format!("rebuilt app is malformed:\n  {}", problems.join("\n  ")).into());
     }
     let bytes = fd_apk::pack(&app);
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -274,15 +403,8 @@ pub fn repack(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid replay <app.fapk> <trace.json>` — replay a recorded session
-/// and verify every step lands in its recorded state.
-pub fn replay(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let (apk, trace_path) = match p.positional.as_slice() {
-        [a, t] => (a.as_str(), t.as_str()),
-        _ => return Err("usage: fragdroid replay <app.fapk> <trace.json>".into()),
-    };
-    let app = load_app(apk)?;
+fn replay(p: &Parsed) -> Result<(), CliError> {
+    let (app, trace_path) = (load_app(p.arg(0))?, p.arg(1));
     let raw = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
     let trace = fd_droidsim::Trace::from_json(&raw)
@@ -306,39 +428,29 @@ pub fn replay(argv: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// `fragdroid java <app.fapk> [--inputs F]` — run FragDroid and emit the
-/// generated Robotium test class (§VI-B).
-pub fn java(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn java(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     let inputs = load_inputs(p.opt("inputs"))?;
     let report = FragDroid::new(FragDroidConfig::default()).run(&app, &inputs);
     print!("{}", report.to_robotium_java());
     Ok(())
 }
 
-/// `fragdroid corpus [--seed N] [--limit N] [--workers N] [ENGINE FLAGS]
-/// [--trace-out T.jsonl] [--json]` (engine flags as for `run`) — run
-/// the whole corpus through the shared container suite runner and report
-/// coverage plus runner metrics. Every app goes in as packed FAPK bytes;
-/// the ingestion frontier quarantines what it refuses (packer-protected
-/// apps included) instead of the command pre-filtering them.
-pub fn corpus(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    if !p.positional.is_empty() {
-        return Err("corpus takes no positional arguments".into());
-    }
+/// Every app goes in as packed FAPK bytes: the ingestion frontier
+/// quarantines what it refuses (packer-protected apps included) instead of
+/// the command pre-filtering them.
+fn corpus(p: &Parsed) -> Result<(), CliError> {
     let corpus = p.corpus_source()?;
     let source = &*corpus;
     let total = fragdroid::CorpusSource::len(source);
 
-    let config = p.engine_config(true)?;
+    let config = p.engine_config()?;
     let backend = config.backend;
     // Shard-split arguments: `--shards N --shard-index I` runs one shard
     // (journaling to `<checkpoint>.shard-I-of-N`); `--shards N --merge`
     // folds the per-shard journals back into the single-run report.
-    let shards = p.num("shards", 0)? as usize;
-    let shard_index = p.opt_num("shard-index")?.map(|index| index as usize);
+    let shards = p.num("shards", 0)?;
+    let shard_index = p.opt_num::<usize>("shard-index")?;
     let merge = p.flag("merge");
     let checkpoint_path = p.opt("checkpoint");
     if (shard_index.is_some() || merge) && shards == 0 {
@@ -353,13 +465,11 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     if shards > 0 && !merge && shard_index.is_none() {
         return Err("--shards requires --shard-index <I> (run one shard) or --merge".into());
     }
-    if let Some(index) = shard_index {
-        if index >= shards {
-            return Err(format!("--shard-index {index} out of range for {shards} shards").into());
-        }
+    if let Some(index) = shard_index.filter(|&index| index >= shards) {
+        return Err(format!("--shard-index {index} out of range for {shards} shards").into());
     }
 
-    let workers = match p.num("workers", 0)? as usize {
+    let workers = match p.num("workers", 0)? {
         0 => fragdroid::suite::engine::default_workers(total),
         workers => workers,
     };
@@ -390,8 +500,8 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     let (trace_out, trace_config) = p.trace_out();
 
     let resume = p.flag("resume");
-    let flake_retries = p.num("flake-retries", 0)? as usize;
-    let app_budget = p.num("app-budget", 0)? as usize;
+    let flake_retries = p.num("flake-retries", 0)?;
+    let app_budget = p.num("app-budget", 0)?;
     if resume && checkpoint_path.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
     }
@@ -406,18 +516,9 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         let base = std::path::Path::new(checkpoint_path.expect("checked with --shards above"));
         let (merged, trace) =
             fragdroid::merge_shards(source, &config, flake_retries, base, shards, &trace_config)?;
-        if let Some(out) = trace_out {
-            write_trace(out, &trace)?;
-        }
+        write_trace(trace_out, &trace)?;
         if p.flag("json") {
-            println!(
-                "{}",
-                merged
-                    .run
-                    .metrics
-                    .to_json()
-                    .map_err(|e| format!("cannot serialize metrics: {e}"))?
-            );
+            println!("{}", metrics_json(&merged.run)?);
             return Ok(());
         }
         print!("{}", fd_report::render_shard_merge(&merged));
@@ -430,12 +531,9 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         flake_retries,
         ..fragdroid::Suite::new(&config, workers)
     };
-    let opts = checkpoint_path.map(|path| {
-        let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
-        if app_budget > 0 {
-            opts = opts.with_app_budget(app_budget);
-        }
-        opts
+    let opts = checkpoint_path.map(|path| fragdroid::CheckpointOptions {
+        app_budget: (app_budget > 0).then_some(app_budget),
+        ..fragdroid::CheckpointOptions::new(path).with_resume(resume)
     });
     let journaled = |(done, trace): (fragdroid::CheckpointedSuite, fd_trace::Trace)| {
         let progress = Some((done.resumed, done.fresh, done.remaining(), done.torn_tail_bytes));
@@ -454,15 +552,10 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
             (run, trace, progress)
         }
     };
-    if let Some(out) = trace_out {
-        write_trace(out, &trace)?;
-    }
+    write_trace(trace_out, &trace)?;
 
     if p.flag("json") {
-        println!(
-            "{}",
-            run.metrics.to_json().map_err(|e| format!("cannot serialize metrics: {e}"))?
-        );
+        println!("{}", metrics_json(&run)?);
         return Ok(());
     }
     let (mut acts, mut acts_sum, mut frags, mut frags_sum) = (0, 0, 0, 0);
@@ -558,22 +651,17 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid gen-corpus <DIR> [--apps N] [--seed N] [--profile tiny|paper]
-/// [--shard-size N]` — write a seeded synthetic corpus to disk as sharded
-/// packed containers plus a manifest. The same seed and parameters
-/// produce a byte-identical corpus (and digest) on every machine.
-pub fn gen_corpus(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let dir = p.one_path("corpus directory")?;
+fn gen_corpus(p: &Parsed) -> Result<(), CliError> {
+    let dir = p.arg(0);
     let profile = match p.opt("profile") {
         None => fd_appgen::stream::Profile::Tiny,
         Some(name) => fd_appgen::stream::Profile::parse(name)?,
     };
     let config = fd_appgen::stream::StreamConfig {
-        apps: p.num("apps", 1_000)? as usize,
+        apps: p.num("apps", 1_000)?,
         seed: p.num("seed", 1)?,
         profile,
-        shard_size: p.num("shard-size", 1_024)? as usize,
+        shard_size: p.num("shard-size", 1_024)?,
     };
     let manifest = fd_appgen::stream::write_corpus(std::path::Path::new(dir), &config)
         .map_err(|e| format!("cannot write corpus to {dir}: {e}"))?;
@@ -588,27 +676,14 @@ pub fn gen_corpus(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid serve [--workers N] [ENGINE FLAGS] [--trace-out T.jsonl]
-/// [--listen ADDR] [--journal J] [--queue-cap N] [--max-conns N]
-/// [--idle-timeout-ms N] [--write-timeout-ms N]` (engine flags as for
-/// `run`) — job-queue mode: submitted containers run on
-/// pooled devices, and a finished job polls back the exact report bytes
-/// `run --json` would print. Without `--listen` the server speaks one
-/// stdin/stdout session; with it, a TCP (`HOST:PORT`) or Unix
-/// (`unix:PATH`) socket serves many concurrent sessions under admission
-/// control, and the incident summary prints when the server drains.
-pub fn serve(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    if !p.positional.is_empty() {
-        return Err("serve takes no positional arguments".into());
-    }
-    let config = p.engine_config(true)?;
+fn serve(p: &Parsed) -> Result<(), CliError> {
+    let config = p.engine_config()?;
     let defaults = fragdroid::ServeOptions::default();
     let options = fragdroid::ServeOptions {
-        workers: p.num("workers", 1)? as usize,
+        workers: p.num("workers", 1)?,
         config,
-        queue_cap: p.num("queue-cap", defaults.queue_cap as u64)? as usize,
-        max_connections: p.num("max-conns", defaults.max_connections as u64)? as usize,
+        queue_cap: p.num("queue-cap", defaults.queue_cap)?,
+        max_connections: p.num("max-conns", defaults.max_connections)?,
         idle_timeout_ms: p.num("idle-timeout-ms", defaults.idle_timeout_ms)?,
         write_timeout_ms: p.num("write-timeout-ms", defaults.write_timeout_ms)?,
         journal: p.opt("journal").map(std::path::PathBuf::from),
@@ -616,9 +691,8 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     let (trace_out, trace_config) = p.trace_out();
     let trace = match p.opt("listen") {
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            fragdroid::serve(stdin.lock(), stdout.lock(), &options, &trace_config)?
+            let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+            fragdroid::serve(stdin, stdout, &options, &trace_config)?
         }
         Some(spec) => {
             let addr = fragdroid::ListenAddr::parse(spec)?;
@@ -633,24 +707,12 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
             summary.trace
         }
     };
-    if let Some(out) = trace_out {
-        write_trace(out, &trace)?;
-    }
+    write_trace(trace_out, &trace)?;
     Ok(())
 }
 
-/// `fragdroid submit <app.fapk> --connect ADDR [--job N] [--inputs F]
-/// [--async] [--timeout-ms N] [--retries N] [--chaos-seed N]` — submit
-/// one container to a serve socket with retry and exponential backoff,
-/// then print the report JSON (byte-identical to `run --json`). The job
-/// id is the idempotency key: rerunning the same submit resubmits
-/// safely across server restarts. `--async` returns as soon as the
-/// server durably accepted the job; `--chaos-seed` arms the seeded
-/// chaos transport (torn frames, stalls, duplicated requests) used by
-/// the resilience tests.
-pub fn submit(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let path = p.one_path("container path")?;
+fn submit(p: &Parsed) -> Result<(), CliError> {
+    let path = p.arg(0);
     let spec = p.opt("connect").ok_or("submit requires --connect ADDR")?;
     let addr = fragdroid::ListenAddr::parse(spec)?;
     let job = p.num("job", 1)?;
@@ -660,7 +722,7 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
     let container_hex = fd_droidsim::proto::to_hex(&raw);
     let mut client = fragdroid::SubmitClient::new(addr)
         .with_deadline(std::time::Duration::from_millis(p.num("timeout-ms", 60_000)?))
-        .with_max_attempts(p.num("retries", 8)? as u32);
+        .with_max_attempts(p.num("retries", 8)?);
     if let Some(seed) = p.opt_num("chaos-seed")? {
         client = client.with_chaos(fragdroid::ChaosConfig::from_seed(seed));
     }
@@ -670,75 +732,44 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     match client.submit(job, &container_hex, &inputs)? {
-        fragdroid::JobOutcome::Report { json } => {
-            println!("{json}");
-            Ok(())
-        }
-        fragdroid::JobOutcome::Rejected { reason } => Err(CliError::Rejected(reason)),
+        fragdroid::JobOutcome::Report { json } => println!("{json}"),
+        fragdroid::JobOutcome::Rejected { reason } => return Err(CliError::Rejected(reason)),
     }
+    Ok(())
 }
 
-/// `fragdroid dispatch --connect ADDR[,ADDR...] [--seed N] [--limit N]
-/// [--corpus DIR] [--shards N] [--checkpoint J] [--resume] ...` — split
-/// the corpus into shards and drive a farm of `fragdroid serve`
-/// endpoints to completion under time-bounded leases: a dead or
-/// quarantined worker's shards are revoked and reassigned, stragglers
-/// get backup grants, and with `--checkpoint` the coordinator journal
-/// makes `--resume` survive a coordinator kill. The merged result
-/// renders Table 1 plus the farm appendix, and its outcome digest is
-/// byte-identical to an unsharded `fragdroid corpus` run of the same
-/// corpus and config. The coordinator reads the same engine flags as
-/// `serve` bar `--backend`, and the endpoints must run the matching ones,
-/// since each executes jobs under its own config; one that reports
-/// another config fails the run with exit code 6.
-pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    if !p.positional.is_empty() {
-        return Err("dispatch takes no positional arguments".into());
-    }
+fn dispatch(p: &Parsed) -> Result<(), CliError> {
     let spec = p.opt("connect").ok_or("dispatch requires --connect ADDR[,ADDR...]")?;
-    let mut endpoints = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if !part.is_empty() {
-            endpoints.push(fragdroid::ListenAddr::parse(part)?);
-        }
-    }
+    let endpoints = spec.split(',').map(str::trim).filter(|part| !part.is_empty());
+    let endpoints = endpoints.map(fragdroid::ListenAddr::parse).collect::<Result<_, _>>()?;
     let corpus = p.corpus_source()?;
 
     // The digest-parity config: the engine flags the endpoints run with.
     // Execution happens on the endpoints, so there is no `--backend`.
-    let config = p.engine_config(false)?;
+    let config = p.engine_config()?;
 
     let ms = std::time::Duration::from_millis;
     let mut options = fragdroid::DispatchOptions::new(endpoints);
-    options.shards = p.num("shards", 0)? as usize;
+    options.shards = p.num("shards", 0)?;
     options.journal = p.opt("checkpoint").map(std::path::PathBuf::from);
     options.resume = p.flag("resume");
     options.lease_timeout = ms(p.num("lease-timeout-ms", 120_000)?);
     options.heartbeat_interval = ms(p.num("heartbeat-ms", 250)?);
     options.stall_timeout = ms(p.num("stall-timeout-ms", 300_000)?);
-    options.quarantine_after = p.num("quarantine-after", 3)? as u32;
+    options.quarantine_after = p.num("quarantine-after", 3)?;
     options.quarantine_backoff = ms(p.num("quarantine-backoff-ms", 500)?);
     options.job_deadline = ms(p.num("job-timeout-ms", 60_000)?);
-    options.job_attempts = p.num("job-retries", 8)? as u32;
+    options.job_attempts = p.num("job-retries", 8)?;
     options.jitter_seed = p.num("jitter-seed", options.jitter_seed)?;
     options.chaos = p.opt_num("chaos-seed")?.map(fragdroid::ChaosConfig::from_seed);
 
     let (trace_out, trace_config) = p.trace_out();
 
     let run = fragdroid::dispatch(&*corpus, &config, &options, &trace_config)?;
-    if let Some(out) = trace_out {
-        write_trace(out, &run.trace)?;
-    }
+    write_trace(trace_out, &run.trace)?;
 
     if p.flag("json") {
-        let metrics = run
-            .merged
-            .run
-            .metrics
-            .to_json()
-            .map_err(|e| format!("cannot serialize metrics: {e}"))?;
+        let metrics = metrics_json(&run.merged.run)?;
         let summary = serde_json::to_string(&run.summary)
             .map_err(|e| format!("cannot serialize dispatch summary: {e}"))?;
         println!("{{\"metrics\":{metrics},\"dispatch\":{summary}}}");
@@ -756,16 +787,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid fuzz [--seed N] [--mutants N] [--target T[,T..]] [--out DIR]
-/// [--trace-out T.jsonl] [--json]` — run a deterministic structure-aware
-/// fuzz campaign over the ingestion frontier and report per-target
-/// outcomes. Exits nonzero if any mutant panics; reproducers are
-/// minimized and, with `--out`, written to disk.
-pub fn fuzz(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    if !p.positional.is_empty() {
-        return Err("fuzz takes no positional arguments".into());
-    }
+fn fuzz(p: &Parsed) -> Result<(), CliError> {
     let targets = match p.opt("target") {
         None => fd_fuzz::Target::ALL.to_vec(),
         Some(spec) => spec
@@ -792,7 +814,7 @@ pub fn fuzz(argv: &[String]) -> Result<(), CliError> {
     if let Some(out) = trace_out {
         let mut trace = fd_trace::Trace::new("fragdroid fuzz");
         trace.absorb(tracer.finish());
-        write_trace(out, &trace)?;
+        write_trace(Some(out), &trace)?;
     }
 
     if p.flag("json") {
@@ -832,12 +854,8 @@ pub fn fuzz(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid trace <trace.jsonl> [--json]` — per-phase breakdown,
-/// slowest apps, hottest activities/fragments, and the fault/retry
-/// timeline of a `--trace-out` capture.
-pub fn trace(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let path = p.one_path("trace file (.jsonl)")?;
+fn trace(p: &Parsed) -> Result<(), CliError> {
+    let path = p.arg(0);
     let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace =
         fd_trace::Trace::from_jsonl(&raw).map_err(|e| format!("bad trace file {path}: {e}"))?;
@@ -850,10 +868,8 @@ pub fn trace(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fragdroid dump <app.fapk>`
-pub fn dump(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv)?;
-    let app = load_app(p.one_path("container path")?)?;
+fn dump(p: &Parsed) -> Result<(), CliError> {
+    let app = load_app(p.arg(0))?;
     let mut device = fd_droidsim::Device::new(app);
     device.launch().map_err(|e| format!("launch failed: {e}"))?;
     match device.current() {

@@ -1,16 +1,11 @@
 //! Library backing the `fragdroid` command-line interface (testable
 //! without spawning the binary).
 //!
-//! ```text
-//! fragdroid gen <out.fapk> [--template NAME | --random --seed N --size N]
-//! fragdroid info <app.fapk>
-//! fragdroid static <app.fapk> [--inputs inputs.json]
-//! fragdroid dot <app.fapk>
-//! fragdroid run <app.fapk> [--inputs inputs.json] [--budget N] [--fault-rate R] [--fault-seed N] [--json]
-//! fragdroid dump <app.fapk>
-//! fragdroid fuzz [--seed N] [--mutants N] [--target T] [--out DIR]
-//! fragdroid templates
-//! ```
+//! Every subcommand is one [`cmds::COMMANDS`] entry: its positionals, its
+//! flags with their value kinds, its `help` prose and its handler. [`run`]
+//! parses argv against that entry, so a flag the command does not declare
+//! is refused before any work, and `fragdroid help` is rendered from the
+//! same table.
 //!
 //! `.fapk` files are the binary APK containers of `fd-apk`; `gen` writes
 //! one (alongside an `<out>.inputs.json` with the known gate secrets) so
@@ -127,140 +122,35 @@ impl From<&str> for CliError {
     }
 }
 
-/// Dispatches one CLI invocation (everything after the binary name).
+/// Runs one CLI invocation (everything after the binary name): looks the
+/// subcommand up in [`cmds::COMMANDS`], parses the rest of argv against
+/// its declaration and calls its handler. No subcommand, `help`, `--help`
+/// or `-h` prints [`help`].
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = argv.first() else {
-        print_usage();
-        return Ok(());
+    let name = match argv.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => {
+            print!("{}", help());
+            return Ok(());
+        }
+        Some(name) => name,
     };
-    let rest = &argv[1..];
-    match cmd.as_str() {
-        "gen" => cmds::gen(rest),
-        "info" => cmds::info(rest),
-        "static" => cmds::static_info(rest),
-        "dot" => cmds::dot(rest),
-        "run" => cmds::run(rest),
-        "dump" => cmds::dump(rest),
-        "unpack" => cmds::unpack(rest),
-        "replay" => cmds::replay(rest),
-        "java" => cmds::java(rest),
-        "repack" => cmds::repack(rest),
-        "corpus" => cmds::corpus(rest),
-        "gen-corpus" => cmds::gen_corpus(rest),
-        "serve" => cmds::serve(rest),
-        "submit" => cmds::submit(rest),
-        "dispatch" => cmds::dispatch(rest),
-        "device-agent" => cmds::device_agent(rest),
-        "fuzz" => cmds::fuzz(rest),
-        "trace" => cmds::trace(rest),
-        "templates" => {
-            println!("quickstart\nfig1-tabs\nfig2-drawer");
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => {
-            Err(CliError::Failure(format!("unknown subcommand '{other}' (try 'fragdroid help')")))
-        }
-    }
+    let cmd = cmds::COMMANDS.iter().find(|cmd| cmd.name == name).ok_or_else(|| {
+        CliError::Failure(format!("unknown subcommand '{name}' (try 'fragdroid help')"))
+    })?;
+    (cmd.handler)(&args::parse(cmd, &argv[1..])?)
 }
 
-fn print_usage() {
-    println!(
-        "fragdroid — Fragment-aware automated UI exploration (DSN'18 reproduction)
-
-USAGE:
-  fragdroid gen <out.fapk> [--template NAME] [--random] [--seed N] [--size N]
-  fragdroid info <app.fapk>               manifest, classes, layouts, metadata
-  fragdroid static <app.fapk> [--inputs F]  static extraction as JSON
-  fragdroid dot <app.fapk>                initial AFTM as Graphviz DOT
-  fragdroid run <app.fapk> [--inputs F] [--budget N] [--json] [--find-api g/n]
-                [--fault-rate R] [--fault-seed N] [--trace-out T.jsonl]
-                [--checkpoint J] [--resume] [--flake-retries N]
-                [--backend in-process|subprocess|mock-adb]
-                                          full exploration + coverage report
-  fragdroid dump <app.fapk>               launch and print the UI hierarchy
-  fragdroid unpack <app.fapk> --out DIR   apktool-style decompile to a directory
-  fragdroid repack <DIR> --out <app.fapk> rebuild a container from a directory
-  fragdroid replay <app.fapk> <trace.json> replay a recorded session (R&R)
-  fragdroid java <app.fapk> [--inputs F]  emit the generated Robotium test class
-  fragdroid corpus [--seed N] [--limit N] [--workers N] [--deadline-ms N]
-                [--fault-rate R] [--fault-seed N] [--json] [--trace-out T.jsonl]
-                [--checkpoint J] [--resume] [--flake-retries N] [--app-budget N]
-                [--backend B] [--agent-die-after N] [--corpus DIR]
-                [--shards N --shard-index I | --shards N --merge]
-                                          run the synthetic corpus on the suite runner
-                                          (journal progress to J; --resume continues
-                                          an interrupted journal; --app-budget stops
-                                          after N fresh apps, leaving J partial;
-                                          --agent-die-after kills each lane's first
-                                          subprocess agent after N requests to
-                                          exercise device-pool recovery;
-                                          --corpus streams an on-disk gen-corpus
-                                          directory instead of the in-memory 217;
-                                          --shards/--shard-index runs one shard
-                                          journaling to J.shard-I-of-N; --merge
-                                          combines the per-shard journals into the
-                                          single-run report + outcome digest)
-  fragdroid gen-corpus <DIR> [--apps N] [--seed N] [--profile tiny|paper]
-                [--shard-size N]
-                                          write a seeded synthetic corpus to DIR as
-                                          sharded packed containers + manifest
-  fragdroid serve [--workers N] [--budget N] [--fault-rate R] [--fault-seed N]
-                [--backend B] [--trace-out T.jsonl] [--listen ADDR]
-                [--journal J] [--queue-cap N] [--max-conns N]
-                [--idle-timeout-ms N] [--write-timeout-ms N]
-                                          job-queue mode: submit a container frame,
-                                          poll the job id for the same report bytes
-                                          'run --json' prints. Default is a single
-                                          stdin/stdout session; --listen (unix:PATH
-                                          or HOST:PORT) serves many concurrent
-                                          socket sessions with a bounded queue
-                                          (Busy + retry-after when full), a
-                                          connection cap, idle timeouts, and
-                                          graceful drain on Shutdown; --journal
-                                          makes admission crash-safe — a restarted
-                                          server recovers submitted jobs and serves
-                                          finished reports byte-identically
-  fragdroid submit <app.fapk> --connect ADDR [--job N] [--inputs F] [--async]
-                [--timeout-ms N] [--retries N] [--chaos-seed N]
-                                          submit one container to a serve socket
-                                          with retry + exponential backoff, print
-                                          the report JSON (or wait only for the
-                                          durable accept with --async); job ids are
-                                          idempotent resubmission keys
-  fragdroid dispatch --connect ADDR[,ADDR...] [--seed N] [--limit N]
-                [--corpus DIR] [--shards N] [--checkpoint J] [--resume]
-                [--deadline-ms N] [--fault-rate R] [--fault-seed N]
-                [--lease-timeout-ms N] [--heartbeat-ms N] [--stall-timeout-ms N]
-                [--quarantine-after N] [--quarantine-backoff-ms N]
-                [--job-timeout-ms N] [--job-retries N] [--jitter-seed N]
-                [--chaos-seed N] [--json] [--trace-out T.jsonl]
-                                          farm coordinator: shard the corpus
-                                          across serve endpoints with
-                                          time-bounded leases, heartbeat
-                                          probes, quarantine, and automatic
-                                          reassignment; merges the shard
-                                          journals to the unsharded outcome
-                                          digest, renders Table 1 from the
-                                          merged run plus a per-worker
-                                          dispatch summary; --checkpoint J
-                                          journals coordinator progress and
-                                          --resume survives SIGKILL of the
-                                          coordinator itself (endpoints must
-                                          run the same engine config)
-  fragdroid device-agent [--die-after N]  serve the device wire protocol on
-                                          stdin/stdout (spawned by the subprocess
-                                          backend; not for interactive use)
-  fragdroid fuzz [--seed N] [--mutants N]
-                [--target container|smali|json|protocol|corpus|serve|dispatch]
-                [--out DIR] [--trace-out T.jsonl] [--json]
-                                          deterministic ingestion-frontier fuzz campaign
-  fragdroid trace <trace.jsonl> [--json]  per-phase/per-app profile of a trace
-  fragdroid templates                     list template names for 'gen'
-
+/// The `help` text: every command's usage line and summary, then the exit
+/// codes.
+pub fn help() -> String {
+    let mut out = String::from(
+        "fragdroid — Fragment-aware automated UI exploration (DSN'18 reproduction)\n\nUSAGE:\n",
+    );
+    for cmd in cmds::COMMANDS {
+        out += &wrap(cmd.usage().iter().map(String::as_str), "  ", "        ");
+        out += &wrap(cmd.summary.split_whitespace(), "      ", "      ");
+    }
+    out + "
 EXIT CODES:
   0  success
   1  failure (bad usage, IO error, internal error, fuzz violation)
@@ -272,8 +162,28 @@ EXIT CODES:
   5  serve error (bad listen address, socket failure, job-journal
      corruption, or a submit client out of retries/conflicted)
   6  dispatch error (no endpoints, resume without a checkpoint, shard
-     count mismatch, or a stalled farm with every endpoint dead)"
-    );
+     count mismatch, or a stalled farm with every endpoint dead)
+"
+}
+
+/// `words` filled into lines of at most 80 columns, the first line after
+/// `first`, the rest after `rest`.
+fn wrap<'a>(words: impl Iterator<Item = &'a str>, first: &str, rest: &str) -> String {
+    let (mut out, mut line, mut empty) = (String::new(), first.to_string(), true);
+    for word in words {
+        if !empty && line.len() + 1 + word.len() > 80 {
+            out += &line;
+            out.push('\n');
+            line = rest.to_string();
+            empty = true;
+        }
+        if !empty {
+            line.push(' ');
+        }
+        line += word;
+        empty = false;
+    }
+    out + &line + "\n"
 }
 
 /// Reads and decompiles a container file.
@@ -303,8 +213,10 @@ pub fn load_app_traced(
 }
 
 /// Writes a drained trace to `path` (JSON Lines) and `<path>.chrome.json`
-/// (Chrome `trace_event` format for `chrome://tracing` / Perfetto).
-pub fn write_trace(path: &str, trace: &fd_trace::Trace) -> Result<(), String> {
+/// (Chrome `trace_event` format for `chrome://tracing` / Perfetto), or
+/// nothing without a `--trace-out` path.
+pub fn write_trace(path: Option<&str>, trace: &fd_trace::Trace) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
     std::fs::write(path, trace.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
     let chrome_path = format!("{path}.chrome.json");
     std::fs::write(&chrome_path, fd_trace::chrome::to_chrome_json(trace))

@@ -403,3 +403,77 @@ fn run_with_checkpoint_and_flake_retries_works() {
     .expect("resumed single run");
     let _ = std::fs::remove_file(&journal);
 }
+
+/// The command table is the CLI's one flag vocabulary: every declared
+/// flag parses, `help` lists exactly the declared flags, and anything
+/// else (a misspelled or foreign flag, a valued flag without a value, a
+/// wrong positional count) is refused with exit code 1 before any work.
+#[test]
+fn the_command_table_governs_parsing_and_help() {
+    use fd_cli::args::{parse, Kind};
+    let help = fd_cli::help();
+    for cmd in fd_cli::cmds::COMMANDS {
+        let positionals: Vec<String> = cmd.positionals.iter().map(|p| p.to_string()).collect();
+        let with = |extra: &[&str]| [positionals.clone(), argv(extra)].concat();
+        for (flag, kind) in cmd.declared() {
+            let value = match kind {
+                Kind::Bare => None,
+                Kind::U32 | Kind::U64 | Kind::Usize => Some("7"),
+                Kind::Fraction => Some("0.5"),
+                Kind::Text(_) => Some("x"),
+            };
+            let key = format!("--{flag}");
+            let line = with(&[key.as_str()].into_iter().chain(value).collect::<Vec<_>>());
+            let parsed = parse(cmd, &line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!(parsed.opt(flag), Some(value.unwrap_or("")), "{line:?}");
+            if value.is_some() {
+                for line in [with(&[&key]), with(&[&key, "--json"])] {
+                    let err = fd_cli::run(&[vec![cmd.name.to_string()], line].concat());
+                    let err = err.expect_err("a valued flag needs its value");
+                    assert_eq!(err.exit_code(), 1);
+                    assert!(err.to_string().contains(&format!("'fragdroid {}'", cmd.name)));
+                    assert!(err.to_string().contains(&format!("{key} expects a value")), "{err}");
+                }
+            }
+        }
+        let misspelled = [vec![cmd.name.to_string()], with(&["--jsn"])].concat();
+        let err = fd_cli::run(&misspelled).expect_err("an undeclared flag is refused");
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains(&format!("'fragdroid {}' has no flag --jsn", cmd.name)));
+        let extra = [vec![cmd.name.to_string()], with(&["extra"])].concat();
+        let err = fd_cli::run(&extra).expect_err("one positional too many is refused");
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains("extra"), "{err}");
+
+        // `help` lists the command's declared flags, no more, no fewer.
+        let block = help
+            .split("\n  fragdroid ")
+            .find(|block| block.split_whitespace().next() == Some(cmd.name))
+            .unwrap_or_else(|| panic!("help has no entry for {}", cmd.name));
+        let listed: Vec<&str> = block
+            .split_whitespace()
+            .filter_map(|word| word.strip_prefix("[--"))
+            .map(|word| word.trim_end_matches(']'))
+            .collect();
+        let declared: Vec<&str> = cmd.declared().map(|(flag, _)| flag).collect();
+        assert_eq!(listed, declared, "help for {}", cmd.name);
+    }
+
+    // The misspellings that used to run a different experiment.
+    let err = fd_cli::run(&argv(&["corpus", "--limit", "3", "--corpus-dir", "/nonexistent"]));
+    assert!(err.unwrap_err().to_string().contains("no flag --corpus-dir"));
+    let dispatch = ["dispatch", "--connect", "127.0.0.1:1", "--backend", "subprocess"];
+    assert!(fd_cli::run(&argv(&dispatch)).unwrap_err().to_string().contains("no flag --backend"));
+    let cwd = tmp("no-resume-journal");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("mkdir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fragdroid"))
+        .args(["corpus", "--limit", "2", "--checkpoint", "--resume"])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn fragdroid");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint expects a value"));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    assert_eq!(std::fs::read_dir(&cwd).expect("list cwd").count(), 0, "no journal named --resume");
+}

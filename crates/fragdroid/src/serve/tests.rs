@@ -462,6 +462,51 @@ fn a_trickling_session_is_dropped_at_the_idle_window() {
     assert_eq!(summary.incidents.idle_timeouts, 1);
 }
 
+/// With the idle window off, a client that keeps trickling partial
+/// frames through and after the drain's `shutdown(2)` cannot hold the
+/// drain open: the server still returns.
+#[test]
+fn a_trickling_client_cannot_hold_the_drain_open() {
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions { idle_timeout_ms: 0, ..ServeOptions::default() };
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let result = serve_listener(listener, &options, &fd_trace::TraceConfig::off());
+        let _ = done_tx.send(());
+        result
+    });
+
+    // Accepted first, so it is a live session before the `Shutdown`
+    // connection is read.
+    let mut loris = AnyStream::connect(&addr).expect("connect");
+    loris.write_all(b"999999 ").expect("frame header");
+    let (trickling_tx, trickling) = std::sync::mpsc::channel();
+    let trickler = std::thread::spawn(move || {
+        // One byte every 2 ms until the server refuses a write, for at
+        // most 10 s: far longer than a drain with no jobs takes.
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_secs(10) {
+            if loris.write_all(b"x").and_then(|()| loris.flush()).is_err() {
+                return true;
+            }
+            let _ = trickling_tx.send(());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        false
+    });
+    trickling.recv().expect("the trickler sent a byte");
+
+    let mut stream = AnyStream::connect(&addr).expect("connect for shutdown");
+    stream.write_all(&request(1, ServeRequest::Shutdown)).expect("send shutdown");
+    assert_eq!(read_reply(&mut stream).body, ServeResponse::Bye);
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("the drain returned while a client kept trickling");
+    let summary = server.join().expect("no panic").expect("no serve error");
+    assert_eq!(summary.incidents.idle_timeouts, 0);
+    assert!(trickler.join().expect("no panic"), "the server refused the trickler's writes");
+}
+
 /// Open descriptors in this process.
 fn open_descriptors() -> usize {
     std::fs::read_dir("/proc/self/fd").expect("list /proc/self/fd").count()
