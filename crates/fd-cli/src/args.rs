@@ -181,7 +181,8 @@ impl Parsed {
     /// The corpus a suite command runs: the on-disk `gen-corpus`
     /// directory `--corpus DIR`, streamed entry by entry (memory stays
     /// O(1 app)), or the in-memory synthetic 217 of `--seed` (default 1)
-    /// cut to its first `--limit` apps (0 keeps them all).
+    /// cut to its first `--limit` apps (0 keeps them all). `--seed` and
+    /// a non-zero `--limit` are refused with `--corpus`.
     pub fn corpus_source(&self) -> Result<Box<dyn fragdroid::CorpusSource>, String> {
         let seed = self.num("seed", 1)?;
         let limit = self.num("limit", 0)?;
@@ -189,6 +190,11 @@ impl Parsed {
             if limit > 0 {
                 return Err("--limit applies to the in-memory corpus; \
                             slice an on-disk corpus with --shards"
+                    .into());
+            }
+            if self.opt("seed").is_some() {
+                return Err("--seed applies to the in-memory corpus; \
+                            an on-disk corpus was seeded by gen-corpus --seed"
                     .into());
             }
             let reader = fd_apk::CorpusReader::open(std::path::Path::new(dir))

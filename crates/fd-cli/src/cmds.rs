@@ -201,7 +201,16 @@ fn to_pretty_json<T: serde::Serialize>(what: &str, value: &T) -> Result<String, 
 fn gen(p: &Parsed) -> Result<(), CliError> {
     let out = p.arg(0);
     let seed = p.num("seed", 42)?;
-    let generated = if p.flag("random") {
+    let random = p.flag("random");
+    for flag in ["seed", "size"] {
+        if !random && p.opt(flag).is_some() {
+            return Err(format!("--{flag} applies to --random apps; a template is fixed").into());
+        }
+    }
+    if random && p.opt("template").is_some() {
+        return Err("--template and --random each pick the app; give one".into());
+    }
+    let generated = if random {
         let size = p.num("size", 8)?;
         let config = fd_appgen::random::GenConfig {
             activities: size,
@@ -732,7 +741,9 @@ fn submit(p: &Parsed) -> Result<(), CliError> {
         return Ok(());
     }
     match client.submit(job, &container_hex, &inputs)? {
-        fragdroid::JobOutcome::Report { json } => println!("{json}"),
+        fragdroid::JobOutcome::Report { report } => {
+            println!("{}", to_pretty_json("report", &report)?)
+        }
         fragdroid::JobOutcome::Rejected { reason } => return Err(CliError::Rejected(reason)),
     }
     Ok(())

@@ -62,6 +62,45 @@ fn gen_random_respects_seed_and_size() {
     assert_eq!(app.manifest.activities.len(), 5);
 }
 
+/// `gen` refuses a flag its choice of app would ignore: `--seed` or
+/// `--size` without `--random`, `--template` with it. Nothing is written.
+#[test]
+fn gen_refuses_flags_its_choice_of_app_ignores() {
+    let out = tmp("ignored-flags.fapk");
+    let path = out.to_str().unwrap();
+    for (flags, says) in [
+        (&["--size", "3"][..], "--size applies to --random apps"),
+        (&["--seed", "3"][..], "--seed applies to --random apps"),
+        (&["--template", "fig1-tabs", "--seed", "3"][..], "--seed applies to --random apps"),
+        (&["--template", "fig1-tabs", "--random"][..], "--template and --random each pick"),
+    ] {
+        let _ = std::fs::remove_file(&out);
+        let err = fd_cli::run(&[argv(&["gen", path]), argv(flags)].concat())
+            .expect_err("an ignored flag is refused");
+        assert_eq!(err.exit_code(), 1, "{flags:?}");
+        assert!(err.to_string().contains(says), "{flags:?}: {err}");
+        assert!(!out.exists(), "{flags:?} wrote an app");
+    }
+}
+
+/// `--seed` picks the in-memory corpus, so next to `--corpus DIR` it is
+/// refused before any work, like a non-zero `--limit`.
+#[test]
+fn seed_is_refused_with_an_on_disk_corpus() {
+    let dir = tmp("seeded-elsewhere");
+    let dir = dir.to_str().unwrap();
+    let corpus = argv(&["corpus", "--corpus", dir, "--seed", "99"]);
+    let dispatch = argv(&["dispatch", "--connect", "127.0.0.1:1", "--corpus", dir, "--seed", "99"]);
+    for command in [corpus, dispatch] {
+        let err = fd_cli::run(&command).expect_err("--seed with --corpus is refused");
+        assert_eq!(err.exit_code(), 1, "{command:?}");
+        assert!(
+            err.to_string().contains("--seed applies to the in-memory corpus"),
+            "{command:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn errors_are_reported_not_panicked() {
     assert!(fd_cli::run(&argv(&["frobnicate"])).is_err());

@@ -60,6 +60,15 @@ fn fixture(name: &str) -> Fixture {
     Fixture { hex: to_hex(&container), inputs, reference }
 }
 
+/// A settled job's report as `fragdroid submit` prints it (without the
+/// trailing newline): the bytes that must match `run --json`.
+fn printed(outcome: &JobOutcome) -> String {
+    match outcome {
+        JobOutcome::Report { report } => serde_json::to_string_pretty(report).expect("serializes"),
+        JobOutcome::Rejected { reason } => panic!("expected a report, got a refusal: {reason}"),
+    }
+}
+
 /// A `fragdroid serve --listen 127.0.0.1:0` child plus the resolved
 /// address parsed from its "listening on" banner.
 struct ServeProc {
@@ -160,10 +169,7 @@ fn four_concurrent_clients_get_identical_reports_and_the_drain_is_graceful() {
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
     for outcome in &results {
-        let JobOutcome::Report { json } = outcome else {
-            panic!("expected a report, got {outcome:?}");
-        };
-        assert_eq!(json, &fx.reference, "serve bytes diverged from 'run --json'");
+        assert_eq!(printed(outcome), fx.reference, "serve bytes diverged from 'run --json'");
     }
 
     // Status over a raw socket sees all four completions.
@@ -224,7 +230,7 @@ fn queue_overflow_is_a_typed_retryable_busy() {
         .with_deadline(Duration::from_secs(120))
         .submit(1, &fx.hex, &fx.inputs)
         .expect("warm-up job settles");
-    assert_eq!(warm, JobOutcome::Report { json: fx.reference.clone() });
+    assert_eq!(printed(&warm), fx.reference);
     let agents = children_of(server.child.id());
     assert_eq!(agents.len(), 1, "one worker lane, one device agent: {agents:?}");
 
@@ -282,7 +288,7 @@ fn queue_overflow_is_a_typed_retryable_busy() {
         .with_deadline(Duration::from_secs(120))
         .submit(busy[0], &fx.hex, &fx.inputs)
         .expect("bounced job settles on retry");
-    assert_eq!(outcome, JobOutcome::Report { json: fx.reference.clone() });
+    assert_eq!(printed(&outcome), fx.reference);
 
     server.shutdown();
 }
@@ -313,8 +319,8 @@ fn sigkill_mid_queue_recovers_from_the_journal_byte_identically() {
             .submit(job, &fx.hex, &fx.inputs)
             .expect("post-crash job settles");
         assert_eq!(
-            outcome,
-            JobOutcome::Report { json: fx.reference.clone() },
+            printed(&outcome),
+            fx.reference,
             "job {job} must come back byte-identical after the crash"
         );
     }

@@ -87,12 +87,24 @@ pub struct Envelope<T> {
 
 // The vendored serde derive does not handle generic types, so the
 // envelope's impls are written out by hand: `{"body": …, "id": n}`.
+// Frames take the streaming methods in both directions; the tree
+// methods are their reference, which `decode_payload_checked` holds the
+// stream to (the fuzz targets run it on every mutant).
 impl<T: Serialize> Serialize for Envelope<T> {
     fn to_value(&self) -> serde::Value {
         let mut map = serde::value::Map::new();
         map.insert("id".to_string(), self.id.to_value());
         map.insert("body".to_string(), self.body.to_value());
         serde::Value::Object(map)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        // Keys in the tree render's sorted order.
+        out.push_str("{\"body\":");
+        self.body.write_json(out);
+        out.push_str(",\"id\":");
+        self.id.write_json(out);
+        out.push('}');
     }
 }
 
@@ -101,16 +113,39 @@ impl<T: Deserialize> Deserialize for Envelope<T> {
         let obj = value
             .as_object()
             .ok_or_else(|| serde::de::DeError::custom("expected envelope object"))?;
-        let id = obj
-            .get("id")
-            .map(u64::from_value)
-            .transpose()?
-            .ok_or_else(|| serde::de::DeError::custom("envelope missing 'id'"))?;
-        let body = obj
-            .get("body")
-            .map(T::from_value)
-            .transpose()?
-            .ok_or_else(|| serde::de::DeError::custom("envelope missing 'body'"))?;
+        let id = obj.get("id").map(u64::from_value).transpose()?;
+        let body = obj.get("body").map(T::from_value).transpose()?;
+        Envelope::assemble(id, body)
+    }
+
+    fn from_json(parser: &mut serde::value::JsonParser<'_>) -> Result<Self, serde::de::DeError> {
+        use serde::de::DeError;
+        if parser.peek_byte() != Some(b'{') {
+            return Err(DeError::custom("expected envelope object"));
+        }
+        parser.begin_object().map_err(DeError)?;
+        let (mut id, mut body) = (None, None);
+        let mut first = true;
+        // A repeated key keeps its last value, as the tree's object does
+        // (though here an earlier copy must decode too).
+        while let Some(key) = parser.object_key(first).map_err(DeError)? {
+            first = false;
+            match &*key {
+                "id" => id = Some(u64::from_json(parser)?),
+                "body" => body = Some(T::from_json(parser)?),
+                _ => parser.skip_value().map_err(DeError)?,
+            }
+        }
+        Envelope::assemble(id, body)
+    }
+}
+
+impl<T> Envelope<T> {
+    /// The envelope of the decoded fields, or the missing one named
+    /// (`id` is checked first on both decode paths).
+    fn assemble(id: Option<u64>, body: Option<T>) -> Result<Self, serde::de::DeError> {
+        let id = id.ok_or_else(|| serde::de::DeError::custom("envelope missing 'id'"))?;
+        let body = body.ok_or_else(|| serde::de::DeError::custom("envelope missing 'body'"))?;
         Ok(Envelope { id, body })
     }
 }
@@ -243,19 +278,67 @@ pub enum AgentResponse {
     Bye,
 }
 
-/// Encodes one frame: `len SP payload LF`.
+/// Encodes one frame: `len SP payload LF`. The payload is streamed
+/// compact JSON; no `Value` tree is built.
 pub fn encode_frame<T: Serialize>(envelope: &Envelope<T>) -> Vec<u8> {
     let payload = serde_json::to_vec(envelope).expect("protocol envelopes always serialize");
+    frame(&payload)
+}
+
+/// Frames an already-rendered payload: `len SP payload LF`. For a
+/// sender that splices stored JSON into a payload instead of encoding a
+/// typed envelope.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(format!("{} ", payload.len()).as_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out.push(b'\n');
     out
 }
 
-/// Decodes a frame payload into a typed envelope.
+/// Decodes a frame payload into a typed envelope, streaming straight
+/// from the text.
 pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<Envelope<T>, ProtoError> {
     serde_json::from_slice(payload).map_err(|e| ProtoError::BadJson { detail: e.to_string() })
+}
+
+/// Decodes a frame payload through a `Value` tree: the reference
+/// [`decode_payload`] must agree with, for [`decode_payload_checked`].
+fn decode_payload_via_tree<T: Deserialize>(payload: &[u8]) -> Result<Envelope<T>, ProtoError> {
+    let bad = |detail: String| ProtoError::BadJson { detail };
+    let text = std::str::from_utf8(payload).map_err(|e| bad(format!("invalid utf-8: {e}")))?;
+    let value = serde::Value::parse_json(text).map_err(bad)?;
+    Envelope::from_value(&value).map_err(|e| bad(e.to_string()))
+}
+
+/// [`decode_payload`], checked against a decode through a `Value` tree
+/// (the envelope's `from_value`): both paths must decode envelopes that
+/// encode to the same frame, or both refuse the payload.
+///
+/// # Panics
+///
+/// When the two paths disagree. This is the differential oracle the
+/// fuzz targets and tests run; the frame path never calls it.
+pub fn decode_payload_checked<T: Serialize + Deserialize>(
+    payload: &[u8],
+) -> Result<Envelope<T>, ProtoError> {
+    let streamed = decode_payload::<T>(payload);
+    let tree = decode_payload_via_tree::<T>(payload);
+    match (&streamed, &tree) {
+        (Ok(a), Ok(b)) => assert!(
+            encode_frame(a) == encode_frame(b),
+            "streamed and tree decodes differ on a {}-byte payload",
+            payload.len()
+        ),
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!(
+            "streamed decode {} but tree decode {} on a {}-byte payload",
+            if a.is_ok() { "accepts" } else { "refuses" },
+            if b.is_ok() { "accepts" } else { "refuses" },
+            payload.len()
+        ),
+    }
+    streamed
 }
 
 /// An incremental, panic-free frame decoder: push raw bytes in, pull

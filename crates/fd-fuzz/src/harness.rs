@@ -251,13 +251,18 @@ fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>
 }
 
 /// One of every serve reply shape — the serve target's
-/// response-direction seed.
+/// response-direction seed. The `Finished` reply carries the quickstart
+/// app's report, so mutants reach the nested report decode.
 fn seed_serve_response_stream() -> Vec<u8> {
     use fragdroid::ServeResponse;
+    let gen = fd_appgen::templates::quickstart();
+    let report = fragdroid::FragDroid::new(fragdroid::FragDroidConfig::default())
+        .run(&gen.app, &gen.known_inputs);
     frame_stream(vec![
         ServeResponse::Accepted { job: 1 },
         ServeResponse::Pending { job: 1 },
         ServeResponse::Report { job: 1, json: "{\"ok\":true}".to_string() },
+        ServeResponse::Finished { job: 1, report: Box::new(report) },
         ServeResponse::Rejected { job: 2, reason: "bad container hex".to_string() },
         ServeResponse::UnknownJob { job: 3 },
         ServeResponse::Busy { job: 4, retry_after_ms: 25 },
@@ -363,20 +368,23 @@ fn decode_frames(
 }
 
 /// Decodes one agent-protocol payload as an
-/// [`fd_droidsim::proto::AgentRequest`].
+/// [`fd_droidsim::proto::AgentRequest`]. Differential invariant: the
+/// streamed decode agrees with the tree decode (a panic otherwise).
 fn check_agent_payload(payload: &[u8]) -> Result<(), String> {
-    use fd_droidsim::proto::{decode_payload, AgentRequest};
-    decode_payload::<AgentRequest>(payload).map(|_| ()).map_err(|e| e.to_string())
+    use fd_droidsim::proto::{decode_payload_checked, AgentRequest};
+    decode_payload_checked::<AgentRequest>(payload).map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Decodes one serve-protocol payload, accepting either wire direction:
 /// a [`fragdroid::ServeRequest`] or a [`fragdroid::ServeResponse`].
-/// A payload that is neither is the typed rejection.
+/// A payload that is neither is the typed rejection. Differential
+/// invariant: in each direction the streamed decode agrees with the
+/// tree decode (a panic otherwise).
 fn classify_serve_payload(payload: &[u8]) -> Result<(), String> {
-    use fd_droidsim::proto::decode_payload;
-    match decode_payload::<fragdroid::ServeRequest>(payload) {
+    use fd_droidsim::proto::decode_payload_checked;
+    match decode_payload_checked::<fragdroid::ServeRequest>(payload) {
         Ok(_) => Ok(()),
-        Err(request_error) => decode_payload::<fragdroid::ServeResponse>(payload)
+        Err(request_error) => decode_payload_checked::<fragdroid::ServeResponse>(payload)
             .map(|_| ())
             .map_err(|response_error| {
                 format!(
@@ -823,8 +831,86 @@ mod tests {
         }
         // The response stream carries one of every reply shape.
         let responses = corpus.serve.last().expect("response seed present");
-        assert_eq!(decode_frames(responses, responses.len(), classify_serve_payload), Ok(11));
-        assert_eq!(decode_frames(responses, 1, classify_serve_payload), Ok(11));
+        assert_eq!(decode_frames(responses, responses.len(), classify_serve_payload), Ok(12));
+        assert_eq!(decode_frames(responses, 1, classify_serve_payload), Ok(12));
+    }
+
+    /// Every frame of `stream`, payload only.
+    fn payloads(stream: &[u8]) -> Vec<Vec<u8>> {
+        let mut frames = fd_droidsim::proto::FrameBuffer::new();
+        frames.push(stream);
+        std::iter::from_fn(|| frames.next_frame().expect("seed streams frame cleanly")).collect()
+    }
+
+    /// One seed frame's envelope: its streamed encode is the tree render
+    /// byte for byte, and the streamed decode agrees with the tree
+    /// decode on reordered keys, unknown keys, duplicated keys, extra
+    /// whitespace and a missing `id` or `body`.
+    fn one_encoder<T>(payload: &[u8])
+    where
+        T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+    {
+        use fd_droidsim::proto::{decode_payload_checked, Envelope};
+        let env: Envelope<T> = decode_payload_checked(payload).expect("seed frames decode");
+        let streamed = serde_json::to_string(&env).expect("envelopes serialize");
+        assert_eq!(streamed, serde_json::to_value(&env).render_json(false));
+        assert_eq!(streamed.as_bytes(), payload, "the seed was written by the streamed encoder");
+
+        let (body, id) = (serde_json::to_string(&env.body).expect("bodies serialize"), env.id);
+        let same = [
+            format!("{{\"id\":{id},\"body\":{body}}}"),
+            format!("{{\"x\":{{\"y\":[1,\"z\",null]}},\"body\":{body},\"id\":{id},\"w\":0}}"),
+            format!("{{\"body\":{body},\"id\":{},\"id\":{id}}}", id + 1),
+            format!("{{\"body\":{body},\"body\":{body},\"id\":{id}}}"),
+            serde_json::to_string_pretty(&env).expect("envelopes serialize"),
+        ];
+        for text in same {
+            assert_eq!(decode_payload_checked::<T>(text.as_bytes()).as_ref(), Ok(&env), "{text}");
+        }
+        let refused = [
+            (format!("{{\"body\":{body}}}"), "envelope missing 'id'"),
+            (format!("{{\"id\":{id}}}"), "envelope missing 'body'"),
+            (format!("[{body},{id}]"), "expected envelope object"),
+        ];
+        for (text, why) in refused {
+            match decode_payload_checked::<T>(text.as_bytes()) {
+                Err(e) => assert!(e.to_string().ends_with(why), "{text}: {e}"),
+                Ok(other) => panic!("{text} decoded to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_seed_frame_has_one_encoder() {
+        use fd_droidsim::proto::{AgentRequest, AgentResponse};
+        use fragdroid::{ServeRequest, ServeResponse};
+        let corpus = SeedCorpus::build();
+        let (mut requests, mut responses) = (0, 0);
+        for stream in &corpus.protocol {
+            for payload in payloads(stream) {
+                one_encoder::<AgentRequest>(&payload);
+            }
+            // The agent's replies to the seed session are the
+            // response-direction seeds of the device protocol.
+            let mut replies = Vec::new();
+            fd_droidsim::serve(&stream[..], &mut replies, Default::default())
+                .expect("agent serves");
+            for payload in payloads(&replies) {
+                one_encoder::<AgentResponse>(&payload);
+            }
+        }
+        for stream in &corpus.serve {
+            for payload in payloads(stream) {
+                if fd_droidsim::proto::decode_payload::<ServeRequest>(&payload).is_ok() {
+                    one_encoder::<ServeRequest>(&payload);
+                    requests += 1;
+                } else {
+                    one_encoder::<ServeResponse>(&payload);
+                    responses += 1;
+                }
+            }
+        }
+        assert_eq!((requests, responses), (15, 12), "three sessions and every reply shape");
     }
 
     #[test]

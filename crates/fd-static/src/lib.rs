@@ -44,7 +44,7 @@ pub use input_dep::InputDependency;
 pub use resource_dep::{ResourceDependency, UiOwner};
 
 /// Everything the static phase extracts from one app.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StaticInfo {
     /// The initial AFTM.
     pub aftm: Aftm,

@@ -62,7 +62,6 @@ use crate::durable_log::{
     self, decode_line, encode_line, replay, DurableLog, LineError, LogRecord, Replay,
 };
 use crate::health::{Backoff, Streak};
-use crate::report::RunReport;
 use crate::serve::{
     request_once, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
 };
@@ -808,12 +807,10 @@ fn run_shard_over_wire(
                     Ok(JobOutcome::Rejected { reason }) => {
                         (AppOutcome::Rejected { reason }, ctx.source.label(global))
                     }
-                    Ok(JobOutcome::Report { json }) => {
-                        let report = serde_json::from_str::<RunReport>(&json)
-                            .map_err(|error| format!("job {job}: undecodable report: {error}"))?;
+                    Ok(JobOutcome::Report { report }) => {
                         let package =
                             manifest_package(&bytes).unwrap_or_else(|| ctx.source.label(global));
-                        (AppOutcome::ran(report), package)
+                        (AppOutcome::ran(*report), package)
                     }
                 }
             }
@@ -1580,7 +1577,6 @@ mod tests {
         let corpus = vec![(fd_apk::pack(&gen.app), gen.known_inputs.clone())];
         let config = FragDroidConfig::default();
         let report = crate::FragDroid::new(config.clone()).run(&gen.app, &gen.known_inputs);
-        let json = serde_json::to_string_pretty(&report).expect("the report serializes");
         let (expected, other) = (config.findings_digest(), config.findings_digest() ^ 1);
         let statuses = std::sync::Arc::new(AtomicU64::new(0));
         let answered = statuses.clone();
@@ -1603,7 +1599,7 @@ mod tests {
                 while answered.load(Ordering::SeqCst) < 2 && held.elapsed() < MAX_AWAIT {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                ServeResponse::Report { job, json: json.clone() }
+                ServeResponse::Finished { job, report: Box::new(report.clone()) }
             }
             ServeRequest::Shutdown => ServeResponse::Bye,
         });

@@ -132,6 +132,10 @@ fn checkpoint_fixture_replays_and_reencodes() {
 /// The serve fixture's config digest.
 const SERVE_CONFIG_DIGEST: u64 = 0x5eed_f1a7_0000_0042;
 
+/// Job 1's report as the server holds it; the fixture journals it as
+/// `{\n  "report": 1\n}`.
+pub(crate) const SERVE_REPORT: &str = "{\"report\":1}";
+
 fn serve_inputs() -> BTreeMap<String, String> {
     let mut inputs = BTreeMap::new();
     inputs.insert("password".to_string(), "hunter2".to_string());
@@ -140,7 +144,8 @@ fn serve_inputs() -> BTreeMap<String, String> {
 }
 
 /// Writes the serve fixture through the job journal: job 1 submitted
-/// and completed, job 2 submitted and still pending.
+/// and completed (its compact report journaled re-indented), job 2
+/// submitted and still pending.
 fn encode_serve_fixture() -> Vec<u8> {
     let path = scratch("serve.journal");
     let (mut journal, recovery) =
@@ -148,7 +153,7 @@ fn encode_serve_fixture() -> Vec<u8> {
     assert!(recovery.jobs.is_empty());
     journal.append_submitted(1, 0x11, "46444150", &serve_inputs()).expect("submit 1");
     journal.append_submitted(2, 0x22, "beef", &BTreeMap::new()).expect("submit 2");
-    journal.append_completed(1, true, "{\n  \"report\": 1\n}").expect("complete 1");
+    journal.append_completed(1, &Ok(SERVE_REPORT.to_string())).expect("complete 1");
     drop(journal);
     std::fs::read(&path).expect("read serve journal")
 }
@@ -166,7 +171,7 @@ fn serve_fixture_replays_and_reencodes() {
     assert_eq!((done.job, done.digest), (1, 0x11));
     assert_eq!(done.container_hex, "46444150");
     assert_eq!(done.inputs, serve_inputs());
-    assert_eq!(done.result, Some(Ok("{\n  \"report\": 1\n}".to_string())));
+    assert_eq!(done.result, Some(Ok(SERVE_REPORT.to_string())), "held compact");
     let pending = &recovery.jobs[1];
     assert_eq!((pending.job, pending.digest), (2, 0x22));
     assert_eq!(pending.container_hex, "beef");

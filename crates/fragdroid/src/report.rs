@@ -78,7 +78,7 @@ impl Coverage {
 }
 
 /// The complete result of one FragDroid run on one app.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// The static phase's output.
     pub static_info: StaticInfo,

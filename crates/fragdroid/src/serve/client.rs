@@ -11,6 +11,7 @@
 use super::chaos::{ChaosConfig, ChaosStream};
 use super::{AnyStream, ListenAddr, ServeRequest, ServeResponse, MAX_AWAIT};
 use crate::health::Backoff;
+use crate::report::RunReport;
 use fd_droidsim::proto::{decode_payload, encode_frame, Envelope, FrameBuffer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -20,12 +21,13 @@ use std::time::{Duration, Instant};
 /// How a driven job ended — both arms are *successful conversations*;
 /// a `Rejected` is the server's typed refusal of the content, not a
 /// transport failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JobOutcome {
-    /// The run finished; `json` is byte-identical to `run --json`.
+    /// The run finished. Decoded straight off the wire; pretty-printed,
+    /// it is byte-identical to `run --json`.
     Report {
-        /// The pretty-printed report.
-        json: String,
+        /// The report.
+        report: Box<RunReport>,
     },
     /// The server refused the content (bad hex, rejected container).
     Rejected {
@@ -317,8 +319,8 @@ fn poll_until_settled(
         let wait_ms = remaining.min(MAX_AWAIT).as_millis() as u64;
         match c.call(ServeRequest::Await { job, wait_ms }) {
             Ok(ServeResponse::Pending { .. }) => {}
-            Ok(ServeResponse::Report { json, .. }) => {
-                return Step::Settled(JobOutcome::Report { json })
+            Ok(ServeResponse::Finished { report, .. }) => {
+                return Step::Settled(JobOutcome::Report { report })
             }
             Ok(ServeResponse::Rejected { reason, .. }) => {
                 return Step::Settled(JobOutcome::Rejected { reason })
@@ -563,19 +565,29 @@ mod tests {
     }
 
     /// Queues quickstart runs on their own connection, enough to keep a
-    /// one-worker server busy for about `span` at the pace of one timed
-    /// run, so a job submitted next waits behind them. Returns how many
-    /// jobs the server took, the timed one included.
+    /// one-worker server busy for at least about `span` at the pace of
+    /// the fastest of three timed runs, so a job submitted next waits
+    /// behind them. A first run pays the connection and the device
+    /// pool's start-up, and a busy host slows single runs, so either
+    /// would queue too little work. Returns how many jobs the server
+    /// took, the timed ones included.
     fn queue_work_ahead(addr: &ListenAddr, span: Duration) -> u64 {
         let (hex, inputs) = quickstart();
         let mut ahead = SubmitClient::new(addr.clone());
-        let started = Instant::now();
-        ahead.submit(100, &hex, &inputs).expect("the timed run settles");
-        let jobs = (span.as_micros() / started.elapsed().as_micros().max(1)) as u64 + 1;
-        for job in 101..101 + jobs {
+        let fastest = (96..100)
+            .map(|job| {
+                let started = Instant::now();
+                ahead.submit(job, &hex, &inputs).expect("the timed run settles");
+                started.elapsed()
+            })
+            .skip(1)
+            .min()
+            .expect("three timed runs");
+        let jobs = (span.as_micros() / fastest.as_micros().max(1)) as u64 + 1;
+        for job in 100..100 + jobs {
             ahead.submit_async(job, &hex, &inputs).expect("work ahead is accepted");
         }
-        jobs + 1
+        jobs + 4
     }
 
     /// A reply held past the idle window does not count as client
@@ -648,7 +660,7 @@ mod tests {
         assert_eq!(reply, Ok(ServeResponse::Bye));
         assert!(started.elapsed() < MAX_AWAIT, "Bye does not wait behind a held reply");
         match waiter.join().expect("no panic") {
-            Ok(ServeResponse::Pending { job: 1 } | ServeResponse::Report { job: 1, .. }) => {}
+            Ok(ServeResponse::Pending { job: 1 } | ServeResponse::Finished { job: 1, .. }) => {}
             other => panic!("the held Await ends with Pending or the report, got {other:?}"),
         }
         let (done, served) = std::sync::mpsc::channel();

@@ -14,8 +14,12 @@
 //! - one `Completed` per finished job, fsynced before the in-memory
 //!   table flips to done.
 //!
-//! Recovery folds the replayed records: a `Completed` job is served
-//! from the journal byte-identically, and a `Submitted`-only job is
+//! A finished report is journaled pretty-printed, exactly as `run
+//! --json` prints it, while the server holds it as compact text: the
+//! journal re-indents the compact text on append and squeezes it back on
+//! recovery, and refuses a report payload that does not survive that
+//! round trip. Recovery folds the replayed records: a `Completed` job is
+//! served from the journal byte-identically, and a `Submitted`-only job is
 //! re-queued (the engine is deterministic, so the re-run reproduces the
 //! same report). Only a torn final line is dropped; a corrupt record
 //! anywhere else refuses the journal with a typed [`JournalError`]
@@ -60,8 +64,8 @@ pub(crate) struct RecoveredJob {
     pub digest: u64,
     pub container_hex: String,
     pub inputs: BTreeMap<String, String>,
-    /// `Some` when a `Completed` record survived: `Ok(report_json)` or
-    /// `Err(refusal)`. `None` means the job must be re-queued.
+    /// `Some` when a `Completed` record survived: `Ok(compact report
+    /// JSON)` or `Err(refusal)`. `None` means the job must be re-queued.
     pub result: Option<Result<String, String>>,
 }
 
@@ -119,7 +123,14 @@ impl JobJournal {
                             error: format!("Completed record for unsubmitted job {job}"),
                         });
                     };
-                    entry.result = Some(if ok { Ok(payload) } else { Err(payload) });
+                    entry.result = Some(if ok {
+                        Ok(stored_report(&payload).ok_or_else(|| JournalError::BadRecord {
+                            line,
+                            error: format!("Completed report of job {job} is not pretty JSON"),
+                        })?)
+                    } else {
+                        Err(payload)
+                    });
                 }
             }
         }
@@ -145,15 +156,30 @@ impl JobJournal {
         })
     }
 
-    /// Appends (and fsyncs) one `Completed` record.
+    /// Appends (and fsyncs) one `Completed` record: `Ok` holds the
+    /// compact report JSON, journaled re-indented; `Err` the refusal.
     pub fn append_completed(
         &mut self,
         job: u64,
-        ok: bool,
-        payload: &str,
+        result: &Result<String, String>,
     ) -> Result<(), JournalError> {
-        self.log.append(&JobRecord::Completed { job, ok, payload: payload.to_string() })
+        let (ok, payload) = match result {
+            Ok(report) => (true, serde_json::indent(report)),
+            Err(reason) => (false, reason.clone()),
+        };
+        self.log.append(&JobRecord::Completed { job, ok, payload })
     }
+}
+
+/// The compact form of a journaled report: `None` unless `pretty` is
+/// one JSON value that re-indents to exactly itself, so the journal's
+/// bytes are what a `Poll` of the recovered job answers and the compact
+/// text splices into an `Await` reply as a JSON value.
+fn stored_report(pretty: &str) -> Option<String> {
+    let compact = serde_json::compact(pretty);
+    let mut parser = serde::value::JsonParser::new(&compact);
+    let one_value = parser.skip_value().and_then(|()| parser.finish()).is_ok();
+    (one_value && serde_json::indent(&compact) == pretty).then_some(compact)
 }
 
 /// Wraps a bare config digest in the checkpoint [`Fingerprint`] shape
@@ -188,7 +214,7 @@ mod tests {
         assert!(recovery.jobs.is_empty());
         journal.append_submitted(3, 11, "aabb", &inputs()).expect("submit 3");
         journal.append_submitted(1, 12, "ccdd", &BTreeMap::new()).expect("submit 1");
-        journal.append_completed(3, true, "{\"report\":1}").expect("complete 3");
+        journal.append_completed(3, &Ok("{\"report\":1}".to_string())).expect("complete 3");
         drop(journal);
 
         let (_journal, recovery) = JobJournal::open_or_create(&path, 7).expect("recover");
@@ -224,12 +250,34 @@ mod tests {
         let path = tmp("orphan.jobs");
         let _ = std::fs::remove_file(&path);
         let (mut journal, _) = JobJournal::open_or_create(&path, 9).expect("create");
-        journal.append_completed(8, true, "{}").expect("orphan complete");
+        journal.append_completed(8, &Ok("{}".to_string())).expect("orphan complete");
         drop(journal);
         assert!(matches!(
             JobJournal::open_or_create(&path, 9),
             Err(JournalError::BadRecord { line: 2, .. })
         ));
+    }
+
+    /// A journaled report is held compact and answered re-indented, so
+    /// one that would not re-indent to its own bytes, or is no JSON
+    /// value, refuses the journal instead of being altered.
+    #[test]
+    fn reports_that_do_not_reindent_to_their_bytes_are_refused() {
+        for (name, payload) in [("compact", "{\"report\":1}"), ("spaced", "{ }"), ("text", "a\"")] {
+            let path = tmp(&format!("unindented-{name}.jobs"));
+            let _ = std::fs::remove_file(&path);
+            let (mut journal, _) = JobJournal::open_or_create(&path, 6).expect("create");
+            journal.append_submitted(1, 11, "aa", &BTreeMap::new()).expect("submit 1");
+            let record = JobRecord::Completed { job: 1, ok: true, payload: payload.to_string() };
+            journal.log.append(&record).expect("complete 1");
+            drop(journal);
+            match JobJournal::open_or_create(&path, 6) {
+                Err(JournalError::BadRecord { line: 3, error }) => {
+                    assert!(error.contains("not pretty JSON"), "{name}: {error}");
+                }
+                other => panic!("{name}: expected a bad record, got {:?}", other.err()),
+            }
+        }
     }
 
     /// A corrupt newline-terminated record in the middle of the journal
@@ -242,7 +290,7 @@ mod tests {
         let (mut journal, _) = JobJournal::open_or_create(&path, 5).expect("create");
         journal.append_submitted(1, 11, "aa", &BTreeMap::new()).expect("submit 1");
         journal.append_submitted(2, 12, "bb", &BTreeMap::new()).expect("submit 2");
-        journal.append_completed(1, true, "{}").expect("complete 1");
+        journal.append_completed(1, &Ok("{}".to_string())).expect("complete 1");
         drop(journal);
 
         let mut bytes = std::fs::read(&path).expect("read");

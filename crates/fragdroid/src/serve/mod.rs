@@ -29,7 +29,7 @@
 //! the `Accepted` reply, and every finished report is fsynced after the
 //! run (a durable log shared with the checkpoint, see `durable_log`). A
 //! killed-and-restarted server replays the journal: finished jobs are
-//! served byte-identically from the journal, unfinished ones are
+//! served from the journal (a `Poll` byte-identically), unfinished ones are
 //! re-queued, and clients resubmit idempotently by job id. A journal
 //! corrupted mid-file refuses to start ([`ServeError::Journal`]).
 //!
@@ -53,9 +53,10 @@ pub use client::{request_once, ClientError, JobOutcome, SubmitClient};
 use crate::checkpoint::JournalError;
 use crate::config::FragDroidConfig;
 use crate::pool::DevicePool;
+use crate::report::RunReport;
 use crate::suite::run_container_slot;
 use fd_apk::corpus::{fnv1a, DIGEST_SEED};
-use fd_droidsim::proto::{decode_payload, encode_frame, from_hex, Envelope, FrameBuffer};
+use fd_droidsim::proto::{decode_payload, encode_frame, frame, from_hex, Envelope, FrameBuffer};
 use journal::JobJournal;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -144,14 +145,24 @@ pub enum ServeResponse {
         /// The polled job.
         job: u64,
     },
-    /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`]: the
-    /// run finished.
+    /// Reply to [`ServeRequest::Poll`]: the run finished.
     Report {
         /// The polled job.
         job: u64,
         /// The report, pretty-printed exactly as `fd-cli run --json`
         /// prints it.
         json: String,
+    },
+    /// Reply to [`ServeRequest::Await`]: the run finished. The report
+    /// travels as a nested JSON object, decoded straight into a
+    /// [`RunReport`]; the server splices its stored compact text in
+    /// verbatim, byte-identical to encoding this value. A client that
+    /// predates this reply cannot decode it and fails typed.
+    Finished {
+        /// The awaited job.
+        job: u64,
+        /// The report.
+        report: Box<RunReport>,
     },
     /// Reply to [`ServeRequest::Poll`] or [`ServeRequest::Await`]: the
     /// input was refused (bad hex, ingestion-frontier rejection, or an
@@ -536,6 +547,8 @@ struct Job {
 enum JobState {
     Queued,
     Running,
+    /// The compact report JSON (the one copy the server keeps; `Poll`
+    /// replies and the journal re-indent it), or the typed refusal.
     Done(Result<String, String>),
 }
 
@@ -695,11 +708,11 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Answers an `Await`: the `Poll` reply, held while `job` is queued
+    /// Answers an `Await`: where `job` stands, held while it is queued
     /// or running until it settles, a drain starts or `wait` passes. An
     /// `Await` that arrives mid-drain holds as usual: the drain runs
     /// every queued job, so its hold ends with the job.
-    fn await_settled(&self, job: u64, wait: Duration) -> ServeResponse {
+    fn await_settled(&self, job: u64, wait: Duration) -> Standing {
         let until = Instant::now() + wait.min(MAX_AWAIT);
         let mut st = lock(&self.state);
         let draining = st.draining;
@@ -710,7 +723,7 @@ impl<'a> Core<'a> {
             );
             let left = until.saturating_duration_since(Instant::now());
             if !unsettled || st.draining != draining || left.is_zero() {
-                return poll_reply(&st, job);
+                return standing(&st, job);
             }
             st = match self.settled.wait_timeout(st, left) {
                 Ok((guard, _)) => guard,
@@ -748,16 +761,145 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Where `job` stands, as a `Poll` reply.
-fn poll_reply(st: &State, job: u64) -> ServeResponse {
+/// Where a job stands, copied out under the state lock so the reply is
+/// rendered after the lock is released.
+enum Standing {
+    Unknown,
+    Pending,
+    /// The stored compact report JSON.
+    Finished(String),
+    Rejected(String),
+}
+
+/// Where `job` stands.
+fn standing(st: &State, job: u64) -> Standing {
     match st.jobs.get(&job).map(|e| &e.state) {
-        None => ServeResponse::UnknownJob { job },
-        Some(JobState::Queued) | Some(JobState::Running) => ServeResponse::Pending { job },
-        Some(JobState::Done(Ok(json))) => ServeResponse::Report { job, json: json.clone() },
-        Some(JobState::Done(Err(reason))) => {
-            ServeResponse::Rejected { job, reason: reason.clone() }
+        None => Standing::Unknown,
+        Some(JobState::Queued | JobState::Running) => Standing::Pending,
+        Some(JobState::Done(Ok(report))) => Standing::Finished(report.clone()),
+        Some(JobState::Done(Err(reason))) => Standing::Rejected(reason.clone()),
+    }
+}
+
+/// A reply on its way to the wire.
+enum Reply {
+    /// Encoded through [`encode_frame`].
+    Typed(ServeResponse),
+    /// A settled `Await`: the stored compact report, spliced into a
+    /// [`ServeResponse::Finished`] frame by [`finished_frame`].
+    Finished { job: u64, report: String },
+}
+
+impl Reply {
+    /// The `Poll` reply for where `job` stands: a finished report is
+    /// re-indented to the text `run --json` prints.
+    fn poll(job: u64, standing: Standing) -> Reply {
+        Reply::Typed(match standing {
+            Standing::Unknown => ServeResponse::UnknownJob { job },
+            Standing::Pending => ServeResponse::Pending { job },
+            Standing::Finished(report) => {
+                ServeResponse::Report { job, json: serde_json::indent(&report) }
+            }
+            Standing::Rejected(reason) => ServeResponse::Rejected { job, reason },
+        })
+    }
+
+    /// The `Await` reply for where `job` stands: a finished report goes
+    /// out as data, every other standing as the `Poll` reply.
+    fn awaited(job: u64, standing: Standing) -> Reply {
+        match standing {
+            Standing::Finished(report) => Reply::Finished { job, report },
+            other => Reply::poll(job, other),
         }
     }
+
+    /// The frame answering request `id`.
+    fn encode(self, id: u64) -> Vec<u8> {
+        match self {
+            Reply::Typed(body) => encode_frame(&Envelope { id, body }),
+            Reply::Finished { job, report } => finished_frame(id, job, &report),
+        }
+    }
+}
+
+/// The frame of `ServeResponse::Finished { job, report }` answering
+/// request `id`, with the stored compact `report` spliced in verbatim:
+/// no escaping and no parse back into a [`RunReport`]. Byte-identical
+/// to [`encode_frame`] of the typed reply, whose streamed keys sort
+/// `body` < `id` and `job` < `report`.
+fn finished_frame(id: u64, job: u64, report: &str) -> Vec<u8> {
+    let payload =
+        format!("{{\"body\":{{\"Finished\":{{\"job\":{job},\"report\":{report}}}}},\"id\":{id}}}");
+    frame(payload.as_bytes())
+}
+
+/// Admits one submission: the `Submit` reply.
+fn submit(
+    core: &Core<'_>,
+    tracer: &fd_trace::Tracer,
+    job: u64,
+    container_hex: String,
+    inputs: BTreeMap<String, String>,
+    workers: usize,
+) -> ServeResponse {
+    let digest = submission_digest(&container_hex, &inputs);
+    let mut st = lock(&core.state);
+    if let Some(entry) = st.jobs.get(&job) {
+        if entry.digest == digest {
+            core.bump(|i| i.resubmits_deduped += 1);
+            return ServeResponse::Accepted { job };
+        }
+        core.bump(|i| i.conflicts += 1);
+        return ServeResponse::Conflict {
+            job,
+            reason: format!(
+                "job {job} was already submitted with different content \
+                 (digest {:#018x} != {digest:#018x})",
+                entry.digest
+            ),
+        };
+    }
+    if st.draining {
+        core.bump(|i| i.draining_rejections += 1);
+        return ServeResponse::Draining { job, retry_after_ms: DRAIN_RETRY_MS };
+    }
+    let cap = core.options.queue_cap;
+    if cap != 0 && st.queue.len() >= cap {
+        core.bump(|i| i.busy_rejections += 1);
+        tracer.event(|| fd_trace::TraceEvent::QueueSaturated { job });
+        let hint = busy_retry_after_ms(st.queue.len(), workers);
+        return ServeResponse::Busy { job, retry_after_ms: hint };
+    }
+    // Durable admission: the Submitted record reaches disk
+    // before the Accepted reply. The state lock is held across
+    // the fsync on purpose — admission is serialized, so a
+    // concurrent duplicate cannot slip in between the check
+    // above and the journal append.
+    if let Some(j) = lock(&core.journal).as_mut() {
+        if let Err(e) = j.append_submitted(job, digest, &container_hex, &inputs) {
+            core.bump(|i| i.journal_errors += 1);
+            let reason = format!("journal append failed: {e}");
+            st.jobs.insert(job, JobEntry { digest, state: JobState::Done(Err(reason.clone())) });
+            return ServeResponse::Rejected { job, reason };
+        }
+    }
+    match from_hex(&container_hex) {
+        Ok(container) => {
+            st.queue.push_back(Job { id: job, container, inputs });
+            st.jobs.insert(job, JobEntry { digest, state: JobState::Queued });
+            core.queued.notify_one();
+        }
+        // A submission that is not even hex never reaches a
+        // worker; the refusal is pollable under its job id.
+        Err(e) => {
+            st.jobs.insert(
+                job,
+                JobEntry { digest, state: JobState::Done(Err(format!("bad container hex: {e}"))) },
+            );
+        }
+    }
+    tracer.event(|| fd_trace::TraceEvent::JobSubmitted { job });
+    ServeResponse::Accepted { job }
 }
 
 /// Runs one request against the shared state. Returns the reply and
@@ -767,80 +909,18 @@ fn handle_request(
     tracer: &fd_trace::Tracer,
     body: ServeRequest,
     workers: usize,
-) -> (ServeResponse, bool) {
-    match body {
+) -> (Reply, bool) {
+    let reply = match body {
         ServeRequest::Submit { job, container_hex, inputs } => {
-            let digest = submission_digest(&container_hex, &inputs);
-            let mut st = lock(&core.state);
-            if let Some(entry) = st.jobs.get(&job) {
-                if entry.digest == digest {
-                    core.bump(|i| i.resubmits_deduped += 1);
-                    return (ServeResponse::Accepted { job }, false);
-                }
-                core.bump(|i| i.conflicts += 1);
-                return (
-                    ServeResponse::Conflict {
-                        job,
-                        reason: format!(
-                            "job {job} was already submitted with different content \
-                             (digest {:#018x} != {digest:#018x})",
-                            entry.digest
-                        ),
-                    },
-                    false,
-                );
-            }
-            if st.draining {
-                core.bump(|i| i.draining_rejections += 1);
-                return (ServeResponse::Draining { job, retry_after_ms: DRAIN_RETRY_MS }, false);
-            }
-            let cap = core.options.queue_cap;
-            if cap != 0 && st.queue.len() >= cap {
-                core.bump(|i| i.busy_rejections += 1);
-                tracer.event(|| fd_trace::TraceEvent::QueueSaturated { job });
-                let hint = busy_retry_after_ms(st.queue.len(), workers);
-                return (ServeResponse::Busy { job, retry_after_ms: hint }, false);
-            }
-            // Durable admission: the Submitted record reaches disk
-            // before the Accepted reply. The state lock is held across
-            // the fsync on purpose — admission is serialized, so a
-            // concurrent duplicate cannot slip in between the check
-            // above and the journal append.
-            if let Some(j) = lock(&core.journal).as_mut() {
-                if let Err(e) = j.append_submitted(job, digest, &container_hex, &inputs) {
-                    core.bump(|i| i.journal_errors += 1);
-                    let reason = format!("journal append failed: {e}");
-                    st.jobs.insert(
-                        job,
-                        JobEntry { digest, state: JobState::Done(Err(reason.clone())) },
-                    );
-                    return (ServeResponse::Rejected { job, reason }, false);
-                }
-            }
-            match from_hex(&container_hex) {
-                Ok(container) => {
-                    st.queue.push_back(Job { id: job, container, inputs });
-                    st.jobs.insert(job, JobEntry { digest, state: JobState::Queued });
-                    core.queued.notify_one();
-                }
-                // A submission that is not even hex never reaches a
-                // worker; the refusal is pollable under its job id.
-                Err(e) => {
-                    st.jobs.insert(
-                        job,
-                        JobEntry {
-                            digest,
-                            state: JobState::Done(Err(format!("bad container hex: {e}"))),
-                        },
-                    );
-                }
-            }
-            tracer.event(|| fd_trace::TraceEvent::JobSubmitted { job });
-            (ServeResponse::Accepted { job }, false)
+            submit(core, tracer, job, container_hex, inputs, workers)
         }
-        ServeRequest::Poll { job } => (poll_reply(&lock(&core.state), job), false),
+        ServeRequest::Poll { job } => {
+            let standing = standing(&lock(&core.state), job);
+            return (Reply::poll(job, standing), false);
+        }
         ServeRequest::Await { job, wait_ms } => {
-            (core.await_settled(job, Duration::from_millis(wait_ms)), false)
+            let standing = core.await_settled(job, Duration::from_millis(wait_ms));
+            return (Reply::awaited(job, standing), false);
         }
         ServeRequest::Status => {
             let st = lock(&core.state);
@@ -853,17 +933,14 @@ fn handle_request(
                     JobState::Done(Err(_)) => counts[3] += 1,
                 }
             }
-            (
-                ServeResponse::Status {
-                    queued: counts[0],
-                    running: counts[1],
-                    completed: counts[2],
-                    rejected: counts[3],
-                    workers: workers as u64,
-                    config_digest: Some(core.options.config.findings_digest()),
-                },
-                false,
-            )
+            ServeResponse::Status {
+                queued: counts[0],
+                running: counts[1],
+                completed: counts[2],
+                rejected: counts[3],
+                workers: workers as u64,
+                config_digest: Some(core.options.config.findings_digest()),
+            }
         }
         ServeRequest::Shutdown => {
             tracer.event(|| fd_trace::TraceEvent::DrainStarted);
@@ -871,9 +948,10 @@ fn handle_request(
             // (in `session_loop`): flipping it here would let the
             // accept loop force-close this session before the reply
             // hits the wire, and the shutdown client would see EOF.
-            (ServeResponse::Bye, true)
+            return (Reply::Typed(ServeResponse::Bye), true);
         }
-    }
+    };
+    (Reply::Typed(reply), false)
 }
 
 /// Reads frames and dispatches requests until the session ends. A
@@ -910,7 +988,7 @@ fn session_loop<R: Read, W: Write>(
             };
             let (reply, end) = handle_request(core, tracer, envelope.body, workers);
             let written = output
-                .write_all(&encode_frame(&Envelope { id: envelope.id, body: reply }))
+                .write_all(&reply.encode(envelope.id))
                 .and_then(|()| output.flush())
                 .map_err(|e| ServeError::io("write", e));
             if end {
@@ -974,7 +1052,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
         let result =
             run_container_slot(&bytes, &job.inputs, &core.options.config, &tracer, pool, lane)
                 .and_then(|(report, _package)| {
-                    serde_json::to_string_pretty(&report)
+                    serde_json::to_string(&report)
                         .map_err(|e| format!("cannot serialize report: {e}"))
                 });
         // The Completed record is appended (and fsynced) before the
@@ -982,11 +1060,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
         // but never serve a result it will later forget. The journal
         // lock is never held while taking the state lock.
         if let Some(j) = lock(&core.journal).as_mut() {
-            let payload = match &result {
-                Ok(json) => (true, json.as_str()),
-                Err(reason) => (false, reason.as_str()),
-            };
-            if j.append_completed(job.id, payload.0, payload.1).is_err() {
+            if j.append_completed(job.id, &result).is_err() {
                 core.bump(|i| i.journal_errors += 1);
             }
         }

@@ -209,6 +209,15 @@ fn many_jobs_drain_across_workers() {
     handle.join().expect("no panic").expect("no serve error");
 }
 
+/// The typed reply of a request `handle_request` never answers with a
+/// spliced frame.
+fn typed((reply, end): (Reply, bool)) -> (ServeResponse, bool) {
+    match reply {
+        Reply::Typed(body) => (body, end),
+        Reply::Finished { job, .. } => panic!("job {job}: expected a typed reply, got Finished"),
+    }
+}
+
 /// Admission control, exercised directly against the state machine with
 /// no workers draining the queue (so the queue length is deterministic).
 #[test]
@@ -225,11 +234,11 @@ fn admission_control_is_typed_and_idempotent() {
     };
 
     // First submission fills the only queue slot.
-    let (reply, end) = handle_request(&core, &tracer, submit(1, &hex), 1);
+    let (reply, end) = typed(handle_request(&core, &tracer, submit(1, &hex), 1));
     assert_eq!((reply, end), (ServeResponse::Accepted { job: 1 }, false));
 
     // A different id bounces off the full queue with a retry hint.
-    let (reply, _) = handle_request(&core, &tracer, submit(2, &hex), 1);
+    let (reply, _) = typed(handle_request(&core, &tracer, submit(2, &hex), 1));
     let ServeResponse::Busy { job: 2, retry_after_ms } = reply else {
         panic!("expected Busy, got {reply:?}");
     };
@@ -237,12 +246,12 @@ fn admission_control_is_typed_and_idempotent() {
 
     // Resubmitting a known id with identical content is absorbed
     // without touching the (full) queue.
-    let (reply, _) = handle_request(&core, &tracer, submit(1, &hex), 1);
+    let (reply, _) = typed(handle_request(&core, &tracer, submit(1, &hex), 1));
     assert_eq!(reply, ServeResponse::Accepted { job: 1 });
     assert_eq!(lock(&core.state).queue.len(), 1, "dedup does not re-queue");
 
     // The same id with different content is a permanent conflict.
-    let (reply, _) = handle_request(&core, &tracer, submit(1, &to_hex(b"other")), 1);
+    let (reply, _) = typed(handle_request(&core, &tracer, submit(1, &to_hex(b"other")), 1));
     assert!(
         matches!(reply, ServeResponse::Conflict { job: 1, .. }),
         "expected Conflict, got {reply:?}"
@@ -250,12 +259,12 @@ fn admission_control_is_typed_and_idempotent() {
 
     // A draining server refuses fresh ids but still dedups known ones.
     core.begin_drain();
-    let (reply, _) = handle_request(&core, &tracer, submit(3, &hex), 1);
+    let (reply, _) = typed(handle_request(&core, &tracer, submit(3, &hex), 1));
     assert!(
         matches!(reply, ServeResponse::Draining { job: 3, .. }),
         "expected Draining, got {reply:?}"
     );
-    let (reply, _) = handle_request(&core, &tracer, submit(1, &hex), 1);
+    let (reply, _) = typed(handle_request(&core, &tracer, submit(1, &hex), 1));
     assert_eq!(reply, ServeResponse::Accepted { job: 1 }, "dedup still answers while draining");
 
     let incidents = lock(&core.incidents).clone();
@@ -305,17 +314,16 @@ fn socket_round_trip_with_client() {
 
     let (hex, inputs) = quickstart();
     let mut client = SubmitClient::new(addr.clone());
-    let JobOutcome::Report { json } = client.submit(7, &hex, &inputs).expect("job settles") else {
+    let JobOutcome::Report { report } = client.submit(7, &hex, &inputs).expect("job settles")
+    else {
         panic!("quickstart is not rejected");
     };
-    let report: crate::report::RunReport =
-        serde_json::from_str(&json).expect("served report parses");
     assert_eq!(report.activity_coverage().visited, 3);
 
     // Idempotent resubmission: same id + same content serves the same
-    // bytes without a second run.
+    // report without a second run.
     let again = client.submit(7, &hex, &inputs).expect("resubmit settles");
-    assert_eq!(again, JobOutcome::Report { json });
+    assert_eq!(again, JobOutcome::Report { report });
 
     // Same id, different content: a permanent typed conflict.
     let err = client
@@ -733,5 +741,109 @@ fn journal_corrupted_mid_file_refuses_to_serve() {
     assert_eq!(err, ServeError::Journal(JournalError::ChecksumMismatch { line: 2 }));
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
     assert_eq!(std::fs::read(&path).expect("reread"), bytes, "nothing truncated");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The quickstart app's report, as `fragdroid run` produces it.
+fn quickstart_report() -> RunReport {
+    let gen = fd_appgen::templates::quickstart();
+    crate::FragDroid::new(FragDroidConfig::default()).run(&gen.app, &gen.known_inputs)
+}
+
+/// The spliced `Finished` frame is `encode_frame` of the typed reply
+/// byte for byte, for the quickstart report and for one whose strings
+/// and keys need escaping. It decodes to an equal report, and the stored
+/// compact text re-indents to the `run --json` bytes.
+#[test]
+fn finished_frames_splice_what_the_typed_reply_encodes() {
+    let plain = quickstart_report();
+    let mut awkward = plain.clone();
+    let odd = "quote \" backslash \\ bell \u{7} nul \u{0} unit \u{1f} newline \n tab \t é";
+    awkward.infra_failure = Some(odd.to_string());
+    awkward.static_info.af_dependency.insert(fd_smali::ClassName::new(odd), Default::default());
+    for report in [plain, awkward] {
+        let stored = serde_json::to_string(&report).expect("reports serialize");
+        let spliced = finished_frame(41, 7, &stored);
+        let body = ServeResponse::Finished { job: 7, report: Box::new(report.clone()) };
+        let typed = encode_frame(&Envelope { id: 41, body: body.clone() });
+        assert_eq!(String::from_utf8_lossy(&spliced), String::from_utf8_lossy(&typed));
+
+        let mut frames = FrameBuffer::new();
+        frames.push(&spliced);
+        let payload = frames.next_frame().expect("well-formed").expect("complete");
+        let back = fd_droidsim::proto::decode_payload_checked::<ServeResponse>(&payload);
+        assert_eq!(back, Ok(Envelope { id: 41, body }));
+        let pretty = serde_json::to_string_pretty(&report).expect("reports serialize");
+        assert_eq!(serde_json::indent(&stored), pretty, "a Poll re-indents to run --json");
+        assert_eq!(serde_json::compact(&pretty), stored, "recovery squeezes it back");
+    }
+}
+
+/// The serve fixture's records, replayed by a live server, plus two
+/// jobs finished under this client's digest: job 3 with the quickstart
+/// report, job 4 with the fixture's toy payload. A recovered report
+/// answers `Poll` with exactly its journaled bytes; `Await` carries a
+/// real report as an equal `RunReport`, and fails typed on a payload
+/// that is not one.
+#[test]
+fn recovered_reports_keep_their_journaled_bytes() {
+    let path = temp_path("fixture-recovery.journal");
+    let _ = std::fs::remove_file(&path);
+    let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
+    let (hex, inputs) = quickstart();
+    let report = quickstart_report();
+    {
+        drop(JobJournal::open_or_create(&path, options.config.digest()).expect("create"));
+        let fixture = crate::journal_fixtures::fixture("serve.journal");
+        let header_end = fixture.iter().position(|&b| b == b'\n').expect("header line") + 1;
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("open");
+        file.write_all(&fixture[header_end..]).expect("append the fixture's records");
+        drop(file);
+        let (mut j, recovery) =
+            JobJournal::open_or_create(&path, options.config.digest()).expect("records replay");
+        assert_eq!(recovery.jobs.len(), 2, "the fixture's two jobs");
+        let digest = submission_digest(&hex, &inputs);
+        let stored = serde_json::to_string(&report).expect("reports serialize");
+        for (job, payload) in [(3, stored), (4, crate::journal_fixtures::SERVE_REPORT.to_string())]
+        {
+            j.append_submitted(job, digest, &hex, &inputs).expect("submitted");
+            j.append_completed(job, &Ok(payload)).expect("completed");
+        }
+    }
+    let journaled = String::from_utf8(std::fs::read(&path).expect("read")).expect("utf-8");
+
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let handle = std::thread::spawn(move || {
+        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+    });
+    let ask = |body| request_once(&addr, body, Duration::from_secs(10));
+
+    let toy = "{\n  \"report\": 1\n}".to_string();
+    assert_eq!(ask(ServeRequest::Poll { job: 1 }), Ok(ServeResponse::Report { job: 1, json: toy }));
+    match ask(ServeRequest::Await { job: 1, wait_ms: 10 }) {
+        Err(e) => assert!(e.starts_with("bad reply payload"), "{e}"),
+        Ok(reply) => panic!("a toy payload decoded as {reply:?}"),
+    }
+    let pretty = serde_json::to_string_pretty(&report).expect("reports serialize");
+    assert!(journaled.contains(&serde_json::to_string(&pretty).expect("escapes")));
+    assert_eq!(
+        ask(ServeRequest::Poll { job: 3 }),
+        Ok(ServeResponse::Report { job: 3, json: pretty })
+    );
+
+    let mut client = SubmitClient::new(addr.clone()).with_max_attempts(2);
+    let outcome = client.submit(3, &hex, &inputs).expect("a recovered report is served");
+    assert_eq!(outcome, JobOutcome::Report { report: Box::new(report) });
+    match client.submit(4, &hex, &inputs) {
+        Err(ClientError::Exhausted { job: 4, attempts: 2, last }) => {
+            assert!(last.starts_with("bad reply payload"), "{last}");
+        }
+        other => panic!("a toy payload must fail typed, got {other:?}"),
+    }
+
+    shutdown_socket(&addr);
+    let summary = handle.join().expect("no panic").expect("no serve error");
+    assert_eq!(summary.incidents.jobs_completed, 0, "nothing re-ran: {:?}", summary.incidents);
     let _ = std::fs::remove_file(&path);
 }

@@ -463,9 +463,12 @@ fn chaos_on_one_serve_endpoint_and_two_farms_agrees() {
         let (bytes, inputs) = &corpus.containers[0];
         let hex = fd_droidsim::proto::to_hex(bytes);
         let replay = SubmitClient::new(endpoint.addr.clone()).submit(1, &hex, inputs);
-        let report = reference.outcomes[0].report().expect("app 0 ran");
-        let json = serde_json::to_string_pretty(report).expect("reports serialize");
-        assert_eq!(replay, Ok(JobOutcome::Report { json }), "the stored report bytes");
+        let report = reference.outcomes[0].report().expect("app 0 ran").clone();
+        assert_eq!(
+            replay,
+            Ok(JobOutcome::Report { report: Box::new(report) }),
+            "the stored report"
+        );
 
         let i = endpoint.shutdown();
         assert_eq!(i.connections_opened, i.connections_closed, "no leaked session: {i:?}");

@@ -6,7 +6,9 @@
 //! render (`to_value().render_json(false)`) on an edge the fast path
 //! could plausibly get wrong, and the re-indented pretty text
 //! (`serde_json::to_string_pretty`, which every `--json` printer and
-//! serve's reports use) against the pretty tree render.
+//! serve's reports use) against the pretty tree render, and
+//! `serde_json::compact` of it, which serve's journal recovery uses,
+//! against the compact text.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -19,6 +21,7 @@ fn assert_stream_matches_tree<T: Serialize>(value: &T) {
     assert_eq!(serde_json::to_string(value).expect("serializes"), tree);
     let pretty = serde_json::to_string_pretty(value).expect("serializes");
     assert_eq!(pretty, value.to_value().render_json(true));
+    assert_eq!(serde_json::compact(&pretty), tree, "compact undoes the re-indent");
 }
 
 #[test]
