@@ -6,6 +6,7 @@ use crate::resources::ResourceTable;
 use fd_smali::{visit, ClassPool, ResKind, ResRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Store metadata used by the corpus study (category, download band).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,14 +39,20 @@ impl AppMeta {
 ///
 /// This plays the role of the unpacked APK contents. [`crate::pack`] turns
 /// it into the binary container; [`crate::decompile`] recovers it.
+///
+/// The program text is shared, not owned: the class pool and every
+/// layout sit behind `Arc`s, so a clone (the explorer's manifest-rewritten
+/// copy, a device's installed copy) costs a manifest, a resource table and
+/// the metadata, and a device inflates the app's own layouts.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AndroidApp {
     /// The manifest.
     pub manifest: Manifest,
     /// All classes.
     pub classes: ClassPool,
-    /// Layout files keyed by layout resource name.
-    pub layouts: BTreeMap<String, Layout>,
+    /// Layout files keyed by layout resource name, each shared by every
+    /// clone of the app and every screen showing it.
+    pub layouts: BTreeMap<String, Arc<Layout>>,
     /// The numeric resource table.
     pub resources: ResourceTable,
     /// Store metadata.
@@ -71,13 +78,13 @@ impl AndroidApp {
 
     /// Adds a layout (builder style).
     pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layouts.insert(layout.name.clone(), layout);
+        self.layouts.insert(layout.name.clone(), Arc::new(layout));
         self
     }
 
     /// Looks up a layout by resource name.
     pub fn layout(&self, name: &str) -> Option<&Layout> {
-        self.layouts.get(name)
+        self.layouts.get(name).map(|layout| &**layout)
     }
 
     /// Re-interns every resource referenced by layouts or code into the

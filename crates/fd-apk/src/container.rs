@@ -26,6 +26,7 @@ use crate::layout::Layout;
 use crate::manifest::Manifest;
 use bytes::{BufMut, Bytes, BytesMut};
 use fd_smali::{parser, printer, ClassDef, ClassPool};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"FAPK";
 const VERSION: u16 = 1;
@@ -80,7 +81,7 @@ pub fn pack_into(app: &AndroidApp, buf: &mut BytesMut) {
     frame_section(buf, scratch.as_bytes(), packed);
 
     scratch.clear();
-    let layouts: Vec<&Layout> = app.layouts.values().collect();
+    let layouts: Vec<&Layout> = app.layouts.values().map(|layout| &**layout).collect();
     serde::Serialize::write_json(&layouts, &mut scratch);
     frame_section(buf, scratch.as_bytes(), packed);
 
@@ -280,7 +281,7 @@ impl AppView<'_> {
         let mut app = AndroidApp {
             manifest: self.manifest,
             classes,
-            layouts: self.layouts.into_iter().map(|l| (l.name.clone(), l)).collect(),
+            layouts: self.layouts.into_iter().map(|l| (l.name.clone(), Arc::new(l))).collect(),
             resources: crate::ResourceTable::new(),
             meta: self.meta,
         };

@@ -70,6 +70,7 @@ mod tests {
     use crate::layout::{Layout, Widget, WidgetKind};
     use crate::manifest::{ActivityDecl, Manifest};
     use fd_smali::{well_known, ClassDef, MethodDef, ResRef};
+    use std::sync::Arc;
 
     #[test]
     fn counts_every_dimension() {
@@ -78,12 +79,12 @@ mod tests {
         );
         app.layouts.insert(
             "m".into(),
-            Layout::new(
+            Arc::new(Layout::new(
                 "m",
                 Widget::new(WidgetKind::Group)
                     .with_child(Widget::new(WidgetKind::Button).with_id("b"))
                     .with_child(Widget::new(WidgetKind::TextView)),
-            ),
+            )),
         );
         app.classes.insert(
             ClassDef::new("st.Main", well_known::ACTIVITY).with_method(

@@ -22,6 +22,7 @@ use crate::layout::Layout;
 use crate::manifest::Manifest;
 use fd_smali::{parser, printer};
 use std::path::Path;
+use std::sync::Arc;
 
 /// An I/O or format error while reading/writing a project directory.
 #[derive(Debug)]
@@ -151,7 +152,7 @@ pub fn load(dir: &Path) -> Result<AndroidApp, WorkspaceError> {
             if path.extension().map(|e| e == "json").unwrap_or(false) {
                 let layout: Layout = serde_json::from_str(&std::fs::read_to_string(&path)?)
                     .map_err(|e| WorkspaceError::Json(path.display().to_string(), e))?;
-                app.layouts.insert(layout.name.clone(), layout);
+                app.layouts.insert(layout.name.clone(), Arc::new(layout));
             }
         }
     }
@@ -182,11 +183,11 @@ mod tests {
         );
         app.layouts.insert(
             "main".into(),
-            Layout::new(
+            Arc::new(Layout::new(
                 "main",
                 Widget::new(WidgetKind::Group)
                     .with_child(Widget::new(WidgetKind::Button).with_id("go")),
-            ),
+            )),
         );
         app.classes.insert(ClassDef::new("ws.demo.Main", well_known::ACTIVITY).with_method(
             MethodDef::new("onCreate").push(Stmt::SetContentView(ResRef::layout("main"))),

@@ -12,6 +12,7 @@ use fd_smali::{
     well_known, ClassDef, ClassName, Cond, IntentTarget, MethodDef, MethodName, ResRef, Stmt,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// An input-gated activity link: an `EditText` plus a submit button whose
 /// handler starts `target` only when the field holds `secret`.
@@ -368,12 +369,12 @@ impl AppBuilder {
 
         for spec in &self.activities {
             let (class, layout) = self.lower_activity(spec, &mut known_inputs);
-            app.layouts.insert(layout.name.clone(), layout);
+            app.layouts.insert(layout.name.clone(), Arc::new(layout));
             app.classes.insert(class);
         }
         for spec in &self.fragments {
             let (class, layout) = self.lower_fragment(spec);
-            app.layouts.insert(layout.name.clone(), layout);
+            app.layouts.insert(layout.name.clone(), Arc::new(layout));
             app.classes.insert(class);
         }
 

@@ -40,7 +40,7 @@ impl TargetedExplorer {
         info: &fd_static::StaticInfo,
     ) -> BTreeSet<ClassName> {
         let has_site = |class: &str| {
-            app.classes.with_inner_classes(class).iter().any(|c| {
+            app.classes.with_inner_classes(class).any(|c| {
                 visit::any_stmt(c, |s| {
                     matches!(s, Stmt::InvokeApi { group, name }
                         if fd_droidsim::monitor::is_sensitive(group, name))

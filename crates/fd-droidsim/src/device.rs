@@ -9,7 +9,7 @@ use crate::outcome::{EventOutcome, UiSignature};
 use crate::screen::{Screen, VisibleWidget};
 use fd_apk::{AndroidApp, ApkError, Layout, WidgetKind, ACTION_MAIN};
 use fd_smali::{visit, ClassName, Stmt};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Maximum activity back-stack depth.
@@ -33,13 +33,11 @@ pub struct DeviceConfig {
 ///
 /// The app is immutable once installed and shared by `Arc`: the
 /// interpreter runs program text borrowed through a cloned handle, and
-/// screens share interned layouts, so no event copies either.
+/// screens hold the app's own `Arc`'d layouts, so neither install nor
+/// any event copies program text or a layout.
 #[derive(Clone, Debug)]
 pub struct Device {
     app: Arc<AndroidApp>,
-    /// Layouts inflated so far, interned on first inflate (install copies
-    /// none) and shared by every screen and pane showing them.
-    layouts: HashMap<String, Arc<Layout>>,
     granted: BTreeSet<String>,
     stack: Vec<Screen>,
     monitor: ApiMonitor,
@@ -77,7 +75,6 @@ impl Device {
         let faults = config.faults.map(FaultPlan::new).unwrap_or_else(FaultPlan::inert);
         Device {
             app: Arc::new(app),
-            layouts: HashMap::new(),
             granted,
             stack: Vec::new(),
             monitor: ApiMonitor::new(),
@@ -106,14 +103,9 @@ impl Device {
         Arc::clone(&self.app)
     }
 
-    /// The layout named `name`, interned on its first inflate.
-    pub(crate) fn inflate(&mut self, name: &str) -> Option<Arc<Layout>> {
-        if let Some(layout) = self.layouts.get(name) {
-            return Some(Arc::clone(layout));
-        }
-        let layout = Arc::new(self.app.layout(name)?.clone());
-        self.layouts.insert(name.to_string(), Arc::clone(&layout));
-        Some(layout)
+    /// The layout named `name`: the installed app's own shared copy.
+    pub(crate) fn inflate(&self, name: &str) -> Option<Arc<Layout>> {
+        self.app.layouts.get(name).cloned()
     }
 
     /// The sensitive-API monitor's log.
@@ -367,11 +359,12 @@ impl Device {
             (Some(from), Some(to)) => {
                 if from == to {
                     EventOutcome::NoChange
-                } else if to.overlay.is_some() && from.overlay.is_none() && {
-                    let mut t = to.clone();
-                    t.overlay = None;
-                    t == from
-                } {
+                } else if to.overlay.is_some()
+                    && from.overlay.is_none()
+                    && to.activity == from.activity
+                    && to.fragments == from.fragments
+                    && to.open_drawers == from.open_drawers
+                {
                     EventOutcome::OverlayShown
                 } else {
                     EventOutcome::UiChanged { from, to }

@@ -127,6 +127,7 @@ pub fn replay(device: &mut Device, trace: &Trace) -> ReplayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn device() -> Device {
         // Reuse the fig2 template through a minimal local app is overkill;
@@ -142,14 +143,14 @@ mod tests {
         );
         app.layouts.insert(
             "m".into(),
-            Layout::new(
+            Arc::new(Layout::new(
                 "m",
                 Widget::new(WidgetKind::Group)
                     .with_child(Widget::new(WidgetKind::Button).with_id("go"))
                     .with_child(Widget::new(WidgetKind::EditText).with_id("note")),
-            ),
+            )),
         );
-        app.layouts.insert("s".into(), Layout::new("s", Widget::new(WidgetKind::Group)));
+        app.layouts.insert("s".into(), Arc::new(Layout::new("s", Widget::new(WidgetKind::Group))));
         app.classes.insert(
             ClassDef::new("rr.Main", well_known::ACTIVITY)
                 .with_method(

@@ -4,6 +4,7 @@
 
 use fd_appgen::{ActivitySpec, AppBuilder, FragmentSpec};
 use fd_droidsim::{Device, DeviceError, EventOutcome};
+use std::sync::Arc;
 
 #[test]
 fn reflection_prefers_the_container_that_mentions_the_fragment() {
@@ -153,12 +154,12 @@ fn reflection_falls_back_to_the_layout_container() {
     );
     app.layouts.insert(
         "m".into(),
-        fd_apk::Layout::new(
+        Arc::new(fd_apk::Layout::new(
             "m",
             fd_apk::Widget::new(fd_apk::WidgetKind::Group).with_child(
                 fd_apk::Widget::new(fd_apk::WidgetKind::FragmentContainer).with_id("slot"),
             ),
-        ),
+        )),
     );
     app.classes.insert(
         ClassDef::new("fb.Main", well_known::ACTIVITY).with_method(

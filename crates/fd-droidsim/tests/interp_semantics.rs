@@ -5,11 +5,12 @@
 use fd_apk::{ActivityDecl, AndroidApp, Layout, Manifest, Widget, WidgetKind};
 use fd_droidsim::{Device, DeviceConfig, EventOutcome};
 use fd_smali::{well_known, ClassDef, ClassName, IntentTarget, MethodDef, ResRef, Stmt};
+use std::sync::Arc;
 
 fn shell(on_create: MethodDef) -> AndroidApp {
     let mut app =
         AndroidApp::new(Manifest::new("is").with_activity(ActivityDecl::new("is.Main").launcher()));
-    app.layouts.insert("m".into(), Layout::new("m", Widget::new(WidgetKind::Group)));
+    app.layouts.insert("m".into(), Arc::new(Layout::new("m", Widget::new(WidgetKind::Group))));
     app.classes.insert(ClassDef::new("is.Main", well_known::ACTIVITY).with_method(on_create));
     app.finalize_resources();
     app

@@ -4,6 +4,7 @@
 use fd_apk::{ActivityDecl, AndroidApp, Layout, Manifest, Widget, WidgetKind};
 use fd_droidsim::{Caller, Device};
 use fd_smali::{well_known, ClassDef, IntentTarget, MethodDef, ResRef, Stmt};
+use std::sync::Arc;
 
 /// Builds an app whose lifecycle callbacks each call a distinct catalog
 /// API, so the monitor's ordered sequence exposes the callback order.
@@ -45,13 +46,13 @@ fn lifecycle_app() -> AndroidApp {
     );
     app.layouts.insert(
         "a".into(),
-        Layout::new(
+        Arc::new(Layout::new(
             "a",
             Widget::new(WidgetKind::Group)
                 .with_child(Widget::new(WidgetKind::Button).with_id("go")),
-        ),
+        )),
     );
-    app.layouts.insert("b".into(), Layout::new("b", Widget::new(WidgetKind::Group)));
+    app.layouts.insert("b".into(), Arc::new(Layout::new("b", Widget::new(WidgetKind::Group))));
     app.classes.insert(a);
     app.classes.insert(b);
     app.finalize_resources();

@@ -222,7 +222,7 @@ fn demo_app() -> AndroidApp {
         secret_layout,
         crashy_layout,
     ] {
-        app.layouts.insert(layout.name.clone(), layout);
+        app.layouts.insert(layout.name.clone(), Arc::new(layout));
     }
     for class in [main, news, media, settings, detail, secret, crashy] {
         app.classes.insert(class);
@@ -265,6 +265,20 @@ fn relaunching_shares_layouts_instead_of_copying_them() {
     let pane = |s: &Screen| s.fragments["content"].layout.clone().expect("news inflated");
     assert!(Arc::ptr_eq(&layout(&first), &layout(second)), "activity layout deep-cloned");
     assert!(Arc::ptr_eq(&pane(&first), &pane(second)), "fragment layout deep-cloned");
+}
+
+#[test]
+fn installing_and_inflating_share_the_apps_own_layouts() {
+    let app = demo_app();
+    let mut d = Device::new(app.clone());
+    d.launch().expect("launch");
+    let screen = d.current().expect("running");
+    let main = screen.layout.clone().expect("main inflated");
+    let news = screen.fragments["content"].layout.clone().expect("news inflated");
+    for (inflated, name) in [(&main, main.name.as_str()), (&news, news.name.as_str())] {
+        assert!(Arc::ptr_eq(inflated, &d.app().layouts[name]), "{name}: not the installed app's");
+        assert!(Arc::ptr_eq(inflated, &app.layouts[name]), "{name}: copied at install");
+    }
 }
 
 #[test]
@@ -512,7 +526,7 @@ fn checkbox_toggles_its_state() {
         "boxed",
         Widget::new(WidgetKind::Group).with_child(Widget::new(WidgetKind::CheckBox).with_id("opt")),
     );
-    app.layouts.insert("boxed".into(), layout);
+    app.layouts.insert("boxed".into(), Arc::new(layout));
     app.classes.insert(ClassDef::new("com.demo.Boxed", well_known::ACTIVITY).with_method(
         MethodDef::new("onCreate").push(Stmt::SetContentView(ResRef::layout("boxed"))),
     ));

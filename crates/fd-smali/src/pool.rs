@@ -8,11 +8,17 @@ use crate::visit;
 use crate::well_known;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// All classes of one decompiled app, keyed by fully-qualified name.
+///
+/// The map sits behind an `Arc`, so cloning a pool is a refcount bump
+/// and clones share every class body; [`ClassPool::insert`] copies the
+/// map first only while it is shared.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassPool {
-    classes: BTreeMap<ClassName, ClassDef>,
+    classes: Arc<BTreeMap<ClassName, ClassDef>>,
 }
 
 impl ClassPool {
@@ -30,7 +36,7 @@ impl ClassPool {
 
     /// Inserts a class, replacing any previous definition with the same name.
     pub fn insert(&mut self, class: ClassDef) {
-        self.classes.insert(class.name.clone(), class);
+        Arc::make_mut(&mut self.classes).insert(class.name.clone(), class);
     }
 
     /// Looks up a class by name.
@@ -85,35 +91,59 @@ impl ClassPool {
         chain
     }
 
+    /// Whether any name on `name`'s [`super_chain`](Self::super_chain)
+    /// satisfies `hit`, walking the `super_class` links without building
+    /// the chain. A chain that repeats no name visits at most
+    /// `len() + 1` names, so stopping there is the chain's cycle guard:
+    /// by then a cyclic chain has shown every name it holds.
+    fn chain_any(&self, name: &str, hit: impl Fn(&str) -> bool) -> bool {
+        let mut current = name;
+        for _ in 0..=self.classes.len() {
+            if hit(current) {
+                return true;
+            }
+            match self.classes.get(current) {
+                Some(def) => current = def.super_class.as_str(),
+                None => return false, // framework or unknown class terminates
+            }
+        }
+        false
+    }
+
     /// Whether `name`'s inheritance chain contains `ancestor`.
     pub fn is_subclass_of(&self, name: &str, ancestor: &str) -> bool {
-        self.super_chain(name).iter().any(|c| c.as_str() == ancestor)
+        self.chain_any(name, |link| link == ancestor)
     }
 
     /// Whether `name` is a fragment: its chain reaches
     /// `android.app.Fragment` or `android.support.v4.app.Fragment`.
     pub fn is_fragment_class(&self, name: &str) -> bool {
-        self.is_subclass_of(name, well_known::FRAGMENT)
-            || self.is_subclass_of(name, well_known::SUPPORT_FRAGMENT)
+        self.chain_any(name, |link| {
+            link == well_known::FRAGMENT || link == well_known::SUPPORT_FRAGMENT
+        })
     }
 
     /// Whether `name` is an activity: its chain reaches
     /// `android.app.Activity` (directly or via the support-library
     /// `FragmentActivity`, which itself extends `Activity`).
     pub fn is_activity_class(&self, name: &str) -> bool {
-        self.is_subclass_of(name, well_known::ACTIVITY)
-            || self.is_subclass_of(name, well_known::SUPPORT_ACTIVITY)
+        self.chain_any(name, |link| {
+            link == well_known::ACTIVITY || link == well_known::SUPPORT_ACTIVITY
+        })
     }
 
     /// `class` plus all of its inner classes (`Foo$1`, `Foo$Inner`, …) that
-    /// exist in the pool — the paper's *getInnerClass*.
-    pub fn with_inner_classes(&self, class: &str) -> Vec<&ClassDef> {
+    /// exist in the pool, in name order — the paper's *getInnerClass*.
+    /// The inner classes are one sorted run of the map starting at
+    /// `"{class}$"`, so this reads only them.
+    pub fn with_inner_classes<'a>(&'a self, class: &str) -> impl Iterator<Item = &'a ClassDef> {
         let prefix = format!("{class}$");
-        self.classes
-            .iter()
-            .filter(|(name, _)| name.as_str() == class || name.as_str().starts_with(&prefix))
-            .map(|(_, def)| def)
-            .collect()
+        let inner = self
+            .classes
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(move |(name, _)| name.as_str().starts_with(prefix.as_str()))
+            .map(|(_, def)| def);
+        self.classes.get(class).into_iter().chain(inner)
     }
 
     /// Every class referenced from `class`'s code — the paper's
@@ -136,10 +166,7 @@ impl ClassPool {
         let bases: Vec<&str> = bases.into_iter().collect();
         self.classes
             .values()
-            .filter(|c| {
-                let chain = self.super_chain(c.name.as_str());
-                chain.iter().any(|link| bases.contains(&link.as_str()))
-            })
+            .filter(|c| self.chain_any(c.name.as_str(), |link| bases.contains(&link)))
             .collect()
     }
 }
@@ -205,16 +232,52 @@ mod tests {
     #[test]
     fn inner_classes_found_by_prefix() {
         let p = pool();
-        let all = p.with_inner_classes("a.Main");
-        let names: Vec<&str> = all.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = p.with_inner_classes("a.Main").map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["a.Main", "a.Main$1"]);
     }
 
     #[test]
     fn inner_class_prefix_does_not_match_similar_names() {
         let p = pool().with(ClassDef::new("a.Main2", well_known::OBJECT));
-        let all = p.with_inner_classes("a.Main");
-        assert!(all.iter().all(|c| c.name.as_str() != "a.Main2"));
+        assert!(p.with_inner_classes("a.Main").all(|c| c.name.as_str() != "a.Main2"));
+    }
+
+    /// The whole-pool filter `with_inner_classes` replaced, kept as its
+    /// oracle.
+    fn inner_by_filter<'a>(p: &'a ClassPool, class: &str) -> Vec<&'a str> {
+        let prefix = format!("{class}$");
+        p.names().map(ClassName::as_str).filter(|n| *n == class || n.starts_with(&prefix)).collect()
+    }
+
+    #[test]
+    fn inner_classes_agree_with_the_whole_pool_filter_among_neighbours() {
+        // `!` sorts before `$` and `X` after it, so `a.Main!x` and
+        // `a.MainX` sit on either side of `a.Main`'s inner classes.
+        let names = ["a.Mai", "a.Main", "a.Main!x", "a.Main$1", "a.Main$1$2", "a.MainX"];
+        let p: ClassPool = names.iter().map(|n| ClassDef::new(*n, well_known::OBJECT)).collect();
+        for class in names.into_iter().chain(["", "a.Ma", "a.Main$", "a.Nope", "b.Main"]) {
+            let got: Vec<&str> = p.with_inner_classes(class).map(|c| c.name.as_str()).collect();
+            assert_eq!(got, inner_by_filter(&p, class), "inner classes of {class:?}");
+        }
+        let main: Vec<&str> = p.with_inner_classes("a.Main").map(|c| c.name.as_str()).collect();
+        assert_eq!(main, ["a.Main", "a.Main$1", "a.Main$1$2"]);
+    }
+
+    #[test]
+    fn insert_on_a_clone_leaves_the_original_unchanged() {
+        let original = pool();
+        let mut copy = original.clone();
+        assert!(
+            std::ptr::eq(original.get("a.Main").unwrap(), copy.get("a.Main").unwrap()),
+            "a clone shares the class bodies"
+        );
+        copy.insert(ClassDef::new("a.Extra", well_known::OBJECT));
+        copy.insert(ClassDef::new("a.Main", well_known::OBJECT));
+        assert_eq!(original, pool());
+        assert!(!original.contains("a.Extra"));
+        assert!(original.is_activity_class("a.Main"));
+        assert!(!copy.is_activity_class("a.Main"));
+        assert_eq!(copy.len(), original.len() + 1);
     }
 
     #[test]

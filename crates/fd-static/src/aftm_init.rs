@@ -54,7 +54,6 @@ fn hosts_of(
         .filter(|a| {
             app.classes
                 .with_inner_classes(a.as_str())
-                .iter()
                 .any(|c| visit::referenced_classes(c).contains(fragment))
         })
         .cloned()

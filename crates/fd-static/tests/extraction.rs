@@ -3,6 +3,7 @@
 
 use fd_appgen::{paper_apps, ActivitySpec, AppBuilder, FragmentSpec};
 use fd_smali::{well_known, ClassDef, ClassName, MethodDef, ResRef, Stmt};
+use std::sync::Arc;
 
 #[test]
 fn fragment_reused_across_activities_is_a_dependency_of_both() {
@@ -55,11 +56,11 @@ fn widgets_in_a_layout_shared_by_two_activities_resolve_to_the_referencing_one()
     );
     app.layouts.insert(
         "shared".into(),
-        fd_apk::Layout::new(
+        Arc::new(fd_apk::Layout::new(
             "shared",
             fd_apk::Widget::new(fd_apk::WidgetKind::Group)
                 .with_child(fd_apk::Widget::new(fd_apk::WidgetKind::Button).with_id("go")),
-        ),
+        )),
     );
     app.classes.insert(
         ClassDef::new("sx.shared.Main", well_known::ACTIVITY)

@@ -98,7 +98,6 @@ impl FragDroid {
             aftm: info.aftm.clone(),
             queue: UiQueue::new(),
             swept: BTreeSet::new(),
-            tried: BTreeSet::new(),
             paths: BTreeMap::new(),
             visited_activities: BTreeSet::new(),
             visited_fragments: BTreeSet::new(),
@@ -246,8 +245,6 @@ struct Explorer<'a> {
     queue: UiQueue,
     /// Fragment-level states already swept (Case 3 runs once per state).
     swept: BTreeSet<UiSignature>,
-    /// (state, widget) pairs already clicked.
-    tried: BTreeSet<(UiSignature, String)>,
     /// Shortest-known operation list reaching each state.
     paths: BTreeMap<UiSignature, Vec<Op>>,
     visited_activities: BTreeSet<ClassName>,
@@ -399,14 +396,15 @@ impl<'a> Explorer<'a> {
                     }
                 }
                 self.test_cases += 1;
-                let _case = self.tracer.span(fd_trace::Phase::Case, &item.label);
-                self.scripts.push(TestScript::new(item.label.clone(), item.ops.clone()));
+                let QueueItem { label, ops, .. } = item;
+                let _case = self.tracer.span(fd_trace::Phase::Case, &label);
                 let mut trace = Vec::new();
-                for op in &item.ops {
-                    if self.exec(op.clone(), &mut trace).is_none() {
+                for op in &ops {
+                    if self.exec(op, &mut trace).is_none() {
                         break;
                     }
                 }
+                self.scripts.push(TestScript::new(label, ops));
                 if let Some(sig) = self.dev_signature() {
                     self.sweep(sig);
                 }
@@ -454,7 +452,9 @@ impl<'a> Explorer<'a> {
     /// (injected ANRs, flaky `am start`) are retried up to
     /// [`FragDroidConfig::retry_limit`] times with exponential backoff in
     /// simulated device time — every attempt costs one budget event.
-    fn exec(&mut self, op: Op, ops_so_far: &mut Vec<Op>) -> Option<StepOutcome> {
+    /// The op is cloned once, into `ops_so_far`, when the device accepts
+    /// it.
+    fn exec(&mut self, op: &Op, ops_so_far: &mut Vec<Op>) -> Option<StepOutcome> {
         let mut attempt = 0usize;
         let outcome = loop {
             if !self.budget_left() {
@@ -465,9 +465,9 @@ impl<'a> Explorer<'a> {
                 let clock = self.dev_clock();
                 self.tracer.set_sim_clock(clock);
             }
-            self.tracer.event(|| fd_trace::TraceEvent::EventDispatched { op: op_name(&op).into() });
+            self.tracer.event(|| fd_trace::TraceEvent::EventDispatched { op: op_name(op).into() });
             self.tracer.count("events_dispatched", 1);
-            let result = self.device.perform(&op);
+            let result = self.device.perform(op);
             self.trace_new_faults();
             match result {
                 Ok(outcome) => break outcome,
@@ -495,7 +495,7 @@ impl<'a> Explorer<'a> {
         ops_so_far.push(op.clone());
         match &outcome {
             EventOutcome::UiChanged { from, to } => {
-                self.record_transition(&op, from, to);
+                self.record_transition(op, from, to);
             }
             EventOutcome::Crashed { .. } => {
                 self.crashes += 1;
@@ -601,7 +601,7 @@ impl<'a> Explorer<'a> {
         let plan =
             site.and_then(|sig| self.paths.get(&sig).cloned()).unwrap_or_else(|| vec![Op::Launch]);
         let mut scratch = Vec::new();
-        for op in plan {
+        for op in &plan {
             match self.exec(op, &mut scratch) {
                 None => return false,
                 Some(StepOutcome::Outcome(EventOutcome::Crashed { .. })) => return false,
@@ -621,24 +621,21 @@ impl<'a> Explorer<'a> {
         let activity = screen.activity;
         let manager_frags = screen.manager_fragments;
 
+        // The visited sets and the AFTM's visited marks have always moved
+        // together, so a node the set already held is marked already.
         let activity_is_new = self.visited_activities.insert(activity.clone());
         if activity_is_new {
             self.tracer
                 .event(|| fd_trace::TraceEvent::NewActivity { name: activity.as_str().into() });
+            self.mark_node(NodeId::Activity(activity.clone()));
         }
-        let node = NodeId::Activity(activity.clone());
-        self.aftm.add_node(node.clone());
-        self.aftm.mark_visited(&node);
         let mut fragment_is_new = false;
-        for f in &manager_frags {
-            let this_is_new = self.visited_fragments.insert(f.clone());
-            fragment_is_new |= this_is_new;
-            if this_is_new {
+        for f in manager_frags {
+            if self.visited_fragments.insert(f.clone()) {
+                fragment_is_new = true;
                 self.tracer.event(|| fd_trace::TraceEvent::NewFragment { name: f.as_str().into() });
+                self.mark_node(NodeId::Fragment(f));
             }
-            let fnode = NodeId::Fragment(f.clone());
-            self.aftm.add_node(fnode.clone());
-            self.aftm.mark_visited(&fnode);
         }
         if activity_is_new || fragment_is_new {
             self.timeline.push((
@@ -676,6 +673,12 @@ impl<'a> Explorer<'a> {
         }
     }
 
+    /// Adds `node` to the AFTM and marks it visited.
+    fn mark_node(&mut self, node: NodeId) {
+        self.aftm.add_node(node.clone());
+        self.aftm.mark_visited(&node);
+    }
+
     /// Translates an observed UI change into raw AFTM transitions, with
     /// the clicked widget's owner (resource dependency) deciding whether
     /// the edge starts at the activity or at a fragment.
@@ -711,7 +714,12 @@ impl<'a> Explorer<'a> {
         }
 
         // Same activity: fragment transformations. Only manager-confirmed
-        // panes count (the current screen is `to`).
+        // panes count (the current screen is `to`), and only a pane `from`
+        // lacked can add an edge, so without one there is nothing to ask.
+        let gained = to.fragments.iter().any(|(c, f)| from.fragments.get(c) != Some(f));
+        if !gained {
+            return;
+        }
         let confirmed: BTreeSet<ClassName> = self
             .dev_observe()
             .map(|s| s.manager_fragments.into_iter().collect())
@@ -757,11 +765,14 @@ impl<'a> Explorer<'a> {
         let widgets: Vec<String> =
             self.dev_widgets().into_iter().filter(|w| w.clickable).filter_map(|w| w.id).collect();
 
-        for widget in widgets {
+        // A state is swept once, so the widgets this sweep clicked are
+        // all the state's clicked widgets.
+        let mut tried = BTreeSet::new();
+        for widget in &widgets {
             if !self.budget_left() {
                 return;
             }
-            if !self.tried.insert((sig.clone(), widget.clone())) {
+            if !tried.insert(widget) {
                 continue;
             }
             if !self.ensure_at(&sig, &base_ops, &fill_ops) {
@@ -769,16 +780,16 @@ impl<'a> Explorer<'a> {
             }
             let mut trace = base_ops.clone();
             trace.extend(fill_ops.iter().cloned());
-            match self.exec(Op::Click(widget.clone()), &mut trace) {
+            match self.exec(&Op::Click(widget.clone()), &mut trace) {
                 None => return,
                 Some(StepOutcome::Outcome(EventOutcome::OverlayShown)) => {
                     // "it will be removed by clicking on blank space."
-                    let _ = self.exec(Op::DismissOverlay, &mut Vec::new());
+                    let _ = self.exec(&Op::DismissOverlay, &mut Vec::new());
                     // §VIII extension: a submit that only produced an error
                     // dialog may just need a better input — retry with
                     // strings harvested from the app's own UI.
                     if self.config.harvest_inputs {
-                        self.try_harvested_inputs(&sig, &base_ops, &widget);
+                        self.try_harvested_inputs(&sig, &base_ops, widget);
                     }
                 }
                 Some(_) => {}
@@ -813,15 +824,15 @@ impl<'a> Explorer<'a> {
             let mut trace = base_ops.to_vec();
             for id in fields {
                 let op = Op::EnterText { id, text: candidate.clone() };
-                if self.exec(op, &mut trace).is_none() {
+                if self.exec(&op, &mut trace).is_none() {
                     return;
                 }
             }
-            match self.exec(Op::Click(widget.to_string()), &mut trace) {
+            match self.exec(&Op::Click(widget.to_string()), &mut trace) {
                 None => return,
                 Some(StepOutcome::Outcome(EventOutcome::UiChanged { .. })) => return, // gate opened
                 Some(StepOutcome::Outcome(EventOutcome::OverlayShown)) => {
-                    let _ = self.exec(Op::DismissOverlay, &mut Vec::new());
+                    let _ = self.exec(&Op::DismissOverlay, &mut Vec::new());
                 }
                 Some(_) => {}
             }
@@ -845,7 +856,7 @@ impl<'a> Explorer<'a> {
                 "abc".to_string()
             };
             let op = Op::EnterText { id, text: value };
-            if self.exec(op.clone(), &mut Vec::new()).is_some() {
+            if self.exec(&op, &mut Vec::new()).is_some() {
                 ops.push(op);
             }
         }
@@ -859,13 +870,8 @@ impl<'a> Explorer<'a> {
             return true;
         }
         let mut scratch = Vec::new();
-        for op in base_ops {
-            if self.exec(op.clone(), &mut scratch).is_none() {
-                return false;
-            }
-        }
-        for op in fill_ops {
-            if self.exec(op.clone(), &mut scratch).is_none() {
+        for op in base_ops.iter().chain(fill_ops) {
+            if self.exec(op, &mut scratch).is_none() {
                 return false;
             }
         }

@@ -130,7 +130,7 @@ fn checkpoint_fixture_replays_and_reencodes() {
 }
 
 /// The serve fixture's config digest.
-const SERVE_CONFIG_DIGEST: u64 = 0x5eed_f1a7_0000_0042;
+pub(crate) const SERVE_CONFIG_DIGEST: u64 = 0x5eed_f1a7_0000_0042;
 
 /// Job 1's report as the server holds it; the fixture journals it as
 /// `{\n  "report": 1\n}`.

@@ -559,17 +559,90 @@ struct JobEntry {
     state: JobState,
 }
 
-/// Shared queue + job table, guarded by one mutex.
+/// Shared queue + job table, guarded by one mutex. `Status` answers
+/// from `queue.len()`, `running` and the two settled counters, never
+/// walking `jobs`.
 #[derive(Default)]
 struct State {
     queue: VecDeque<Job>,
     jobs: BTreeMap<u64, JobEntry>,
     /// Jobs currently inside a worker.
     running: usize,
+    /// Jobs settled with a report.
+    completed: u64,
+    /// Jobs settled with a refusal.
+    rejected: u64,
     /// No new submissions; the listener stops accepting.
     draining: bool,
     /// Workers may exit once the queue is empty.
     shutdown: bool,
+}
+
+impl State {
+    /// Records `job` as settled and counts it. Every path that settles a
+    /// job comes through here: the worker, a refused admission and
+    /// journal recovery.
+    fn settle(&mut self, job: u64, digest: u64, result: Result<String, String>) {
+        match &result {
+            Ok(_) => self.completed += 1,
+            Err(_) => self.rejected += 1,
+        }
+        self.jobs.insert(job, JobEntry { digest, state: JobState::Done(result) });
+    }
+
+    /// Admits `job` under `container_hex`: queued for a worker, or
+    /// settled as a refusal when the text is not hex, so the refusal is
+    /// pollable under its id.
+    fn admit(
+        &mut self,
+        job: u64,
+        digest: u64,
+        container_hex: &str,
+        inputs: BTreeMap<String, String>,
+    ) -> bool {
+        match from_hex(container_hex) {
+            Ok(container) => {
+                self.queue.push_back(Job { id: job, container, inputs });
+                self.jobs.insert(job, JobEntry { digest, state: JobState::Queued });
+                true
+            }
+            Err(e) => {
+                self.settle(job, digest, Err(format!("bad container hex: {e}")));
+                false
+            }
+        }
+    }
+
+    /// Restores what journal recovery found: finished jobs settle as
+    /// journaled, unfinished ones are queued again.
+    fn restore(&mut self, jobs: Vec<journal::RecoveredJob>) {
+        for rec in jobs {
+            match rec.result {
+                Some(result) => self.settle(rec.job, rec.digest, result),
+                None => {
+                    self.admit(rec.job, rec.digest, &rec.container_hex, rec.inputs);
+                }
+            }
+        }
+    }
+
+    /// Hands the next queued job to a worker, marking it running.
+    fn take(&mut self) -> Option<Job> {
+        let job = self.queue.pop_front()?;
+        if let Some(entry) = self.jobs.get_mut(&job.id) {
+            entry.state = JobState::Running;
+        }
+        self.running += 1;
+        Some(job)
+    }
+
+    /// Settles a job a worker ran.
+    fn finish(&mut self, job: u64, result: Result<String, String>) {
+        self.running -= 1;
+        if let Some(digest) = self.jobs.get(&job).map(|entry| entry.digest) {
+            self.settle(job, digest, result);
+        }
+    }
 }
 
 /// Everything the session and worker loops share. Lock order: `state`
@@ -609,39 +682,8 @@ impl<'a> Core<'a> {
             let (j, recovery) = JobJournal::open_or_create(path, options.config.digest())
                 .map_err(ServeError::Journal)?;
             incidents.torn_tail_bytes = recovery.torn_tail_bytes;
-            for rec in recovery.jobs {
-                incidents.jobs_recovered += 1;
-                match rec.result {
-                    Some(result) => {
-                        state.jobs.insert(
-                            rec.job,
-                            JobEntry { digest: rec.digest, state: JobState::Done(result) },
-                        );
-                    }
-                    None => match from_hex(&rec.container_hex) {
-                        Ok(container) => {
-                            state.queue.push_back(Job {
-                                id: rec.job,
-                                container,
-                                inputs: rec.inputs,
-                            });
-                            state.jobs.insert(
-                                rec.job,
-                                JobEntry { digest: rec.digest, state: JobState::Queued },
-                            );
-                        }
-                        Err(e) => {
-                            state.jobs.insert(
-                                rec.job,
-                                JobEntry {
-                                    digest: rec.digest,
-                                    state: JobState::Done(Err(format!("bad container hex: {e}"))),
-                                },
-                            );
-                        }
-                    },
-                }
-            }
+            incidents.jobs_recovered = recovery.jobs.len() as u64;
+            state.restore(recovery.jobs);
             journal = Some(j);
         }
         Ok(Core {
@@ -879,24 +921,13 @@ fn submit(
         if let Err(e) = j.append_submitted(job, digest, &container_hex, &inputs) {
             core.bump(|i| i.journal_errors += 1);
             let reason = format!("journal append failed: {e}");
-            st.jobs.insert(job, JobEntry { digest, state: JobState::Done(Err(reason.clone())) });
+            st.settle(job, digest, Err(reason.clone()));
             return ServeResponse::Rejected { job, reason };
         }
     }
-    match from_hex(&container_hex) {
-        Ok(container) => {
-            st.queue.push_back(Job { id: job, container, inputs });
-            st.jobs.insert(job, JobEntry { digest, state: JobState::Queued });
-            core.queued.notify_one();
-        }
-        // A submission that is not even hex never reaches a
-        // worker; the refusal is pollable under its job id.
-        Err(e) => {
-            st.jobs.insert(
-                job,
-                JobEntry { digest, state: JobState::Done(Err(format!("bad container hex: {e}"))) },
-            );
-        }
+    // A submission that is not even hex never reaches a worker.
+    if st.admit(job, digest, &container_hex, inputs) {
+        core.queued.notify_one();
     }
     tracer.event(|| fd_trace::TraceEvent::JobSubmitted { job });
     ServeResponse::Accepted { job }
@@ -924,20 +955,11 @@ fn handle_request(
         }
         ServeRequest::Status => {
             let st = lock(&core.state);
-            let mut counts = [0u64; 4];
-            for entry in st.jobs.values() {
-                match &entry.state {
-                    JobState::Queued => counts[0] += 1,
-                    JobState::Running => counts[1] += 1,
-                    JobState::Done(Ok(_)) => counts[2] += 1,
-                    JobState::Done(Err(_)) => counts[3] += 1,
-                }
-            }
             ServeResponse::Status {
-                queued: counts[0],
-                running: counts[1],
-                completed: counts[2],
-                rejected: counts[3],
+                queued: st.queue.len() as u64,
+                running: st.running as u64,
+                completed: st.completed,
+                rejected: st.rejected,
                 workers: workers as u64,
                 config_digest: Some(core.options.config.findings_digest()),
             }
@@ -1031,11 +1053,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
         let job = {
             let mut st = lock(&core.state);
             loop {
-                if let Some(job) = st.queue.pop_front() {
-                    if let Some(entry) = st.jobs.get_mut(&job.id) {
-                        entry.state = JobState::Running;
-                    }
-                    st.running += 1;
+                if let Some(job) = st.take() {
                     break job;
                 }
                 if st.shutdown {
@@ -1076,12 +1094,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
                 i.jobs_rejected += 1;
             }
         });
-        let mut st = lock(&core.state);
-        if let Some(entry) = st.jobs.get_mut(&job.id) {
-            entry.state = JobState::Done(result);
-        }
-        st.running -= 1;
-        drop(st);
+        lock(&core.state).finish(job.id, result);
         core.settled.notify_all();
     }
 }

@@ -274,6 +274,77 @@ fn admission_control_is_typed_and_idempotent() {
     assert_eq!(incidents.resubmits_deduped, 2);
 }
 
+/// `[queued, running, completed, rejected]` recounted from the job
+/// table, the walk `Status` used to make.
+fn recount(st: &State) -> [u64; 4] {
+    let mut counts = [0u64; 4];
+    for entry in st.jobs.values() {
+        match &entry.state {
+            JobState::Queued => counts[0] += 1,
+            JobState::Running => counts[1] += 1,
+            JobState::Done(Ok(_)) => counts[2] += 1,
+            JobState::Done(Err(_)) => counts[3] += 1,
+        }
+    }
+    counts
+}
+
+/// The four counts a `Status` reply carries.
+fn status_counts(core: &Core<'_>, tracer: &fd_trace::Tracer) -> [u64; 4] {
+    match typed(handle_request(core, tracer, ServeRequest::Status, 1)).0 {
+        ServeResponse::Status { queued, running, completed, rejected, .. } => {
+            [queued, running, completed, rejected]
+        }
+        other => panic!("expected Status, got {other:?}"),
+    }
+}
+
+/// `Status` answers from counters; after every kind of transition they
+/// equal a recount of the table. Workers are played by hand through
+/// `take`/`finish`, so every state is deterministic.
+#[test]
+fn status_counters_match_a_recount_of_the_table() {
+    let options = ServeOptions::default();
+    let trace_config = fd_trace::TraceConfig::off();
+    let core = Core::new(&options, &trace_config).expect("no journal configured");
+    let tracer = fd_trace::Tracer::new(&trace_config, core.clock, 0);
+    let check = |step: &str, expected: [u64; 4]| {
+        let counts = status_counts(&core, &tracer);
+        assert_eq!(counts, recount(&lock(&core.state)), "after {step}");
+        assert_eq!(counts, expected, "after {step}");
+    };
+
+    // Recovery from the serve fixture: job 1 journaled done, job 2
+    // re-queued.
+    let copy = crate::journal_fixtures::scratch("serve.journal");
+    std::fs::write(&copy, crate::journal_fixtures::fixture("serve.journal")).expect("copy");
+    let (_journal, recovery) =
+        JobJournal::open_or_create(&copy, crate::journal_fixtures::SERVE_CONFIG_DIGEST)
+            .expect("fixture recovers");
+    lock(&core.state).restore(recovery.jobs);
+    check("recovery", [1, 0, 1, 0]);
+
+    let submit = |job: u64, hex: String| {
+        let body = ServeRequest::Submit { job, container_hex: hex, inputs: BTreeMap::new() };
+        typed(handle_request(&core, &tracer, body, 1)).0
+    };
+    assert_eq!(submit(10, to_hex(b"ten")), ServeResponse::Accepted { job: 10 });
+    check("submit", [2, 0, 1, 0]);
+    assert_eq!(submit(10, to_hex(b"ten")), ServeResponse::Accepted { job: 10 });
+    check("deduped resubmit", [2, 0, 1, 0]);
+    assert_eq!(submit(11, "not hex".to_string()), ServeResponse::Accepted { job: 11 });
+    check("bad hex", [2, 0, 1, 1]);
+
+    let first = lock(&core.state).take().expect("job 2 is queued");
+    assert_eq!(first.id, 2);
+    check("take", [1, 1, 1, 1]);
+    lock(&core.state).finish(first.id, Ok("{}".to_string()));
+    check("completion", [1, 0, 2, 1]);
+    let second = lock(&core.state).take().expect("job 10 is queued");
+    lock(&core.state).finish(second.id, Err("rejected".to_string()));
+    check("rejection", [0, 0, 2, 2]);
+}
+
 #[test]
 fn listen_addr_parses_unix_and_tcp() {
     assert_eq!(

@@ -350,7 +350,7 @@ fn sweep_recovers_from_mid_sweep_crashes() {
     main = main
         .with_method(MethodDef::new("onBoom").push(Stmt::Crash { reason: "mid-sweep NPE".into() }));
     app.classes.insert(main);
-    let layout = app.layouts.get_mut("lay_main").unwrap();
+    let layout = std::sync::Arc::make_mut(app.layouts.get_mut("lay_main").unwrap());
     layout.root.children.insert(1, fd_apk::Widget::new(fd_apk::WidgetKind::Button).with_id("boom"));
 
     let report = FragDroid::new(FragDroidConfig::default()).run(&app, &gen.known_inputs);
