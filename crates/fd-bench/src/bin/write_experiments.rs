@@ -1,57 +1,35 @@
-//! Writes `EXPERIMENTS-generated.md`: the measured evaluation, fully
-//! regenerated from live runs (the hand-annotated paper-vs-measured
-//! narrative lives in `EXPERIMENTS.md`; this file is the raw, always-fresh
-//! counterpart).
+//! Runs every deterministic experiment once and writes
+//! `EXPERIMENTS-generated.md` at the workspace root, from any working
+//! directory. With `--json` it prints the same results as JSON instead.
+//!
+//! ```text
+//! write_experiments [--json]
+//! ```
+//!
+//! Any other argument is refused with exit code 2.
 
-use fd_report::study::corpus_study;
-use fd_report::table1::{averages, render_table1_markdown, run_table1_full};
-use fd_report::table2::{build_table2, render_per_app};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
-fn main() {
-    let mut out = String::from(
-        "# EXPERIMENTS (generated)\n\nRegenerate with `cargo run -p fd-bench --release --bin write_experiments`.\nAll numbers are deterministic.\n\n",
-    );
-
-    // Corpus study.
-    let corpus = fd_appgen::corpus::corpus_217(1);
-    let study = corpus_study(&corpus);
-    let _ = writeln!(
-        out,
-        "## Corpus study\n\n{} apps, {} fragment users (**{:.0}%**), {} packer-protected.\n",
-        study.total,
-        study.fragment_users,
-        study.usage_pct(),
-        study.packed
-    );
-
-    // Table I.
-    let t1 = run_table1_full();
-    let results = t1.rows;
-    let rows: Vec<_> = results.iter().map(|(r, _)| r.clone()).collect();
-    let (a, f, v) = averages(&rows);
-    let _ = writeln!(out, "## Table I — coverage\n");
-    out.push_str(&render_table1_markdown(&rows));
-    let _ = writeln!(
-        out,
-        "\nAverages: activities **{a:.2}%** (paper 71.94%), fragments **{f:.2}%** (paper 66%), fragments-in-visited **{v:.2}%**. {} of {} containers quarantined at ingestion.\n",
-        t1.rejected.len(),
-        t1.rejected.len() + rows.len(),
-    );
-
-    // Table II.
-    let reports: Vec<_> = results.into_iter().map(|(row, rep)| (row.package, rep)).collect();
-    let t2 = build_table2(&reports);
-    let _ = writeln!(
-        out,
-        "## Table II — sensitive operations\n\n{} distinct APIs, {} invocation relations, {:.1}% fragment-associated, {:.1}% fragment-only.\n\n```\n{}```\n",
-        t2.distinct_apis(),
-        t2.total_invocations,
-        t2.fragment_share() * 100.0,
-        t2.missed_by_activity_tools() * 100.0,
-        render_per_app(&t2),
-    );
-
-    std::fs::write("EXPERIMENTS-generated.md", &out).expect("write EXPERIMENTS-generated.md");
-    println!("wrote EXPERIMENTS-generated.md ({} bytes)", out.len());
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--json" => true,
+        _ => {
+            eprintln!("usage: write_experiments [--json]");
+            return ExitCode::from(2);
+        }
+    };
+    let experiments = fd_bench::generate();
+    if json {
+        println!("{}", serde_json::to_string_pretty(&experiments).expect("results serialize"));
+        return ExitCode::SUCCESS;
+    }
+    let markdown = experiments.markdown();
+    if let Err(e) = std::fs::write(fd_bench::GENERATED_FILE, &markdown) {
+        eprintln!("write_experiments: cannot write {}: {e}", fd_bench::GENERATED_FILE);
+        return ExitCode::FAILURE;
+    }
+    println!("wrote EXPERIMENTS-generated.md ({} bytes)", markdown.len());
+    ExitCode::SUCCESS
 }

@@ -1,6 +1,5 @@
 //! Tool comparison: FragDroid vs the §IX baselines on the same apps.
 
-use crate::table;
 use fd_appgen::GeneratedApp;
 use fd_baselines::UiExplorer;
 use serde::{Deserialize, Serialize};
@@ -20,8 +19,6 @@ pub struct ComparisonRow {
     pub api_fragment_relations: usize,
     /// Events injected, summed.
     pub events: usize,
-    /// Wall time for all apps, in milliseconds.
-    pub wall_ms: u128,
 }
 
 /// Runs every tool on every app and aggregates.
@@ -36,9 +33,7 @@ pub fn compare_tools(apps: &[GeneratedApp], tools: &[&dyn UiExplorer]) -> Vec<Co
                 api_relations: 0,
                 api_fragment_relations: 0,
                 events: 0,
-                wall_ms: 0,
             };
-            let start = std::time::Instant::now();
             for gen in apps {
                 let stats = tool.explore(&gen.app, &gen.known_inputs);
                 row.activities_visited += stats.visited_activities.len();
@@ -48,40 +43,9 @@ pub fn compare_tools(apps: &[GeneratedApp], tools: &[&dyn UiExplorer]) -> Vec<Co
                 row.api_fragment_relations += frag;
                 row.events += stats.events;
             }
-            row.wall_ms = start.elapsed().as_millis();
             row
         })
         .collect()
-}
-
-/// Renders the comparison table.
-pub fn render_comparison(rows: &[ComparisonRow]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.tool.clone(),
-                r.activities_visited.to_string(),
-                r.fragments_visited.to_string(),
-                r.api_relations.to_string(),
-                r.api_fragment_relations.to_string(),
-                r.events.to_string(),
-                format!("{}ms", r.wall_ms),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "Tool",
-            "Activities",
-            "Fragments",
-            "API relations",
-            "Fragment-attributed",
-            "Events",
-            "Wall time",
-        ],
-        &body,
-    )
 }
 
 #[cfg(test)]
@@ -122,8 +86,5 @@ mod tests {
         for other in &rows {
             assert!(fd.api_relations >= other.api_relations, "{}", other.tool);
         }
-
-        let text = render_comparison(&rows);
-        assert!(text.contains("FragDroid") && text.contains("Monkey"));
     }
 }

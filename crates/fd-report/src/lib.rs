@@ -31,7 +31,7 @@ pub use serve::render_serve_incidents;
 pub use shards::render_shard_merge;
 pub use study::{corpus_study, StudyResult};
 pub use table1::{
-    render_device_incidents, render_rejections, render_table1, run_table1, run_table1_full,
-    Table1Row, Table1Run, PAPER_TABLE1,
+    render_rejections, render_table1, run_table1, run_table1_full, Table1Row, Table1Run,
+    PAPER_TABLE1,
 };
 pub use table2::{build_table2, render_table2, Mark, Table2};

@@ -1,7 +1,6 @@
 //! The §VII-A corpus study: 217 popular apps, fragment usage, and the
 //! packer-protected exclusions.
 
-use crate::table;
 use fd_appgen::GeneratedApp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -64,32 +63,6 @@ pub fn corpus_study(corpus: &[GeneratedApp]) -> StudyResult {
     result
 }
 
-/// Renders the study summary plus the per-category breakdown.
-pub fn render_study(result: &StudyResult) -> String {
-    let mut rows: Vec<Vec<String>> = result
-        .per_category
-        .iter()
-        .map(|(cat, (total, users))| {
-            vec![
-                cat.clone(),
-                total.to_string(),
-                users.to_string(),
-                format!("{:.0}%", *users as f64 / (*total).max(1) as f64 * 100.0),
-            ]
-        })
-        .collect();
-    rows.sort_by(|a, b| b[1].parse::<usize>().unwrap().cmp(&a[1].parse::<usize>().unwrap()));
-    let mut out = table::render(&["Category", "Apps", "Fragment users", "Usage"], &rows);
-    out.push_str(&format!(
-        "\nApps examined: {}\nFragment users: {} ({:.0}%)\nPacker-protected (excluded from dependency extraction): {}\n",
-        result.total,
-        result.fragment_users,
-        result.usage_pct(),
-        result.packed,
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,9 +83,5 @@ mod tests {
         );
         assert_eq!(result.packed, corpus::PACKED_APPS);
         assert_eq!(result.per_category.len(), 27);
-
-        let text = render_study(&result);
-        assert!(text.contains("Apps examined: 217"));
-        assert!(text.contains("Tools"));
     }
 }

@@ -4,9 +4,7 @@
 use crate::table;
 use fd_appgen::paper_apps;
 use fragdroid::suite::SuiteContainer;
-use fragdroid::{
-    AppOutcome, Coverage, FlakeClass, FlakeSummary, FragDroidConfig, RunReport, Suite,
-};
+use fragdroid::{AppOutcome, Coverage, FlakeSummary, FragDroidConfig, RunReport, Suite};
 use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
@@ -142,48 +140,6 @@ pub fn render_rejections(rejected: &[(String, String)]) -> String {
     out
 }
 
-/// Renders the device-incident appendix: how many infrastructure
-/// failures the pool absorbed while the table ran, or the empty string
-/// for a clean run. Kept out of the table body because an incident
-/// belongs to the harness, not to any app row.
-pub fn render_device_incidents(incidents: usize) -> String {
-    if incidents == 0 {
-        return String::new();
-    }
-    format!(
-        "device incidents: {incidents} infrastructure failures absorbed by the pool \
-         (excluded from every FC cell)\n"
-    )
-}
-
-/// Renders the flake-triage appendix: one line per triaged app, or the
-/// empty string when the run had no retries or no failures.
-pub fn render_flake_summary(summary: Option<&FlakeSummary>) -> String {
-    let Some(summary) = summary else {
-        return String::new();
-    };
-    if summary.apps.is_empty() {
-        return String::new();
-    }
-    let mut out = format!(
-        "flake triage ({} retries each): {} deterministic, {} flaky\n",
-        summary.retries, summary.deterministic, summary.flaky
-    );
-    for record in &summary.apps {
-        let verdict = match &record.classification {
-            FlakeClass::Deterministic => "deterministic".to_string(),
-            FlakeClass::Flaky { pass_rate } => {
-                format!("flaky ({:.0}% pass rate)", pass_rate * 100.0)
-            }
-        };
-        out.push_str(&format!(
-            "  {}: {} — {} ({}/{} retries passed)\n",
-            record.package, record.kind, verdict, record.passes, record.attempts
-        ));
-    }
-    out
-}
-
 /// Per-column averages `(activity %, fragment %, frags-in-visited %)`.
 /// An empty table averages to zeros instead of NaN.
 pub fn averages(rows: &[Table1Row]) -> (f64, f64, f64) {
@@ -253,31 +209,6 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     table::render(&headers, &body)
 }
 
-/// Renders the measured table as GitHub-flavored markdown (for reports
-/// and EXPERIMENTS.md).
-pub fn render_table1_markdown(rows: &[Table1Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.package.clone(),
-                format!("{}/{}", r.activities.visited, r.activities.sum),
-                format!("{:.2}%", r.activities.rate()),
-                format!("{}/{}", r.fragments.visited, r.fragments.sum),
-                format!("{:.2}%", r.fragments.rate()),
-                format!("{}/{}", r.fragments_in_visited.visited, r.fragments_in_visited.sum),
-                format!("{:.2}%", r.fragments_in_visited.rate()),
-                r.crashes.to_string(),
-                r.recovered.to_string(),
-            ]
-        })
-        .collect();
-    table::render_markdown(
-        &["Package", "Activities", "Rate", "Fragments", "Rate", "FiVA", "Rate", "FC", "Rec"],
-        &body,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +231,6 @@ mod tests {
             PAPER_TABLE1.iter().map(|(_, (v, s), ..)| *v as f64 / *s as f64 * 100.0).sum::<f64>()
                 / PAPER_TABLE1.len() as f64;
         assert!((avg - 71.94).abs() < 0.5, "paper activity average ≈ 71.94, got {avg:.2}");
-    }
-
-    #[test]
-    fn device_incident_appendix_renders_only_when_nonzero() {
-        assert_eq!(render_device_incidents(0), "");
-        let rendered = render_device_incidents(3);
-        assert!(rendered.contains("3 infrastructure failures"));
-        assert!(rendered.contains("excluded from every FC cell"));
     }
 
     #[test]
@@ -337,41 +260,6 @@ mod tests {
         assert_eq!(summary.apps.len(), crashing);
         assert_eq!(summary.flaky, 0, "same-seed simulator reruns cannot flake");
         assert_eq!(summary.deterministic, crashing);
-        let rendered = render_flake_summary(run.flake_summary.as_ref());
-        if crashing > 0 {
-            assert!(rendered.contains("deterministic"));
-            assert!(rendered.contains("crashed"));
-        } else {
-            assert_eq!(rendered, "");
-        }
-        assert_eq!(render_flake_summary(None), "");
-        let synthetic = FlakeSummary {
-            retries: 3,
-            deterministic: 1,
-            flaky: 1,
-            apps: vec![
-                fragdroid::FlakeRecord {
-                    index: 0,
-                    package: "com.example.solid".into(),
-                    kind: "panicked".into(),
-                    attempts: 3,
-                    passes: 0,
-                    classification: FlakeClass::Deterministic,
-                },
-                fragdroid::FlakeRecord {
-                    index: 4,
-                    package: "com.example.heisen".into(),
-                    kind: "crashed".into(),
-                    attempts: 3,
-                    passes: 2,
-                    classification: FlakeClass::Flaky { pass_rate: 2.0 / 3.0 },
-                },
-            ],
-        };
-        let rendered = render_flake_summary(Some(&synthetic));
-        assert!(rendered.contains("1 deterministic, 1 flaky"));
-        assert!(rendered.contains("com.example.solid: panicked — deterministic"));
-        assert!(rendered.contains("com.example.heisen: crashed — flaky (67% pass rate)"));
     }
 
     #[test]
@@ -393,8 +281,5 @@ mod tests {
         let text = render_table1(&rows);
         assert!(text.contains("com.adobe.reader"));
         assert!(text.contains("AVERAGE"));
-        let md = render_table1_markdown(&rows);
-        assert!(md.starts_with("| Package |"));
-        assert_eq!(md.lines().count(), rows.len() + 2);
     }
 }

@@ -129,17 +129,6 @@ pub fn per_app_counts(t: &Table2) -> Vec<(String, usize, usize, usize)> {
         .collect()
 }
 
-/// Renders the per-app count summary.
-pub fn render_per_app(t: &Table2) -> String {
-    let rows: Vec<Vec<String>> = per_app_counts(t)
-        .into_iter()
-        .map(|(app, a, f, b)| {
-            vec![app, a.to_string(), f.to_string(), b.to_string(), (a + f + 2 * b).to_string()]
-        })
-        .collect();
-    crate::table::render(&["Package", "● activity", "◗ fragment", "⊙ both", "invocations"], &rows)
-}
-
 /// Renders the matrix in catalog order with the paper's symbols, plus the
 /// aggregate lines.
 pub fn render_table2(t: &Table2) -> String {
@@ -217,8 +206,6 @@ mod per_app_tests {
         // dubsmash's column is nearly empty (its fragments are invisible).
         let dub = counts.iter().find(|(p, ..)| p.contains("dubsmash")).unwrap();
         assert_eq!((dub.2, dub.3), (0, 0), "no fragment marks for dubsmash");
-        let text = render_per_app(&t);
-        assert!(text.contains("invocations"));
     }
 }
 

@@ -35,7 +35,8 @@ pub enum Phase {
     App,
     /// A whole suite run.
     Suite,
-    /// A benchmark harness section (`fd-bench`).
+    /// A benchmark harness section. Nothing in the workspace records it
+    /// today; the variant keeps older traces that carry it readable.
     Bench,
     /// A fuzz campaign or one of its mutant executions (`fd-fuzz`).
     Fuzz,
@@ -345,7 +346,8 @@ pub struct DroppedRecord {
 pub struct MetaRecord {
     /// Format version ([`TRACE_VERSION`]).
     pub version: u64,
-    /// What produced the trace (`fragdroid corpus`, `fd-bench suite`, …).
+    /// What produced the trace (`fragdroid-suite`, `fragdroid serve`,
+    /// `fragdroid-dispatch`, …).
     pub process: String,
 }
 

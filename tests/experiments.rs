@@ -42,3 +42,31 @@ fn corpus_study_reproduces() {
     assert!((study.usage_pct() - 91.0).abs() < 1.0, "usage {:.1}%", study.usage_pct());
     assert_eq!(study.per_category.len(), 27);
 }
+
+/// The committed `EXPERIMENTS-generated.md` is exactly what a fresh run
+/// of every experiment renders, so no number it prints can drift.
+#[test]
+fn generated_experiments_match_the_committed_file() {
+    let committed = std::fs::read_to_string(fd_bench::GENERATED_FILE)
+        .expect("EXPERIMENTS-generated.md is committed at the workspace root");
+    let fresh = fd_bench::generate().markdown();
+    if committed == fresh {
+        return;
+    }
+    // Padding the shorter text makes the search end: texts that differ
+    // differ by the longer one's last line at the latest.
+    fn padded(text: &str) -> impl Iterator<Item = &str> {
+        text.split('\n').chain(std::iter::repeat("<end of file>"))
+    }
+    let (line, (old, new)) = padded(&committed)
+        .zip(padded(&fresh))
+        .enumerate()
+        .find(|(_, (old, new))| old != new)
+        .expect("texts that differ differ on some line");
+    panic!(
+        "EXPERIMENTS-generated.md is stale; regenerate it with `{}`.\n\
+         First difference, line {}:\n  committed: {old}\n  generated: {new}",
+        fd_bench::REGENERATE,
+        line + 1,
+    );
+}
