@@ -150,6 +150,10 @@ impl Aftm {
     /// the model changed — the signal that triggers another evolutionary
     /// round.
     pub fn add_edge(&mut self, edge: Edge) -> bool {
+        // An edge the model holds already has both endpoints.
+        if self.edges.contains(&edge) {
+            return false;
+        }
         let mut changed = self.add_node(edge.from.clone());
         changed |= self.add_node(edge.to.clone());
         changed |= self.edges.insert(edge);

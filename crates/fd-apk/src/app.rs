@@ -3,7 +3,7 @@
 use crate::layout::Layout;
 use crate::manifest::Manifest;
 use crate::resources::ResourceTable;
-use fd_smali::{visit, ClassPool, ResKind, ResRef};
+use fd_smali::{visit, ClassPool, ResKind, ResName, ResRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ pub struct AndroidApp {
     pub classes: ClassPool,
     /// Layout files keyed by layout resource name, each shared by every
     /// clone of the app and every screen showing it.
-    pub layouts: BTreeMap<String, Arc<Layout>>,
+    pub layouts: BTreeMap<ResName, Arc<Layout>>,
     /// The numeric resource table.
     pub resources: ResourceTable,
     /// Store metadata.
@@ -92,21 +92,14 @@ impl AndroidApp {
     /// app's content is complete.
     pub fn finalize_resources(&mut self) {
         let resources = &mut self.resources;
-        // One reusable lookup key: `intern` only clones it on a table
-        // miss, so re-finalizing an already-interned app allocates
-        // nothing beyond the key buffer.
-        let mut key = ResRef { kind: ResKind::Layout, name: String::new() };
+        // Lookup keys share the layout's names, so building one is a
+        // refcount bump and re-finalizing an interned app allocates
+        // nothing.
         for layout in self.layouts.values() {
-            key.kind = ResKind::Layout;
-            key.name.clear();
-            key.name.push_str(&layout.name);
-            resources.intern(&key);
+            resources.intern(&ResRef::new(ResKind::Layout, layout.name.clone()));
             for widget in layout.root.iter() {
                 if let Some(id) = &widget.id {
-                    key.kind = ResKind::Id;
-                    key.name.clear();
-                    key.name.push_str(id);
-                    resources.intern(&key);
+                    resources.intern(&ResRef::new(ResKind::Id, id.clone()));
                 }
             }
         }

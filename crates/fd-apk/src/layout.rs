@@ -5,6 +5,7 @@
 //! appear both in a layout and in a class's code to decide which Activity
 //! or Fragment a widget belongs to.
 
+use fd_smali::ResName;
 use serde::{Deserialize, Serialize};
 
 /// The kind of a widget, a small but representative subset of the Android
@@ -59,7 +60,7 @@ pub struct Widget {
     /// View class.
     pub kind: WidgetKind,
     /// Symbolic resource-ID name (`R.id.<id>`); anonymous widgets have none.
-    pub id: Option<String>,
+    pub id: Option<ResName>,
     /// Display text / label.
     pub text: String,
     /// Whether the widget reacts to clicks. Non-interaction widgets are
@@ -86,7 +87,7 @@ impl Widget {
     }
 
     /// Sets the resource-ID name (builder style).
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
+    pub fn with_id(mut self, id: impl Into<ResName>) -> Self {
         self.id = Some(id.into());
         self
     }
@@ -153,14 +154,14 @@ impl<'a> Iterator for WidgetIter<'a> {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Layout {
     /// The layout resource name (`R.layout.<name>`).
-    pub name: String,
+    pub name: ResName,
     /// The root widget.
     pub root: Widget,
 }
 
 impl Layout {
     /// Creates a layout.
-    pub fn new(name: impl Into<String>, root: Widget) -> Self {
+    pub fn new(name: impl Into<ResName>, root: Widget) -> Self {
         Layout { name: name.into(), root }
     }
 

@@ -13,7 +13,7 @@ use crate::stats::ExplorationStats;
 use crate::UiExplorer;
 use fd_apk::AndroidApp;
 use fd_droidsim::{Device, EventOutcome, Op};
-use fd_smali::ClassName;
+use fd_smali::{ClassName, ResName};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Configuration for the activity-level explorer.
@@ -65,7 +65,7 @@ impl<'a> Run<'a> {
     }
 
     fn fill_inputs(&mut self) -> Vec<Op> {
-        let fields: Vec<String> = self
+        let fields: Vec<ResName> = self
             .device
             .visible_widgets()
             .into_iter()
@@ -102,7 +102,7 @@ impl<'a> Run<'a> {
         // The widget list is captured ONCE, at activity entry — fragment
         // transformations later in the sweep do not refresh it. This is
         // the activity-as-state blindness.
-        let widgets: Vec<String> = self
+        let widgets: Vec<ResName> = self
             .device
             .visible_widgets()
             .into_iter()

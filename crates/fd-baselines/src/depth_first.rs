@@ -10,7 +10,7 @@ use crate::stats::ExplorationStats;
 use crate::UiExplorer;
 use fd_apk::AndroidApp;
 use fd_droidsim::{Device, EventOutcome};
-use fd_smali::ClassName;
+use fd_smali::{ClassName, ResName};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration for the depth-first explorer.
@@ -34,7 +34,7 @@ struct Run {
     budget: usize,
     max_depth: usize,
     /// Widgets already clicked, per activity (activity-level state).
-    clicked: BTreeMap<ClassName, BTreeSet<String>>,
+    clicked: BTreeMap<ClassName, BTreeSet<ResName>>,
 }
 
 impl Run {

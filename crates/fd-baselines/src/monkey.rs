@@ -5,6 +5,7 @@ use crate::stats::ExplorationStats;
 use crate::UiExplorer;
 use fd_apk::AndroidApp;
 use fd_droidsim::Device;
+use fd_smali::ResName;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -83,7 +84,7 @@ impl UiExplorer for Monkey {
                 device.swipe_open_drawer()
             } else if roll < self.mix.p_back + self.mix.p_swipe + self.mix.p_text {
                 // Random text into a random input widget.
-                let inputs: Vec<String> = device
+                let inputs: Vec<ResName> = device
                     .visible_widgets()
                     .into_iter()
                     .filter(|w| w.kind == fd_apk::WidgetKind::EditText)
@@ -101,7 +102,7 @@ impl UiExplorer for Monkey {
                 if device.current().map(|s| s.overlay.is_some()).unwrap_or(false) {
                     device.dismiss_overlay()
                 } else {
-                    let clickables: Vec<String> = device
+                    let clickables: Vec<ResName> = device
                         .visible_widgets()
                         .into_iter()
                         .filter(|w| w.clickable)

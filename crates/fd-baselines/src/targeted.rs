@@ -15,7 +15,7 @@ use crate::UiExplorer;
 use fd_aftm::NodeId;
 use fd_apk::AndroidApp;
 use fd_droidsim::{Device, EventOutcome};
-use fd_smali::{visit, ClassName, Stmt};
+use fd_smali::{visit, ClassName, ResName, Stmt};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Configuration for the targeted explorer.
@@ -136,7 +136,7 @@ impl UiExplorer for TargetedExplorer {
                     continue; // not directly reachable from entry: skip
                 }
             }
-            let widgets: Vec<String> = device
+            let widgets: Vec<ResName> = device
                 .visible_widgets()
                 .into_iter()
                 .filter(|w| w.clickable)

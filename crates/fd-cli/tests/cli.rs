@@ -231,7 +231,11 @@ fn replay_and_java_subcommands() {
     // A tampered trace fails with a divergence error.
     let mut bad = trace.clone();
     if let Some(sig) = &mut bad.steps[1].after {
-        sig.activity = "fig2.wallpapers.Ghost".into();
+        let state = fd_droidsim::UiState {
+            activity: "fig2.wallpapers.Ghost".into(),
+            ..fd_droidsim::UiState::clone(sig)
+        };
+        *sig = fd_droidsim::UiSignature::new(state);
     }
     let bad_path = tmp("bad-session.json");
     std::fs::write(&bad_path, bad.to_json()).unwrap();

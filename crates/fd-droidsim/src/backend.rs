@@ -252,7 +252,7 @@ impl DeviceApi for InProcessDevice {
     }
 
     fn observe(&mut self) -> Result<Option<ScreenObservation>, DeviceError> {
-        Ok(self.dev()?.current().map(ScreenObservation::of))
+        Ok(self.dev()?.observe())
     }
     fn signature(&mut self) -> Result<Option<UiSignature>, DeviceError> {
         Ok(self.dev()?.signature())

@@ -1,14 +1,15 @@
 //! The simulated device: app installation, activity stack, event injection.
 
+use crate::backend::ScreenObservation;
 use crate::error::{DeviceError, ReflectError};
 use crate::faults::{FaultConfig, FaultKind, FaultLog, FaultPlan, FaultSite, KILL_REASON};
 use crate::intent::Intent;
 use crate::interp::{self, Frame, Interrupt};
 use crate::monitor::{ApiInvocation, ApiMonitor, Caller};
-use crate::outcome::{EventOutcome, UiSignature};
+use crate::outcome::{EventOutcome, UiSignature, UiState};
 use crate::screen::{Screen, VisibleWidget};
 use fd_apk::{AndroidApp, ApkError, Layout, WidgetKind, ACTION_MAIN};
-use fd_smali::{visit, ClassName, Stmt};
+use fd_smali::{visit, ClassName, ResName, Stmt};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -35,11 +36,21 @@ pub struct DeviceConfig {
 /// interpreter runs program text borrowed through a cloned handle, and
 /// screens hold the app's own `Arc`'d layouts, so neither install nor
 /// any event copies program text or a layout.
+///
+/// The foreground screen's [`UiSignature`] is built once, when an event
+/// settles, and held: the next event's `before`, [`Device::signature`]
+/// and [`Device::observe`] share it instead of rebuilding it.
 #[derive(Clone, Debug)]
 pub struct Device {
     app: Arc<AndroidApp>,
     granted: BTreeSet<String>,
     stack: Vec<Screen>,
+    /// The signature of [`Device::current`], refreshed wherever the
+    /// screen can change between events: when an event settles
+    /// ([`Device::classify`]), on a crash, and on reset. The interpreter
+    /// mutates screens mid-event, but nothing reads this until the event
+    /// ends.
+    foreground: Option<UiSignature>,
     monitor: ApiMonitor,
     crashed: Option<String>,
     /// The UI signature at the moment of the last Force-Close (captured
@@ -77,6 +88,7 @@ impl Device {
             app: Arc::new(app),
             granted,
             stack: Vec::new(),
+            foreground: None,
             monitor: ApiMonitor::new(),
             crashed: None,
             crash_site: None,
@@ -144,6 +156,7 @@ impl Device {
         self.crashed = None;
         self.crash_site = None;
         self.stack.clear();
+        self.foreground = None;
     }
 
     /// The log of every fault injected so far.
@@ -175,9 +188,21 @@ impl Device {
         self.stack.last()
     }
 
-    /// The fragment-level signature of the foreground screen.
+    /// The fragment-level signature of the foreground screen: the held
+    /// one, shared rather than rebuilt.
     pub fn signature(&self) -> Option<UiSignature> {
-        self.current().map(Screen::signature)
+        self.foreground.clone()
+    }
+
+    /// What the driver reads of the foreground screen, or `None` if
+    /// nothing is up. Carries the held signature.
+    pub fn observe(&self) -> Option<ScreenObservation> {
+        let screen = self.current()?;
+        Some(ScreenObservation {
+            signature: self.foreground.clone()?,
+            activity: screen.activity.clone(),
+            manager_fragments: screen.manager_fragments().map(|(_, f)| f.clone()).collect(),
+        })
     }
 
     /// The widgets currently on screen.
@@ -312,10 +337,14 @@ impl Device {
         Ok(())
     }
 
+    /// Force-closes the app. The crash site is the foreground screen as
+    /// the crash left it, built fresh: the code that crashed may have
+    /// changed the screen since the held signature was taken.
     fn crash_out(&mut self, reason: String) -> EventOutcome {
         self.crash_site = self.current().map(Screen::signature);
         self.crashed = Some(reason.clone());
         self.stack.clear();
+        self.foreground = None;
         EventOutcome::Crashed { reason }
     }
 
@@ -343,22 +372,28 @@ impl Device {
         }
     }
 
-    fn classify(&self, before: Option<UiSignature>) -> EventOutcome {
-        let after = self.signature();
-        match (before, after) {
+    /// Settles an event: builds the foreground signature once, holds it,
+    /// and classifies the change from `before`. `before` is `None` on
+    /// launch and force-start, whose `from` is an empty signature.
+    fn classify(&mut self, before: Option<UiSignature>) -> EventOutcome {
+        let after = self.current().map(Screen::signature);
+        let outcome = match (before, after.clone()) {
             (_, None) => EventOutcome::Finished,
             (None, Some(to)) => EventOutcome::UiChanged {
-                from: UiSignature {
+                from: UiSignature::new(UiState {
                     activity: ClassName::new(""),
                     fragments: Default::default(),
                     overlay: None,
                     open_drawers: Default::default(),
-                },
+                }),
                 to,
             },
             (Some(from), Some(to)) => {
                 if from == to {
-                    EventOutcome::NoChange
+                    // Keep the handle already held: equal signatures stay
+                    // one pointer.
+                    self.foreground = Some(from);
+                    return EventOutcome::NoChange;
                 } else if to.overlay.is_some()
                     && from.overlay.is_none()
                     && to.activity == from.activity
@@ -370,7 +405,9 @@ impl Device {
                     EventOutcome::UiChanged { from, to }
                 }
             }
-        }
+        };
+        self.foreground = after;
+        outcome
     }
 
     /// Launches the app from its launcher activity, resetting any crash
@@ -386,16 +423,10 @@ impl Device {
         if let Some(faulted) = self.inject_fault(FaultSite::Launch)? {
             return Ok(faulted);
         }
-        self.crashed = None;
-        self.crash_site = None;
-        self.stack.clear();
+        self.reset();
         let intent =
             Intent { action: Some(ACTION_MAIN.to_string()), ..Intent::explicit(launcher.clone()) };
-        match self.start_activity_frame(launcher, intent, 0) {
-            Ok(()) => Ok(self.classify(None)),
-            Err(Interrupt::Crash(reason)) => Ok(self.crash_out(reason)),
-            Err(Interrupt::Finish) => Ok(EventOutcome::Finished),
-        }
+        self.start_cleared(launcher, intent)
     }
 
     /// Force-starts an activity by component name — `am start -n`. Only
@@ -415,16 +446,23 @@ impl Device {
         if let Some(faulted) = self.inject_fault(FaultSite::ForceStart)? {
             return Ok(faulted);
         }
-        self.crashed = None;
-        self.crash_site = None;
-        self.stack.clear();
+        self.reset();
         // An empty intent: no extras — activities that require them FC.
         let intent =
             Intent { action: Some(ACTION_MAIN.to_string()), ..Intent::explicit(name.clone()) };
-        match self.start_activity_frame(name, intent, 0) {
-            Ok(()) => Ok(self.classify(None)),
+        self.start_cleared(name, intent)
+    }
+
+    /// Starts `activity` on the task [`Device::launch`] or
+    /// [`Device::am_start`] just cleared, and settles the event.
+    fn start_cleared(
+        &mut self,
+        activity: ClassName,
+        intent: Intent,
+    ) -> Result<EventOutcome, DeviceError> {
+        match self.start_activity_frame(activity, intent, 0) {
+            Ok(()) | Err(Interrupt::Finish) => Ok(self.classify(None)),
             Err(Interrupt::Crash(reason)) => Ok(self.crash_out(reason)),
-            Err(Interrupt::Finish) => Ok(EventOutcome::Finished),
         }
     }
 
@@ -446,19 +484,24 @@ impl Device {
             return Ok(faulted);
         }
         let screen = self.stack.last().expect("running");
-        let widget =
-            screen.visible_widget(id).ok_or_else(|| DeviceError::NoSuchWidget(id.to_string()))?;
+        let (widget, _) =
+            screen.find_visible(id).ok_or_else(|| DeviceError::NoSuchWidget(id.to_string()))?;
         if !widget.clickable {
             return Err(DeviceError::NotClickable(id.to_string()));
         }
-        let before = self.signature();
+        let checkbox = (widget.kind == WidgetKind::CheckBox).then(|| widget.id.clone()).flatten();
+        let before = self.foreground.clone();
         let screen_idx = self.stack.len() - 1;
 
         // A checkbox toggles its own state before any handler runs.
-        if widget.kind == WidgetKind::CheckBox {
+        if let Some(key) = checkbox {
             let screen = self.stack.last_mut().expect("running");
-            let entry = screen.inputs.entry(id.to_string()).or_default();
-            *entry = if entry == "true" { String::new() } else { "true".to_string() };
+            let entry = screen.inputs.entry(key).or_default();
+            let checked = entry == "true";
+            entry.clear();
+            if !checked {
+                entry.push_str("true");
+            }
         }
 
         let handler = self.stack.last().expect("running").handlers.get(id).cloned();
@@ -511,14 +554,16 @@ impl Device {
         if self.inject_fault(FaultSite::EnterText)?.is_some() {
             return Ok(()); // the keystrokes were dropped on the floor
         }
-        let screen = self.stack.last().expect("running");
-        let widget =
-            screen.visible_widget(id).ok_or_else(|| DeviceError::NoSuchWidget(id.to_string()))?;
+        let screen = self.stack.last_mut().expect("running");
+        let (widget, _) =
+            screen.find_visible(id).ok_or_else(|| DeviceError::NoSuchWidget(id.to_string()))?;
         if !widget.kind.is_input() {
             return Err(DeviceError::NotEditable(id.to_string()));
         }
-        let screen = self.stack.last_mut().expect("running");
-        screen.inputs.insert(id.to_string(), text.to_string());
+        let key = widget.id.clone().expect("found by id");
+        let value = screen.inputs.entry(key).or_default();
+        value.clear();
+        value.push_str(text);
         Ok(())
     }
 
@@ -529,7 +574,7 @@ impl Device {
         if let Some(faulted) = self.inject_fault(FaultSite::DismissOverlay)? {
             return Ok(faulted);
         }
-        let before = self.signature();
+        let before = self.foreground.clone();
         let screen = self.stack.last_mut().expect("running");
         screen.overlay = None;
         Ok(self.classify(before))
@@ -542,7 +587,7 @@ impl Device {
         if let Some(faulted) = self.inject_fault(FaultSite::Back)? {
             return Ok(faulted);
         }
-        let before = self.signature();
+        let before = self.foreground.clone();
         let screen = self.stack.last_mut().expect("running");
         if screen.overlay.is_some() {
             screen.overlay = None;
@@ -561,7 +606,7 @@ impl Device {
         if let Some(faulted) = self.inject_fault(FaultSite::Swipe)? {
             return Ok(faulted);
         }
-        let before = self.signature();
+        let before = self.foreground.clone();
         let screen = self.stack.last_mut().expect("running");
         let drawer = screen.layout.as_ref().and_then(|l| {
             l.root
@@ -617,7 +662,7 @@ impl Device {
         }
         let container = container.ok_or_else(|| fail(ReflectError::NoContainer))?;
 
-        let before = self.signature();
+        let before = self.foreground.clone();
         let screen_idx = self.stack.len() - 1;
         let frame = Frame::activity(activity, screen_idx, 0);
         match interp::attach_fragment(self, &frame, &container, &fragment_name, true) {
@@ -632,7 +677,11 @@ impl Device {
     /// commit `fragment` into — first a transaction there that mentions
     /// the fragment, then any transaction container, then the first
     /// `FragmentContainer` in the current layout.
-    fn scan_fragment_wiring(&self, activity: &ClassName, fragment: &str) -> (bool, Option<String>) {
+    fn scan_fragment_wiring(
+        &self,
+        activity: &ClassName,
+        fragment: &str,
+    ) -> (bool, Option<ResName>) {
         let mut has_fm = false;
         let mut any_container = None;
         let mut matching = None;

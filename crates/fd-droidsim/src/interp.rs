@@ -12,7 +12,7 @@ use crate::device::Device;
 use crate::intent::Intent;
 use crate::monitor::Caller;
 use crate::screen::{FragmentPane, Handler, Overlay};
-use fd_smali::{ClassName, Cond, IntentTarget, MethodDef, Stmt};
+use fd_smali::{ClassName, Cond, IntentTarget, MethodDef, ResName, Stmt};
 
 /// Maximum nested method-call / activity-start depth before the run is
 /// aborted as a stack overflow (a `startActivity` cycle in `onCreate`).
@@ -39,7 +39,7 @@ pub struct Frame {
     /// Index into the device's back stack of the screen this code runs in.
     pub screen_idx: usize,
     /// When running fragment code, the container its pane occupies.
-    pub pane: Option<String>,
+    pub pane: Option<ResName>,
     /// The "current intent" register (`new Intent` … `startActivity`).
     intent_reg: Option<Intent>,
     /// The pending `FragmentTransaction`, if `beginTransaction` ran.
@@ -67,7 +67,7 @@ impl Frame {
         class: ClassName,
         host: ClassName,
         screen_idx: usize,
-        pane: Option<String>,
+        pane: Option<ResName>,
         depth: usize,
     ) -> Self {
         Frame {
@@ -84,7 +84,7 @@ impl Frame {
 
 #[derive(Clone, Debug)]
 enum TxnOp {
-    Attach { container: String, fragment: ClassName },
+    Attach { container: ResName, fragment: ClassName },
 }
 
 /// Runs `method` of `class` in the given frame. Returns `Ok(())` on normal
@@ -111,10 +111,12 @@ fn eval_cond(device: &Device, frame: &Frame, cond: &Cond) -> bool {
     let screen = device.screen_at(frame.screen_idx);
     match cond {
         Cond::InputEquals { field, expected } => screen
-            .map(|s| s.inputs.get(&field.name).map(String::as_str) == Some(expected.as_str()))
+            .map(|s| {
+                s.inputs.get(field.name.as_str()).map(String::as_str) == Some(expected.as_str())
+            })
             .unwrap_or(false),
         Cond::InputNonEmpty { field } => screen
-            .map(|s| s.inputs.get(&field.name).map(|v| !v.is_empty()).unwrap_or(false))
+            .map(|s| s.inputs.get(field.name.as_str()).map(|v| !v.is_empty()).unwrap_or(false))
             .unwrap_or(false),
         Cond::HasExtra { key } => screen.map(|s| s.intent.has_extra(key)).unwrap_or(false),
     }
@@ -135,9 +137,9 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
                 Interrupt::Crash(format!("InflateException: no layout {}", layout_ref.name))
             })?;
             if let (Some(container), Some(screen)) =
-                (frame.pane.clone(), device.screen_at_mut(frame.screen_idx))
+                (&frame.pane, device.screen_at_mut(frame.screen_idx))
             {
-                if let Some(pane) = screen.fragments.get_mut(&container) {
+                if let Some(pane) = screen.fragments.get_mut(container) {
                     pane.layout = Some(layout);
                 }
             }
@@ -230,7 +232,7 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
         }
         Stmt::ToggleDrawer { drawer } => {
             if let Some(screen) = device.screen_at_mut(frame.screen_idx) {
-                if !screen.open_drawers.remove(&drawer.name) {
+                if !screen.open_drawers.remove(drawer.name.as_str()) {
                     screen.open_drawers.insert(drawer.name.clone());
                 }
             }
@@ -286,7 +288,7 @@ fn run_stmt(device: &mut Device, frame: &mut Frame, stmt: &Stmt) -> Result<(), I
 pub fn attach_fragment(
     device: &mut Device,
     frame: &Frame,
-    container: &str,
+    container: &ResName,
     fragment: &ClassName,
     via_manager: bool,
 ) -> Result<(), Interrupt> {
@@ -305,7 +307,7 @@ pub fn attach_fragment(
     };
     if let Some(screen) = device.screen_at_mut(frame.screen_idx) {
         screen.fragments.insert(
-            container.to_string(),
+            container.clone(),
             FragmentPane { fragment: fragment.clone(), layout: None, via_manager },
         );
     }
@@ -315,7 +317,7 @@ pub fn attach_fragment(
             fragment.clone(),
             host,
             frame.screen_idx,
-            Some(container.to_string()),
+            Some(container.clone()),
             frame.depth + 1,
         );
         run_method(device, &mut f, on_create_view)?;

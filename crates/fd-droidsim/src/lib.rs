@@ -68,7 +68,7 @@ pub use error::{DeviceError, ErrorClass};
 pub use faults::{FaultConfig, FaultKind, FaultLog, FaultPlan, FaultRecord, FaultSite};
 pub use intent::Intent;
 pub use monitor::{ApiInvocation, ApiMonitor, Caller, SENSITIVE_APIS};
-pub use outcome::{EventOutcome, UiSignature};
+pub use outcome::{EventOutcome, UiSignature, UiState};
 pub use screen::{FragmentPane, Overlay, Screen, VisibleWidget};
 pub use script::{Op, ScriptReport, TestScript};
 pub use subprocess::{AgentTransport, ChildTransport, InMemoryTransport, SubprocessDevice};

@@ -65,7 +65,12 @@ pub const SENSITIVE_APIS: &[(&str, &str)] = &[
 
 /// Returns whether `(group, name)` is in the monitored catalog.
 pub fn is_sensitive(group: &str, name: &str) -> bool {
-    SENSITIVE_APIS.iter().any(|&(g, n)| g == group && n == name)
+    catalog_index(group, name).is_some()
+}
+
+/// The position of `(group, name)` in [`SENSITIVE_APIS`].
+fn catalog_index(group: &str, name: &str) -> Option<usize> {
+    SENSITIVE_APIS.iter().position(|&(g, n)| g == group && n == name)
 }
 
 /// The UI element whose code performed a call.
@@ -105,10 +110,15 @@ pub struct ApiInvocation {
 /// (same API, same caller) — Table II reports the relation, not a call
 /// count — while the *sequence* view ([`ApiMonitor::sequence`]) keeps
 /// every call in order, which lifecycle tests and traces rely on.
+///
+/// Calls are kept as `(catalog index, caller)` pairs, so recording a
+/// pair already seen copies no string: only a new pair builds its
+/// [`ApiInvocation`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ApiMonitor {
     seen: BTreeSet<ApiInvocation>,
-    sequence: Vec<ApiInvocation>,
+    pairs: BTreeSet<(usize, Caller)>,
+    calls: Vec<(usize, Caller)>,
 }
 
 impl ApiMonitor {
@@ -120,17 +130,20 @@ impl ApiMonitor {
     /// Records a call if it is in the catalog; returns `true` if this
     /// (API, caller) pair is new.
     pub fn record(&mut self, group: &str, name: &str, caller: Caller) -> bool {
-        if !is_sensitive(group, name) {
-            return false;
+        let Some(api) = catalog_index(group, name) else { return false };
+        let call = (api, caller);
+        let new = !self.pairs.contains(&call);
+        if new {
+            self.pairs.insert(call.clone());
+            self.seen.insert(invocation(&call));
         }
-        let invocation = ApiInvocation { group: group.to_string(), name: name.to_string(), caller };
-        self.sequence.push(invocation.clone());
-        self.seen.insert(invocation)
+        self.calls.push(call);
+        new
     }
 
     /// Every recorded call, in execution order, with duplicates.
-    pub fn sequence(&self) -> &[ApiInvocation] {
-        &self.sequence
+    pub fn sequence(&self) -> Vec<ApiInvocation> {
+        self.calls.iter().map(invocation).collect()
     }
 
     /// All distinct recorded invocations, in order.
@@ -151,13 +164,20 @@ impl ApiMonitor {
     /// Clears the log.
     pub fn clear(&mut self) {
         self.seen.clear();
-        self.sequence.clear();
+        self.pairs.clear();
+        self.calls.clear();
     }
 
     /// The distinct APIs seen, regardless of caller.
     pub fn distinct_apis(&self) -> BTreeSet<(&str, &str)> {
         self.seen.iter().map(|i| (i.group.as_str(), i.name.as_str())).collect()
     }
+}
+
+/// The invocation a recorded `(catalog index, caller)` pair stands for.
+fn invocation((api, caller): &(usize, Caller)) -> ApiInvocation {
+    let (group, name) = SENSITIVE_APIS[*api];
+    ApiInvocation { group: group.to_string(), name: name.to_string(), caller: caller.clone() }
 }
 
 #[cfg(test)]
@@ -208,6 +228,7 @@ mod tests {
         assert!(m.record("location", "getAllProviders", caller.clone()));
         assert!(!m.record("location", "getAllProviders", caller));
         assert_eq!(m.len(), 1);
+        assert_eq!(m.sequence().len(), 2, "the sequence keeps the repeat");
     }
 
     #[test]

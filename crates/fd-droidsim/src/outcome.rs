@@ -1,29 +1,49 @@
 //! UI state signatures and event outcomes.
 
-use fd_smali::ClassName;
+use fd_smali::{ClassName, ResName};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A fragment-level UI state identity: the activity, the fragments
 /// attached per container, the overlay, and drawer state.
 ///
 /// Two screens with the same signature are "the same interface" to
-/// FragDroid. Activity-level tools compare only [`UiSignature::activity`],
+/// FragDroid. Activity-level tools compare only [`UiState::activity`],
 /// which is exactly the blindness the paper's Challenge 1 describes.
+///
+/// A signature is one shared, immutable handle on its [`UiState`]: the
+/// device builds it once when an event settles, and every later read
+/// (the event's `from`, `signature()`, `observe()`, the driver's path
+/// and sweep keys) shares that one value. Fields read through `Deref`;
+/// equality short-circuits on pointer identity before comparing parts.
+/// It serializes exactly as the plain struct it wraps.
+#[derive(Clone, PartialOrd, Ord, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct UiSignature(Arc<UiState>);
+
+/// The parts of a [`UiSignature`].
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UiSignature {
+pub struct UiState {
     /// The foreground activity.
     pub activity: ClassName,
     /// `(container id, fragment class)` pairs currently attached.
-    pub fragments: BTreeMap<String, ClassName>,
+    pub fragments: BTreeMap<ResName, ClassName>,
     /// A tag for the modal overlay, if any.
     pub overlay: Option<String>,
     /// Open drawer ids.
-    pub open_drawers: BTreeSet<String>,
+    pub open_drawers: BTreeSet<ResName>,
 }
 
 impl UiSignature {
+    /// Seals `state` into a shared signature.
+    pub fn new(state: UiState) -> Self {
+        UiSignature(Arc::new(state))
+    }
+
     /// The activity-level projection of this state — what a traditional
     /// tool sees.
     pub fn activity_only(&self) -> &ClassName {
@@ -35,6 +55,40 @@ impl UiSignature {
     /// states activity-level tools conflate.
     pub fn fragment_level_change(&self, other: &UiSignature) -> bool {
         self.activity == other.activity && self != other
+    }
+}
+
+impl Deref for UiSignature {
+    type Target = UiState;
+
+    fn deref(&self) -> &UiState {
+        &self.0
+    }
+}
+
+impl PartialEq for UiSignature {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Eq for UiSignature {}
+
+impl Hash for UiSignature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl fmt::Debug for UiSignature {
+    /// Prints as the plain struct it wraps, under the signature's name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UiSignature")
+            .field("activity", &self.activity)
+            .field("fragments", &self.fragments)
+            .field("overlay", &self.overlay)
+            .field("open_drawers", &self.open_drawers)
+            .finish()
     }
 }
 
@@ -94,13 +148,20 @@ impl EventOutcome {
 mod tests {
     use super::*;
 
-    fn sig(activity: &str, frag: Option<(&str, &str)>) -> UiSignature {
-        UiSignature {
+    fn state(activity: &str, frag: Option<(&str, &str)>) -> UiState {
+        UiState {
             activity: activity.into(),
-            fragments: frag.into_iter().map(|(c, f)| (c.to_string(), ClassName::from(f))).collect(),
+            fragments: frag
+                .into_iter()
+                .map(|(c, f)| (ResName::from(c), ClassName::from(f)))
+                .collect(),
             overlay: None,
             open_drawers: BTreeSet::new(),
         }
+    }
+
+    fn sig(activity: &str, frag: Option<(&str, &str)>) -> UiSignature {
+        UiSignature::new(state(activity, frag))
     }
 
     #[test]
@@ -115,13 +176,24 @@ mod tests {
 
     #[test]
     fn display_contains_components() {
-        let mut s = sig("app.Main", Some(("content", "app.F0")));
+        let mut s = state("app.Main", Some(("content", "app.F0")));
         s.overlay = Some("dialog:x".into());
         s.open_drawers.insert("drawer".into());
-        let text = s.to_string();
+        let text = UiSignature::new(s).to_string();
         for needle in ["app.Main", "content:app.F0", "+dialog:x", "|drawer"] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
+    }
+
+    #[test]
+    fn a_signature_serializes_as_its_parts() {
+        let mut s = state("app.Main", Some(("content", "app.F0")));
+        s.open_drawers.insert("drawer".into());
+        let expected = r#"{"activity":"app.Main","fragments":{"content":"app.F0"},"open_drawers":["drawer"],"overlay":null}"#;
+        assert_eq!(serde_json::to_string(&s).unwrap(), expected);
+        let sig = UiSignature::new(s);
+        assert_eq!(serde_json::to_string(&sig).unwrap(), expected);
+        assert_eq!(serde_json::from_str::<UiSignature>(expected).unwrap(), sig);
     }
 
     #[test]

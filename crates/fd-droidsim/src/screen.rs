@@ -1,13 +1,13 @@
 //! Runtime UI state: one entry of the activity back stack.
 
 use fd_apk::{Layout, Widget, WidgetKind};
-use fd_smali::{ClassName, MethodName};
+use fd_smali::{ClassName, MethodName, ResName};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::intent::Intent;
-use crate::outcome::UiSignature;
+use crate::outcome::{UiSignature, UiState};
 
 /// A modal overlay currently covering the screen.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,7 +54,7 @@ pub struct Handler {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VisibleWidget {
     /// Resource-ID name, if the widget has one.
-    pub id: Option<String>,
+    pub id: Option<ResName>,
     /// View kind.
     pub kind: WidgetKind,
     /// Display text.
@@ -79,13 +79,13 @@ pub struct Screen {
     /// with every other screen showing it.
     pub layout: Option<Arc<Layout>>,
     /// Attached fragments, keyed by container resource-ID name.
-    pub fragments: BTreeMap<String, FragmentPane>,
+    pub fragments: BTreeMap<ResName, FragmentPane>,
     /// Click handlers keyed by widget resource-ID name.
-    pub handlers: BTreeMap<String, Handler>,
+    pub handlers: BTreeMap<ResName, Handler>,
     /// Current text of input widgets, keyed by resource-ID name.
-    pub inputs: BTreeMap<String, String>,
+    pub inputs: BTreeMap<ResName, String>,
     /// Drawer IDs currently open.
-    pub open_drawers: BTreeSet<String>,
+    pub open_drawers: BTreeSet<ResName>,
     /// The modal overlay, if any.
     pub overlay: Option<Overlay>,
 }
@@ -110,7 +110,7 @@ impl Screen {
     /// drawers. This is the state identity FragDroid distinguishes;
     /// activity-level tools use only the first component.
     pub fn signature(&self) -> UiSignature {
-        UiSignature {
+        UiSignature::new(UiState {
             activity: self.activity.clone(),
             fragments: self
                 .fragments
@@ -122,7 +122,7 @@ impl Screen {
                 Overlay::PopupMenu { id } => format!("menu:{id}"),
             }),
             open_drawers: self.open_drawers.clone(),
-        }
+        })
     }
 
     /// The fragments attached through a `FragmentManager` — what Robotium
@@ -183,12 +183,18 @@ impl Screen {
     /// [`Screen::visible_widgets`] order, with the same bounds, cloning
     /// only that widget.
     pub fn visible_widget(&self, id: &str) -> Option<VisibleWidget> {
+        self.find_visible(id).map(|(widget, bounds)| VisibleWidget::at(widget, bounds))
+    }
+
+    /// The layout widget [`Screen::visible_widget`] reports, borrowed:
+    /// what event injection reads without copying anything.
+    pub(crate) fn find_visible(&self, id: &str) -> Option<(&Widget, Bounds)> {
         let mut found = None;
         if self.overlay.is_none() {
             self.walk_visible(|widget, bounds| {
                 let hit = widget.id.as_deref() == Some(id);
                 if hit {
-                    found = Some(VisibleWidget::at(widget, bounds));
+                    found = Some((widget, bounds));
                 }
                 hit
             });
@@ -199,7 +205,7 @@ impl Screen {
     /// Calls `visit` on each visible widget with its synthetic bounds, in
     /// sweep order — activity layout, then fragment panes in container
     /// order — until it returns `true`. Overlays are the callers' business.
-    fn walk_visible(&self, mut visit: impl FnMut(&Widget, Bounds) -> bool) {
+    fn walk_visible<'s>(&'s self, mut visit: impl FnMut(&'s Widget, Bounds) -> bool) {
         let mut row = 0u32;
         let panes = self
             .fragments
@@ -217,11 +223,11 @@ impl Screen {
     /// The pre-order part of [`Screen::walk_visible`] under `widget`: a
     /// hidden widget hides its whole subtree, each visible one takes the
     /// next row. Returns whether `visit` stopped the walk.
-    fn walk_tree(
-        &self,
-        widget: &Widget,
+    fn walk_tree<'s>(
+        &'s self,
+        widget: &'s Widget,
         row: &mut u32,
-        visit: &mut impl FnMut(&Widget, Bounds) -> bool,
+        visit: &mut impl FnMut(&'s Widget, Bounds) -> bool,
     ) -> bool {
         let shown = if matches!(widget.kind, WidgetKind::Drawer) {
             widget.id.as_deref().map(|id| self.open_drawers.contains(id)).unwrap_or(false)
@@ -244,7 +250,7 @@ impl Screen {
             w: &Widget,
             container: &str,
             inside_closed: bool,
-            open: &BTreeSet<String>,
+            open: &BTreeSet<ResName>,
         ) -> Option<bool> {
             let closed_here = matches!(w.kind, WidgetKind::Drawer)
                 && !w.id.as_deref().map(|id| open.contains(id)).unwrap_or(false);
@@ -303,9 +309,9 @@ mod tests {
     fn closed_drawer_hides_its_children() {
         let s = screen_with_drawer();
         let ids: Vec<_> = s.visible_widgets().into_iter().filter_map(|w| w.id).collect();
-        assert!(ids.contains(&"hamburger".to_string()));
-        assert!(!ids.contains(&"drawer".to_string()));
-        assert!(!ids.contains(&"menu_item".to_string()));
+        assert!(ids.contains(&"hamburger".into()));
+        assert!(!ids.contains(&"drawer".into()));
+        assert!(!ids.contains(&"menu_item".into()));
     }
 
     #[test]
@@ -313,7 +319,7 @@ mod tests {
         let mut s = screen_with_drawer();
         s.open_drawers.insert("drawer".into());
         let ids: Vec<_> = s.visible_widgets().into_iter().filter_map(|w| w.id).collect();
-        assert!(ids.contains(&"menu_item".to_string()));
+        assert!(ids.contains(&"menu_item".into()));
     }
 
     #[test]
@@ -340,8 +346,8 @@ mod tests {
             },
         );
         let ids: Vec<_> = s.visible_widgets().into_iter().filter_map(|w| w.id).collect();
-        let h = ids.iter().position(|i| i == "hamburger").unwrap();
-        let f = ids.iter().position(|i| i == "frag_btn").unwrap();
+        let h = ids.iter().position(|i| *i == "hamburger").unwrap();
+        let f = ids.iter().position(|i| *i == "frag_btn").unwrap();
         assert!(h < f);
     }
 

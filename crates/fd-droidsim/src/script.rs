@@ -10,7 +10,7 @@
 use crate::device::Device;
 use crate::error::DeviceError;
 use crate::outcome::{EventOutcome, UiSignature};
-use fd_smali::ClassName;
+use fd_smali::{ClassName, ResName};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -23,11 +23,11 @@ pub enum Op {
     /// manifest rewrite).
     ForceStart(ClassName),
     /// Click the widget with this resource-ID.
-    Click(String),
+    Click(ResName),
     /// Enter text into an `EditText`.
     EnterText {
         /// Target widget resource-ID.
-        id: String,
+        id: ResName,
         /// The text.
         text: String,
     },

@@ -127,6 +127,7 @@ pub fn replay(device: &mut Device, trace: &Trace) -> ReplayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::UiState;
     use std::sync::Arc;
 
     fn device() -> Device {
@@ -196,7 +197,10 @@ mod tests {
         let mut trace = session();
         // Tamper with a recorded state: the replay must notice.
         if let Some(sig) = &mut trace.steps[2].after {
-            sig.activity = "rr.Elsewhere".into();
+            *sig = UiSignature::new(UiState {
+                activity: "rr.Elsewhere".into(),
+                ..UiState::clone(sig)
+            });
         }
         let mut fresh = device();
         assert!(matches!(replay(&mut fresh, &trace), ReplayOutcome::Diverged { index: 2, .. }));

@@ -102,7 +102,7 @@ proptest! {
         let run = |mut device: Device| {
             let _ = device.launch();
             for i in &picks {
-                let widgets: Vec<String> =
+                let widgets: Vec<_> =
                     device.visible_widgets().into_iter().filter_map(|w| w.id).collect();
                 if widgets.is_empty() {
                     let _ = device.back();
@@ -149,7 +149,7 @@ proptest! {
                     let _ = device.launch();
                     continue;
                 }
-                let widgets: Vec<String> =
+                let widgets: Vec<_> =
                     device.visible_widgets().into_iter().filter_map(|w| w.id).collect();
                 if widgets.is_empty() {
                     let _ = device.back();

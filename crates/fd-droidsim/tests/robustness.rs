@@ -64,7 +64,7 @@ proptest! {
         let _ = device.launch();
 
         for ev in events {
-            let widgets: Vec<String> = device
+            let widgets: Vec<_> = device
                 .visible_widgets()
                 .into_iter()
                 .filter_map(|w| w.id)
@@ -122,7 +122,7 @@ proptest! {
             let mut device = Device::new(app);
             let _ = device.launch();
             for ev in &events {
-                let widgets: Vec<String> =
+                let widgets: Vec<_> =
                     device.visible_widgets().into_iter().filter_map(|w| w.id).collect();
                 match ev {
                     Ev::Launch => { let _ = device.launch(); }

@@ -6,6 +6,7 @@
 
 use fd_apk::{Layout, Widget, WidgetKind};
 use fd_droidsim::{Device, EventOutcome, FragmentPane, Intent, Overlay, Screen, VisibleWidget};
+use fd_smali::ResName;
 use std::sync::Arc;
 
 /// The reference lookup: search the whole sweep list.
@@ -14,7 +15,7 @@ fn slow_lookup(screen: &Screen, id: &str) -> Option<VisibleWidget> {
 }
 
 /// Every id the screen's inflated layouts declare, hidden ones included.
-fn layout_ids(screen: &Screen) -> Vec<String> {
+fn layout_ids(screen: &Screen) -> Vec<ResName> {
     let panes = screen.fragments.values().filter_map(|p| p.layout.as_ref());
     screen
         .layout
@@ -28,7 +29,7 @@ fn layout_ids(screen: &Screen) -> Vec<String> {
 /// id; returns `(found, not found)` counts.
 fn check(screen: &Screen) -> (usize, usize) {
     let mut counts = (0, 0);
-    for id in layout_ids(screen).iter().map(String::as_str).chain(["no_such_id"]) {
+    for id in layout_ids(screen).iter().map(ResName::as_str).chain(["no_such_id"]) {
         let fast = screen.visible_widget(id);
         assert_eq!(fast, slow_lookup(screen, id), "lookup of {id:?} on {}", screen.signature());
         if fast.is_some() {

@@ -2,9 +2,10 @@
 //! evaluation apps.
 
 use crate::table;
-use fd_appgen::paper_apps;
+use fd_appgen::paper_apps::{self, PaperAppSpec};
+use fd_appgen::GeneratedApp;
 use fragdroid::suite::SuiteContainer;
-use fragdroid::{AppOutcome, Coverage, FlakeSummary, FragDroidConfig, RunReport, Suite};
+use fragdroid::{AppOutcome, Coverage, FragDroidConfig, RunReport, Suite};
 use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
@@ -22,7 +23,7 @@ pub struct Table1Row {
     pub fragments_in_visited: Coverage,
     /// Force-closes observed during the run. Device-infrastructure
     /// incidents (agent deaths, protocol timeouts) are never counted
-    /// here — they land in [`Table1Run::device_incidents`] instead.
+    /// here — they land in the suite's `device_incidents` instead.
     #[serde(default)]
     pub crashes: usize,
     /// Crashes the recovery supervisor relaunched and replayed past.
@@ -61,12 +62,11 @@ pub struct Table1Run {
     pub rows: Vec<(Table1Row, RunReport)>,
     /// `(package, reason)` for every quarantined input.
     pub rejected: Vec<(String, String)>,
-    /// Flake-triage verdicts, when the table ran with retries.
-    pub flake_summary: Option<FlakeSummary>,
-    /// Device-infrastructure incidents the pool absorbed while the table
-    /// ran — kept apart from the FC column so a dying device agent can
-    /// never inflate an app's crash count.
-    pub device_incidents: usize,
+}
+
+/// The paper apps packed to FAPK bytes, as Table I's suite runs them.
+fn table1_containers(apps: &[(&PaperAppSpec, GeneratedApp)]) -> Vec<SuiteContainer> {
+    apps.iter().map(|(_, gen)| (fd_apk::pack(&gen.app), gen.known_inputs.clone())).collect()
 }
 
 /// Runs FragDroid on all 15 apps through the shared *container* suite —
@@ -75,26 +75,13 @@ pub struct Table1Run {
 /// skipped with a warning; a rejected container is quarantined into
 /// [`Table1Run::rejected`]. Neither aborts the whole table.
 pub fn run_table1_full() -> Table1Run {
-    run_table1_with_retries(0)
-}
-
-/// [`run_table1_full`] with a flake-triage budget: failed apps
-/// (panicked, deadline-limited, or crashing) are re-run `flake_retries`
-/// times and classified deterministic vs flaky in
-/// [`Table1Run::flake_summary`].
-pub fn run_table1_with_retries(flake_retries: usize) -> Table1Run {
     let apps = paper_apps::all_paper_apps();
-    let suite: Vec<SuiteContainer> =
-        apps.iter().map(|(_, gen)| (fd_apk::pack(&gen.app), gen.known_inputs.clone())).collect();
+    let suite = table1_containers(&apps);
     let config = FragDroidConfig::default();
     let workers = fragdroid::suite::engine::default_workers(suite.len());
-    let (run, _) = Suite { flake_retries, ..Suite::new(&config, workers) }.run(&suite);
+    let (run, _) = Suite::new(&config, workers).run(&suite);
 
-    let mut out = Table1Run {
-        flake_summary: run.metrics.flake_summary.clone(),
-        device_incidents: run.metrics.device_incidents,
-        ..Default::default()
-    };
+    let mut out = Table1Run::default();
     for ((spec, _), outcome) in apps.iter().zip(run.outcomes) {
         match outcome {
             AppOutcome::Completed(report) | AppOutcome::DeadlineExceeded(report) => {
@@ -238,7 +225,6 @@ mod tests {
         let run = run_table1_full();
         assert!(run.rejected.is_empty(), "no paper app is quarantined: {:?}", run.rejected);
         assert_eq!(run.rows.len(), 15);
-        assert_eq!(run.device_incidents, 0, "in-process devices never fail infrastructure");
         assert_eq!(render_rejections(&run.rejected), "");
         let fake = vec![("com.example".to_string(), "bad magic".to_string())];
         let rendered = render_rejections(&fake);
@@ -248,15 +234,22 @@ mod tests {
 
     #[test]
     fn table1_with_retries_triages_failures() {
-        let run = run_table1_with_retries(2);
-        assert_eq!(run.rows.len(), 15);
-        let summary = run.flake_summary.as_ref().expect("retries produce a summary");
+        // Table I's containers through the suite with a flake-triage
+        // budget: failed apps are re-run twice and classified.
+        let suite = table1_containers(&paper_apps::all_paper_apps());
+        let config = FragDroidConfig::default();
+        let workers = fragdroid::suite::engine::default_workers(suite.len());
+        let (run, _) = Suite { flake_retries: 2, ..Suite::new(&config, workers) }.run(&suite);
+        let reports: Vec<&RunReport> = run.outcomes.iter().filter_map(|o| o.report()).collect();
+        assert_eq!(reports.len(), 15);
+        assert_eq!(run.metrics.device_incidents, 0, "in-process devices never fail infrastructure");
+        let summary = run.metrics.flake_summary.as_ref().expect("retries produce a summary");
         assert_eq!(summary.retries, 2);
         assert_eq!(summary.deterministic + summary.flaky, summary.apps.len());
-        // The triage candidates are exactly the crashing rows, and the
+        // The triage candidates are exactly the crashing apps, and the
         // simulator is deterministic: every same-seed retry reproduces
         // its crash, so nothing is classified flaky.
-        let crashing = run.rows.iter().filter(|(row, _)| row.crashes > 0).count();
+        let crashing = reports.iter().filter(|report| report.crashes > 0).count();
         assert_eq!(summary.apps.len(), crashing);
         assert_eq!(summary.flaky, 0, "same-seed simulator reruns cannot flake");
         assert_eq!(summary.deterministic, crashing);

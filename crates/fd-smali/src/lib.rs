@@ -59,7 +59,7 @@ pub use class::{ClassDef, FieldDef, MethodDef, Visibility};
 pub use error::ParseError;
 pub use name::{ClassName, MethodName};
 pub use pool::ClassPool;
-pub use res::{ResKind, ResRef};
+pub use res::{ResKind, ResName, ResRef};
 pub use stmt::{Cond, IntentTarget, Stmt};
 
 /// Fully-qualified names of Android framework classes the analyses treat

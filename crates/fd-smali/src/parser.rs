@@ -4,7 +4,7 @@ use crate::class::{ClassDef, FieldDef, MethodDef, Visibility};
 use crate::error::ParseError;
 use crate::lexer::{tokenize_into, Token};
 use crate::name::{ClassName, MethodName};
-use crate::res::{ResKind, ResRef};
+use crate::res::ResRef;
 use crate::stmt::{Cond, IntentTarget, Stmt};
 
 /// Parses one `.class … .end class` definition.
@@ -147,17 +147,11 @@ fn expect_class_at<'a>(
     interner.class(word, line_no)
 }
 
-/// Moves the [`ResRef`] out of position `idx` (the token buffer is about
-/// to be recycled, so taking the value saves a clone per reference).
-fn expect_res_at(
-    tokens: &mut [Token<'_>],
-    idx: usize,
-    line_no: usize,
-) -> Result<ResRef, ParseError> {
-    match tokens.get_mut(idx) {
-        Some(Token::Res(r)) => {
-            Ok(std::mem::replace(r, ResRef { kind: ResKind::Id, name: String::new() }))
-        }
+/// The [`ResRef`] at position `idx`; its name is shared, so the copy is
+/// a refcount bump.
+fn expect_res_at(tokens: &[Token<'_>], idx: usize, line_no: usize) -> Result<ResRef, ParseError> {
+    match tokens.get(idx) {
+        Some(Token::Res(r)) => Ok(r.clone()),
         _ => Err(ParseError::new(line_no, format!("expected resource ref at position {idx}"))),
     }
 }

@@ -8,7 +8,10 @@
 //! numeric values when an app is packed.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The namespace a resource reference lives in, mirroring the `R.<kind>`
 /// classes of a real app.
@@ -47,6 +50,90 @@ impl ResKind {
     }
 }
 
+/// A resource entry name: a widget or container id (`login_button`), a
+/// layout name (`lay_main`), a drawer id.
+///
+/// Backed by `Arc<str>`, like [`crate::ClassName`]: the same id travels
+/// from the decoded layout and code through the simulator's screens,
+/// the widgets it reports, the driver's operations and UI signatures,
+/// and the static phase's maps, and each hop is a refcount bump rather
+/// than a copy. It serializes as a plain string and dereferences to
+/// `str`, so maps keyed by it are looked up with a `&str`.
+///
+/// # Example
+///
+/// ```
+/// use fd_smali::ResName;
+/// use std::collections::BTreeMap;
+///
+/// let id = ResName::new("login_button");
+/// let mut owners = BTreeMap::new();
+/// owners.insert(id.clone(), "LoginActivity");
+/// assert_eq!(owners.get("login_button"), Some(&"LoginActivity"));
+/// assert_eq!(id, "login_button");
+/// ```
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct ResName(Arc<str>);
+
+impl ResName {
+    /// Creates a name.
+    pub fn new(name: impl Into<String>) -> Self {
+        ResName(Arc::from(name.into()))
+    }
+
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for ResName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Debug for ResName {
+    /// Prints the name quoted, as `str` does.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for ResName {
+    /// Honours width and alignment, as `str` does.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(&self.0)
+    }
+}
+
+impl From<&str> for ResName {
+    fn from(s: &str) -> Self {
+        ResName(Arc::from(s))
+    }
+}
+
+impl From<String> for ResName {
+    fn from(s: String) -> Self {
+        ResName(Arc::from(s))
+    }
+}
+
+impl Borrow<str> for ResName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<&str> for ResName {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
 /// A symbolic resource reference, printed as `@kind/name`.
 ///
 /// # Example
@@ -64,27 +151,27 @@ pub struct ResRef {
     /// The resource namespace.
     pub kind: ResKind,
     /// The symbolic entry name.
-    pub name: String,
+    pub name: ResName,
 }
 
 impl ResRef {
     /// Creates a reference in the given namespace.
-    pub fn new(kind: ResKind, name: impl Into<String>) -> Self {
+    pub fn new(kind: ResKind, name: impl Into<ResName>) -> Self {
         ResRef { kind, name: name.into() }
     }
 
     /// Shorthand for an `@id/...` reference.
-    pub fn id(name: impl Into<String>) -> Self {
+    pub fn id(name: impl Into<ResName>) -> Self {
         ResRef::new(ResKind::Id, name)
     }
 
     /// Shorthand for an `@layout/...` reference.
-    pub fn layout(name: impl Into<String>) -> Self {
+    pub fn layout(name: impl Into<ResName>) -> Self {
         ResRef::new(ResKind::Layout, name)
     }
 
     /// Shorthand for an `@menu/...` reference.
-    pub fn menu(name: impl Into<String>) -> Self {
+    pub fn menu(name: impl Into<ResName>) -> Self {
         ResRef::new(ResKind::Menu, name)
     }
 

@@ -6,6 +6,7 @@
 //! these values with a preference during tests."
 
 use fd_apk::AndroidApp;
+use fd_smali::ResName;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InputDependency {
     /// Resource-IDs of all input widgets found in the app's layouts.
-    pub input_widgets: BTreeSet<String>,
+    pub input_widgets: BTreeSet<ResName>,
     /// Correct values for the subset the analyst filled in.
     pub values: BTreeMap<String, String>,
     /// Candidate inputs harvested from the app's own UI strings — the
@@ -67,7 +68,7 @@ pub fn collect(app: &AndroidApp, provided: &BTreeMap<String, String>) -> InputDe
     }
     let values = provided
         .iter()
-        .filter(|(k, _)| input_widgets.contains(*k))
+        .filter(|(k, _)| input_widgets.contains(k.as_str()))
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
     InputDependency { input_widgets, values, harvested }

@@ -7,7 +7,7 @@
 //! file are non-interaction widgets and are ruled out.
 
 use fd_apk::AndroidApp;
-use fd_smali::{visit, ClassName, ResKind, ResRef, Stmt};
+use fd_smali::{visit, ClassName, ResKind, ResName, ResRef, Stmt};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,9 +35,9 @@ impl UiOwner {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceDependency {
     /// Widget resource-ID name → owner.
-    pub owners: BTreeMap<String, UiOwner>,
+    pub owners: BTreeMap<ResName, UiOwner>,
     /// Layout name → classes that inflate it.
-    pub layout_users: BTreeMap<String, BTreeSet<ClassName>>,
+    pub layout_users: BTreeMap<ResName, BTreeSet<ClassName>>,
 }
 
 impl ResourceDependency {
@@ -60,7 +60,7 @@ impl ResourceDependency {
 
 /// The resource-IDs a class's code references (`getAID` / `getFID`), and
 /// the layouts it inflates.
-fn class_refs(app: &AndroidApp, class: &str) -> (BTreeSet<String>, BTreeSet<String>) {
+fn class_refs(app: &AndroidApp, class: &str) -> (BTreeSet<ResName>, BTreeSet<ResName>) {
     let mut ids = BTreeSet::new();
     let mut layouts = BTreeSet::new();
     for c in app.classes.with_inner_classes(class) {
@@ -86,14 +86,14 @@ pub fn resource_dependency(
 ) -> ResourceDependency {
     let mut dep = ResourceDependency::default();
 
-    let act_refs: Vec<(&ClassName, BTreeSet<String>, BTreeSet<String>)> = activities
+    let act_refs: Vec<(&ClassName, BTreeSet<ResName>, BTreeSet<ResName>)> = activities
         .iter()
         .map(|a| {
             let (ids, layouts) = class_refs(app, a.as_str());
             (a, ids, layouts)
         })
         .collect();
-    let frag_refs: Vec<(&ClassName, BTreeSet<String>, BTreeSet<String>)> = fragments
+    let frag_refs: Vec<(&ClassName, BTreeSet<ResName>, BTreeSet<ResName>)> = fragments
         .iter()
         .map(|f| {
             let (ids, layouts) = class_refs(app, f.as_str());
@@ -138,7 +138,9 @@ pub fn numeric_view(app: &AndroidApp, dep: &ResourceDependency) -> Vec<(u32, Str
     dep.owners
         .iter()
         .filter_map(|(id, owner)| {
-            app.resources.id_of(&ResRef::id(id)).map(|num| (num, id.clone(), owner.clone()))
+            app.resources
+                .id_of(&ResRef::id(id.clone()))
+                .map(|num| (num, id.to_string(), owner.clone()))
         })
         .collect()
 }

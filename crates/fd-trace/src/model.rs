@@ -35,9 +35,6 @@ pub enum Phase {
     App,
     /// A whole suite run.
     Suite,
-    /// A benchmark harness section. Nothing in the workspace records it
-    /// today; the variant keeps older traces that carry it readable.
-    Bench,
     /// A fuzz campaign or one of its mutant executions (`fd-fuzz`).
     Fuzz,
 }
@@ -55,7 +52,6 @@ impl Phase {
             Phase::Recovery => "recovery",
             Phase::App => "app",
             Phase::Suite => "suite",
-            Phase::Bench => "bench",
             Phase::Fuzz => "fuzz",
         }
     }

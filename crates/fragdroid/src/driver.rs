@@ -9,7 +9,7 @@ use fd_droidsim::{
     ApiInvocation, DeviceApi, DeviceConfig, DeviceError, ErrorClass, EventOutcome, FaultConfig,
     FaultLog, Op, ScreenObservation, TestScript, UiSignature, VisibleWidget,
 };
-use fd_smali::ClassName;
+use fd_smali::{ClassName, ResName};
 use fd_static::{StaticInfo, UiOwner};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -762,7 +762,7 @@ impl<'a> Explorer<'a> {
         // "FragDroid will complete the input fields and get all
         // coordinates of the controls that can be clicked."
         let fill_ops = self.fill_inputs();
-        let widgets: Vec<String> =
+        let widgets: Vec<ResName> =
             self.dev_widgets().into_iter().filter(|w| w.clickable).filter_map(|w| w.id).collect();
 
         // A state is swept once, so the widgets this sweep clicked are
@@ -801,7 +801,7 @@ impl<'a> Explorer<'a> {
     /// filling every visible input field with the candidate first. Stops
     /// at the first UI change (the gate opened) or after the candidates
     /// are exhausted.
-    fn try_harvested_inputs(&mut self, sig: &UiSignature, base_ops: &[Op], widget: &str) {
+    fn try_harvested_inputs(&mut self, sig: &UiSignature, base_ops: &[Op], widget: &ResName) {
         const MAX_CANDIDATES: usize = 8;
         let candidates: Vec<String> =
             self.info.input_dep.harvested.iter().take(MAX_CANDIDATES).cloned().collect();
@@ -812,7 +812,7 @@ impl<'a> Explorer<'a> {
             if !self.ensure_at(sig, base_ops, &[]) {
                 return;
             }
-            let fields: Vec<String> = self
+            let fields: Vec<ResName> = self
                 .dev_widgets()
                 .into_iter()
                 .filter(|w| w.kind == fd_apk::WidgetKind::EditText)
@@ -828,7 +828,7 @@ impl<'a> Explorer<'a> {
                     return;
                 }
             }
-            match self.exec(&Op::Click(widget.to_string()), &mut trace) {
+            match self.exec(&Op::Click(widget.clone()), &mut trace) {
                 None => return,
                 Some(StepOutcome::Outcome(EventOutcome::UiChanged { .. })) => return, // gate opened
                 Some(StepOutcome::Outcome(EventOutcome::OverlayShown)) => {
@@ -842,7 +842,7 @@ impl<'a> Explorer<'a> {
     /// Fills every visible input widget (§V-C), returning the ops used so
     /// discovered paths can replay them.
     fn fill_inputs(&mut self) -> Vec<Op> {
-        let inputs: Vec<String> = self
+        let inputs: Vec<ResName> = self
             .dev_widgets()
             .into_iter()
             .filter(|w| w.kind == fd_apk::WidgetKind::EditText)

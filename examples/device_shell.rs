@@ -56,7 +56,7 @@ fn main() {
                 for w in device.visible_widgets() {
                     println!(
                         "  {:<28} {:?}{}{}",
-                        w.id.unwrap_or_default(),
+                        w.id.as_deref().unwrap_or_default(),
                         w.kind,
                         if w.clickable { "  [clickable]" } else { "" },
                         if w.text.is_empty() { String::new() } else { format!("  \"{}\"", w.text) },
