@@ -79,29 +79,33 @@ impl RawTransition {
     /// * edges starting at a fragment are re-rooted at its host activity
     ///   (`F → A_o` ⇒ `A → A_o`, `F → F_o` ⇒ `A → F_o`);
     /// * `A → F_o` splits into `A → A'` (E1) plus `A' → Fᵢ` (E2).
-    pub fn merge(self) -> Vec<Edge> {
-        match self {
-            RawTransition::ActivityToActivity { from, to } => vec![Edge::e1(from, to)],
+    ///
+    /// At most two edges come out, so they are yielded without a heap
+    /// allocation.
+    pub fn merge(self) -> impl Iterator<Item = Edge> {
+        let edges = match self {
+            RawTransition::ActivityToActivity { from, to } => [Some(Edge::e1(from, to)), None],
             RawTransition::ActivityToOwnFragment { activity, fragment } => {
-                vec![Edge::e2(activity, fragment)]
+                [Some(Edge::e2(activity, fragment)), None]
             }
             RawTransition::FragmentToFragment { host, from, to } => {
-                vec![Edge::e3(host, from, to)]
+                [Some(Edge::e3(host, from, to)), None]
             }
             RawTransition::ActivityToForeignFragment { from, host, fragment } => {
-                vec![Edge::e1(from, host.clone()), Edge::e2(host, fragment)]
+                [Some(Edge::e1(from, host.clone())), Some(Edge::e2(host, fragment))]
             }
-            RawTransition::FragmentToHostActivity { .. } => Vec::new(),
+            RawTransition::FragmentToHostActivity { .. } => [None, None],
             RawTransition::FragmentToActivity { host, fragment: _, to } => {
-                vec![Edge::e1(host, to)]
+                [Some(Edge::e1(host, to)), None]
             }
             RawTransition::FragmentToForeignFragment {
                 from_host,
                 fragment: _,
                 to_host,
                 to_fragment,
-            } => vec![Edge::e1(from_host, to_host.clone()), Edge::e2(to_host, to_fragment)],
-        }
+            } => [Some(Edge::e1(from_host, to_host.clone())), Some(Edge::e2(to_host, to_fragment))],
+        };
+        edges.into_iter().flatten()
     }
 }
 
@@ -112,15 +116,17 @@ mod tests {
 
     #[test]
     fn basic_three_map_to_themselves() {
-        let e =
-            RawTransition::ActivityToActivity { from: "a.A0".into(), to: "a.A1".into() }.merge();
+        let e = RawTransition::ActivityToActivity { from: "a.A0".into(), to: "a.A1".into() }
+            .merge()
+            .collect::<Vec<_>>();
         assert_eq!(e, vec![Edge::e1("a.A0", "a.A1")]);
 
         let e = RawTransition::ActivityToOwnFragment {
             activity: "a.A0".into(),
             fragment: "a.F0".into(),
         }
-        .merge();
+        .merge()
+        .collect::<Vec<_>>();
         assert_eq!(e, vec![Edge::e2("a.A0", "a.F0")]);
 
         let e = RawTransition::FragmentToFragment {
@@ -128,7 +134,8 @@ mod tests {
             from: "a.F0".into(),
             to: "a.F1".into(),
         }
-        .merge();
+        .merge()
+        .collect::<Vec<_>>();
         assert_eq!(e, vec![Edge::e3("a.A0", "a.F0", "a.F1")]);
     }
 
@@ -136,7 +143,8 @@ mod tests {
     fn fragment_to_host_is_dropped() {
         let e =
             RawTransition::FragmentToHostActivity { host: "a.A0".into(), fragment: "a.F0".into() }
-                .merge();
+                .merge()
+                .collect::<Vec<_>>();
         assert!(e.is_empty());
     }
 
@@ -147,7 +155,8 @@ mod tests {
             fragment: "a.F0".into(),
             to: "a.A1".into(),
         }
-        .merge();
+        .merge()
+        .collect::<Vec<_>>();
         assert_eq!(e, vec![Edge::e1("a.A0", "a.A1")]);
     }
 
@@ -158,7 +167,8 @@ mod tests {
             host: "a.A1".into(),
             fragment: "a.F9".into(),
         }
-        .merge();
+        .merge()
+        .collect::<Vec<_>>();
         assert_eq!(e.len(), 2);
         assert_eq!(e[0], Edge::e1("a.A0", "a.A1"));
         assert_eq!(e[1], Edge::e2("a.A1", "a.F9"));
@@ -172,7 +182,8 @@ mod tests {
             to_host: "a.A1".into(),
             to_fragment: "a.F9".into(),
         }
-        .merge();
+        .merge()
+        .collect::<Vec<_>>();
         assert_eq!(e, vec![Edge::e1("a.A0", "a.A1"), Edge::e2("a.A1", "a.F9")]);
         // Every produced edge is one of the three basic kinds by
         // construction of `Edge`, but assert the kinds explicitly:

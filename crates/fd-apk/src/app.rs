@@ -3,7 +3,7 @@
 use crate::layout::Layout;
 use crate::manifest::Manifest;
 use crate::resources::ResourceTable;
-use fd_smali::{visit, ClassPool, ResKind, ResName, ResRef};
+use fd_smali::{visit, ClassPool, ResKind, ResName};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,29 +91,25 @@ impl AndroidApp {
     /// numeric table, the way `aapt` finalizes `R.java`. Call after the
     /// app's content is complete.
     pub fn finalize_resources(&mut self) {
-        let resources = &mut self.resources;
-        // Lookup keys share the layout's names, so building one is a
-        // refcount bump and re-finalizing an interned app allocates
-        // nothing.
+        // The references borrow the layouts' and the code's names; the
+        // table numbers them in this order in one bulk pass.
+        let mut refs = Vec::new();
         for layout in self.layouts.values() {
-            resources.intern(&ResRef::new(ResKind::Layout, layout.name.clone()));
+            refs.push((ResKind::Layout, &layout.name));
             for widget in layout.root.iter() {
                 if let Some(id) = &widget.id {
-                    resources.intern(&ResRef::new(ResKind::Id, id.clone()));
+                    refs.push((ResKind::Id, id));
                 }
             }
         }
-        // Intern code references by walking statements directly: `intern`
-        // only clones on a table miss, so repeats cost a lookup, not an
-        // allocation (the old per-class `referenced_resources` sets cloned
-        // every reference).
         for class in self.classes.iter() {
             visit::walk_class(class, &mut |stmt| {
                 if let Some(r) = stmt.res_ref() {
-                    resources.intern(r);
+                    refs.push((r.kind, &r.name));
                 }
             });
         }
+        self.resources.intern_all(refs);
     }
 
     /// Structural sanity-check: every layout referenced from code exists
@@ -160,7 +156,7 @@ mod tests {
     use super::*;
     use crate::layout::{Widget, WidgetKind};
     use crate::manifest::ActivityDecl;
-    use fd_smali::{ClassDef, MethodDef, Stmt};
+    use fd_smali::{ClassDef, MethodDef, ResRef, Stmt};
 
     fn app() -> AndroidApp {
         let mut app = AndroidApp::new(

@@ -38,10 +38,16 @@ pub fn pack_traced(app: &AndroidApp, tracer: &fd_trace::Tracer) -> Bytes {
     pack(app)
 }
 
-/// [`decompile`] under a span on `tracer` ([`fd_trace::Phase::Decompile`]).
+/// [`decompile`] under a span on `tracer` ([`fd_trace::Phase::Decompile`]),
+/// with a [`fd_trace::Phase::DecodeSection`] sub-span per section
+/// ([`ContainerView::decode_traced`]) and one for
+/// [`AppView::into_app`]. With a disabled tracer this *is* `decompile` —
+/// same code path, zero records.
 pub fn decompile_traced(bytes: &Bytes, tracer: &fd_trace::Tracer) -> Result<AndroidApp, ApkError> {
-    let _span = tracer.span(fd_trace::Phase::Decompile, "decompile");
-    decompile(bytes)
+    let _decompile = tracer.span(fd_trace::Phase::Decompile, "decompile");
+    let view = ContainerView::parse(bytes)?.decode_traced(tracer)?;
+    let _section = tracer.span(fd_trace::Phase::DecodeSection, "into-app");
+    Ok(view.into_app())
 }
 
 /// Serializes an app into the binary container.
@@ -242,14 +248,38 @@ impl<'a> ContainerView<'a> {
     /// precedence) as the historical `decompile`: manifest JSON, classes
     /// UTF-8, smali, layouts JSON, meta JSON.
     pub fn decode(&self) -> Result<AppView<'a>, ApkError> {
-        let manifest: Manifest = serde_json::from_slice(self.manifest)
-            .map_err(|e| ApkError::Corrupt { section: "manifest", cause: CorruptCause::Json(e) })?;
-        let classes_text = self.classes_str()?;
-        let classes = parser::parse_classes(classes_text)?;
-        let layouts: Vec<Layout> = serde_json::from_slice(self.layouts)
-            .map_err(|e| ApkError::Corrupt { section: "layouts", cause: CorruptCause::Json(e) })?;
-        let meta: AppMeta = serde_json::from_slice(self.meta)
-            .map_err(|e| ApkError::Corrupt { section: "meta", cause: CorruptCause::Json(e) })?;
+        self.decode_traced(&fd_trace::Tracer::disabled())
+    }
+
+    /// [`ContainerView::decode`] with one
+    /// [`fd_trace::Phase::DecodeSection`] span per section: `manifest`,
+    /// `classes`, `layouts`, `meta`.
+    pub fn decode_traced(&self, tracer: &fd_trace::Tracer) -> Result<AppView<'a>, ApkError> {
+        let section = |name| tracer.span(fd_trace::Phase::DecodeSection, name);
+        let manifest: Manifest = {
+            let _section = section("manifest");
+            serde_json::from_slice(self.manifest).map_err(|e| ApkError::Corrupt {
+                section: "manifest",
+                cause: CorruptCause::Json(e),
+            })?
+        };
+        let (classes_text, classes) = {
+            let _section = section("classes");
+            let text = self.classes_str()?;
+            (text, parser::parse_classes(text)?)
+        };
+        let layouts: Vec<Layout> = {
+            let _section = section("layouts");
+            serde_json::from_slice(self.layouts).map_err(|e| ApkError::Corrupt {
+                section: "layouts",
+                cause: CorruptCause::Json(e),
+            })?
+        };
+        let meta: AppMeta = {
+            let _section = section("meta");
+            serde_json::from_slice(self.meta)
+                .map_err(|e| ApkError::Corrupt { section: "meta", cause: CorruptCause::Json(e) })?
+        };
         Ok(AppView { manifest, classes, classes_text, layouts, meta })
     }
 }
@@ -300,9 +330,9 @@ impl AppView<'_> {
 ///
 /// Thin wrapper over the borrowed path:
 /// [`ContainerView::parse`] → [`ContainerView::decode`] →
-/// [`AppView::into_app`].
+/// [`AppView::into_app`], run as [`decompile_traced`] with tracing off.
 pub fn decompile(bytes: &Bytes) -> Result<AndroidApp, ApkError> {
-    Ok(ContainerView::parse(bytes)?.decode()?.into_app())
+    decompile_traced(bytes, &fd_trace::Tracer::disabled())
 }
 
 #[cfg(test)]
@@ -473,5 +503,42 @@ mod tests {
             decompile(&Bytes::from(raw)),
             Err(ApkError::Corrupt { section: "manifest", .. })
         ));
+    }
+
+    #[test]
+    fn traced_decompile_nests_one_span_per_section() {
+        use fd_trace::{Phase, Trace, TraceClock, TraceConfig, TraceRecord, TraceSummary, Tracer};
+        let bytes = pack(&sample_app(false));
+        let tracer = Tracer::new(&TraceConfig::on(), TraceClock::start(), 0);
+        let traced = decompile_traced(&bytes, &tracer).unwrap();
+        assert_eq!(traced, decompile(&bytes).unwrap());
+        let mut trace = Trace::new("decode sections");
+        trace.absorb(tracer.finish());
+        let spans: Vec<_> = trace
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                TraceRecord::Span(span) => Some(span),
+                _ => None,
+            })
+            .collect();
+        let outer: Vec<_> = spans.iter().filter(|s| s.phase == Phase::Decompile).collect();
+        assert_eq!(outer.len(), 1, "one Decompile span");
+        let (start, end) = (outer[0].wall_start_us, outer[0].wall_start_us + outer[0].wall_dur_us);
+        let sections: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.phase == Phase::DecodeSection)
+            .inspect(|s| {
+                let (s_start, s_end) = (s.wall_start_us, s.wall_start_us + s.wall_dur_us);
+                assert!(start <= s_start && s_end <= end, "{} nests in Decompile", s.name);
+            })
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(sections, ["manifest", "classes", "layouts", "meta", "into-app"]);
+        assert_eq!(spans.len(), 1 + sections.len(), "no other spans");
+        // The sections are detail: the top-level total is the Decompile
+        // span alone.
+        assert!(!Phase::DecodeSection.is_top_level());
+        assert_eq!(TraceSummary::compute(&trace).top_level_phase_total_us(), outer[0].wall_dur_us);
     }
 }

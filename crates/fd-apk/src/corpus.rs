@@ -44,8 +44,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Magic prefix of one corpus shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"FDCS";
@@ -492,12 +492,13 @@ pub fn encode_shard(entries: &[(Vec<u8>, BTreeMap<String, String>)]) -> Vec<u8> 
 }
 
 /// A lazily read shard file: the header and index are validated at open
-/// (the payload region is never read whole); entries are fetched by
-/// seek + exact-length reads, so resident memory stays O(1 app).
+/// (the payload region is never read whole); entries are fetched by one
+/// positioned read each, so resident memory stays O(1 app) and workers
+/// fetching from the same shard never wait on each other.
 #[derive(Debug)]
 pub struct ShardReader {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     spans: Vec<EntrySpan>,
 }
 
@@ -515,7 +516,7 @@ impl ShardReader {
         let mut index_bytes = vec![0u8; index_len];
         file.read_exact(&mut index_bytes).map_err(|e| io_err(path, "read index", e))?;
         let spans = parse_index(&index_bytes, entries, index_offset).map_err(shard)?;
-        Ok(ShardReader { path: path.to_path_buf(), file: Mutex::new(file), spans })
+        Ok(ShardReader { path: path.to_path_buf(), file, spans })
     }
 
     /// Number of entries in the shard.
@@ -529,24 +530,31 @@ impl ShardReader {
     }
 
     /// Reads entry `index`: the container bytes plus the decoded inputs
-    /// map.
+    /// map. The two are contiguous in the shard, so one positioned read
+    /// (`pread`) fetches both; it moves no shared file cursor.
     pub fn fetch(&self, index: usize) -> Result<(Vec<u8>, BTreeMap<String, String>), CorpusError> {
         let span = *self
             .spans
             .get(index)
             .ok_or(CorpusError::OutOfRange { index, len: self.spans.len() })?;
-        let mut file = self.file.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        file.seek(SeekFrom::Start(span.offset)).map_err(|e| io_err(&self.path, "seek entry", e))?;
-        let mut container = vec![0u8; span.container_len as usize];
-        file.read_exact(&mut container).map_err(|e| io_err(&self.path, "read container", e))?;
-        let mut inputs_json = vec![0u8; span.inputs_len as usize];
-        file.read_exact(&mut inputs_json).map_err(|e| io_err(&self.path, "read inputs", e))?;
-        drop(file);
-        let inputs = serde_json::from_slice(&inputs_json).map_err(|e| CorpusError::Shard {
-            path: self.path.clone(),
-            error: ApkError::Corrupt { section: "inputs", cause: CorruptCause::Json(e) },
-        })?;
-        Ok((container, inputs))
+        let container_len = span.container_len as usize;
+        let mut entry = vec![0u8; container_len + span.inputs_len as usize];
+        if let Err(e) = self.file.read_exact_at(&mut entry, span.offset) {
+            // Name the part the shard ends in, as separate reads would.
+            let container_end = span.offset + u64::from(span.container_len);
+            let op = match self.file.metadata() {
+                Ok(meta) if meta.len() >= container_end => "read inputs",
+                _ => "read container",
+            };
+            return Err(io_err(&self.path, op, e));
+        }
+        let inputs =
+            serde_json::from_slice(&entry[container_len..]).map_err(|e| CorpusError::Shard {
+                path: self.path.clone(),
+                error: ApkError::Corrupt { section: "inputs", cause: CorruptCause::Json(e) },
+            })?;
+        entry.truncate(container_len);
+        Ok((entry, inputs))
     }
 }
 
@@ -890,6 +898,48 @@ mod tests {
             reader.fetch(99).unwrap_err(),
             CorpusError::OutOfRange { index: 99, len: 3 }
         ));
+    }
+
+    #[test]
+    fn fetch_is_lock_free_and_names_the_part_a_cut_shard_ends_in() {
+        let dir = tmp_dir("pread");
+        let path = dir.join("shard.fdcs");
+        let entries = sample_entries();
+        std::fs::write(&path, encode_shard(&entries)).expect("write shard");
+        let reader = ShardReader::open(&path).expect("open");
+        // Concurrent fetches share the file without a cursor to race on.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        for (i, (container, inputs)) in entries.iter().enumerate() {
+                            assert_eq!(
+                                reader.fetch(i).expect("fetch"),
+                                (container.clone(), inputs.clone())
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        // Cut the file after open: inside entry 1's container, then inside
+        // its inputs.
+        let span = reader.spans[1];
+        let file = std::fs::OpenOptions::new().write(true).open(&path).expect("reopen");
+        for (cut, op) in [
+            (span.offset + 1, "read container"),
+            (span.offset + u64::from(span.container_len) + 1, "read inputs"),
+        ] {
+            file.set_len(cut).expect("truncate");
+            match reader.fetch(1).unwrap_err() {
+                CorpusError::Io { op: got, error, .. } => {
+                    assert_eq!(got, op);
+                    assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+                }
+                other => panic!("expected an I/O error, got {other}"),
+            }
+        }
+        assert!(reader.fetch(0).is_ok(), "entries before the cut still read");
     }
 
     #[test]

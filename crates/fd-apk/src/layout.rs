@@ -118,7 +118,12 @@ impl Widget {
 
     /// Depth-first iteration over this widget and all descendants.
     pub fn iter(&self) -> WidgetIter<'_> {
-        WidgetIter { stack: vec![self] }
+        WidgetIter {
+            root: Some(self),
+            inline: std::array::from_fn(|_| [].iter()),
+            deeper: Vec::new(),
+            depth: 0,
+        }
     }
 
     /// Finds a descendant (or self) by resource-ID name.
@@ -133,18 +138,56 @@ impl Widget {
 }
 
 /// Depth-first widget iterator (pre-order, children visited left to right).
+///
+/// It keeps one cursor per open level of the tree: the first
+/// [`WidgetIter::INLINE_DEPTH`] levels live inside the iterator, so a
+/// walk of a layout no deeper than that allocates nothing.
 pub struct WidgetIter<'a> {
-    stack: Vec<&'a Widget>,
+    /// The root, until it is yielded.
+    root: Option<&'a Widget>,
+    /// The unvisited siblings on each open level, outermost first.
+    inline: [std::slice::Iter<'a, Widget>; WidgetIter::INLINE_DEPTH],
+    /// The levels below the inline ones, innermost last.
+    deeper: Vec<std::slice::Iter<'a, Widget>>,
+    /// Open levels, inline and deeper.
+    depth: usize,
+}
+
+impl WidgetIter<'_> {
+    /// Tree levels walked without allocating.
+    pub const INLINE_DEPTH: usize = 8;
 }
 
 impl<'a> Iterator for WidgetIter<'a> {
     type Item = &'a Widget;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let widget = self.stack.pop()?;
-        // Push children in reverse so the leftmost is visited first.
-        for child in widget.children.iter().rev() {
-            self.stack.push(child);
+        let widget = match self.root.take() {
+            Some(root) => root,
+            None => loop {
+                let level = match self.depth {
+                    0 => return None,
+                    d if d <= Self::INLINE_DEPTH => &mut self.inline[d - 1],
+                    _ => self.deeper.last_mut().expect("levels past the inline ones"),
+                };
+                match level.next() {
+                    Some(widget) => break widget,
+                    None => {
+                        if self.depth > Self::INLINE_DEPTH {
+                            self.deeper.pop();
+                        }
+                        self.depth -= 1;
+                    }
+                }
+            },
+        };
+        if !widget.children.is_empty() {
+            if self.depth < Self::INLINE_DEPTH {
+                self.inline[self.depth] = widget.children.iter();
+            } else {
+                self.deeper.push(widget.children.iter());
+            }
+            self.depth += 1;
         }
         Some(widget)
     }
@@ -204,6 +247,27 @@ mod tests {
         let t = tree();
         let ids: Vec<_> = t.iter().filter_map(|w| w.id.as_deref()).collect();
         assert_eq!(ids, vec!["root", "go", "drawer", "item"]);
+    }
+
+    #[test]
+    fn iteration_past_the_inline_depth_stays_preorder() {
+        // A chain twice as deep as the inline levels, with a sibling at
+        // every level: pre-order visits the chain down, then the
+        // siblings back up.
+        let depth = 2 * WidgetIter::INLINE_DEPTH;
+        let mut tree = Widget::new(WidgetKind::Button).with_id(format!("leaf{depth}"));
+        for level in (0..depth).rev() {
+            tree = Widget::new(WidgetKind::Group)
+                .with_id(format!("chain{level}"))
+                .with_child(tree)
+                .with_child(Widget::new(WidgetKind::TextView).with_id(format!("side{level}")));
+        }
+        let ids: Vec<String> =
+            tree.iter().filter_map(|w| w.id.as_deref()).map(String::from).collect();
+        let mut expected: Vec<String> = (0..depth).map(|l| format!("chain{l}")).collect();
+        expected.push(format!("leaf{depth}"));
+        expected.extend((0..depth).rev().map(|l| format!("side{l}")));
+        assert_eq!(ids, expected);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! (§V-B) is keyed on these numbers; here the table maps the symbolic
 //! [`ResRef`]s used throughout the IR to their numeric IDs and back.
 
-use fd_smali::{ResKind, ResRef};
+use fd_smali::{ResKind, ResName, ResRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 const PACKAGE_BYTE: u32 = 0x7f;
 
@@ -21,14 +22,28 @@ fn type_byte(kind: ResKind) -> u32 {
 }
 
 /// A bidirectional symbolic-name ⇄ numeric-ID table.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The forward map is the table; the reverse index is derived from it on
+/// the first [`ResourceTable::res_of`], since decoding an app interns
+/// every resource but the pipeline seldom looks one up by number.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ResourceTable {
     /// Serialized as a list of pairs — JSON maps need string keys.
     #[serde(with = "pairs")]
     forward: BTreeMap<ResRef, u32>,
     #[serde(skip)]
-    reverse: BTreeMap<u32, ResRef>,
+    reverse: OnceLock<BTreeMap<u32, ResRef>>,
 }
+
+impl PartialEq for ResourceTable {
+    /// Tables are equal when their forward maps are: the reverse index is
+    /// a cache of the forward map.
+    fn eq(&self, other: &Self) -> bool {
+        self.forward == other.forward
+    }
+}
+
+impl Eq for ResourceTable {}
 
 mod pairs {
     use super::*;
@@ -62,23 +77,59 @@ impl ResourceTable {
         if let Some(&id) = self.forward.get(res) {
             return id;
         }
-        // The reverse index doubles as a per-type-block allocator: the
-        // highest ID already assigned in this block determines the next
-        // entry, without scanning the whole table. Deserialized tables
-        // arrive with the reverse index empty (it is `#[serde(skip)]`),
-        // so repair it before relying on it.
-        if self.reverse.len() != self.forward.len() {
-            self.rebuild_reverse();
+        self.intern_all([(res.kind, &res.name)]);
+        self.forward[res]
+    }
+
+    /// Interns every `(kind, name)` reference of `refs` not yet in the
+    /// table, exactly as [`ResourceTable::intern`] on each in turn would:
+    /// the new references of one type block get the entries after the
+    /// block's highest, in order of first appearance. The table grows in
+    /// bulk — one sort of the borrowed references, and a name is cloned
+    /// only once it is known to be new — instead of a probe and a tree
+    /// insert per reference.
+    pub fn intern_all<'r>(&mut self, refs: impl IntoIterator<Item = (ResKind, &'r ResName)>) {
+        // (kind, name, first appearance), then sorted so each reference's
+        // first appearance leads its run.
+        let mut fresh: Vec<(ResKind, &ResName, usize)> =
+            refs.into_iter().zip(0..).map(|((kind, name), seen)| (kind, name, seen)).collect();
+        fresh.sort_unstable();
+        fresh.dedup_by(|later, first| later.0 == first.0 && later.1 == first.1);
+        if !self.forward.is_empty() {
+            fresh.retain(|&(kind, name, _)| {
+                !self.forward.contains_key(&ResRef::new(kind, name.clone()))
+            });
         }
-        let block = (PACKAGE_BYTE << 24) | (type_byte(res.kind) << 16);
-        let next_entry = match self.reverse.range(block..=block | 0xffff).next_back() {
-            Some((&high, _)) => (high - block) + 1,
-            None => 0,
-        };
-        let id = block | next_entry;
-        self.forward.insert(res.clone(), id);
-        self.reverse.insert(id, res.clone());
-        id
+        if fresh.is_empty() {
+            return;
+        }
+        // Blocks ascend with the kind, so numbering in (kind, first
+        // appearance) order hands out ascending IDs.
+        let mut by_id: Vec<usize> = (0..fresh.len()).collect();
+        by_id.sort_unstable_by_key(|&i| (fresh[i].0, fresh[i].2));
+        let mut ids = vec![0u32; fresh.len()];
+        let mut block = u32::MAX;
+        let mut next = 0;
+        for &i in &by_id {
+            let res_block = (PACKAGE_BYTE << 24) | (type_byte(fresh[i].0) << 16);
+            if res_block != block {
+                block = res_block;
+                // The highest ID already assigned in this block
+                // determines its next entry.
+                let high = self.forward.values().filter(|&&id| id & !0xffff == block).max();
+                next = high.map_or(block, |&high| high + 1);
+            }
+            ids[i] = next;
+            next += 1;
+        }
+        // The old entries, then the new ones in key order: two sorted
+        // runs, which `collect` merges and builds in bulk.
+        let fresh = fresh
+            .into_iter()
+            .zip(ids)
+            .map(|((kind, name, _), id)| (ResRef::new(kind, name.clone()), id));
+        self.forward = std::mem::take(&mut self.forward).into_iter().chain(fresh).collect();
+        self.reverse = OnceLock::new();
     }
 
     /// Looks up the numeric ID of a symbolic reference.
@@ -88,7 +139,10 @@ impl ResourceTable {
 
     /// Looks up the symbolic reference behind a numeric ID.
     pub fn res_of(&self, id: u32) -> Option<&ResRef> {
-        self.reverse.get(&id)
+        let reverse = self
+            .reverse
+            .get_or_init(|| self.forward.iter().map(|(r, &id)| (id, r.clone())).collect());
+        reverse.get(&id)
     }
 
     /// Number of interned resources.
@@ -104,12 +158,6 @@ impl ResourceTable {
     /// Iterates over `(symbolic, numeric)` pairs in symbolic order.
     pub fn iter(&self) -> impl Iterator<Item = (&ResRef, u32)> {
         self.forward.iter().map(|(r, &id)| (r, id))
-    }
-
-    /// Rebuilds the reverse index — needed after deserialization, where the
-    /// reverse map is skipped.
-    pub fn rebuild_reverse(&mut self) {
-        self.reverse = self.forward.iter().map(|(r, &id)| (id, r.clone())).collect();
     }
 }
 
@@ -150,6 +198,54 @@ mod tests {
     }
 
     #[test]
+    fn bulk_interning_numbers_like_one_at_a_time() {
+        let refs = |names: &[(ResKind, &str)]| -> Vec<ResRef> {
+            names.iter().map(|&(kind, name)| ResRef::new(kind, name)).collect()
+        };
+        let first = refs(&[
+            (ResKind::Layout, "main"),
+            (ResKind::Id, "go"),
+            (ResKind::Id, "back"),
+            (ResKind::Layout, "main"),
+            (ResKind::Menu, "more"),
+        ]);
+        let second = refs(&[
+            (ResKind::Id, "zeta"),
+            (ResKind::Id, "go"),
+            (ResKind::Layout, "aux"),
+            (ResKind::Id, "alpha"),
+            (ResKind::Id, "zeta"),
+        ]);
+        let mut one_by_one = ResourceTable::new();
+        for r in first.iter().chain(&second) {
+            one_by_one.intern(r);
+        }
+        let mut bulk = ResourceTable::new();
+        // A lookup caches the (empty) reverse index; interning drops it.
+        assert_eq!(bulk.res_of(0x7f01_0000), None);
+        bulk.intern_all(first.iter().map(|r| (r.kind, &r.name)));
+        bulk.intern_all(second.iter().map(|r| (r.kind, &r.name)));
+        assert_eq!(bulk, one_by_one);
+        // Per block, in order of first appearance across both calls.
+        let expected = [
+            (ResRef::id("go"), 0x7f01_0000),
+            (ResRef::id("back"), 0x7f01_0001),
+            (ResRef::id("zeta"), 0x7f01_0002),
+            (ResRef::id("alpha"), 0x7f01_0003),
+            (ResRef::layout("main"), 0x7f02_0000),
+            (ResRef::layout("aux"), 0x7f02_0001),
+            (ResRef::menu("more"), 0x7f03_0000),
+        ];
+        assert_eq!(bulk.len(), expected.len());
+        for (r, id) in expected {
+            assert_eq!(bulk.id_of(&r), Some(id), "{r}");
+        }
+        for (r, id) in bulk.iter() {
+            assert_eq!(bulk.res_of(id), Some(r));
+        }
+    }
+
+    #[test]
     fn reverse_lookup() {
         let mut t = ResourceTable::new();
         let r = ResRef::layout("main");
@@ -165,19 +261,18 @@ mod tests {
         t.intern(&ResRef::id("b"));
         let json = serde_json::to_string(&t).unwrap();
         let mut back: ResourceTable = serde_json::from_str(&json).unwrap();
-        // No rebuild_reverse() — intern must repair the skipped index
-        // itself rather than hand out a colliding ID.
+        // The reverse index is skipped in JSON; numbering reads the
+        // forward map, so no colliding ID is handed out.
         assert_eq!(back.intern(&ResRef::id("c")), 0x7f01_0002);
         assert_eq!(back.res_of(0x7f01_0000), Some(&ResRef::id("a")));
     }
 
     #[test]
-    fn serde_roundtrip_with_reverse_rebuild() {
+    fn serde_roundtrip_derives_the_reverse_index() {
         let mut t = ResourceTable::new();
         let id = t.intern(&ResRef::id("go"));
         let json = serde_json::to_string(&t).unwrap();
-        let mut back: ResourceTable = serde_json::from_str(&json).unwrap();
-        back.rebuild_reverse();
+        let back: ResourceTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back.res_of(id), Some(&ResRef::id("go")));
         assert_eq!(back, t);
     }

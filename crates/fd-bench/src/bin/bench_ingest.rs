@@ -1,7 +1,8 @@
 //! Ingestion-frontier benchmark: decode throughput over the well-formed
-//! corpus and reject throughput over seeded fuzz mutants, written to
-//! `BENCH_ingest.json` so a checked-cursor or error-path regression
-//! shows up as a diff.
+//! corpus, static-extraction throughput over the apps it decodes, and
+//! reject throughput over seeded fuzz mutants, written to
+//! `BENCH_ingest.json` so a checked-cursor, static-phase or error-path
+//! regression shows up as a diff.
 //!
 //! Each measurement runs `PASSES` times. A pass repeats its workload a
 //! fixed number of rounds so that it takes at least 200 ms on a 2-core
@@ -23,6 +24,9 @@ const PASSES: usize = 5;
 
 /// Corpus loops per decode or decompile pass (one loop is 11–27 ms).
 const CORPUS_ROUNDS: usize = 24;
+
+/// Corpus loops per static-extraction pass (one loop is 5–9 ms).
+const STATIC_ROUNDS: usize = 40;
 
 /// Mutants in the timed fuzz campaign.
 const MUTANTS: u64 = 5_000;
@@ -47,6 +51,23 @@ struct DecodeStats {
     containers_per_second: f64,
     /// Byte throughput of that pass.
     mib_per_second: f64,
+}
+
+/// What `BENCH_ingest.json` records for the static phase (its `static`
+/// row).
+#[derive(Serialize)]
+struct StaticStats {
+    /// Decoded apps analysed per round (the packer-protected ones do not
+    /// decode).
+    containers: usize,
+    /// Corpus loops per pass.
+    rounds: usize,
+    /// Fastest pass, ms.
+    wall_ms: f64,
+    /// Slowest pass, ms.
+    slowest_wall_ms: f64,
+    /// `fd_static::extract` calls per second in that pass.
+    containers_per_second: f64,
 }
 
 /// What `BENCH_ingest.json` records for the mutant/reject path.
@@ -112,8 +133,8 @@ fn time_passes(mut pass: impl FnMut()) -> (f64, f64) {
 fn main() {
     // Pack the full corpus once — packer-protected apps included, since
     // rejecting them cheaply is part of the frontier's job.
-    let containers: Vec<Bytes> =
-        fd_appgen::corpus::corpus_217(1).iter().map(|g| fd_apk::pack(&g.app)).collect();
+    let corpus = fd_appgen::corpus::corpus_217(1);
+    let containers: Vec<Bytes> = corpus.iter().map(|g| fd_apk::pack(&g.app)).collect();
     let total_bytes: usize = containers.iter().map(|b| b.len()).sum();
 
     let stats = |(wall_ms, slowest_wall_ms): (f64, f64)| {
@@ -148,6 +169,26 @@ fn main() {
         }
     }));
 
+    let decoded: Vec<_> = containers
+        .iter()
+        .zip(&corpus)
+        .filter_map(|(bytes, gen)| Some((fd_apk::decompile(bytes).ok()?, &gen.known_inputs)))
+        .collect();
+    let (wall_ms, slowest_wall_ms) = time_passes(|| {
+        for _ in 0..STATIC_ROUNDS {
+            for (app, inputs) in &decoded {
+                std::hint::black_box(fd_static::extract(app, inputs));
+            }
+        }
+    });
+    let static_stats = StaticStats {
+        containers: decoded.len(),
+        rounds: STATIC_ROUNDS,
+        wall_ms,
+        slowest_wall_ms,
+        containers_per_second: (decoded.len() * STATIC_ROUNDS) as f64 / (wall_ms / 1000.0),
+    };
+
     let config =
         fd_fuzz::FuzzConfig { seed: 4, mutants: MUTANTS, ..fd_fuzz::FuzzConfig::default() };
     let mut report: Option<fd_fuzz::CampaignReport> = None;
@@ -179,7 +220,12 @@ fn main() {
     };
 
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let bench = BenchIngest { nproc, passes: PASSES, decode, decompile, fuzz };
+    let mut bench =
+        serde_json::to_value(&BenchIngest { nproc, passes: PASSES, decode, decompile, fuzz });
+    // `static` is a keyword, so that row joins the record as a value.
+    if let serde_json::Value::Object(rows) = &mut bench {
+        rows.insert("static".to_string(), serde_json::to_value(&static_stats));
+    }
     let json = serde_json::to_string_pretty(&bench).expect("bench record serializes");
     std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
     println!("{json}");

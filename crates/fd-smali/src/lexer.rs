@@ -11,13 +11,14 @@
 //!
 //! Comments start with `#` and run to end of line.
 //!
-//! Tokens borrow from the input line wherever they can: words are slices,
-//! and string literals only allocate when they actually contain an escape
-//! ([`std::borrow::Cow`]). This keeps the decode hot path free of
-//! per-token allocations (`tests` pin the borrowed/owned split).
+//! Tokens borrow from the input line wherever they can: words and
+//! resource names are slices, and string literals only allocate when
+//! they actually contain an escape ([`std::borrow::Cow`]). This keeps the
+//! decode hot path free of per-token allocations (`tests` pin the
+//! borrowed/owned split); the parser interns what it keeps.
 
 use crate::error::ParseError;
-use crate::res::ResRef;
+use crate::res::{ResKind, ResRef};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -29,8 +30,8 @@ pub enum Token<'a> {
     /// A quoted string literal, unescaped. Borrowed when the literal
     /// contains no escape sequences, owned otherwise.
     Str(Cow<'a, str>),
-    /// A resource reference.
-    Res(ResRef),
+    /// A resource reference: its namespace and its name, borrowed.
+    Res(ResKind, &'a str),
 }
 
 impl<'a> Token<'a> {
@@ -82,36 +83,53 @@ pub fn tokenize(line: &str, line_no: usize) -> Result<Vec<Token<'_>>, ParseError
 
 /// [`tokenize`] into a caller-supplied buffer, so a line-oriented parser
 /// can reuse one allocation across the whole file. Appends to `tokens`
-/// without clearing it.
+/// without clearing it. A `\n` ends the line.
 pub fn tokenize_into<'a>(
     line: &'a str,
     line_no: usize,
     tokens: &mut Vec<Token<'a>>,
 ) -> Result<(), ParseError> {
-    let bytes = line.as_bytes();
-    let mut pos = 0;
+    tokenize_line(line, 0, line_no, tokens).map(drop)
+}
+
+/// Tokenizes the line of `text` that starts at byte `start` into
+/// `tokens`, and returns where the next line starts (`text.len()` after
+/// the last). Lines split as [`str::lines`] splits them: at `\n`, less a
+/// `\r` before it.
+pub fn tokenize_line<'a>(
+    text: &'a str,
+    start: usize,
+    line_no: usize,
+    tokens: &mut Vec<Token<'a>>,
+) -> Result<usize, ParseError> {
+    let bytes = text.as_bytes();
+    let mut pos = start;
 
     while pos < bytes.len() {
         // Skip whitespace (ASCII fast path, Unicode fallback).
         let b = bytes[pos];
+        if b == b'\n' {
+            return Ok(pos + 1);
+        }
         if b.is_ascii_whitespace() {
             pos += 1;
             continue;
         }
         if b >= 0x80 {
-            let (c, next) = char_at(line, pos);
+            let (c, next) = char_at(text, pos);
             if c.is_whitespace() {
                 pos = next;
                 continue;
             }
         }
 
-        if b == b'#' {
-            break; // comment to end of line
-        }
-
-        if b == b'"' {
-            let (s, next) = scan_string(line, pos, line_no)?;
+        if b == b'#' || b == b'"' {
+            // A comment or a literal runs to the line's end.
+            let (end, next_line) = line_end(bytes, pos);
+            if b == b'#' {
+                return Ok(next_line);
+            }
+            let (s, next) = scan_string(&text[..end], pos, line_no)?;
             tokens.push(Token::Str(s));
             pos = next;
             continue;
@@ -127,24 +145,37 @@ pub fn tokenize_into<'a>(
                 }
                 pos += 1;
             } else {
-                let (c, next) = char_at(line, pos);
+                let (c, next) = char_at(text, pos);
                 if c.is_whitespace() {
                     break;
                 }
                 pos = next;
             }
         }
-        let word = &line[start..pos];
+        let word = &text[start..pos];
         if let Some(stripped) = word.strip_prefix('@') {
-            let res = ResRef::parse(word).ok_or_else(|| {
+            let (kind, name) = ResRef::split(word).ok_or_else(|| {
                 ParseError::new(line_no, format!("malformed resource ref '@{stripped}'"))
             })?;
-            tokens.push(Token::Res(res));
+            tokens.push(Token::Res(kind, name));
         } else {
             tokens.push(Token::Word(word));
         }
     }
-    Ok(())
+    Ok(pos)
+}
+
+/// The end of the line holding byte `from` (before its `\n`, and before
+/// a `\r` that precedes it), and where the next line starts.
+fn line_end(bytes: &[u8], from: usize) -> (usize, usize) {
+    match bytes[from..].iter().position(|&b| b == b'\n') {
+        Some(offset) => {
+            let newline = from + offset;
+            let end = if bytes[newline - 1] == b'\r' { newline - 1 } else { newline };
+            (end, newline + 1)
+        }
+        None => (bytes.len(), bytes.len()),
+    }
 }
 
 /// Scans a string literal whose opening quote sits at byte `open`.
@@ -219,7 +250,6 @@ fn scan_string_escaped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::res::ResKind;
 
     #[test]
     fn tokenizes_words_strings_and_refs() {
@@ -228,11 +258,58 @@ mod tests {
             toks,
             vec![
                 Token::Word("txn-add"),
-                Token::Res(ResRef::new(ResKind::Id, "container")),
+                Token::Res(ResKind::Id, "container"),
                 Token::Word("Lcom/a/F;"),
                 Token::Str("hello world".into()),
             ]
         );
+    }
+
+    #[test]
+    fn the_line_cursor_splits_as_str_lines_does() {
+        // CRLF endings, a `\r` kept inside a literal, literals and
+        // comments cut by the line end, blank lines, a last line without
+        // `\n`, and Unicode whitespace that separates but never ends a
+        // line.
+        let texts = [
+            "a b\nc\r\nd",
+            "show-dialog \"x\r\n\"y\"\n",
+            "show-dialog \"a\\\r\nb",
+            "show-dialog \"a\rb\"\r\n",
+            "# c\r\nx # d\n\n\nlast",
+            "x\r",
+            "\"q\r",
+            "a\u{2028}b\u{85}c\nd",
+            "",
+            "\n",
+        ];
+        for text in texts {
+            let by_lines: Vec<_> = text
+                .lines()
+                .enumerate()
+                .map(|(i, line)| {
+                    let mut tokens = Vec::new();
+                    tokenize_into(line, i + 1, &mut tokens).map(|()| tokens)
+                })
+                .collect();
+            let mut by_cursor = Vec::new();
+            let (mut pos, mut line_no) = (0, 0);
+            while pos < text.len() {
+                line_no += 1;
+                let mut tokens = Vec::new();
+                match tokenize_line(text, pos, line_no, &mut tokens) {
+                    Ok(next) => {
+                        by_cursor.push(Ok(tokens));
+                        pos = next;
+                    }
+                    Err(e) => {
+                        by_cursor.push(Err(e));
+                        pos = text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1);
+                    }
+                }
+            }
+            assert_eq!(by_cursor, by_lines, "{text:?}");
+        }
     }
 
     #[test]

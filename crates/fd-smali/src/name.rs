@@ -33,9 +33,10 @@ use std::sync::Arc;
 pub struct ClassName(Arc<str>);
 
 impl ClassName {
-    /// Creates a class name from its dotted Java form.
-    pub fn new(dotted: impl Into<String>) -> Self {
-        ClassName(Arc::from(dotted.into()))
+    /// Creates a class name from its dotted Java form, copying it once
+    /// into the shared buffer.
+    pub fn new(dotted: impl AsRef<str>) -> Self {
+        ClassName(Arc::from(dotted.as_ref()))
     }
 
     /// Parses a smali descriptor such as `Lcom/example/Foo;`.
@@ -126,9 +127,9 @@ impl Borrow<str> for ClassName {
 pub struct MethodName(Arc<str>);
 
 impl MethodName {
-    /// Creates a method name.
-    pub fn new(name: impl Into<String>) -> Self {
-        MethodName(Arc::from(name.into()))
+    /// Creates a method name, copying it once into the shared buffer.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        MethodName(Arc::from(name.as_ref()))
     }
 
     /// The raw name.

@@ -2,10 +2,11 @@
 
 use crate::class::{ClassDef, FieldDef, MethodDef, Visibility};
 use crate::error::ParseError;
-use crate::lexer::{tokenize_into, Token};
+use crate::lexer::{tokenize_line, Token};
 use crate::name::{ClassName, MethodName};
-use crate::res::ResRef;
+use crate::res::{ResKind, ResName, ResRef};
 use crate::stmt::{Cond, IntentTarget, Stmt};
+use std::collections::HashMap;
 
 /// Parses one `.class … .end class` definition.
 pub fn parse_class(text: &str) -> Result<ClassDef, ParseError> {
@@ -20,7 +21,7 @@ pub fn parse_class(text: &str) -> Result<ClassDef, ParseError> {
 /// Parses a file that may contain several class definitions.
 pub fn parse_classes(text: &str) -> Result<Vec<ClassDef>, ParseError> {
     let mut lines = Lines::new(text);
-    let mut interner = Interner::default();
+    let mut interner = Interner::for_text(text.len());
     let mut classes = Vec::new();
     while let Some((line_no, tokens)) = lines.next_nonempty()? {
         let head = expect_word_at(&tokens, 0, line_no)?;
@@ -33,45 +34,32 @@ pub fn parse_classes(text: &str) -> Result<Vec<ClassDef>, ParseError> {
     Ok(classes)
 }
 
-/// String interner for class and method names: one file mentions the same
-/// descriptor over and over (every `new-intent-class`, `txn-add`, `invoke`
-/// repeats its target), so the first mention allocates the `Arc<str>` and
-/// every later one is a refcount bump. Keys borrow from the input text,
-/// which outlives the parse.
-#[derive(Default)]
+/// String interner for class, method and resource names: one file
+/// mentions the same descriptor over and over (every `new-intent-class`,
+/// `txn-add`, `invoke` repeats its target; a layout's name appears in
+/// each class that inflates it), so the first mention allocates the
+/// `Arc<str>` and every later one is a refcount bump. Keys borrow from
+/// the input text, which outlives the parse.
+///
+/// The keys come from the input, so the maps keep std's keyed hasher: a
+/// container cannot be crafted to make its names collide.
 struct Interner<'a> {
-    classes: std::collections::HashMap<&'a str, ClassName, FnvBuild>,
-    methods: std::collections::HashMap<&'a str, MethodName, FnvBuild>,
+    classes: HashMap<&'a str, ClassName>,
+    methods: HashMap<&'a str, MethodName>,
+    resources: HashMap<&'a str, ResName>,
 }
-
-/// FNV-1a as the interner's hasher: the keys are short descriptor
-/// strings hashed once per mention, where SipHash's per-call setup cost
-/// outweighs its distribution advantages.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = std::hash::BuildHasherDefault<Fnv>;
 
 impl<'a> Interner<'a> {
+    /// An interner sized for a file of `len` bytes: about one distinct
+    /// name of each sort per 200 bytes, so the maps of an app's classes
+    /// rarely grow; capped, since `len` comes from the input.
+    fn for_text(len: usize) -> Self {
+        fn sized<'a, V>(len: usize) -> HashMap<&'a str, V> {
+            HashMap::with_capacity((len / 200).min(64))
+        }
+        Interner { classes: sized(len), methods: sized(len), resources: sized(len) }
+    }
+
     /// The [`ClassName`] for a smali descriptor, cached per spelling.
     fn class(&mut self, descriptor: &'a str, line_no: usize) -> Result<ClassName, ParseError> {
         if let Some(name) = self.classes.get(descriptor) {
@@ -86,21 +74,45 @@ impl<'a> Interner<'a> {
 
     /// The [`MethodName`] for a raw name, cached per spelling.
     fn method(&mut self, name: &'a str) -> MethodName {
-        self.methods.entry(name).or_insert_with(|| MethodName::new(name)).clone()
+        self.methods.entry(name).or_insert_with(|| MethodName::from(name)).clone()
+    }
+
+    /// The [`ResRef`] for a lexed reference; the name is cached per
+    /// spelling and shared across namespaces.
+    fn res(&mut self, kind: ResKind, name: &'a str) -> ResRef {
+        let name = self.resources.entry(name).or_insert_with(|| ResName::from(name)).clone();
+        ResRef { kind, name }
     }
 }
 
-/// Cursor over the non-empty, tokenized lines of the input.
+/// Cursor over the non-empty, tokenized lines of the input, with the
+/// parse's scratch buffers.
 struct Lines<'a> {
-    iter: std::iter::Enumerate<std::str::Lines<'a>>,
+    text: &'a str,
+    /// Where the next line starts.
+    pos: usize,
+    /// The 1-based number of the last line tokenized.
+    line_no: usize,
     /// Retired token buffers, reused by [`Lines::next_nonempty`] so the
     /// parse loop allocates O(nesting) vectors instead of one per line.
     spare: Vec<Vec<Token<'a>>>,
+    /// The open statement blocks, innermost last: a block parses onto
+    /// the end and moves out as one exact-size `Vec` when it closes.
+    stmts: Vec<Stmt>,
+    /// The methods of the class being parsed, likewise.
+    methods: Vec<MethodDef>,
 }
 
 impl<'a> Lines<'a> {
     fn new(text: &'a str) -> Self {
-        Lines { iter: text.lines().enumerate(), spare: Vec::new() }
+        Lines {
+            text,
+            pos: 0,
+            line_no: 0,
+            spare: Vec::new(),
+            stmts: Vec::new(),
+            methods: Vec::new(),
+        }
     }
 
     /// Next line with at least one token (skipping blanks and comments),
@@ -108,12 +120,12 @@ impl<'a> Lines<'a> {
     /// back via [`Lines::recycle`].
     fn next_nonempty(&mut self) -> Result<Option<(usize, Vec<Token<'a>>)>, ParseError> {
         let mut tokens = self.spare.pop().unwrap_or_default();
-        for (idx, raw) in self.iter.by_ref() {
-            let line_no = idx + 1;
+        while self.pos < self.text.len() {
+            self.line_no += 1;
             tokens.clear();
-            tokenize_into(raw, line_no, &mut tokens)?;
+            self.pos = tokenize_line(self.text, self.pos, self.line_no, &mut tokens)?;
             if !tokens.is_empty() {
-                return Ok(Some((line_no, tokens)));
+                return Ok(Some((self.line_no, tokens)));
             }
         }
         self.spare.push(tokens);
@@ -147,11 +159,15 @@ fn expect_class_at<'a>(
     interner.class(word, line_no)
 }
 
-/// The [`ResRef`] at position `idx`; its name is shared, so the copy is
-/// a refcount bump.
-fn expect_res_at(tokens: &[Token<'_>], idx: usize, line_no: usize) -> Result<ResRef, ParseError> {
+/// The [`ResRef`] at position `idx`, its name interned.
+fn expect_res_at<'a>(
+    tokens: &[Token<'a>],
+    idx: usize,
+    line_no: usize,
+    interner: &mut Interner<'a>,
+) -> Result<ResRef, ParseError> {
     match tokens.get(idx) {
-        Some(Token::Res(r)) => Ok(r.clone()),
+        Some(&Token::Res(kind, name)) => Ok(interner.res(kind, name)),
         _ => Err(ParseError::new(line_no, format!("expected resource ref at position {idx}"))),
     }
 }
@@ -215,6 +231,7 @@ fn parse_class_body<'a>(
         methods: Vec::new(),
     };
 
+    let base = lines.methods.len();
     loop {
         let (line_no, tokens) = lines
             .next_nonempty()?
@@ -222,6 +239,8 @@ fn parse_class_body<'a>(
         match expect_word_at(&tokens, 0, line_no)? {
             ".end" => {
                 if tokens.get(1).and_then(Token::as_word) == Some("class") {
+                    lines.recycle(tokens);
+                    class.methods = lines.methods.drain(base..).collect();
                     return Ok(class);
                 }
                 return Err(ParseError::new(line_no, "expected '.end class'"));
@@ -239,7 +258,8 @@ fn parse_class_body<'a>(
                 lines.recycle(tokens);
             }
             ".method" => {
-                class.methods.push(parse_method(lines, interner, &tokens, line_no)?);
+                let method = parse_method(lines, interner, &tokens, line_no)?;
+                lines.methods.push(method);
                 lines.recycle(tokens);
             }
             other => {
@@ -308,22 +328,22 @@ fn parse_stmts<'a>(
     start_line: usize,
     depth: usize,
 ) -> Result<(Vec<Stmt>, Terminator), ParseError> {
-    let mut stmts = Vec::new();
+    let base = lines.stmts.len();
     loop {
         let (line_no, mut tokens) = lines
             .next_nonempty()?
             .ok_or_else(|| ParseError::new(start_line, "unterminated statement block"))?;
         let head = expect_word_at(&tokens, 0, line_no)?;
-        match head {
+        let terminator = match head {
             ".end" => {
-                if tokens.get(1).and_then(Token::as_word) == Some("method") {
-                    return Ok((stmts, Terminator::EndMethod));
+                if tokens.get(1).and_then(Token::as_word) != Some("method") {
+                    // `.end class` etc. are not valid inside a method; report.
+                    return Err(ParseError::new(line_no, "unexpected '.end' inside method body"));
                 }
-                // `.end class` etc. are not valid inside a method; report.
-                return Err(ParseError::new(line_no, "unexpected '.end' inside method body"));
+                Terminator::EndMethod
             }
-            "else" => return Ok((stmts, Terminator::Else)),
-            "end-if" => return Ok((stmts, Terminator::EndIf)),
+            "else" => Terminator::Else,
+            "end-if" => Terminator::EndIf,
             "if" => {
                 if depth >= MAX_IF_DEPTH {
                     return Err(ParseError::new(
@@ -331,7 +351,7 @@ fn parse_stmts<'a>(
                         format!("'if' nesting exceeds the maximum depth of {MAX_IF_DEPTH}"),
                     ));
                 }
-                let cond = parse_cond(&mut tokens[1..], line_no)?;
+                let cond = parse_cond(&mut tokens[1..], line_no, interner)?;
                 lines.recycle(tokens);
                 let (then, term) = parse_stmts(lines, interner, line_no, depth + 1)?;
                 let (els, term) = match term {
@@ -341,29 +361,38 @@ fn parse_stmts<'a>(
                 if term != Terminator::EndIf {
                     return Err(ParseError::new(line_no, "missing 'end-if'"));
                 }
-                stmts.push(Stmt::If { cond, then, els });
+                lines.stmts.push(Stmt::If { cond, then, els });
+                continue;
             }
             _ => {
-                stmts.push(parse_simple_stmt(head, &mut tokens, line_no, interner)?);
+                let stmt = parse_simple_stmt(head, &mut tokens, line_no, interner)?;
+                lines.stmts.push(stmt);
                 lines.recycle(tokens);
+                continue;
             }
-        }
+        };
+        lines.recycle(tokens);
+        return Ok((lines.stmts.drain(base..).collect(), terminator));
     }
 }
 
-fn parse_cond(tokens: &mut [Token<'_>], line_no: usize) -> Result<Cond, ParseError> {
+fn parse_cond<'a>(
+    tokens: &mut [Token<'a>],
+    line_no: usize,
+    interner: &mut Interner<'a>,
+) -> Result<Cond, ParseError> {
     let head = expect_word_at(tokens, 0, line_no)?;
     match head {
         "input-equals" => {
             expect_len(tokens, 3, line_no)?;
             Ok(Cond::InputEquals {
-                field: expect_res_at(tokens, 1, line_no)?,
+                field: expect_res_at(tokens, 1, line_no, interner)?,
                 expected: expect_str_at(tokens, 2, line_no)?,
             })
         }
         "input-non-empty" => {
             expect_len(tokens, 2, line_no)?;
-            Ok(Cond::InputNonEmpty { field: expect_res_at(tokens, 1, line_no)? })
+            Ok(Cond::InputNonEmpty { field: expect_res_at(tokens, 1, line_no, interner)? })
         }
         "has-extra" => {
             expect_len(tokens, 2, line_no)?;
@@ -382,20 +411,20 @@ fn parse_simple_stmt<'a>(
     let stmt = match head {
         "set-content-view" => {
             expect_len(tokens, 2, line_no)?;
-            Stmt::SetContentView(expect_res_at(tokens, 1, line_no)?)
+            Stmt::SetContentView(expect_res_at(tokens, 1, line_no, interner)?)
         }
         "inflate" => {
             expect_len(tokens, 2, line_no)?;
-            Stmt::InflateLayout(expect_res_at(tokens, 1, line_no)?)
+            Stmt::InflateLayout(expect_res_at(tokens, 1, line_no, interner)?)
         }
         "find-view" => {
             expect_len(tokens, 2, line_no)?;
-            Stmt::FindViewById(expect_res_at(tokens, 1, line_no)?)
+            Stmt::FindViewById(expect_res_at(tokens, 1, line_no, interner)?)
         }
         "set-on-click" => {
             expect_len(tokens, 3, line_no)?;
             Stmt::SetOnClick {
-                widget: expect_res_at(tokens, 1, line_no)?,
+                widget: expect_res_at(tokens, 1, line_no, interner)?,
                 handler: interner.method(expect_word_at(tokens, 2, line_no)?),
             }
         }
@@ -465,14 +494,14 @@ fn parse_simple_stmt<'a>(
         "txn-add" => {
             expect_len(tokens, 3, line_no)?;
             Stmt::TxnAdd {
-                container: expect_res_at(tokens, 1, line_no)?,
+                container: expect_res_at(tokens, 1, line_no, interner)?,
                 fragment: expect_class_at(tokens, 2, line_no, interner)?,
             }
         }
         "txn-replace" => {
             expect_len(tokens, 3, line_no)?;
             Stmt::TxnReplace {
-                container: expect_res_at(tokens, 1, line_no)?,
+                container: expect_res_at(tokens, 1, line_no, interner)?,
                 fragment: expect_class_at(tokens, 2, line_no, interner)?,
             }
         }
@@ -483,13 +512,13 @@ fn parse_simple_stmt<'a>(
         "attach-direct" => {
             expect_len(tokens, 3, line_no)?;
             Stmt::AttachDirect {
-                container: expect_res_at(tokens, 1, line_no)?,
+                container: expect_res_at(tokens, 1, line_no, interner)?,
                 fragment: expect_class_at(tokens, 2, line_no, interner)?,
             }
         }
         "toggle-drawer" => {
             expect_len(tokens, 2, line_no)?;
-            Stmt::ToggleDrawer { drawer: expect_res_at(tokens, 1, line_no)? }
+            Stmt::ToggleDrawer { drawer: expect_res_at(tokens, 1, line_no, interner)? }
         }
         "show-dialog" => {
             expect_len(tokens, 2, line_no)?;

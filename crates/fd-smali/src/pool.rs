@@ -134,14 +134,25 @@ impl ClassPool {
 
     /// `class` plus all of its inner classes (`Foo$1`, `Foo$Inner`, …) that
     /// exist in the pool, in name order — the paper's *getInnerClass*.
-    /// The inner classes are one sorted run of the map starting at
-    /// `"{class}$"`, so this reads only them.
-    pub fn with_inner_classes<'a>(&'a self, class: &str) -> impl Iterator<Item = &'a ClassDef> {
-        let prefix = format!("{class}$");
+    /// The names that extend `class` form one sorted run right after it,
+    /// and within that run the inner classes (the byte after `class` is
+    /// `$`) are one contiguous stretch: this skips the names whose next
+    /// byte sorts before `$` (`Foo!x`), takes the `$` stretch and stops,
+    /// without building the `"{class}$"` prefix.
+    pub fn with_inner_classes<'a>(
+        &'a self,
+        class: &'a str,
+    ) -> impl Iterator<Item = &'a ClassDef> + 'a {
+        // A name in the run is longer than `class`, so the index is in
+        // bounds.
+        let next_byte = move |name: &ClassName| name.as_str().as_bytes()[class.len()];
         let inner = self
             .classes
-            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
-            .take_while(move |(name, _)| name.as_str().starts_with(prefix.as_str()))
+            .range::<str, _>((Bound::Excluded(class), Bound::Unbounded))
+            .skip_while(move |(name, _)| name.as_str().starts_with(class) && next_byte(name) < b'$')
+            .take_while(move |(name, _)| {
+                name.as_str().starts_with(class) && next_byte(name) == b'$'
+            })
             .map(|(_, def)| def);
         self.classes.get(class).into_iter().chain(inner)
     }
@@ -172,12 +183,11 @@ impl ClassPool {
 }
 
 impl FromIterator<ClassDef> for ClassPool {
+    /// Builds the map in bulk. A later class replaces an earlier one of
+    /// the same name, as [`ClassPool::insert`] would.
     fn from_iter<T: IntoIterator<Item = ClassDef>>(iter: T) -> Self {
-        let mut pool = ClassPool::new();
-        for class in iter {
-            pool.insert(class);
-        }
-        pool
+        let classes = iter.into_iter().map(|class| (class.name.clone(), class)).collect();
+        ClassPool { classes: Arc::new(classes) }
     }
 }
 

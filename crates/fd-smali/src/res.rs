@@ -77,9 +77,9 @@ impl ResKind {
 pub struct ResName(Arc<str>);
 
 impl ResName {
-    /// Creates a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ResName(Arc::from(name.into()))
+    /// Creates a name, copying it once into the shared buffer.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        ResName(Arc::from(name.as_ref()))
     }
 
     /// The name as a string slice.
@@ -177,12 +177,20 @@ impl ResRef {
 
     /// Parses the `@kind/name` form.
     pub fn parse(s: &str) -> Option<Self> {
+        let (kind, name) = Self::split(s)?;
+        Some(ResRef::new(kind, name))
+    }
+
+    /// Splits the `@kind/name` form into its namespace and the borrowed
+    /// name, accepting exactly what [`ResRef::parse`] accepts without
+    /// allocating the name.
+    pub fn split(s: &str) -> Option<(ResKind, &str)> {
         let rest = s.strip_prefix('@')?;
         let (kind, name) = rest.split_once('/')?;
         if name.is_empty() {
             return None;
         }
-        Some(ResRef::new(ResKind::from_token(kind)?, name))
+        Some((ResKind::from_token(kind)?, name))
     }
 }
 

@@ -209,10 +209,10 @@ impl Stmt {
         Stmt::If { cond, then, els: Vec::new() }
     }
 
-    /// The class names this single statement references, if any.
-    /// (Use [`crate::visit::referenced_classes`] for whole-body queries —
-    /// it also descends into `If` arms.)
-    pub fn class_refs(&self) -> Vec<&ClassName> {
+    /// The class this single statement names, if any. No statement
+    /// names more than one. (Use [`crate::visit::referenced_classes`] for
+    /// whole-body queries — it also descends into `If` arms.)
+    pub fn class_ref(&self) -> Option<&ClassName> {
         match self {
             Stmt::NewIntent(IntentTarget::Class(c))
             | Stmt::SetClass(c)
@@ -222,20 +222,14 @@ impl Stmt {
             | Stmt::TxnAdd { fragment: c, .. }
             | Stmt::TxnReplace { fragment: c, .. }
             | Stmt::AttachDirect { fragment: c, .. }
-            | Stmt::InvokeMethod { class: c, .. } => vec![c],
-            _ => Vec::new(),
+            | Stmt::InvokeMethod { class: c, .. } => Some(c),
+            _ => None,
         }
     }
 
-    /// The resource references this single statement mentions, if any.
-    pub fn res_refs(&self) -> Vec<&ResRef> {
-        self.res_ref().into_iter().collect()
-    }
-
     /// The resource reference this statement names, if any. No statement
-    /// names more than one (an `if` contributes only its condition's
-    /// field; refs inside the branches belong to the nested statements),
-    /// so this is the allocation-free primitive behind [`Stmt::res_refs`].
+    /// names more than one: an `if` contributes only its condition's
+    /// field; refs inside the branches belong to the nested statements.
     pub fn res_ref(&self) -> Option<&ResRef> {
         match self {
             Stmt::SetContentView(r)
@@ -260,7 +254,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_refs_cover_fragment_shapes() {
+    fn class_ref_covers_fragment_shapes() {
         let f = ClassName::new("a.F1");
         for s in [
             Stmt::NewInstance(f.clone()),
@@ -269,22 +263,22 @@ mod tests {
             Stmt::TxnAdd { container: ResRef::id("c"), fragment: f.clone() },
             Stmt::TxnReplace { container: ResRef::id("c"), fragment: f.clone() },
         ] {
-            assert_eq!(s.class_refs(), vec![&f], "statement {s:?}");
+            assert_eq!(s.class_ref(), Some(&f), "statement {s:?}");
         }
     }
 
     #[test]
-    fn res_refs_include_condition_fields() {
+    fn res_ref_includes_condition_fields() {
         let s = Stmt::if_then(
             Cond::InputEquals { field: ResRef::id("edit"), expected: "x".into() },
             vec![],
         );
-        assert_eq!(s.res_refs(), vec![&ResRef::id("edit")]);
+        assert_eq!(s.res_ref(), Some(&ResRef::id("edit")));
     }
 
     #[test]
     fn plain_statements_have_no_refs() {
-        assert!(Stmt::Finish.class_refs().is_empty());
-        assert!(Stmt::TxnCommit.res_refs().is_empty());
+        assert!(Stmt::Finish.class_ref().is_none());
+        assert!(Stmt::TxnCommit.res_ref().is_none());
     }
 }

@@ -38,7 +38,7 @@ pub fn flatten(method: &MethodDef) -> Vec<&Stmt> {
 pub fn referenced_classes(class: &ClassDef) -> BTreeSet<ClassName> {
     let mut out = BTreeSet::new();
     walk_class(class, &mut |s| {
-        for c in s.class_refs() {
+        if let Some(c) = s.class_ref() {
             out.insert(c.clone());
         }
     });

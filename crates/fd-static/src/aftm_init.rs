@@ -8,14 +8,17 @@
 //! every effective fragment for `F → Fᵢ` edges between co-hosted
 //! fragments.
 
+use crate::index::CodeIndex;
 use fd_aftm::{Aftm, RawTransition};
 use fd_apk::AndroidApp;
-use fd_smali::{visit, ClassDef, ClassName, IntentTarget, Stmt};
-use std::collections::BTreeSet;
+use fd_smali::{ClassName, IntentTarget, Stmt};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Builds the initial AFTM from the decompiled app.
+/// Builds the initial AFTM from the decompiled app. `index` must cover
+/// the activities and the fragments.
 pub fn build_aftm(
     app: &AndroidApp,
+    index: &CodeIndex<'_>,
     activities: &BTreeSet<ClassName>,
     fragments: &BTreeSet<ClassName>,
 ) -> Aftm {
@@ -27,37 +30,46 @@ pub fn build_aftm(
     // GetEdgeAtoA / GetEdgeAtoF — per effective activity (incl. inner
     // classes, which is where javac puts listener bodies).
     for activity in activities {
-        for class in app.classes.with_inner_classes(activity.as_str()) {
-            scan_activity_class(app, activities, fragments, activity, class, &mut aftm);
+        for stmt in index.unit(activity.as_str()).stmts {
+            scan_activity_stmt(app, activities, fragments, activity, stmt, &mut aftm);
         }
     }
 
     // GetEdgeFtoF — per effective fragment.
+    let hosts = hosts_of(index, activities, fragments);
+    let no_hosts = Vec::new();
     for fragment in fragments {
-        let hosts = hosts_of(app, activities, fragment);
-        for class in app.classes.with_inner_classes(fragment.as_str()) {
-            scan_fragment_class(app, activities, fragments, fragment, &hosts, class, &mut aftm);
+        let scan = FragmentScan {
+            app,
+            activities,
+            fragments,
+            hosts: &hosts,
+            fragment,
+            own_hosts: hosts.get(fragment.as_str()).unwrap_or(&no_hosts),
+        };
+        for stmt in index.unit(fragment.as_str()).stmts {
+            scan.stmt(stmt, &mut aftm);
         }
     }
     aftm
 }
 
-/// The activities whose code (incl. inner classes) states `fragment` —
-/// "if F1 ∈ A0" in Algorithm 1.
-fn hosts_of(
-    app: &AndroidApp,
-    activities: &BTreeSet<ClassName>,
-    fragment: &ClassName,
-) -> BTreeSet<ClassName> {
-    activities
-        .iter()
-        .filter(|a| {
-            app.classes
-                .with_inner_classes(a.as_str())
-                .any(|c| visit::referenced_classes(c).contains(fragment))
-        })
-        .cloned()
-        .collect()
+/// Each fragment's hosts: the activities whose code (incl. inner
+/// classes) states it — "if F1 ∈ A0" in Algorithm 1 — in name order.
+fn hosts_of<'s>(
+    index: &CodeIndex<'_>,
+    activities: &'s BTreeSet<ClassName>,
+    fragments: &'s BTreeSet<ClassName>,
+) -> BTreeMap<&'s str, Vec<&'s ClassName>> {
+    let mut hosts: BTreeMap<&str, Vec<&ClassName>> = BTreeMap::new();
+    for activity in activities {
+        for used in index.unit(activity.as_str()).classes {
+            if let Some(fragment) = fragments.get(used.as_str()) {
+                hosts.entry(fragment.as_str()).or_default().push(activity);
+            }
+        }
+    }
+    hosts
 }
 
 fn fragment_targets(stmt: &Stmt) -> Option<&ClassName> {
@@ -72,107 +84,105 @@ fn fragment_targets(stmt: &Stmt) -> Option<&ClassName> {
     }
 }
 
-fn scan_activity_class(
+fn scan_activity_stmt(
     app: &AndroidApp,
     activities: &BTreeSet<ClassName>,
     fragments: &BTreeSet<ClassName>,
     activity: &ClassName,
-    class: &ClassDef,
+    stmt: &Stmt,
     aftm: &mut Aftm,
 ) {
-    visit::walk_class(class, &mut |stmt| {
-        match stmt {
-            // new Intent(Class A0, Class A1) / setClass(..)
-            Stmt::NewIntent(IntentTarget::Class(target)) | Stmt::SetClass(target) => {
-                if activities.contains(target) && target != activity {
+    match stmt {
+        // new Intent(Class A0, Class A1) / setClass(..)
+        Stmt::NewIntent(IntentTarget::Class(target)) | Stmt::SetClass(target) => {
+            if activities.contains(target) && target != activity {
+                aftm.apply(RawTransition::ActivityToActivity {
+                    from: activity.clone(),
+                    to: target.clone(),
+                });
+            }
+        }
+        // new Intent(String action) / setAction(..) → manifest lookup
+        Stmt::NewIntent(IntentTarget::Action(action)) | Stmt::SetAction(action) => {
+            if let Some(decl) = app.manifest.resolve_action(action) {
+                if activities.contains(&decl.name) && &decl.name != activity {
                     aftm.apply(RawTransition::ActivityToActivity {
                         from: activity.clone(),
-                        to: target.clone(),
+                        to: decl.name.clone(),
                     });
                 }
             }
-            // new Intent(String action) / setAction(..) → manifest lookup
+        }
+        other => {
+            if let Some(f1) = fragment_targets(other) {
+                if fragments.contains(f1) {
+                    aftm.apply(RawTransition::ActivityToOwnFragment {
+                        activity: activity.clone(),
+                        fragment: f1.clone(),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// One effective fragment's scan: what GetEdgeFtoF needs to know about
+/// the fragment and the app.
+struct FragmentScan<'s> {
+    app: &'s AndroidApp,
+    activities: &'s BTreeSet<ClassName>,
+    fragments: &'s BTreeSet<ClassName>,
+    hosts: &'s BTreeMap<&'s str, Vec<&'s ClassName>>,
+    fragment: &'s ClassName,
+    own_hosts: &'s [&'s ClassName],
+}
+
+impl FragmentScan<'_> {
+    /// A fragment starting an activity: re-rooted at each host.
+    fn to_activity(&self, target: &ClassName, aftm: &mut Aftm) {
+        if !self.activities.contains(target) {
+            return;
+        }
+        for &host in self.own_hosts {
+            if host != target {
+                aftm.apply(RawTransition::FragmentToActivity {
+                    host: host.clone(),
+                    fragment: self.fragment.clone(),
+                    to: target.clone(),
+                });
+            }
+        }
+    }
+
+    fn stmt(&self, stmt: &Stmt, aftm: &mut Aftm) {
+        match stmt {
+            Stmt::NewIntent(IntentTarget::Class(target)) | Stmt::SetClass(target) => {
+                self.to_activity(target, aftm);
+            }
             Stmt::NewIntent(IntentTarget::Action(action)) | Stmt::SetAction(action) => {
-                if let Some(decl) = app.manifest.resolve_action(action) {
-                    if activities.contains(&decl.name) && &decl.name != activity {
-                        aftm.apply(RawTransition::ActivityToActivity {
-                            from: activity.clone(),
-                            to: decl.name.clone(),
-                        });
-                    }
+                if let Some(decl) = self.app.manifest.resolve_action(action) {
+                    self.to_activity(&decl.name, aftm);
                 }
             }
             other => {
                 if let Some(f1) = fragment_targets(other) {
-                    if fragments.contains(f1) {
-                        aftm.apply(RawTransition::ActivityToOwnFragment {
-                            activity: activity.clone(),
-                            fragment: f1.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    });
-}
-
-fn scan_fragment_class(
-    app: &AndroidApp,
-    activities: &BTreeSet<ClassName>,
-    fragments: &BTreeSet<ClassName>,
-    fragment: &ClassName,
-    hosts: &BTreeSet<ClassName>,
-    class: &ClassDef,
-    aftm: &mut Aftm,
-) {
-    visit::walk_class(class, &mut |stmt| {
-        match stmt {
-            // A fragment starting an activity: re-rooted at its host.
-            Stmt::NewIntent(IntentTarget::Class(target)) | Stmt::SetClass(target) => {
-                if activities.contains(target) {
-                    for host in hosts {
-                        if host != target {
-                            aftm.apply(RawTransition::FragmentToActivity {
-                                host: host.clone(),
-                                fragment: fragment.clone(),
-                                to: target.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-            Stmt::NewIntent(IntentTarget::Action(action)) | Stmt::SetAction(action) => {
-                if let Some(decl) = app.manifest.resolve_action(action) {
-                    if activities.contains(&decl.name) {
-                        for host in hosts {
-                            if host != &decl.name {
-                                aftm.apply(RawTransition::FragmentToActivity {
+                    if self.fragments.contains(f1) && f1 != self.fragment {
+                        // F0 → F1 only if both belong to one activity.
+                        let Some(f1_hosts) = self.hosts.get(f1.as_str()) else { return };
+                        for &host in self.own_hosts {
+                            if f1_hosts.binary_search(&host).is_ok() {
+                                aftm.apply(RawTransition::FragmentToFragment {
                                     host: host.clone(),
-                                    fragment: fragment.clone(),
-                                    to: decl.name.clone(),
+                                    from: self.fragment.clone(),
+                                    to: f1.clone(),
                                 });
                             }
                         }
                     }
                 }
             }
-            other => {
-                if let Some(f1) = fragment_targets(other) {
-                    if fragments.contains(f1) && f1 != fragment {
-                        // F0 → F1 only if both belong to one activity.
-                        let f1_hosts = hosts_of(app, activities, f1);
-                        for host in hosts.intersection(&f1_hosts) {
-                            aftm.apply(RawTransition::FragmentToFragment {
-                                host: host.clone(),
-                                from: fragment.clone(),
-                                to: f1.clone(),
-                            });
-                        }
-                    }
-                }
-            }
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -184,8 +194,10 @@ mod tests {
 
     fn model_of(gen: &fd_appgen::GeneratedApp) -> (Aftm, BTreeSet<ClassName>, BTreeSet<ClassName>) {
         let acts = effective::effective_activities(&gen.app);
-        let frags = effective::effective_fragments(&gen.app, &acts);
-        let aftm = build_aftm(&gen.app, &acts, &frags);
+        let candidates = effective::fragment_candidates(&gen.app);
+        let index = CodeIndex::build(&gen.app, acts.iter().chain(candidates.iter().copied()));
+        let frags = effective::effective_fragments(&index, &acts, &candidates);
+        let aftm = build_aftm(&gen.app, &index, &acts, &frags);
         (aftm, acts, frags)
     }
 

@@ -5,37 +5,38 @@
 //! `android.app.Fragment` or `android.support.v4.app.Fragment` is a
 //! dependency of that activity.
 
-use fd_apk::AndroidApp;
-use fd_smali::{visit, ClassName};
+use crate::index::CodeIndex;
+use fd_smali::ClassName;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Computes the activity → fragments dependency relation.
+/// Computes the activity → fragments dependency relation. `index` must
+/// cover the activities.
 pub fn af_dependency(
-    app: &AndroidApp,
+    index: &CodeIndex<'_>,
     activities: &BTreeSet<ClassName>,
     fragments: &BTreeSet<ClassName>,
 ) -> BTreeMap<ClassName, BTreeSet<ClassName>> {
-    let mut relation: BTreeMap<ClassName, BTreeSet<ClassName>> = BTreeMap::new();
-    for activity in activities {
-        let mut deps = BTreeSet::new();
-        // getInnerClass(a): the activity plus its inner classes.
-        for class in app.classes.with_inner_classes(activity.as_str()) {
-            // getUsedClass(aClass) + getSuperChain(Class) membership test.
-            for used in visit::referenced_classes(class) {
-                if app.classes.is_fragment_class(used.as_str()) && fragments.contains(&used) {
-                    deps.insert(used);
-                }
-            }
-        }
-        relation.insert(activity.clone(), deps);
-    }
-    relation
+    activities
+        .iter()
+        .map(|activity| {
+            // getInnerClass(a) + getUsedClass: the unit's used classes.
+            // The getSuperChain test is already done: every effective
+            // fragment's chain reaches a framework fragment class.
+            let deps = index
+                .unit(activity.as_str())
+                .classes
+                .iter()
+                .filter_map(|used| fragments.get(used.as_str()).cloned())
+                .collect();
+            (activity.clone(), deps)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_apk::{ActivityDecl, Manifest};
+    use fd_apk::{ActivityDecl, AndroidApp, Manifest};
     use fd_smali::{well_known, ClassDef, MethodDef, Stmt};
 
     #[test]
@@ -58,7 +59,7 @@ mod tests {
         let activities: BTreeSet<ClassName> = [ClassName::new("t.Main")].into_iter().collect();
         let fragments: BTreeSet<ClassName> =
             [ClassName::new("t.TabFragment")].into_iter().collect();
-        let rel = af_dependency(&app, &activities, &fragments);
+        let rel = af_dependency(&CodeIndex::build(&app, &activities), &activities, &fragments);
         let deps = &rel[&ClassName::new("t.Main")];
         assert!(deps.contains("t.TabFragment"));
         assert!(!deps.contains("t.Helper"));
@@ -79,7 +80,7 @@ mod tests {
 
         let activities: BTreeSet<ClassName> = [ClassName::new("t.Main")].into_iter().collect();
         let fragments: BTreeSet<ClassName> = [ClassName::new("t.NewsFrag")].into_iter().collect();
-        let rel = af_dependency(&app, &activities, &fragments);
+        let rel = af_dependency(&CodeIndex::build(&app, &activities), &activities, &fragments);
         assert!(rel[&ClassName::new("t.Main")].contains("t.NewsFrag"));
     }
 
@@ -90,7 +91,8 @@ mod tests {
         );
         app.classes.insert(ClassDef::new("t.Plain", well_known::ACTIVITY));
         let activities: BTreeSet<ClassName> = [ClassName::new("t.Plain")].into_iter().collect();
-        let rel = af_dependency(&app, &activities, &BTreeSet::new());
+        let rel =
+            af_dependency(&CodeIndex::build(&app, &activities), &activities, &BTreeSet::new());
         assert!(rel[&ClassName::new("t.Plain")].is_empty());
     }
 }

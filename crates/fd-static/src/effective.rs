@@ -10,9 +10,10 @@
 //! those actually *stated* (referenced) from an effective activity or
 //! another effective fragment.
 
+use crate::index::CodeIndex;
 use fd_aftm::{Aftm, NodeId};
 use fd_apk::AndroidApp;
-use fd_smali::{visit, ClassName};
+use fd_smali::ClassName;
 use std::collections::BTreeSet;
 
 /// All manifest-declared activities whose class exists in the pool.
@@ -25,39 +26,33 @@ pub fn effective_activities(app: &AndroidApp) -> BTreeSet<ClassName> {
         .collect()
 }
 
-/// Two-pass fragment discovery followed by the reference filter.
-pub fn effective_fragments(
-    app: &AndroidApp,
-    activities: &BTreeSet<ClassName>,
-) -> BTreeSet<ClassName> {
-    // Pass 1+2: all (transitive) subclasses of the framework fragments.
-    let candidates: BTreeSet<ClassName> = app
-        .classes
+/// Pass 1+2 of fragment discovery: every class whose inheritance chain
+/// reaches a framework fragment class, in name order.
+pub fn fragment_candidates(app: &AndroidApp) -> Vec<&ClassName> {
+    app.classes
         .subclasses_of_any([fd_smali::well_known::FRAGMENT, fd_smali::well_known::SUPPORT_FRAGMENT])
         .into_iter()
-        .map(|c| c.name.clone())
-        .collect();
+        .map(|c| &c.name)
+        .collect()
+}
 
-    // Filter: a fragment is effective if a statement of it appears in an
-    // effective activity (or its inner classes), or — transitively — in an
-    // already-effective fragment.
+/// The reference filter over the [`fragment_candidates`] (`candidates`,
+/// in name order): a fragment is effective if a statement of it appears
+/// in an effective activity (or its inner classes), or — transitively —
+/// in an already-effective fragment. `index` must cover the activities
+/// and the candidates.
+pub fn effective_fragments(
+    index: &CodeIndex<'_>,
+    activities: &BTreeSet<ClassName>,
+    candidates: &[&ClassName],
+) -> BTreeSet<ClassName> {
+    let is_candidate = |c: &ClassName| candidates.binary_search(&c).is_ok();
     let mut effective: BTreeSet<ClassName> = BTreeSet::new();
-    let mut frontier: Vec<ClassName> = Vec::new();
-    for activity in activities {
-        for class in app.classes.with_inner_classes(activity.as_str()) {
-            for referenced in visit::referenced_classes(class) {
-                if candidates.contains(&referenced) && effective.insert(referenced.clone()) {
-                    frontier.push(referenced);
-                }
-            }
-        }
-    }
-    while let Some(fragment) = frontier.pop() {
-        for class in app.classes.with_inner_classes(fragment.as_str()) {
-            for referenced in visit::referenced_classes(class) {
-                if candidates.contains(&referenced) && effective.insert(referenced.clone()) {
-                    frontier.push(referenced);
-                }
+    let mut frontier: Vec<&str> = activities.iter().map(ClassName::as_str).collect();
+    while let Some(class) = frontier.pop() {
+        for &referenced in index.unit(class).classes {
+            if is_candidate(referenced) && effective.insert(referenced.clone()) {
+                frontier.push(referenced.as_str());
             }
         }
     }
@@ -69,13 +64,13 @@ pub fn effective_fragments(
 /// screen).
 pub fn drop_isolated(
     aftm: &Aftm,
-    activities: BTreeSet<ClassName>,
+    activities: &BTreeSet<ClassName>,
     app: &AndroidApp,
 ) -> BTreeSet<ClassName> {
     let launcher = app.manifest.launcher_activity().map(|d| d.name.clone());
     activities
-        .into_iter()
-        .filter(|a| {
+        .iter()
+        .filter(|&a| {
             if launcher.as_ref() == Some(a) {
                 return true;
             }
@@ -84,6 +79,7 @@ pub fn drop_isolated(
             let has_in = aftm.edges().any(|e| e.to == node);
             has_out || has_in
         })
+        .cloned()
         .collect()
 }
 
@@ -128,7 +124,9 @@ mod tests {
     fn fragments_found_transitively_but_only_if_stated() {
         let application = app();
         let acts = effective_activities(&application);
-        let frags = effective_fragments(&application, &acts);
+        let candidates = fragment_candidates(&application);
+        let index = CodeIndex::build(&application, acts.iter().chain(candidates.iter().copied()));
+        let frags = effective_fragments(&index, &acts, &candidates);
         assert!(frags.contains("t.FragA"), "referenced from Main");
         assert!(frags.contains("t.FragB"), "referenced from FragA");
         assert!(!frags.contains("t.FragC"), "never stated anywhere");
@@ -141,7 +139,7 @@ mod tests {
         let acts = effective_activities(&application);
         let mut aftm = Aftm::new();
         aftm.set_entry("t.Main");
-        let kept = drop_isolated(&aftm, acts, &application);
+        let kept = drop_isolated(&aftm, &acts, &application);
         assert!(kept.contains("t.Main"), "launcher survives even without edges");
         assert!(!kept.contains("t.Lonely"), "isolated activity removed");
     }

@@ -52,20 +52,28 @@ impl InputDependency {
 /// values (keeping only values for widgets that actually exist). Every
 /// non-empty display string of the UI is harvested as a candidate input.
 pub fn collect(app: &AndroidApp, provided: &BTreeMap<String, String>) -> InputDependency {
-    let mut input_widgets = BTreeSet::new();
-    let mut harvested = BTreeSet::new();
+    let mut inputs: Vec<&ResName> = Vec::new();
+    let mut texts: Vec<&str> = Vec::new();
     for layout in app.layouts.values() {
         for widget in layout.root.iter() {
             if widget.kind.is_input() {
                 if let Some(id) = &widget.id {
-                    input_widgets.insert(id.clone());
+                    inputs.push(id);
                 }
             }
             if !widget.text.is_empty() {
-                harvested.insert(widget.text.clone());
+                texts.push(&widget.text);
             }
         }
     }
+    // Sorted and deduplicated first, so each set is built in bulk and
+    // copies every distinct text once.
+    inputs.sort_unstable();
+    inputs.dedup();
+    texts.sort_unstable();
+    texts.dedup();
+    let input_widgets: BTreeSet<ResName> = inputs.into_iter().cloned().collect();
+    let harvested = texts.into_iter().map(str::to_string).collect();
     let values = provided
         .iter()
         .filter(|(k, _)| input_widgets.contains(k.as_str()))

@@ -3,6 +3,8 @@
 //! Given a decompiled app this crate produces everything the dynamic phase
 //! needs:
 //!
+//! * [`index`] — the per-app code index every pass below reads: one walk
+//!   over each activity's and fragment's class and inner classes;
 //! * [`effective`] — the effective (non-isolated, interaction-capable)
 //!   activities and fragments (§IV-B2);
 //! * [`aftm_init`] — Algorithm 1: the initial Activity & Fragment
@@ -31,12 +33,14 @@
 pub mod aftm_init;
 pub mod dependency;
 pub mod effective;
+pub mod index;
 pub mod input_dep;
 pub mod resource_dep;
 
 use fd_aftm::Aftm;
 use fd_apk::AndroidApp;
 use fd_smali::ClassName;
+use index::CodeIndex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,8 +86,8 @@ pub fn extract(app: &AndroidApp, provided_inputs: &BTreeMap<String, String>) -> 
 }
 
 /// [`extract`] with tracing: one [`fd_trace::Phase::Static`] span wraps
-/// the whole phase, with a [`fd_trace::Phase::StaticPass`] sub-span per
-/// analysis pass. With a disabled tracer this *is* `extract` — same code
+/// the whole phase, with a [`fd_trace::Phase::StaticPass`] sub-span for
+/// building the code index and one per analysis pass. With a disabled tracer this *is* `extract` — same code
 /// path, zero records.
 pub fn extract_traced(
     app: &AndroidApp,
@@ -92,28 +96,32 @@ pub fn extract_traced(
 ) -> StaticInfo {
     use fd_trace::Phase;
     let _extract = tracer.span(Phase::Static, "static-extract");
-    let (activities, fragments) = {
+    let activities = effective::effective_activities(app);
+    let candidates = effective::fragment_candidates(app);
+    let index = {
+        let _span = tracer.span(Phase::StaticPass, "code-index");
+        CodeIndex::build(app, activities.iter().chain(candidates.iter().copied()))
+    };
+    let fragments = {
         let _span = tracer.span(Phase::StaticPass, "effective-elements");
-        let activities = effective::effective_activities(app);
-        let fragments = effective::effective_fragments(app, &activities);
-        (activities, fragments)
+        effective::effective_fragments(&index, &activities, &candidates)
     };
     let aftm = {
         let _span = tracer.span(Phase::StaticPass, "aftm-init");
-        aftm_init::build_aftm(app, &activities, &fragments)
+        aftm_init::build_aftm(app, &index, &activities, &fragments)
     };
     // Isolated-activity removal: drop activities with no edges at all.
     let activities = {
         let _span = tracer.span(Phase::StaticPass, "drop-isolated");
-        effective::drop_isolated(&aftm, activities, app)
+        effective::drop_isolated(&aftm, &activities, app)
     };
     let af_dependency = {
         let _span = tracer.span(Phase::StaticPass, "af-dependency");
-        dependency::af_dependency(app, &activities, &fragments)
+        dependency::af_dependency(&index, &activities, &fragments)
     };
     let resource_dep = {
         let _span = tracer.span(Phase::StaticPass, "resource-dependency");
-        resource_dep::resource_dependency(app, &activities, &fragments)
+        resource_dep::resource_dependency(app, &index, &activities, &fragments)
     };
     let input_dep = {
         let _span = tracer.span(Phase::StaticPass, "input-dependency");

@@ -6,8 +6,9 @@
 //! are checked first, then fragments; widgets not referenced from any code
 //! file are non-interaction widgets and are ruled out.
 
+use crate::index::{CodeIndex, Unit};
 use fd_apk::AndroidApp;
-use fd_smali::{visit, ClassName, ResKind, ResName, ResRef, Stmt};
+use fd_smali::{ClassName, ResName, ResRef};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,78 +59,56 @@ impl ResourceDependency {
     }
 }
 
-/// The resource-IDs a class's code references (`getAID` / `getFID`), and
-/// the layouts it inflates.
-fn class_refs(app: &AndroidApp, class: &str) -> (BTreeSet<ResName>, BTreeSet<ResName>) {
-    let mut ids = BTreeSet::new();
-    let mut layouts = BTreeSet::new();
-    for c in app.classes.with_inner_classes(class) {
-        visit::walk_class(c, &mut |stmt| {
-            if let Stmt::SetContentView(r) | Stmt::InflateLayout(r) = stmt {
-                layouts.insert(r.name.clone());
-            }
-            for r in stmt.res_refs() {
-                if r.kind == ResKind::Id {
-                    ids.insert(r.name.clone());
-                }
-            }
-        });
-    }
-    (ids, layouts)
-}
-
-/// Computes the resource dependency for the whole app.
+/// Computes the resource dependency for the whole app. `index` must
+/// cover the activities and the fragments: a unit's ids are its
+/// `getAID` / `getFID`, its layouts the ones it inflates.
 pub fn resource_dependency(
     app: &AndroidApp,
+    index: &CodeIndex<'_>,
     activities: &BTreeSet<ClassName>,
     fragments: &BTreeSet<ClassName>,
 ) -> ResourceDependency {
-    let mut dep = ResourceDependency::default();
-
-    let act_refs: Vec<(&ClassName, BTreeSet<ResName>, BTreeSet<ResName>)> = activities
+    // Activities first, then fragments: the first unit that claims a
+    // widget owns it.
+    let units: Vec<(UiOwner, Unit<'_, '_>)> = activities
         .iter()
-        .map(|a| {
-            let (ids, layouts) = class_refs(app, a.as_str());
-            (a, ids, layouts)
-        })
-        .collect();
-    let frag_refs: Vec<(&ClassName, BTreeSet<ResName>, BTreeSet<ResName>)> = fragments
-        .iter()
-        .map(|f| {
-            let (ids, layouts) = class_refs(app, f.as_str());
-            (f, ids, layouts)
-        })
+        .map(|a| (UiOwner::Activity(a.clone()), index.unit(a.as_str())))
+        .chain(fragments.iter().map(|f| (UiOwner::Fragment(f.clone()), index.unit(f.as_str()))))
         .collect();
 
-    for (class, _, layouts) in act_refs.iter().chain(&frag_refs) {
-        for layout in layouts {
-            dep.layout_users.entry(layout.clone()).or_default().insert((*class).clone());
-        }
-    }
+    // (layout, unit) for each layout a unit inflates, sorted: each
+    // layout's inflaters form one run, in claiming order, and the runs
+    // come in the order of `app.layouts`.
+    let mut inflated: Vec<(&ResName, usize)> = units
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (_, unit))| unit.layouts.iter().map(move |&layout| (layout, i)))
+        .collect();
+    inflated.sort_unstable();
 
-    for layout in app.layouts.values() {
+    let mut layout_users: Vec<(ResName, BTreeSet<ClassName>)> = Vec::new();
+    // Claims in layout and widget order; collecting keeps the last claim
+    // of an id that several layouts declare.
+    let mut claims: Vec<(ResName, UiOwner)> = Vec::new();
+    let mut rest = &inflated[..];
+    while let Some(&(name, _)) = rest.first() {
+        let (run, tail) = rest.split_at(rest.iter().take_while(|(l, _)| *l == name).count());
+        rest = tail;
+        let inflaters = || run.iter().map(|&(_, i)| &units[i]);
+        layout_users.push((name.clone(), inflaters().map(|(o, _)| o.class().clone()).collect()));
+        let Some(layout) = app.layouts.get(name) else { continue };
         for widget in layout.root.iter() {
             let Some(id) = &widget.id else { continue };
-            // Activities first.
-            let found = act_refs
-                .iter()
-                .find(|(_, ids, layouts)| ids.contains(id) && layouts.contains(&layout.name))
-                .map(|(a, ..)| UiOwner::Activity((*a).clone()))
-                .or_else(|| {
-                    frag_refs
-                        .iter()
-                        .find(|(_, ids, layouts)| {
-                            ids.contains(id) && layouts.contains(&layout.name)
-                        })
-                        .map(|(f, ..)| UiOwner::Fragment((*f).clone()))
-                });
-            if let Some(owner) = found {
-                dep.owners.insert(id.clone(), owner);
+            if let Some((owner, _)) = inflaters().find(|(_, unit)| unit.references_id(id)) {
+                claims.push((id.clone(), owner.clone()));
             }
             // else: a non-interaction widget not declared in code — ruled out.
         }
     }
-    dep
+    ResourceDependency {
+        owners: claims.into_iter().collect(),
+        layout_users: layout_users.into_iter().collect(),
+    }
 }
 
 /// Interns every owner's resource-ID through the numeric table, returning
@@ -153,8 +132,10 @@ mod tests {
 
     fn dep_of(gen: &fd_appgen::GeneratedApp) -> ResourceDependency {
         let acts = effective::effective_activities(&gen.app);
-        let frags = effective::effective_fragments(&gen.app, &acts);
-        resource_dependency(&gen.app, &acts, &frags)
+        let candidates = effective::fragment_candidates(&gen.app);
+        let index = CodeIndex::build(&gen.app, acts.iter().chain(candidates.iter().copied()));
+        let frags = effective::effective_fragments(&index, &acts, &candidates);
+        resource_dependency(&gen.app, &index, &acts, &frags)
     }
 
     #[test]

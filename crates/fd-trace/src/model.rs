@@ -12,13 +12,17 @@ pub const TRACE_VERSION: u64 = 1;
 /// The *top-level* phases — [`Phase::Decompile`], [`Phase::Static`],
 /// [`Phase::Explore`] — partition an app's run: their durations are
 /// disjoint and together cover (almost all of) the app span. The other
-/// phases are nested detail: [`Phase::StaticPass`] spans live inside the
-/// `Static` span, [`Phase::Case`] and [`Phase::Recovery`] inside
+/// phases are nested detail: [`Phase::DecodeSection`] spans live inside
+/// the `Decompile` span, [`Phase::StaticPass`] spans inside the `Static`
+/// span, [`Phase::Case`] and [`Phase::Recovery`] inside
 /// `Explore`, and [`Phase::App`] / [`Phase::Suite`] wrap whole runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Phase {
     /// APK container unpack/decompile (`fd-apk`).
     Decompile,
+    /// One section inside decompilation (manifest, classes, layouts,
+    /// meta, and the indexing of the decoded app).
+    DecodeSection,
     /// APK container pack (`fd-apk`).
     Pack,
     /// The whole static information extraction (`fd-static`).
@@ -44,6 +48,7 @@ impl Phase {
     pub fn as_str(&self) -> &'static str {
         match self {
             Phase::Decompile => "decompile",
+            Phase::DecodeSection => "decode-section",
             Phase::Pack => "pack",
             Phase::Static => "static",
             Phase::StaticPass => "static-pass",

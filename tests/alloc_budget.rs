@@ -1,7 +1,8 @@
-//! An allocation budget for the explore loop, as a count. A counting
-//! global allocator tallies the allocations this test's own thread makes
-//! while FragDroid runs the 15 Table I apps, and the test bounds them per
-//! injected event. The simulator and the driver are deterministic, so
+//! Allocation budgets for the explore loop and for ingest (decode plus
+//! static extraction), as counts. A counting global allocator tallies
+//! the allocations this test's own thread makes while FragDroid runs the
+//! 15 Table I apps, and the tests bound them per injected event and per
+//! app. The simulator and the driver are deterministic, so
 //! the count repeats exactly from run to run; no timing is involved.
 //!
 //! The bound sits just above the measured value. A run (static phase
@@ -11,13 +12,22 @@
 //! change that brings copies back fails this test; one that removes more
 //! lets the bound come down.
 
+use fragdroid_repro::apk;
 use fragdroid_repro::appgen::paper_apps::all_paper_apps;
+use fragdroid_repro::stat;
 use fragdroid_repro::tool::{FragDroid, FragDroidConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations per injected event may not exceed this.
 const MAX_ALLOCS_PER_EVENT: f64 = 19.0;
+
+/// Allocations per Table I app that decode plus static extraction may
+/// not exceed. They cost 1,805 per app when every statement pass built
+/// its own class sets, the resource table was grown one probe and two
+/// tree inserts at a time and each name was copied twice; 611.5 with the
+/// code index, the bulk-built table and interned resource names.
+const MAX_ALLOCS_PER_INGEST: f64 = 620.0;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Const
@@ -82,5 +92,26 @@ fn table1_explore_stays_within_its_allocation_budget() {
         per_event <= MAX_ALLOCS_PER_EVENT,
         "{allocs} allocations over {events} events = {per_event:.2} per event, \
          over the budget of {MAX_ALLOCS_PER_EVENT}"
+    );
+}
+
+#[test]
+fn table1_ingest_stays_within_its_allocation_budget() {
+    let apps = all_paper_apps();
+    let containers: Vec<_> = apps.iter().map(|(_, gen)| apk::pack(&gen.app)).collect();
+    let mut allocs = 0u64;
+    for ((_, gen), bytes) in apps.iter().zip(&containers) {
+        let before = allocations();
+        let app = apk::decompile(bytes).expect("Table I apps decode");
+        let info = stat::extract(&app, &gen.known_inputs);
+        allocs += allocations() - before;
+        drop((app, info));
+    }
+    let per_app = allocs as f64 / apps.len() as f64;
+    assert!(
+        per_app <= MAX_ALLOCS_PER_INGEST,
+        "{allocs} allocations over {} apps = {per_app:.1} per app, \
+         over the budget of {MAX_ALLOCS_PER_INGEST}",
+        apps.len()
     );
 }
