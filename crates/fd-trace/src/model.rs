@@ -44,6 +44,21 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase, in declaration order.
+    pub const ALL: [Phase; 11] = [
+        Phase::Decompile,
+        Phase::DecodeSection,
+        Phase::Pack,
+        Phase::Static,
+        Phase::StaticPass,
+        Phase::Explore,
+        Phase::Case,
+        Phase::Recovery,
+        Phase::App,
+        Phase::Suite,
+        Phase::Fuzz,
+    ];
+
     /// Stable lowercase name (Chrome `cat` field, summary keys).
     pub fn as_str(&self) -> &'static str {
         match self {

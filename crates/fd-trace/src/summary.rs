@@ -275,18 +275,14 @@ impl TraceSummary {
         summary
     }
 
-    /// Summed wall time of the top-level phases (decompile/pack/static/
-    /// explore), µs — the number that should land within a few percent of
-    /// the suite's per-app wall-time total.
+    /// Summed wall time of the top-level phases ([`Phase::is_top_level`]),
+    /// µs — the number that should land within a few percent of the
+    /// suite's per-app wall-time total.
     pub fn top_level_phase_total_us(&self) -> u64 {
-        self.phase_totals_us
+        Phase::ALL
             .iter()
-            .filter(|(name, _)| {
-                [Phase::Decompile, Phase::Pack, Phase::Static, Phase::Explore]
-                    .iter()
-                    .any(|p| p.as_str() == name.as_str())
-            })
-            .map(|(_, us)| us)
+            .filter(|phase| phase.is_top_level())
+            .filter_map(|phase| self.phase_totals_us.get(phase.as_str()))
             .sum()
     }
 

@@ -151,6 +151,9 @@ fn summary_aggregates_phases_events_and_tops() {
     assert_eq!(summary.slowest_apps.len(), 2);
     assert!(summary.phase_totals_us.contains_key("static"));
     assert!(summary.phase_totals_us.contains_key("app"));
+    // Of these phases only static and explore are top-level.
+    let top_level = summary.phase_totals_us["static"] + summary.phase_totals_us["explore"];
+    assert_eq!(summary.top_level_phase_total_us(), top_level);
     // Hottest activities merge first-visits and transition destinations.
     assert!(summary
         .hottest_activities
@@ -168,4 +171,12 @@ fn summary_aggregates_phases_events_and_tops() {
     let json = serde_json::to_string(&summary).expect("summary serializes");
     let back: TraceSummary = serde_json::from_str(&json).expect("summary parses");
     assert_eq!(back, summary);
+}
+
+/// `Phase::ALL` lists each phase once, in declaration order, with no gap.
+#[test]
+fn phase_all_lists_every_phase_in_declaration_order() {
+    for (index, phase) in Phase::ALL.iter().enumerate() {
+        assert_eq!(*phase as usize, index, "{phase}");
+    }
 }

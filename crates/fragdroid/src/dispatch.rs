@@ -1618,6 +1618,53 @@ mod tests {
         );
     }
 
+    /// A hung endpoint — it accepts every job and never settles one —
+    /// costs the run about one `job_deadline` per job it held: each such
+    /// job runs out its deadline there and re-runs on the live endpoint,
+    /// and the merged digest is the reference.
+    #[test]
+    fn a_hung_endpoint_costs_one_job_deadline_per_job_it_held() {
+        let corpus = corpus(4);
+        let config = FragDroidConfig::default();
+        let off = fd_trace::TraceConfig::off();
+        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 2, &off);
+
+        let (hung, stop) = fake_endpoint(|request| match request {
+            ServeRequest::Status => ServeResponse::Status {
+                queued: 0,
+                running: 1,
+                completed: 0,
+                rejected: 0,
+                workers: 1,
+                config_digest: None,
+            },
+            ServeRequest::Submit { job, .. } => ServeResponse::Accepted { job },
+            // Holds each wait as a busy server would, then still pending.
+            ServeRequest::Await { job, wait_ms } => {
+                std::thread::sleep(Duration::from_millis(wait_ms).min(MAX_AWAIT));
+                ServeResponse::Pending { job }
+            }
+            ServeRequest::Poll { job } => ServeResponse::Pending { job },
+            ServeRequest::Shutdown => ServeResponse::Bye,
+        });
+        let (live, server) = spawn_server(1);
+        let mut options = DispatchOptions::new(vec![hung, live.clone()]);
+        options.shards = 2;
+        options.job_deadline = Duration::from_secs(2);
+        options.quarantine_after = 1;
+        let started = Instant::now();
+        let run = dispatch(&corpus, &config, &options, &off);
+        let wall = started.elapsed();
+        shutdown(&live, server);
+        stop();
+
+        let run = run.expect("dispatch completes around the hung endpoint");
+        assert_eq!(run.merged.run.outcome_digest(), reference.outcome_digest());
+        assert!(run.summary.workers[0].failures >= 1, "{:?}", run.summary);
+        assert!(run.summary.reassignments >= 1, "{:?}", run.summary);
+        assert!(wall < options.job_deadline * 3, "{wall:?} for one hung job: {:?}", run.summary);
+    }
+
     /// An endpoint that runs another engine config fails the run before
     /// any of its findings are merged, naming the endpoint.
     #[test]

@@ -96,16 +96,10 @@ fn phase_totals_agree_with_suite_metrics() {
     }
     assert_eq!(total_app_spans, run.metrics.apps.len(), "every app got an App span");
 
-    let top_level = [
-        fd_trace::Phase::Decompile,
-        fd_trace::Phase::Pack,
-        fd_trace::Phase::Static,
-        fd_trace::Phase::Explore,
-    ];
     let (mut static_spans, mut explore_spans) = (0usize, 0usize);
     for record in &trace.records {
         if let fd_trace::TraceRecord::Span(span) = record {
-            if top_level.contains(&span.phase) {
+            if span.phase.is_top_level() {
                 let intervals = app_spans.get(&span.track).expect("phase span on an app track");
                 let (s, e) = (span.wall_start_us, span.wall_start_us + span.wall_dur_us);
                 assert!(
