@@ -134,7 +134,7 @@ pub const COMMANDS: &[Command] = &[
             CORPUS,
             &[("shards", Usize)],
             JOURNAL,
-            &[("lease-timeout-ms", U64), ("heartbeat-ms", U64), ("stall-timeout-ms", U64)],
+            &[("heartbeat-ms", U64), ("stall-timeout-ms", U64)],
             &[("quarantine-after", U32), ("quarantine-backoff-ms", U64)],
             &[("job-timeout-ms", U64), ("job-retries", U32)],
             &[("jitter-seed", U64), ("chaos-seed", U64)],
@@ -764,7 +764,6 @@ fn dispatch(p: &Parsed) -> Result<(), CliError> {
     options.shards = p.num("shards", 0)?;
     options.journal = p.opt("checkpoint").map(std::path::PathBuf::from);
     options.resume = p.flag("resume");
-    options.lease_timeout = ms(p.num("lease-timeout-ms", 120_000)?);
     options.heartbeat_interval = ms(p.num("heartbeat-ms", 250)?);
     options.stall_timeout = ms(p.num("stall-timeout-ms", 300_000)?);
     options.quarantine_after = p.num("quarantine-after", 3)?;

@@ -507,6 +507,10 @@ fn the_command_table_governs_parsing_and_help() {
     assert!(err.unwrap_err().to_string().contains("no flag --corpus-dir"));
     let dispatch = ["dispatch", "--connect", "127.0.0.1:1", "--backend", "subprocess"];
     assert!(fd_cli::run(&argv(&dispatch)).unwrap_err().to_string().contains("no flag --backend"));
+    let dispatch = ["dispatch", "--connect", "127.0.0.1:1", "--lease-timeout-ms", "5"];
+    let err = fd_cli::run(&argv(&dispatch)).expect_err("leases have no clock to set");
+    assert_eq!(err.exit_code(), 1);
+    assert!(err.to_string().contains("no flag --lease-timeout-ms"), "{err}");
     let cwd = tmp("no-resume-journal");
     let _ = std::fs::remove_dir_all(&cwd);
     std::fs::create_dir_all(&cwd).expect("mkdir");

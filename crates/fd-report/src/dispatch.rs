@@ -1,6 +1,6 @@
 //! Rendering for `fragdroid dispatch` — Table 1 built straight from the
 //! merged shard run, plus the farm's operational appendix (per-worker
-//! accounting, reassignments, stragglers, waste).
+//! accounting, reassignments, waste).
 
 use crate::table;
 use crate::table1::Table1Row;
@@ -72,13 +72,8 @@ pub fn render_dispatch_summary(summary: &DispatchSummary) -> String {
     let mut out =
         table::render(&["endpoint", "leases", "completed", "failures", "quarantines"], &rows);
     out.push_str(&format!(
-        "dispatch: {} shards ({} resumed), {} reassigned, {} straggler backups, \
-         {} wasted completions\n",
-        summary.shards,
-        summary.resumed_shards,
-        summary.reassignments,
-        summary.straggler_redispatches,
-        summary.wasted_completions,
+        "dispatch: {} shards ({} resumed), {} reassigned, {} wasted completions\n",
+        summary.shards, summary.resumed_shards, summary.reassignments, summary.wasted_completions,
     ));
     if !summary.reassignment_latencies_ms.is_empty() {
         let mut sorted = summary.reassignment_latencies_ms.clone();
@@ -104,7 +99,6 @@ mod tests {
             shards: 4,
             resumed_shards: 1,
             reassignments: 2,
-            straggler_redispatches: 1,
             wasted_completions: 1,
             reassignment_latencies_ms: vec![80, 20, 40],
             workers: vec![
@@ -131,8 +125,7 @@ mod tests {
         let text = render_dispatch_summary(&summary());
         assert!(text.contains("127.0.0.1:7000"));
         assert!(text.contains("127.0.0.1:7001"));
-        assert!(text.contains("4 shards (1 resumed), 2 reassigned, 1 straggler backups"));
-        assert!(text.contains("1 wasted completions"));
+        assert!(text.contains("4 shards (1 resumed), 2 reassigned, 1 wasted completions"));
         assert!(text.contains("reassignment latency: p50 40 ms, p95 80 ms (3 samples)"));
     }
 

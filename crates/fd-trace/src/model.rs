@@ -244,8 +244,8 @@ pub enum TraceEvent {
         /// The lease's generation counter (monotonic per coordinator).
         generation: u64,
     },
-    /// A lease expired or its worker failed; the shard returns to the
-    /// pending queue.
+    /// A lease's holder failed a job or its endpoint failed a heartbeat
+    /// probe; the shard returns to the pending queue.
     LeaseRevoked {
         /// Shard index within the dispatched split.
         shard: u64,

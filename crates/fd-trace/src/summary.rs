@@ -85,7 +85,7 @@ pub struct TraceSummary {
     /// Shard leases granted by the dispatch coordinator.
     #[serde(default)]
     pub lease_grants: u64,
-    /// Shard leases revoked (expiry, probe failure, failed run).
+    /// Shard leases revoked (probe failure, failed run).
     #[serde(default)]
     pub lease_revocations: u64,
     /// Shards re-granted after a revocation.

@@ -9,14 +9,16 @@
 //! reconnects through the client's backoff). Worker death is the common
 //! case, not the exception:
 //!
-//! * **Leases, not assignments.** A grant is time-bounded and carries a
-//!   globally monotonic generation counter (the
-//!   [`DevicePool`](crate::pool::DevicePool) pattern, one level up). A
-//!   lease that expires — or whose endpoint fails a heartbeat probe —
-//!   is revoked and its shard goes back to the front of the queue.
-//!   Stale holders notice mid-shard (every job re-checks the lease) and
-//!   abandon their work; if a stale holder finishes anyway, first-wins
-//!   completion makes the duplicate harmless.
+//! * **Leases, not assignments.** A grant carries a globally monotonic
+//!   generation counter (the [`DevicePool`](crate::pool::DevicePool)
+//!   pattern, one level up) and has no clock: a lease ends when its
+//!   shard commits, when its holder fails a job (each job is bounded by
+//!   [`DispatchOptions::job_deadline`], so a wedged holder fails too), or
+//!   when its endpoint fails a heartbeat probe. A revoked lease's shard
+//!   goes back to the front of the queue. Stale holders notice mid-shard
+//!   (every job re-checks the lease) and abandon their work; if a stale
+//!   holder finishes anyway, first-wins completion makes the duplicate
+//!   harmless.
 //! * **Quarantine with revival.** An endpoint that fails
 //!   `quarantine_after` shard attempts in a row is benched, then must
 //!   pass a clean-transport `Status` probe before it is leased work
@@ -24,9 +26,6 @@
 //!   revival probe doubles the next one (jittered, capped at 16×), and a
 //!   clean probe resets the doubling — the shared retry and health
 //!   policy of DESIGN.md §12.
-//! * **Stragglers.** Once the queue drains, the last in-flight shards
-//!   are re-dispatched to idle endpoints; whoever finishes first
-//!   commits, the other attempt is counted as wasted.
 //! * **One config.** Job ids are global corpus indexes, so the server's
 //!   `(id, digest)` dedup makes re-execution safe. Every probe (before
 //!   a worker's first lease, each heartbeat, each revival) reads the
@@ -95,9 +94,8 @@ pub struct DispatchOptions {
     pub journal: Option<PathBuf>,
     /// Resume a previous coordinator journal instead of starting fresh.
     pub resume: bool,
-    /// A lease older than this is revoked and its shard re-queued.
-    pub lease_timeout: Duration,
-    /// Coordinator tick: health probes, expiry sweeps, straggler checks.
+    /// Coordinator tick: heartbeat probes of the endpoints holding
+    /// leases, and the stall check.
     pub heartbeat_interval: Duration,
     /// Consecutive shard failures before an endpoint is quarantined.
     pub quarantine_after: u32,
@@ -123,15 +121,14 @@ pub struct DispatchOptions {
 
 impl DispatchOptions {
     /// Defaults for `endpoints`: one shard per endpoint, no journal,
-    /// 120 s leases, 250 ms heartbeat, quarantine after 3 straight
-    /// failures for 500 ms, 60 s / 8-attempt jobs, 300 s stall guard.
+    /// 250 ms heartbeat, quarantine after 3 straight failures for
+    /// 500 ms, 60 s / 8-attempt jobs, 300 s stall guard.
     pub fn new(endpoints: Vec<ListenAddr>) -> DispatchOptions {
         DispatchOptions {
             endpoints,
             shards: 0,
             journal: None,
             resume: false,
-            lease_timeout: Duration::from_secs(120),
             heartbeat_interval: Duration::from_millis(250),
             quarantine_after: 3,
             quarantine_backoff: Duration::from_millis(500),
@@ -253,7 +250,7 @@ pub(crate) enum DispatchRecord {
         /// The lease's generation counter.
         generation: u64,
     },
-    /// A lease was revoked (expiry, probe failure, or a failed run).
+    /// A lease was revoked (a failed heartbeat probe or a failed run).
     Revoked {
         /// The shard whose lease was revoked.
         shard: usize,
@@ -426,8 +423,6 @@ pub struct DispatchSummary {
     pub resumed_shards: usize,
     /// Shards re-granted after a revocation.
     pub reassignments: usize,
-    /// Backup grants issued for stragglers after the queue drained.
-    pub straggler_redispatches: usize,
     /// Completed shard attempts that lost the first-wins commit.
     pub wasted_completions: usize,
     /// Revocation→re-grant latency of each reassignment, milliseconds.
@@ -456,7 +451,6 @@ struct Lease {
     shard: usize,
     worker: usize,
     generation: u64,
-    granted_at: Instant,
 }
 
 /// Where an endpoint stands with the farm. `round` counts the failed
@@ -645,23 +639,20 @@ struct Revocations {
     quarantined: Vec<usize>,
 }
 
-/// Revokes every lease matching `pred`. Its shard goes back to the
-/// front of the queue unless it is done, still leased elsewhere, or
-/// already queued, and `now` starts its reassignment-latency clock. Its
-/// holder is charged one failed attempt, which may bench the holder.
+/// Revokes every lease matching `pred`. A shard holds at most one
+/// lease, so a revoked lease's shard goes back to the front of the
+/// queue unless it is done, and `now` starts its reassignment-latency
+/// clock. Its holder is charged one failed attempt, which may bench the
+/// holder.
 fn revoke_leases(g: &mut Farm, now: Instant, pred: impl Fn(&Lease) -> bool) -> Revocations {
     let (leases, kept): (Vec<Lease>, Vec<Lease>) =
         std::mem::take(&mut g.leases).into_iter().partition(|l| pred(l));
     g.leases = kept;
     let mut quarantined = Vec::new();
     for lease in &leases {
-        let shard = lease.shard;
-        if !(g.done.contains_key(&shard)
-            || g.leases.iter().any(|l| l.shard == shard)
-            || g.pending.contains(&shard))
-        {
-            g.revoked_at[shard] = Some(now);
-            g.pending.push_front(shard);
+        if !g.done.contains_key(&lease.shard) {
+            g.revoked_at[lease.shard] = Some(now);
+            g.pending.push_front(lease.shard);
         }
         if g.workers[lease.worker].fail(now) {
             quarantined.push(lease.worker);
@@ -678,7 +669,7 @@ impl Revocations {
             return;
         }
         ctx.cv.notify_all();
-        for Lease { shard, worker, generation, .. } in self.leases {
+        for Lease { shard, worker, generation } in self.leases {
             ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
             tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
                 shard: shard as u64,
@@ -700,23 +691,13 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
     if let Some(action) = g.workers[worker].sit_out(now, ctx.options.heartbeat_interval) {
         return action;
     }
-    let mut i = 0;
-    while i < g.pending.len() {
-        let shard = g.pending[i];
+    while let Some(shard) = g.pending.pop_front() {
         if g.done.contains_key(&shard) {
-            g.pending.remove(i);
             continue;
         }
-        if g.leases.iter().any(|l| l.shard == shard && l.worker == worker) {
-            // A straggler backup of a shard this worker already holds
-            // is pointless; leave it for someone else.
-            i += 1;
-            continue;
-        }
-        g.pending.remove(i);
         let generation = g.next_generation;
         g.next_generation += 1;
-        g.leases.push(Lease { shard, worker, generation, granted_at: now });
+        g.leases.push(Lease { shard, worker, generation });
         g.workers[worker].stat.assignments += 1;
         g.last_progress = now;
         let mut reassigned = false;
@@ -893,9 +874,10 @@ fn worker_loop(
                                 g.workers[worker].streak.clear();
                                 g.last_progress = Instant::now();
                             } else {
-                                // A straggler race we lost; the shard
-                                // journal we rewrote, if any, holds
-                                // identical bytes, so no harm done.
+                                // Another attempt committed first: one of
+                                // the two leases was revoked and its holder
+                                // finished anyway. The shard journal we
+                                // rewrote, if any, holds identical bytes.
                                 g.summary.wasted_completions += 1;
                             }
                             ctx.cv.notify_all();
@@ -929,9 +911,8 @@ fn worker_loop(
 // ---------------------------------------------------------------------------
 // Coordinator loop
 
-/// The coordinator's own duties, on the calling thread: revoke expired
-/// leases, heartbeat-probe busy endpoints, re-dispatch stragglers, and
-/// fail typed on a total stall.
+/// The coordinator's own duties, on the calling thread: heartbeat-probe
+/// the endpoints holding leases, and fail typed on a total stall.
 fn coordinator_loop(
     ctx: &DispatchCtx<'_>,
     clock: fd_trace::TraceClock,
@@ -939,37 +920,12 @@ fn coordinator_loop(
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, 0);
     loop {
-        let (expired, probes, stalled) = {
+        let (probes, stalled) = {
             let mut g = lock(ctx.farm);
             if g.over() {
                 break;
             }
             let now = Instant::now();
-            // Expired leases: the holder is presumed dead or wedged.
-            let expired = revoke_leases(&mut g, now, |l| {
-                now.duration_since(l.granted_at) >= ctx.options.lease_timeout
-            });
-            // Stragglers: the queue is dry, so idle endpoints may
-            // as well race the slowest in-flight shards.
-            if g.pending.is_empty() {
-                let candidates: Vec<usize> = g
-                    .leases
-                    .iter()
-                    .filter(|l| now.duration_since(l.granted_at) >= ctx.options.lease_timeout / 2)
-                    .map(|l| l.shard)
-                    .collect();
-                for shard in candidates {
-                    if g.done.contains_key(&shard)
-                        || g.pending.contains(&shard)
-                        || g.leases.iter().filter(|l| l.shard == shard).count() != 1
-                    {
-                        continue;
-                    }
-                    g.pending.push_back(shard);
-                    g.summary.straggler_redispatches += 1;
-                    ctx.cv.notify_all();
-                }
-            }
             // Total stall: nothing has moved for stall_timeout.
             if now.duration_since(g.last_progress) >= ctx.options.stall_timeout {
                 let leased = g.leases.len();
@@ -986,14 +942,13 @@ fn coordinator_loop(
                 ctx.cv.notify_all();
             }
             let probes: BTreeSet<usize> = g.leases.iter().map(|l| l.worker).collect();
-            (expired, probes, g.fatal.is_some())
+            (probes, g.fatal.is_some())
         };
-        expired.publish(ctx, &tracer);
         if stalled {
             continue;
         }
         // Heartbeats, off the lock: a failed probe revokes everything
-        // the endpoint holds rather than waiting out the lease.
+        // the endpoint holds.
         for worker in probes {
             if !ctx.probe(worker) {
                 let dead =
@@ -1663,6 +1618,49 @@ mod tests {
         assert!(run.summary.workers[0].failures >= 1, "{:?}", run.summary);
         assert!(run.summary.reassignments >= 1, "{:?}", run.summary);
         assert!(wall < options.job_deadline * 3, "{wall:?} for one hung job: {:?}", run.summary);
+    }
+
+    /// A slow but healthy endpoint is never charged, however many
+    /// heartbeats its shard outlives: it answers every probe and holds
+    /// each `Await` ~50 ms before the report, so one shard of 8 apps
+    /// spans some 40 heartbeat ticks, and a lease ends only at its commit.
+    #[test]
+    fn a_slow_healthy_endpoint_keeps_its_lease_to_the_end() {
+        let gen = fd_appgen::templates::quickstart();
+        let corpus = vec![(fd_apk::pack(&gen.app), gen.known_inputs.clone()); 8];
+        let config = FragDroidConfig::default();
+        let off = fd_trace::TraceConfig::off();
+        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 1, &off);
+        let report = crate::FragDroid::new(config.clone()).run(&gen.app, &gen.known_inputs);
+        let (addr, stop) = fake_endpoint(move |request| match request {
+            ServeRequest::Status => ServeResponse::Status {
+                queued: 0,
+                running: 1,
+                completed: 0,
+                rejected: 0,
+                workers: 1,
+                config_digest: None,
+            },
+            ServeRequest::Submit { job, .. } => ServeResponse::Accepted { job },
+            ServeRequest::Poll { job } | ServeRequest::Await { job, .. } => {
+                std::thread::sleep(Duration::from_millis(50));
+                ServeResponse::Finished { job, report: Box::new(report.clone()) }
+            }
+            ServeRequest::Shutdown => ServeResponse::Bye,
+        });
+        let mut options = DispatchOptions::new(vec![addr]);
+        options.heartbeat_interval = Duration::from_millis(10);
+        options.quarantine_after = 1;
+        let run = dispatch(&corpus, &config, &options, &off);
+        stop();
+
+        let run = run.expect("dispatch completes on the slow endpoint");
+        assert_eq!(run.merged.run.outcome_digest(), reference.outcome_digest());
+        let summary = &run.summary;
+        let worker = &summary.workers[0];
+        assert_eq!((worker.failures, worker.quarantines), (0, 0), "{summary:?}");
+        assert_eq!((summary.reassignments, summary.wasted_completions), (0, 0), "{summary:?}");
+        assert_eq!(worker.assignments, 1, "{summary:?}");
     }
 
     /// An endpoint that runs another engine config fails the run before

@@ -104,7 +104,7 @@ impl SubmitClient {
     /// A client for `addr` with the default budgets: 8 reconnect
     /// attempts, 10 ms base backoff (the first nap is twice the base,
     /// doubling, capped at 500 ms, never past the deadline), 60 s
-    /// overall deadline per job, 2 s per-operation I/O timeout, no
+    /// overall deadline per job, 2 s connect and per-operation I/O timeout, no
     /// chaos. No connection is opened until the first submit.
     pub fn new(addr: ListenAddr) -> SubmitClient {
         SubmitClient {
@@ -265,7 +265,8 @@ impl SubmitClient {
 }
 
 /// Sends one request over a fresh clean-transport connection and
-/// returns the server's reply; `timeout` bounds every read and write.
+/// returns the server's reply; `timeout` bounds the TCP connect and
+/// every read and write.
 /// The health probe and `Shutdown` callers use this instead of speaking
 /// the frame protocol themselves. Any transport or protocol trouble is
 /// an `Err` with the failure rendered.
@@ -277,9 +278,11 @@ pub fn request_once(
     Conversation::new(Wire::Plain(connect(addr, timeout)?), None).call(request)
 }
 
-/// Connects to `addr` with `timeout` on every read and write.
+/// Connects to `addr` with `timeout` on the TCP connect and on every
+/// read and write.
 fn connect(addr: &ListenAddr, timeout: Duration) -> Result<AnyStream, String> {
-    let stream = AnyStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let stream =
+        AnyStream::connect_within(addr, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_read_timeout(Some(timeout)).map_err(|e| format!("set read timeout: {e}"))?;
     stream.set_write_timeout(Some(timeout)).map_err(|e| format!("set write timeout: {e}"))?;
     Ok(stream)
@@ -684,5 +687,34 @@ mod tests {
             }
             other => panic!("expected Exhausted after 3 connects, got {other:?}"),
         }
+    }
+
+    /// A listener whose accept queue is full drops further SYNs, so a
+    /// connect to it hangs as one to a host that drops SYNs does; the
+    /// request's timeout must bound the connect too.
+    #[test]
+    fn a_connect_that_hangs_is_bounded_by_the_request_timeout() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a listener");
+        let target = listener.local_addr().expect("bound");
+        // Never accept: std listens with a backlog of 128, so the queue
+        // fills after about that many connects and the next one times out.
+        let mut held = Vec::new();
+        loop {
+            match std::net::TcpStream::connect_timeout(&target, Duration::from_millis(100)) {
+                Ok(stream) => held.push(stream),
+                Err(error) => {
+                    assert_eq!(error.kind(), std::io::ErrorKind::TimedOut, "{error}");
+                    break;
+                }
+            }
+            assert!(held.len() < 4096, "the accept queue never filled");
+        }
+        let timeout = Duration::from_millis(500);
+        let started = Instant::now();
+        let reply =
+            request_once(&ListenAddr::Tcp(target.to_string()), ServeRequest::Status, timeout);
+        let waited = started.elapsed();
+        assert!(reply.is_err(), "{reply:?}");
+        assert!(waited < timeout * 2, "the connect held {waited:?} against a {timeout:?} timeout");
     }
 }

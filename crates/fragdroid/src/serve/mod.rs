@@ -61,7 +61,7 @@ use journal::JobJournal;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
@@ -429,6 +429,25 @@ impl AnyStream {
             ListenAddr::Tcp(spec) => TcpStream::connect(spec).map(AnyStream::Tcp),
             ListenAddr::Unix(path) => UnixStream::connect(path).map(AnyStream::Unix),
         }
+    }
+
+    /// Connects a client stream to `addr`, giving up on each resolved
+    /// TCP address after `timeout`: a host that drops SYNs would
+    /// otherwise hold the connect for the kernel's whole SYN-retry time.
+    /// A Unix connect stays plain; it never leaves the host, and std has
+    /// no timed Unix connect.
+    pub(crate) fn connect_within(addr: &ListenAddr, timeout: Duration) -> std::io::Result<Self> {
+        let ListenAddr::Tcp(spec) = addr else { return AnyStream::connect(addr) };
+        let mut last = None;
+        for resolved in spec.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&resolved, timeout) {
+                Ok(stream) => return Ok(AnyStream::Tcp(stream)),
+                Err(error) => last = Some(error),
+            }
+        }
+        Err(last.unwrap_or_else(|| {
+            std::io::Error::new(ErrorKind::InvalidInput, format!("{spec} resolves to no address"))
+        }))
     }
 
     fn try_clone(&self) -> std::io::Result<AnyStream> {
